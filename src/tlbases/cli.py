@@ -24,7 +24,6 @@ from .laurent import ONE, ZERO, LaurentPoly, classify
 from .tangles import (
     CalibrationError,
     DiagramCalculus,
-    DiagramElement,
     RuleSet,
     calibrate_ruleset,
     format_tangle,
@@ -64,7 +63,6 @@ class JobConfig:
     tangle: Optional[str] = None
     ruleset_path: Optional[str] = None
     cap_class_size: int = 1_000_000
-    cap_closure: int = 1_000_000
     confluence_count: int = 10_000
     slow: bool = False
     report_dir: str = field(default_factory=lambda: os.environ.get(REPORT_DIR_ENV, "."))
@@ -76,7 +74,7 @@ class JobConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.rank is not None and self.rank < 2:
             raise ConfigError("rank must be at least 2")
-        if self.cap_class_size <= 0 or self.cap_closure <= 0:
+        if self.cap_class_size <= 0:
             raise ConfigError("resource caps must be positive")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
@@ -104,7 +102,6 @@ class JobConfig:
             "basis": self.basis,
             "tangle": self.tangle,
             "cap_class_size": self.cap_class_size,
-            "cap_closure": self.cap_closure,
             "confluence_count": self.confluence_count,
             "slow": self.slow,
         }
@@ -146,10 +143,15 @@ def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
     return GramCandidate(alg.graph, entries)
 
 
+#: Largest matrix whose determinant is expanded exactly (the expansion is
+#: exponential in the size).
+_DET_CAP = 14
+
+
 def _exact_det(rows: List[List[LaurentPoly]]) -> LaurentPoly:
     n = len(rows)
-    if n > 14:
-        raise ValueError("exact determinant limited to 14x14 at this scale")
+    if n > _DET_CAP:
+        raise ValueError(f"exact determinant limited to {_DET_CAP}x{_DET_CAP} at this scale")
     dp = {0: ONE}
     for r in range(n):
         nxt: Dict[int, LaurentPoly] = {}
@@ -173,8 +175,12 @@ def _exact_det(rows: List[List[LaurentPoly]]) -> LaurentPoly:
     return dp.get((1 << n) - 1, ZERO)
 
 
-def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
-    """Exact checks of the four bilinear-form conditions."""
+def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, Optional[bool]]:
+    """Exact checks of the four bilinear-form conditions.
+
+    ``nondegenerate`` is None when it could not be decided: the form is not
+    unitriangular mod v^-1 and too large for the exact determinant.
+    """
     words = [e.word for e in alg.fc_elements()]
     symmetric = all(cand.entry(w, x) == cand.entry(x, w)
                     for w in words for x in words)
@@ -204,17 +210,18 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
                     rhs = rhs + c * cand.entry(w, y)
                 if lhs != rhs:
                     anti = False
-    rows = [[cand.entry(w, x) for x in words] for w in words]
-    try:
-        nondeg = bool(_exact_det(rows))
-    except ValueError:
-        nondeg = False
     unitri = True
     for i, w in enumerate(words):
         for j, x in enumerate(words):
             diff = cand.entry(w, x) - (ONE if i == j else ZERO)
             if not classify(diff).in_vinv_Aminus:
                 unitri = False
+    if unitri:
+        nondeg = True  # det lies in 1 + v^-1 Z[v^-1], so it is nonzero
+    elif len(words) > _DET_CAP:
+        nondeg = None
+    else:
+        nondeg = bool(_exact_det([[cand.entry(w, x) for x in words] for w in words]))
     return {
         "symmetric": symmetric,
         "anti_associative": anti,
@@ -299,14 +306,11 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
     if cfg.basis == "diagram":
         if cfg.family == "A":
             raise ConfigError("diagram dumps apply to families B and H")
-        rules = _rules_for(cfg)
-        calc = DiagramCalculus(rules)
+        calc = DiagramCalculus(_rules_for(cfg))
         strands = _effective_rank(cfg) + 1
         for w, coords in sorted(alg.canonical_table().items(),
                                 key=lambda t: (len(t[0]), t[0])):
-            elem = DiagramElement(cfg.family, strands, {})
-            for x, c in sorted(coords.items()):
-                elem = elem + calc.evaluate_word(strands, x).scale(rules.lift(c))
+            elem = calc.image(strands, coords)
             entries.append({
                 "index_word": _word_str(w),
                 "coords": [{"tangle": format_tangle(t), "poly": str(c)}
@@ -485,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ruleset", dest="ruleset_path", default=None,
                    help="load a calibrated rule set from JSON instead of solving")
     p.add_argument("--cap-class-size", type=int, default=1_000_000)
-    p.add_argument("--cap-closure", type=int, default=1_000_000)
     p.add_argument("--confluence-count", type=int, default=10_000)
     p.add_argument("--slow", action="store_true")
     return p
@@ -507,7 +510,6 @@ def config_from_args(argv) -> JobConfig:
         tangle=args.tangle,
         ruleset_path=args.ruleset_path,
         cap_class_size=args.cap_class_size,
-        cap_closure=args.cap_closure,
         confluence_count=args.confluence_count,
         slow=args.slow,
     )

@@ -145,6 +145,11 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls(((0, c),))
 
+    @classmethod
+    def from_integral(cls, p: "LaurentPoly") -> "LaurentPoly":
+        """The integral ring's own embedding: the identity."""
+        return p
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

@@ -344,6 +344,10 @@ class RuleSet:
     ``plain_loop``/``circle_loop`` value removed loops; an edge carrying two
     circles expands as alpha*(one circle) + beta*(no circle); in family B a
     square expands as sigma*(circle) + tau*(plain).
+
+    The scalars may live in any commutative ring with ``+``, ``*`` (also by
+    ``int``) and ``bool``; the type of ``plain_loop`` names that ring, which
+    provides ``const(int)`` and ``from_integral(LaurentPoly)``.
     """
 
     family: str
@@ -354,14 +358,18 @@ class RuleSet:
     sigma: object = None
     tau: object = None
 
+    def __post_init__(self):
+        # the unit is read on every composition; build it once per rule set
+        object.__setattr__(self, "_one", self.const(1))
+
     def one(self):
-        return ONE if self.family == "H" else RationalLaurent.const(1)
+        return self._one
 
     def const(self, c: int):
-        return LaurentPoly.const(c) if self.family == "H" else RationalLaurent.const(c)
+        return type(self.plain_loop).const(c)
 
     def lift(self, p: LaurentPoly):
-        return p if self.family == "H" else RationalLaurent.from_integral(p)
+        return type(self.plain_loop).from_integral(p)
 
     def loop_value(self, decs: Tuple[Decor, ...]):
         if "s" in decs:
@@ -400,8 +408,9 @@ class RuleSet:
 class DiagramElement:
     """A finite combination of reduced tangles with exact coefficients.
 
-    Coefficients are integer Laurent polynomials in family H and dyadic
-    rational ones in family B.
+    Coefficients come from the ring of the rule set that produced them:
+    integer Laurent polynomials in family H, dyadic rational ones in family
+    B, and symbolic scalars during calibration.
     """
 
     __slots__ = ("family", "n", "coeffs", "_hash")
@@ -562,6 +571,17 @@ class DiagramCalculus:
             out = self.apply_gen(self.evaluate_word(n, w[:-1]), w[-1], side="right")
         self._eval_cache[key] = out
         return out
+
+    def image(self, n: int, coords) -> DiagramElement:
+        """The diagram element of sum c * (word x) over integral coordinates.
+
+        ``coords`` maps reduced words to ``LaurentPoly`` coefficients (a dict
+        or (word, coefficient) pairs), as the algebra's basis tables do.
+        """
+        acc = DiagramElement(self.family, n, {})
+        for x, c in dict(coords).items():
+            acc = acc + self.evaluate_word(n, x).scale(self.rules.lift(c))
+        return acc
 
     def multiply(self, a: DiagramElement, b: DiagramElement) -> DiagramElement:
         acc = DiagramElement(self.family, a.n, {})
@@ -760,46 +780,48 @@ def expand_squares(t: Tangle, rules: RuleSet) -> DiagramElement:
     return reduce_composition(t, (), rules)
 
 
+def _leading_tangle(elem: DiagramElement) -> Tangle:
+    """The most-decorated support tangle (ties broken by serialized form)."""
+    return max(elem.support(), key=lambda t: (t.decoration_count(), t.sort_key()))
+
+
+def _b_canonical_candidate(shadow: Tangle, rules: RuleSet):
+    """The canonical diagram whose expansion leads with ``shadow``.
+
+    Circles stay on the two node-1 edges and every other circle came from a
+    square.  Returns (candidate, normalization factor, normalized expansion)
+    or None when the rebuilt diagram is not in the canonical set.
+    """
+    if shadow.has_squares():
+        return None
+    edges = []
+    for (a, b, decs), ty in zip(shadow.edges, classify_diagram(shadow).edge_types):
+        if len(decs) > 1:
+            return None
+        edges.append((a, b, decs and (("c",) if ty == "p2" else ("s",))))
+    candidate = Tangle(shadow.n_north, shadow.n_south, edges)
+    cls = classify_diagram(candidate).B_canonical_class
+    if cls == "none":
+        return None
+    lam = 2 if cls == "C2" else 1
+    return candidate, lam, expand_squares(candidate, rules).scale(lam)
+
+
 def recognize_b_canonical(elem: DiagramElement, rules: RuleSet):
     """Match a circle-calculus element against the canonical set.
 
     Returns (decorated diagram, normalization factor) or None.  The
     candidate is reconstructed from the support tangle with the most
-    decorations: circles stay on the two node-1 edges, every other circle
-    came from a square.
+    decorations.
     """
     if rules.family != "B" or elem.family != "B":
         raise ValueError("recognition is a family-B operation")
     if elem.is_zero():
         return None
-    shadow = max(elem.support(), key=lambda t: (t.decoration_count(), t.sort_key()))
-    info = classify_diagram(shadow)
-    if shadow.has_squares():
+    hit = _b_canonical_candidate(_leading_tangle(elem), rules)
+    if hit is None or hit[2] != elem:
         return None
-    edges = []
-    for e, ty in zip(shadow.edges, info.edge_types):
-        a, b, decs = e
-        if not decs:
-            edges.append((a, b, ()))
-        elif decs == ("c",):
-            edges.append((a, b, ("c",) if ty == "p2" else ("s",)))
-        else:
-            return None
-    candidate = Tangle(shadow.n_north, shadow.n_south, edges)
-    cand_class = classify_diagram(candidate).B_canonical_class
-    if cand_class == "C1":
-        lam = 1
-    elif cand_class == "C1'":
-        lam = 1
-    elif cand_class == "C2":
-        lam = 2
-    else:
-        # a decorated p1 edge shows up circled in the shadow but squared in
-        # the canonical form; retry with the square variant already handled
-        return None
-    if expand_squares(candidate, rules).scale(lam) == elem:
-        return candidate, lam
-    return None
+    return hit[0], hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -819,15 +841,16 @@ def iota(elem: DiagramElement, rules_b: RuleSet) -> DiagramElement:
     out: Dict[Tangle, LaurentPoly] = {}
     rem = elem
     while not rem.is_zero():
-        shadow = max(rem.support(), key=lambda t: (t.decoration_count(), t.sort_key()))
-        hit = _recognize_leading(shadow, rules_b)
-        if hit is None:
+        shadow = _leading_tangle(rem)
+        hit = _b_canonical_candidate(shadow, rules_b)
+        lead = None if hit is None else hit[2].coeff(shadow)
+        # the leading coefficient must be a dyadic constant for the peeled
+        # multiplicity to be exact
+        if not lead or lead.terms != ((0, lead.terms[0][1]),):
             raise ValueError("support is not a combination of canonical diagrams")
-        candidate, lam, lead = hit
-        # leading coefficient of the expanded canonical element is a dyadic
-        # constant, so the peeled multiplicity is exact
-        mu = rem.coeff(shadow) * (Fraction(1) / lead)
-        rem = rem - expand_squares(candidate, rules_b).scale(lam).scale(mu)
+        candidate, _, expansion = hit
+        mu = rem.coeff(shadow) * (Fraction(1) / lead.terms[0][1])
+        rem = rem - expansion.scale(mu)
         image = Tangle(candidate.n_north, candidate.n_south,
                        [(a, b, ("c",) * len(d)) for a, b, d in candidate.edges])
         mu_int = mu.to_integral()
@@ -837,31 +860,6 @@ def iota(elem: DiagramElement, rules_b: RuleSet) -> DiagramElement:
         elif image in out:
             del out[image]
     return DiagramElement("H", elem.n, out)
-
-
-def _recognize_leading(shadow: Tangle, rules_b: RuleSet):
-    info = classify_diagram(shadow)
-    if shadow.has_squares():
-        return None
-    edges = []
-    for e, ty in zip(shadow.edges, info.edge_types):
-        a, b, decs = e
-        if not decs:
-            edges.append((a, b, ()))
-        elif decs == ("c",):
-            edges.append((a, b, ("c",) if ty == "p2" else ("s",)))
-        else:
-            return None
-    candidate = Tangle(shadow.n_north, shadow.n_south, edges)
-    cls = classify_diagram(candidate).B_canonical_class
-    if cls == "none":
-        return None
-    lam = 2 if cls == "C2" else 1
-    expansion = expand_squares(candidate, rules_b).scale(lam)
-    lead = expansion.coeff(shadow)
-    if not lead or lead.terms != ((0, lead.terms[0][1]),):
-        return None
-    return candidate, lam, lead.terms[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +930,11 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet,
 
 
 class _SymPoly:
-    """Polynomial in the three unknown reduction scalars over the Laurent ring."""
+    """Polynomial in the three unknown reduction scalars over the Laurent ring.
+
+    Calibration runs the diagram calculus with these as its scalars; the
+    coefficients of the resulting relation residuals are the equations.
+    """
 
     __slots__ = ("terms",)
 
@@ -940,7 +942,11 @@ class _SymPoly:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @staticmethod
-    def const(p: LaurentPoly) -> "_SymPoly":
+    def const(c: int) -> "_SymPoly":
+        return _SymPoly.from_integral(LaurentPoly.const(c))
+
+    @staticmethod
+    def from_integral(p: LaurentPoly) -> "_SymPoly":
         return _SymPoly({(0, 0, 0): p})
 
     @staticmethod
@@ -951,90 +957,21 @@ class _SymPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, ZERO) + v
         return _SymPoly(out)
 
-    def __sub__(self, other):
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def scale(self, p: LaurentPoly) -> "_SymPoly":
-        return _SymPoly({k: v * p for k, v in self.terms.items()})
-
     def __mul__(self, other):
+        if isinstance(other, int):
+            return _SymPoly({k: v * other for k, v in self.terms.items()})
         out: Dict[Tuple[int, int, int], LaurentPoly] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                s = out.get(k, ZERO) + v1 * v2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+                out[k] = out.get(k, ZERO) + v1 * v2
         return _SymPoly(out)
 
-    def is_zero(self):
-        return not self.terms
-
-
-def _sym_loop_value(decs: Tuple[Decor, ...], alpha, beta, cl) -> _SymPoly:
-    k = len(decs)
-    if any(d != "c" for d in decs):
-        raise ReductionError("calibration words only produce circled loops")
-    if k == 0:
-        return _SymPoly.const(DELTA)
-    if k == 1:
-        return cl
-    return alpha * _sym_loop_value(decs[:k - 1], alpha, beta, cl) + \
-        beta * _sym_loop_value(decs[:k - 2], alpha, beta, cl)
-
-
-def _sym_expand(t: Tangle, alpha, beta):
-    pending = [(_SymPoly.const(ONE), t)]
-    done: Dict[Tangle, _SymPoly] = {}
-    while pending:
-        coeff, cur = pending.pop()
-        target = None
-        for idx, edge in enumerate(cur.edges):
-            if len(edge[2]) >= 2:
-                target = (idx, edge)
-                break
-        if target is None:
-            done[cur] = done.get(cur, _SymPoly()) + coeff
-            if done[cur].is_zero():
-                del done[cur]
-            continue
-        idx, (a, b, decs) = target
-        others = [e for k, e in enumerate(cur.edges) if k != idx]
-        pending.append((coeff * alpha, Tangle(cur.n_north, cur.n_south,
-                                              others + [(a, b, decs[:-1])])))
-        pending.append((coeff * beta, Tangle(cur.n_north, cur.n_south,
-                                             others + [(a, b, decs[:-2])])))
-    return done
-
-
-def _sym_evaluate(family: str, n: int, word: Sequence[int], alpha, beta, cl):
-    terms: Dict[Tangle, _SymPoly] = {identity_tangle(n): _SymPoly.const(ONE)}
-    for s in word:
-        u = generator_U(family, n, s)
-        factor = 2 if (family == "B" and s == 1) else 1
-        nxt: Dict[Tangle, _SymPoly] = {}
-        for t, coeff in terms.items():
-            raw, loops = compose_raw(t, u)
-            scalar = coeff.scale(LaurentPoly.const(factor))
-            for loop in loops:
-                scalar = scalar * _sym_loop_value(loop, alpha, beta, cl)
-            for t2, c2 in _sym_expand(raw, alpha, beta).items():
-                cur = nxt.get(t2, _SymPoly()) + scalar * c2
-                if cur.is_zero():
-                    nxt.pop(t2, None)
-                else:
-                    nxt[t2] = cur
-        terms = nxt
-    return terms
+    def __bool__(self):
+        return bool(self.terms)
 
 
 def _defining_relations(family: str, n: int):
@@ -1060,20 +997,15 @@ def _defining_relations(family: str, n: int):
     return rels
 
 
-def _relation_equations(family: str, n: int, alpha, beta, cl):
-    eqs: List[_SymPoly] = []
-    for lhs, rhs in _defining_relations(family, n):
-        acc = _sym_evaluate(family, n, lhs, alpha, beta, cl)
+def _relation_residuals(rules: RuleSet, n: int):
+    """Yield (lhs word, rhs terms, lhs - rhs) for every defining relation."""
+    calc = DiagramCalculus(rules)
+    for lhs, rhs in _defining_relations(rules.family, n):
+        residual = calc.evaluate_word(n, lhs)
         for coeff, word in rhs:
-            poly = DELTA if coeff == "delta" else LaurentPoly.const(coeff)
-            for t, c in _sym_evaluate(family, n, word, alpha, beta, cl).items():
-                cur = acc.get(t, _SymPoly()) - c.scale(poly)
-                if cur.is_zero():
-                    acc.pop(t, None)
-                else:
-                    acc[t] = cur
-        eqs.extend(acc.values())
-    return [e for e in eqs if not e.is_zero()]
+            scalar = rules.lift(DELTA) if coeff == "delta" else rules.const(coeff)
+            residual = residual - calc.evaluate_word(n, word).scale(scalar)
+        yield lhs, rhs, residual
 
 
 def _laurent_to_sympy(p: LaurentPoly, v):
@@ -1134,14 +1066,15 @@ def calibrate_ruleset(family: str, solve_strands: int = 3,
     import sympy
 
     alpha, beta, cl = (_SymPoly.var(x) for x in ("alpha", "beta", "cl"))
-    eqs = _relation_equations(family, solve_strands, alpha, beta, cl)
+    symbolic = RuleSet(family, _SymPoly.from_integral(DELTA), cl, alpha, beta)
     v, sa, sb, sc = sympy.symbols("v a b c")
     sym_eqs = []
-    for e in eqs:
-        expr = sympy.Integer(0)
-        for (i, j, k), p in e.terms.items():
-            expr += _laurent_to_sympy(p, v) * sa ** i * sb ** j * sc ** k
-        sym_eqs.append(sympy.expand(expr))
+    for _, _, residual in _relation_residuals(symbolic, solve_strands):
+        for _, e in residual.coeffs:
+            expr = sympy.Integer(0)
+            for (i, j, k), p in e.terms.items():
+                expr += _laurent_to_sympy(p, v) * sa ** i * sb ** j * sc ** k
+            sym_eqs.append(sympy.expand(expr))
     solutions = sympy.solve(sym_eqs, [sa, sb, sc], dict=True)
 
     admissible = []
@@ -1205,17 +1138,8 @@ def calibrate_ruleset(family: str, solve_strands: int = 3,
 
 def verify_relations(rules: RuleSet, n: int) -> List[str]:
     """Evaluate every defining relation at n strands; return violations."""
-    calc = DiagramCalculus(rules)
-    bad = []
-    for lhs, rhs in _defining_relations(rules.family, n):
-        left = calc.evaluate_word(n, lhs)
-        right = DiagramElement(rules.family, n, {})
-        for coeff, word in rhs:
-            poly = rules.lift(DELTA) if coeff == "delta" else rules.const(coeff)
-            right = right + calc.evaluate_word(n, word).scale(poly)
-        if left != right:
-            bad.append(f"{lhs} != {rhs}")
-    return bad
+    return [f"{lhs} != {rhs}" for lhs, rhs, residual in _relation_residuals(rules, n)
+            if not residual.is_zero()]
 
 
 # ---------------------------------------------------------------------------

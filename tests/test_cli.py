@@ -18,7 +18,7 @@ from tlbases.cli import (
     run,
 )
 from tlbases.coxeter import CoxeterGraph
-from tlbases.laurent import ONE, ZERO
+from tlbases.laurent import ONE, V, ZERO
 
 
 def run_args(argv, tmp_path, name="out.json"):
@@ -185,6 +185,29 @@ def test_gram_check_zero_row_degenerate():
                                      (ONE if w == x else ZERO)
                                      for w in words for x in words})
     assert gram_check(alg, cand)["nondegenerate"] is False
+
+
+def test_gram_natural_candidate_nondegenerate_at_b3():
+    # 24 x 24 is past the exact determinant; unitriangularity decides it
+    alg = TLAlgebra(CoxeterGraph("B", 3))
+    res = gram_check(alg, natural_gram_candidate(alg))
+    assert res["unitriangular_mod_vinv"] is True
+    assert res["nondegenerate"] is True
+
+
+def test_gram_check_undecided_nondegeneracy_is_null(tmp_path, monkeypatch):
+    # v*I at B3: not unitriangular mod v^-1 and too large to expand exactly
+    import tlbases.cli as cli_mod
+
+    def scaled_identity(alg):
+        return GramCandidate(alg.graph, {(e.word, e.word): V for e in alg.fc_elements()})
+    monkeypatch.setattr(cli_mod, "natural_gram_candidate", scaled_identity)
+    code, out = run_args(
+        ["--command", "gram-check", "--family", "B", "--rank", "3"], tmp_path)
+    assert code == EXIT_PASS
+    body = json.loads(out.read_text())["results"]
+    assert body["checks"]["nondegenerate"] is None
+    assert body["witness_found"] is False
 
 
 def test_gram_natural_candidate_is_witness_at_rank_2():

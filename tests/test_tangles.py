@@ -9,6 +9,7 @@ from tlbases.algebra import TLAlgebra
 from tlbases.coxeter import CoxeterGraph
 from tlbases.laurent import DELTA, ONE, LaurentPoly, RationalLaurent
 from tlbases.tangles import (
+    _SymPoly,
     DiagramCalculus,
     DiagramElement,
     ReductionError,
@@ -116,6 +117,18 @@ def test_calibration_zero_residual_at_ranks_3_and_4():
     for rules in (RULES_H, RULES_B):
         assert verify_relations(rules, 3) == []
         assert verify_relations(rules, 4) == []
+
+
+def test_symbolic_scalars_reproduce_numeric_calculus():
+    # calibration runs this calculus with symbolic scalars; with constant
+    # ones it must agree with the numeric rules term by term
+    lift = _SymPoly.from_integral
+    calc = DiagramCalculus(RuleSet("H", lift(RULES_H.plain_loop), lift(RULES_H.circle_loop),
+                                   lift(RULES_H.alpha), lift(RULES_H.beta)))
+    for e in TLAlgebra(CoxeterGraph("H", 3)).fc_elements():
+        got = {t: c.terms for t, c in calc.evaluate_word(4, e.word).coeffs}
+        want = {t: {(0, 0, 0): c} for t, c in CALC_H.evaluate_word(4, e.word).coeffs}
+        assert got == want, e.word
 
 
 def test_ruleset_json_round_trip():
@@ -417,7 +430,6 @@ def test_canonical_structure_constants_positive_in_diagram_form():
             rem = prod
             while not rem.is_zero():
                 shadow = max(rem.support(), key=lambda s: (s.decoration_count(), s.sort_key()))
-                hit = recognize_b_canonical  # decomposition via iota helper below
                 t, lam = index[shadow]
                 exp = expand_squares(t, RULES_B).scale(lam)
                 lead = exp.coeff(shadow)
@@ -453,3 +465,22 @@ def test_deletion_laws_family_b():
     from tlbases.verify import run_suite
     res = run_suite("prop-3.1.9", family="B", rank=3)
     assert res.passed, [c.detail for c in res.checks if not c.passed]
+
+
+def test_deletion_suite_records_loops_in_reduced_words(monkeypatch):
+    import tlbases.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "loop_count", lambda n, word: 1)
+    res = verify_mod.run_suite("prop-3.1.9", family="H", rank=2)
+    check = next(c for c in res.checks if c.name == "H2-reduced-words-loop-free")
+    assert not check.passed and check.counterexample["words"]
+    assert not res.passed
+
+
+@pytest.mark.parametrize("suite, form", [("thm-2.1.3", "single-diagram"),
+                                         ("thm-2.2.5", "canonical-form")])
+def test_transport_suites_at_default_strands(suite, form):
+    from tlbases.verify import run_suite
+    res = run_suite(suite)
+    assert res.passed, [c.to_json() for c in res.checks if not c.passed]
+    assert [c.name for c in res.checks] == [
+        f"strands-{n}-{kind}" for n in (3, 4) for kind in (form, "image-set")]
