@@ -32,7 +32,7 @@ from .coxeter import (
     normal_form,
     right_justify,
 )
-from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, classify, invariant_completion
+from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, invariant_completion
 
 __all__ = [
     "AlgebraElement",
@@ -43,21 +43,38 @@ __all__ = [
 ]
 
 Coords = Dict[Word, LaurentPoly]
+#: Coordinates under accumulation: an {exponent: coefficient} dict per word,
+#: turned into polynomials once by ``_settle``.
+Raw = Dict[Word, Dict[int, int]]
 
 STRATEGIES = ("lex-least-leftmost", "lex-greatest-rightmost", "bfs-first")
 
 BASIS_TAGS = ("monomial", "ttilde", "f", "canonical")
 
 
-def _merge(acc: Coords, coords: Coords, scale: LaurentPoly) -> None:
-    if not scale:
-        return
+def _merge(acc: Raw, coords: Coords, scale: LaurentPoly) -> Raw:
+    """acc += scale * coords, with no intermediate polynomial."""
+    st = scale.terms
+    if not st:
+        return acc
     for w, c in coords.items():
-        s = acc.get(w, ZERO) + scale * c
-        if s:
-            acc[w] = s
-        elif w in acc:
-            del acc[w]
+        d = acc.get(w)
+        if d is None:
+            d = acc[w] = {}
+        for e1, c1 in st:
+            for e2, c2 in c.terms:
+                e = e1 + e2
+                d[e] = d.get(e, 0) + c1 * c2
+    return acc
+
+
+def _settle(acc: Raw) -> Coords:
+    out: Coords = {}
+    for w, d in acc.items():
+        p = LaurentPoly._from_dict(d)
+        if p:
+            out[w] = p
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,15 +123,13 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        acc = self.as_dict()
-        _merge(acc, other.as_dict(), ONE)
-        return AlgebraElement.make(self.graph(), self.basis, acc)
+        acc = _merge(_merge({}, self.as_dict(), ONE), other.as_dict(), ONE)
+        return AlgebraElement.make(self.graph(), self.basis, _settle(acc))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        acc = self.as_dict()
-        _merge(acc, other.as_dict(), LaurentPoly.const(-1))
-        return AlgebraElement.make(self.graph(), self.basis, acc)
+        acc = _merge(_merge({}, self.as_dict(), ONE), other.as_dict(), -ONE)
+        return AlgebraElement.make(self.graph(), self.basis, _settle(acc))
 
     def scale(self, c) -> "AlgebraElement":
         poly = LaurentPoly.const(c) if isinstance(c, int) else c
@@ -146,6 +161,7 @@ class TLAlgebra:
         self._canonical: Optional[Dict[Word, Coords]] = None
         self._f_table: Optional[Dict[Word, Coords]] = None
         self._f_factors: Dict[Word, Tuple[Tuple[Coords, bool], ...]] = {}
+        self._descending: Optional[Tuple[Word, ...]] = None
 
     # -- enumeration -------------------------------------------------------
 
@@ -179,12 +195,13 @@ class TLAlgebra:
     def _rightmost_factor(self, letters: Word):
         best = None
         n = len(letters)
+        bonds = self.graph.bonds
         for i in range(n - 1):
             s, t = letters[i], letters[i + 1]
             if s == t:
                 best = (i, 2)
                 continue
-            m = self.graph.bond(s, t)
+            m = bonds[s][t]
             if m >= 3 and i + m <= n:
                 if all(letters[i + k] == (s if k % 2 == 0 else t) for k in range(m)):
                     best = (i, m)
@@ -228,24 +245,28 @@ class TLAlgebra:
             result: Coords = {scan.word: ONE}
         else:
             member, (pos, size) = self._pick_factor(scan, strategy)
-            result = {}
+            acc: Raw = {}
             for coeff, branch in self._rewrite_branches(member, pos, size):
-                _merge(result, self._w2b_coords(branch, strategy), coeff)
+                _merge(acc, self._w2b_coords(branch, strategy), coeff)
+            result = _settle(acc)
         self._w2b[key] = result
         return result
 
     # -- products ----------------------------------------------------------
 
-    def _times_gen(self, coords: Coords, s: int) -> Coords:
-        out: Coords = {}
+    def _times_gen_into(self, acc: Raw, coords: Coords, s: int) -> Raw:
+        """acc += coords * b_s."""
         for u, c in coords.items():
             key = (u, s)
             hit = self._gen_mult.get(key)
             if hit is None:
                 hit = self._w2b_coords(u + (s,), "lex-least-leftmost")
                 self._gen_mult[key] = hit
-            _merge(out, hit, c)
-        return out
+            _merge(acc, hit, c)
+        return acc
+
+    def _times_gen(self, coords: Coords, s: int) -> Coords:
+        return _settle(self._times_gen_into({}, coords, s))
 
     def monomial_product(self, word: Sequence[int]) -> Coords:
         """Fold-left expansion of a word; agrees with word_to_basis by confluence."""
@@ -255,7 +276,7 @@ class TLAlgebra:
         return coords
 
     def _mul_coords(self, a: Coords, b: Coords) -> Coords:
-        out: Coords = {}
+        out: Raw = {}
         for u, cu in a.items():
             cur = {u: cu}
             # multiply on the right by each basis word of b, letter by letter
@@ -264,7 +285,7 @@ class TLAlgebra:
                 for s in w:
                     tmp = self._times_gen(tmp, s)
                 _merge(out, tmp, cw)
-        return out
+        return _settle(out)
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         if (a.family, a.rank) != (b.family, b.rank) or \
@@ -295,46 +316,58 @@ class TLAlgebra:
         word = w.word if isinstance(w, FcElement) else self.graph.check_word(w)
         coords: Coords = {(): ONE}
         for s in word:
-            nxt = self._times_gen(coords, s)
-            _merge(nxt, coords, -V_INV)
-            coords = nxt
+            coords = self._ttilde_step(coords, s)
         return AlgebraElement.make(self.graph, "monomial", coords)
+
+    def _ttilde_step(self, coords: Coords, s: int) -> Coords:
+        """coords * (b_s - v^-1)."""
+        return _settle(_merge(self._times_gen_into({}, coords, s), coords, -V_INV))
 
     def ttilde_table(self) -> Dict[Word, Coords]:
         if self._ttilde is None:
-            table = {}
-            for e in self.fc_elements():
-                elem = self.ttilde_element(e)
-                coords = elem.as_dict()
-                if coords.get(e.word) != ONE:
-                    raise AssertionError(f"t-basis element at {e.word} is not unitriangular")
-                table[e.word] = coords
+            table: Dict[Word, Coords] = {}
+            for w in self.fc_words():
+                # a prefix of a normal word is normal (a smaller member of its
+                # class would extend to a smaller member of w's class), so
+                # each element is one step from an earlier one
+                coords = self._ttilde_step(table[w[:-1]], w[-1]) if w else {(): ONE}
+                if coords.get(w) != ONE:
+                    raise AssertionError(f"t-basis element at {w} is not unitriangular")
+                table[w] = dict(sorted(coords.items(), key=lambda t: (len(t[0]), t[0])))
             self._ttilde = table
         return self._ttilde
 
     def _convert_from_monomial(self, coords: Coords, table: Dict[Word, Coords]) -> Coords:
-        rem = dict(coords)
+        """Triangular solve against a unitriangular table, largest word first.
+
+        Subtracting a row only touches smaller words, so one walk down the
+        (length, word) order visits every word the solve needs.
+        """
+        if self._descending is None:
+            self._descending = tuple(reversed(self.fc_words()))
+        rem = _merge({}, coords, ONE)
         out: Coords = {}
-        while rem:
-            x = max(rem, key=lambda w: (len(w), w))
-            gamma = rem.pop(x)
-            out[x] = gamma
-            row = table[x]
-            for w, c in row.items():
-                if w == x:
-                    continue
-                s = rem.get(w, ZERO) - gamma * c
-                if s:
-                    rem[w] = s
-                elif w in rem:
-                    del rem[w]
+        for x in self._descending:
+            if not rem:
+                break
+            d = rem.pop(x, None)
+            if d is None:
+                continue
+            gamma = LaurentPoly._from_dict(d)
+            if gamma:
+                out[x] = gamma
+                _merge(rem, table[x], -gamma)
+                # the row's top coefficient is 1, so the entry at x cancels
+                del rem[x]
+        if rem:  # left over only for a word outside the basis
+            raise KeyError(next(iter(rem)))
         return out
 
     def _convert_to_monomial(self, coords: Coords, table: Dict[Word, Coords]) -> Coords:
-        out: Coords = {}
+        out: Raw = {}
         for x, gamma in coords.items():
             _merge(out, table[x], gamma)
-        return out
+        return _settle(out)
 
     def _table_for(self, basis: str) -> Dict[Word, Coords]:
         if basis == "ttilde":
@@ -391,8 +424,7 @@ class TLAlgebra:
             raise ValueError("projection is only defined on lattice elements")
         am = self.to_monomial(a) if which == "L_H" else self.to_basis(a, "ttilde")
         bm = self.to_monomial(b) if which == "L_H" else self.to_basis(b, "ttilde")
-        diff: Coords = dict(am.coords)
-        _merge(diff, dict(bm.coords), LaurentPoly.const(-1))
+        diff = _settle(_merge(_merge({}, dict(am.coords), ONE), dict(bm.coords), -ONE))
         return all(c.degree <= -1 for c in diff.values())
 
     # -- canonical basis -----------------------------------------------------
@@ -413,30 +445,39 @@ class TLAlgebra:
         completion of every offending coordinate until all coordinates away
         from the top are in v^-1 Z[v^-1].  Uniqueness of the result makes the
         processing order irrelevant; both orders are exposed for testing.
+
+        The t-tilde coordinates of the monomial basis are built in the same
+        pass, one column per word from the columns of shorter words: the
+        table is unitriangular, so e_w = t_w - sum_{x != w} T[x, w] e_x.
+        The monomial coordinates follow the corrections directly: the
+        element is e_w minus the sum of mu * C_pick over the corrections.
         """
         ttable = self.ttilde_table()
+        steps = 4 * len(self.fc_elements()) + 4
+        pick_fn = max if order == "max-first" else min
+        inverse: Dict[Word, Coords] = {}
         canon_t: Dict[Word, Coords] = {}
-        for e in self.fc_elements():
-            w = e.word
-            cur = self._convert_from_monomial({w: ONE}, ttable)
-            for _ in range(4 * len(self.fc_elements()) + 4):
-                offenders = [
-                    x for x, c in cur.items()
-                    if x != w and not classify(c).in_vinv_Aminus
-                ]
+        out: Dict[Word, Coords] = {}
+        for w in self.fc_words():
+            cur: Raw = {w: {0: 1}}
+            for x, c in ttable[w].items():
+                if x != w:
+                    _merge(cur, inverse[x], -c)
+            inverse[w] = _settle(cur)
+            mono: Raw = {w: {0: 1}}
+            for _ in range(steps):
+                offenders = [x for x, d in cur.items()
+                             if x != w and any(c for e, c in d.items() if e >= 0)]
                 if not offenders:
                     break
-                pick = (max if order == "max-first" else min)(
-                    offenders, key=lambda u: (len(u), u))
-                mu = invariant_completion(cur[pick])
+                pick = pick_fn(offenders, key=lambda u: (len(u), u))
+                mu = invariant_completion(LaurentPoly._from_dict(cur[pick]))
                 _merge(cur, canon_t[pick], -mu)
+                _merge(mono, out[pick], -mu)
             else:
                 raise AssertionError(f"correction recursion did not settle at {w}")
-            canon_t[w] = cur
-        # re-express in monomial coordinates for the table contract
-        out: Dict[Word, Coords] = {}
-        for w, tco in canon_t.items():
-            out[w] = self._convert_to_monomial(tco, ttable)
+            canon_t[w] = _settle(cur)
+            out[w] = _settle(mono)
         return out
 
     def canonical_basis(self) -> Dict[Word, AlgebraElement]:
@@ -477,10 +518,10 @@ class TLAlgebra:
         while i < len(rj.word):
             blk = covered.get(i)
             if blk is not None:
-                acc: Coords = {}
+                acc: Raw = {}
                 for coeff, sub in self._F_TABLE[blk.shape]:
                     _merge(acc, self.monomial_product(sub), LaurentPoly.const(coeff))
-                factors.append((acc, blk.distinguished))
+                factors.append((_settle(acc), blk.distinguished))
                 i = blk.stop
             else:
                 factors.append((self.monomial_product((rj.word[i],)), False))
@@ -567,12 +608,12 @@ def evaluate_mixed(alg: TLAlgebra, mixed: MixedWord, prescale: Optional[LaurentP
     """Multiply out a mixed word; the t-symbol expands as b_i - v^-1."""
     coords: Coords = {(): prescale if prescale is not None else ONE}
     for kind, i in mixed:
-        nxt = alg._times_gen(coords, i)
+        nxt = alg._times_gen_into({}, coords, i)
         if kind == "t":
             _merge(nxt, coords, -V_INV)
         elif kind != "b":
             raise ValueError(f"unknown mixed symbol {kind!r}")
-        coords = nxt
+        coords = _settle(nxt)
     return AlgebraElement.make(alg.graph, "monomial", coords)
 
 

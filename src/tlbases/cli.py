@@ -3,8 +3,10 @@
 One flat flag surface drives every job: ``--command`` picks the action and
 the rest of the flags parameterize it.  Reports are deterministic JSON,
 written to ``--out`` or to the directory named by ``TLBASES_REPORT_DIR``.
-Exit codes: 0 pass, 2 verification failure, 3 resource cap exceeded,
-4 configuration error.
+Exit codes: 0 pass, 2 verification or computation failure, 3 resource cap
+exceeded, 4 configuration error.  A computation that fails inside the
+library (a narrowing, a reduction, an internal invariant) exits with 2 and
+still writes a report, with status ``fail`` and the error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .algebra import TLAlgebra
 from .coxeter import ClassSizeError, CoxeterGraph, GrowthCapError, Word
 from .laurent import ONE, ZERO, LaurentPoly, classify
 from .tangles import (
-    CalibrationError,
     DiagramCalculus,
     RuleSet,
     calibrate_ruleset,
@@ -293,10 +294,17 @@ def _cmd_enumerate(cfg: JobConfig) -> Tuple[dict, int]:
 
 
 def _rules_for(cfg: JobConfig) -> RuleSet:
-    if cfg.ruleset_path:
+    if not cfg.ruleset_path:
+        return calibrate_ruleset(cfg.family)
+    try:
         with open(cfg.ruleset_path, "r", encoding="utf-8") as fh:
-            return RuleSet.from_json(json.load(fh))
-    return calibrate_ruleset(cfg.family)
+            rules = RuleSet.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load rule set {cfg.ruleset_path}: {exc}") from exc
+    if rules.family != cfg.family:
+        raise ConfigError(f"rule set {cfg.ruleset_path} is for family {rules.family}, "
+                          f"not {cfg.family}")
+    return rules
 
 
 def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
@@ -356,7 +364,10 @@ def _cmd_calibrate(cfg: JobConfig) -> Tuple[dict, int]:
 
 
 def _cmd_render(cfg: JobConfig) -> Tuple[dict, int]:
-    t = parse_tangle(cfg.tangle)
+    try:
+        t = parse_tangle(cfg.tangle)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse tangle: {exc}") from exc
     fmt = "svg" if cfg.format == "svg" else "ascii"
     text = render(t, fmt)
     return {"tangle": format_tangle(t), "format": fmt, "output": text}, EXIT_PASS
@@ -382,7 +393,13 @@ def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
 # report writing and entry point
 
 
+def _json_report(body: dict) -> str:
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
 def _format_report(body: dict, cfg: JobConfig) -> str:
+    if "error" in body["results"]:
+        return _json_report(body)  # a failed computation has only the JSON form
     if cfg.format == "csv" and cfg.command == "enumerate":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -411,7 +428,7 @@ def _format_report(body: dict, cfg: JobConfig) -> str:
         return "\n".join(lines) + "\n"
     if cfg.command == "render" and cfg.format in ("ascii", "svg", "text"):
         return body["results"]["output"]
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return _json_report(body)
 
 
 def run(cfg: JobConfig) -> int:
@@ -438,12 +455,13 @@ def run(cfg: JobConfig) -> int:
     except (ClassSizeError, GrowthCapError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except (ValueError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        # configuration is validated above, so anything else is the
+        # computation failing (a calibration, narrowing, reduction or
+        # internal invariant); it is reported, never passed off as bad input
+        print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = EXIT_VERIFY_FAIL
 
     body = {
         "config": cfg.to_json(),
@@ -465,7 +483,7 @@ def run(cfg: JobConfig) -> int:
     if cfg.format != "json":
         json_path = out_path.rsplit(".", 1)[0] + ".report.json"
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
+            fh.write(_json_report(body))
     return code
 
 

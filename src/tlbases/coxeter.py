@@ -19,6 +19,7 @@ test for the Bruhat order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -77,6 +78,17 @@ class CoxeterGraph:
             return 2
         return FIRST_BOND[self.family] if min(i, j) == 1 else 3
 
+    @cached_property
+    def bonds(self) -> Tuple[Tuple[int, ...], ...]:
+        """The bond matrix, ``bonds[i][j] == bond(i, j)`` for generators i, j.
+
+        Row and column 0 are padding so generators index directly; hot loops
+        read this table instead of calling ``bond``.
+        """
+        gens = range(1, self.rank + 1)
+        return ((0,) * (self.rank + 1),) + tuple(
+            (0,) + tuple(self.bond(i, j) for j in gens) for i in gens)
+
     @property
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -112,39 +124,51 @@ class _ClassScan:
 
 
 def _letters(word: Word, perm: Tuple[int, ...]) -> Word:
-    return tuple(word[p] for p in perm)
+    return tuple(map(word.__getitem__, perm))
 
 
-def _class_perms(graph: CoxeterGraph, word: Word, cap: int) -> List[Tuple[int, ...]]:
+def _class_perms(graph: CoxeterGraph, word: Word,
+                 cap: int) -> Tuple[List[Tuple[int, ...]], List[Word]]:
+    """The class members in DFS discovery order, as permutations and words.
+
+    Equal letters never swap, so a member's letter word determines its
+    permutation and can stand in for it in the visited set.
+    """
+    bonds = graph.bonds
     start = tuple(range(len(word)))
-    seen = {start}
+    seen = {word}
     order = [start]
-    stack = [start]
+    members = [word]
+    stack = [0]  # indices into order/members
     while stack:
-        perm = stack.pop()
+        k = stack.pop()
+        perm, letters = order[k], members[k]
         for i in range(len(word) - 1):
-            a, b = word[perm[i]], word[perm[i + 1]]
-            if a != b and graph.bond(a, b) == 2:
-                nxt = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2:]
-                if nxt not in seen:
+            a, b = letters[i], letters[i + 1]
+            if bonds[a][b] == 2:
+                nxt_letters = letters[:i] + (b, a) + letters[i + 2:]
+                if nxt_letters not in seen:
                     if len(seen) >= cap:
                         raise ClassSizeError(
                             f"commutation class of {word} exceeded cap {cap}"
                         )
-                    seen.add(nxt)
+                    seen.add(nxt_letters)
+                    nxt = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2:]
+                    stack.append(len(order))
                     order.append(nxt)
-                    stack.append(nxt)
-    return order
+                    members.append(nxt_letters)
+    return order, members
 
 
 def _leftmost_factor(graph: CoxeterGraph, letters: Word) -> Optional[Tuple[int, int]]:
     """Leftmost reducible factor (start, length): an ss pair or a half-braid."""
     n = len(letters)
+    bonds = graph.bonds
     for i in range(n - 1):
         s, t = letters[i], letters[i + 1]
         if s == t:
             return (i, 2)
-        m = graph.bond(s, t)
+        m = bonds[s][t]
         if m >= 3 and i + m <= n:
             ok = all(letters[i + k] == (s if k % 2 == 0 else t) for k in range(m))
             if ok:
@@ -154,13 +178,15 @@ def _leftmost_factor(graph: CoxeterGraph, letters: Word) -> Optional[Tuple[int, 
 
 def _lex_least_perm(graph: CoxeterGraph, word: Word) -> Tuple[int, ...]:
     """Greedy construction of the lexicographically least class member."""
+    bonds = graph.bonds
     remaining = list(range(len(word)))
     out: List[int] = []
     while remaining:
         best = None
         for idx, pid in enumerate(remaining):
             a = word[pid]
-            if all(graph.bond(a, word[q]) == 2 for q in remaining[:idx]):
+            row = bonds[a]
+            if all(row[word[q]] == 2 for q in remaining[:idx]):
                 if best is None or a < word[remaining[best]]:
                     best = idx
         out.append(remaining.pop(best))  # type: ignore[arg-type]
@@ -177,9 +203,9 @@ def _scan(graph: CoxeterGraph, word: Word, cap: int = DEFAULT_CLASS_CAP) -> _Cla
             raise ClassSizeError(
                 f"commutation class of {word} exceeded cap {cap}")
         return hit
-    perms = _class_perms(graph, canon, cap)
-    perms_sorted = tuple(sorted(perms, key=lambda p: _letters(canon, p)))
-    fc = all(_leftmost_factor(graph, _letters(canon, p)) is None for p in perms)
+    perms, members = _class_perms(graph, canon, cap)
+    perms_sorted = tuple(perms[i] for i in sorted(range(len(perms)), key=members.__getitem__))
+    fc = all(_leftmost_factor(graph, m) is None for m in members)
     scan = _ClassScan(canon, tuple(perms), perms_sorted, fc)
     if len(_scan_cache) >= _SCAN_CACHE_MAX:
         _scan_cache.clear()
@@ -277,10 +303,9 @@ def enumerate_fc(graph: CoxeterGraph,
         nxt = {}
         for w in current:
             for s in graph.generators:
-                cand = w + (s,)
-                if is_fc_reduced(graph, cand, class_cap):
-                    nf = normal_form(graph, cand)
-                    nxt[nf] = None
+                scan = _scan(graph, w + (s,), class_cap)
+                if scan.fc_reduced:
+                    nxt[scan.word] = None  # the scan's word is the normal form
         if len(nxt) > stratum_cap:
             raise GrowthCapError(
                 f"length stratum exceeded {stratum_cap} elements; aborting"

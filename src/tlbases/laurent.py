@@ -6,6 +6,13 @@ coefficients; ``RationalLaurent`` is the dyadic variant used by the type-B
 diagram calculus, whose denominators are always powers of two.  The two are
 deliberately separate types: mixing them silently is a bug, and the only
 sanctioned crossing is the checked narrowing ``RationalLaurent.to_integral``.
+
+Both types run on one kernel.  The public constructor validates its input
+(integer exponents, coefficients of the right type, dyadic denominators) and
+normalizes it; ring operations build their already-normalized terms directly
+and skip that work.  Sums and products of dyadic polynomials are dyadic, so
+the dyadic check only runs at the public constructor and on multiplication
+by an arbitrary ``Fraction``.
 """
 
 from __future__ import annotations
@@ -32,19 +39,22 @@ class NarrowingError(ValueError):
     """A dyadic polynomial had a non-trivial denominator left to narrow."""
 
 
+def _normalized(acc) -> tuple:
+    """The normalized term tuple of an {exponent: coefficient} accumulator:
+    (exponent, coefficient) pairs in strictly descending exponent order with
+    no zero coefficient."""
+    # exponents are distinct, so the pairs sort by exponent alone
+    return tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+
+
 def _gather(data, coerce):
     acc: dict = {}
-    items = data.items() if isinstance(data, Mapping) else data
+    items = data.items() if isinstance(data, (dict, Mapping)) else data
     for exp, coeff in items:
         if not isinstance(exp, int):
             raise TypeError(f"exponent must be int, got {exp!r}")
-        c = coerce(coeff)
-        c = acc.get(exp, 0) + c
-        if c:
-            acc[exp] = c
-        elif exp in acc:
-            del acc[exp]
-    return tuple(sorted(acc.items(), key=lambda t: -t[0]))
+        acc[exp] = acc.get(exp, 0) + coerce(coeff)
+    return _normalized(acc)
 
 
 def _coerce_int(c):
@@ -121,53 +131,81 @@ def _parse_terms(text: str, coeff_parse):
     return out
 
 
-class LaurentPoly:
-    """A sparse integer Laurent polynomial in v.
+class _Laurent:
+    """The kernel shared by both polynomial types; not part of the API.
 
-    Stored as ``terms``: (exponent, coefficient) pairs in descending exponent
-    order with no zero coefficients, which makes equality and hashing cheap.
-    Values are immutable after construction and safe to share.
+    Stored as ``terms``, a normalized term tuple, which makes equality and
+    hashing cheap.  Values are immutable after construction and safe to
+    share.  A subclass names its coefficient check (``_coerce``), the scalar
+    types it accepts (``_scalars``) and its coefficient parser.
     """
 
     __slots__ = ("terms",)
+    _coerce = staticmethod(_coerce_int)
+    _scalars: tuple = (int,)
+    _parse_coeff = staticmethod(int)
 
-    def __init__(self, data: Union[Mapping[int, int], Iterable[Tuple[int, int]]] = ()):
-        object.__setattr__(self, "terms", _gather(data, _coerce_int))
+    def __init__(self, data: Union[Mapping, Iterable[Tuple[int, object]]] = ()):
+        terms = _gather(data, self._coerce)
+        self._check(terms)
+        _set_terms(self, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    @staticmethod
+    def _check(terms) -> None:
+        """Extra validation of the public constructor's normalized terms."""
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
+    def _from_terms(cls, terms):
+        """Trusted constructor: ``terms`` must already be normalized."""
+        p = object.__new__(cls)
+        _set_terms(p, terms)
+        return p
+
+    @classmethod
+    def _from_dict(cls, acc):
+        """Trusted constructor from an {exponent: coefficient} accumulator."""
+        return cls._from_terms(_normalized(acc))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def monomial(cls, exp: int, coeff: int = 1):
         return cls(((exp, coeff),))
 
     @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
+    def const(cls, c):
         return cls(((0, c),))
 
-    @classmethod
-    def from_integral(cls, p: "LaurentPoly") -> "LaurentPoly":
-        """The integral ring's own embedding: the identity."""
-        return p
+    def _lift(self, other):
+        """``other`` as a polynomial of this type, or None if it is foreign."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, self._scalars):
+            return self.const(other)
+        return None
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        return LaurentPoly(list(self.terms) + list(other.terms))
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + c
+        return self._from_terms(_normalized(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly([(e, -c) for e, c in self.terms])
+        return self._from_terms(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -175,30 +213,44 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly([(e, c * other) for e, c in self.terms])
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not type(self):
+            return self._scale(other) if isinstance(other, self._scalars) else NotImplemented
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:  # a monomial factor keeps the other's order
+            (e1, c1), = a
+            return self._from_terms(tuple((e1 + e2, c1 * c2) for e2, c2 in b))
         acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        for e1, c1 in a:
+            for e2, c2 in b:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        return self._from_terms(_normalized(acc))
 
     __rmul__ = __mul__
+
+    def _scale(self, k):
+        if not k:
+            return self._from_terms(())
+        return self._from_terms(tuple((e, c * k) for e, c in self.terms))
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        out = ONE
+        out = self.const(1)
         for _ in range(n):
             out = out * self
         return out
 
-    def shift(self, k: int) -> "LaurentPoly":
+    def shift(self, k: int):
         """Multiply by v^k."""
-        return LaurentPoly([(e + k, c) for e, c in self.terms])
+        if not isinstance(k, int):
+            raise TypeError(f"exponent must be int, got {k!r}")
+        return self._from_terms(tuple((e + k, c) for e, c in self.terms))
+
+    def bar(self):
+        """The involution v -> v^-1: negate every exponent."""
+        return self._from_terms(tuple((-e, c) for e, c in reversed(self.terms)))
 
     # -- structure ---------------------------------------------------------
 
@@ -206,16 +258,15 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(("LaurentPoly", self.terms))
+        return hash((type(self).__name__, self.terms))
 
-    def coeff(self, exp: int) -> int:
+    def coeff(self, exp: int):
         for e, c in self.terms:
             if e == exp:
                 return c
@@ -231,20 +282,30 @@ class LaurentPoly:
         """Smallest exponent, or +inf for the zero polynomial."""
         return self.terms[-1][0] if self.terms else float("inf")
 
-    def bar(self) -> "LaurentPoly":
-        """The involution v -> v^-1: negate every exponent."""
-        return LaurentPoly([(-e, c) for e, c in self.terms])
-
     def __repr__(self):
-        return f"LaurentPoly('{self}')"
+        return f"{type(self).__name__}('{self}')"
 
     def __str__(self):
         return _format_terms(self.terms, str)
 
     @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
+    def parse(cls, text: str):
         """Parse the canonical text form, e.g. ``"3*v^2 - 1 + 2*v^-3"``."""
-        return cls(_parse_terms(text, int))
+        return cls(_parse_terms(text, cls._parse_coeff))
+
+
+_set_terms = _Laurent.terms.__set__
+
+
+class LaurentPoly(_Laurent):
+    """A sparse integer Laurent polynomial in v."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_integral(cls, p: "LaurentPoly") -> "LaurentPoly":
+        """The integral ring's own embedding: the identity."""
+        return p
 
 
 ZERO = LaurentPoly()
@@ -265,8 +326,8 @@ class PolyClass(NamedTuple):
 def classify(p: LaurentPoly) -> PolyClass:
     """Membership predicates used by lattice and positivity checks."""
     return PolyClass(
-        in_Aminus=all(e <= 0 for e, _ in p.terms),
-        in_vinv_Aminus=all(e <= -1 for e, _ in p.terms),
+        in_Aminus=p.degree <= 0,
+        in_vinv_Aminus=p.degree <= -1,
         nonneg=all(c >= 0 for _, c in p.terms),
         bar_fixed=p == p.bar(),
     )
@@ -278,14 +339,9 @@ def invariant_completion(p: LaurentPoly) -> LaurentPoly:
     Concretely mu(sum a_k v^k) = a_0 + sum_{k>0} a_k (v^k + v^-k); the terms
     of negative exponent in the input do not contribute.
     """
-    acc: dict = {}
-    for e, c in p.terms:
-        if e > 0:
-            acc[e] = acc.get(e, 0) + c
-            acc[-e] = acc.get(-e, 0) + c
-        elif e == 0:
-            acc[0] = acc.get(0, 0) + c
-    return LaurentPoly(acc)
+    head = [(e, c) for e, c in p.terms if e >= 0]
+    mirror = [(-e, c) for e, c in reversed(head) if e > 0]
+    return p._from_terms(tuple(head + mirror))
 
 
 def _is_dyadic(fr: Fraction) -> bool:
@@ -293,7 +349,7 @@ def _is_dyadic(fr: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-class RationalLaurent:
+class RationalLaurent(_Laurent):
     """A Laurent polynomial with dyadic rational coefficients.
 
     The type-B diagram calculus works over Q[v, v^-1] but only ever divides
@@ -302,93 +358,30 @@ class RationalLaurent:
     if a denominator other than 1 survived.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _coerce = staticmethod(_coerce_fraction)
+    _scalars = (int, Fraction)
+    _parse_coeff = Fraction
 
-    def __init__(self, data: Union[Mapping[int, Fraction], Iterable[Tuple[int, Fraction]]] = ()):
-        terms = _gather(data, _coerce_fraction)
+    @staticmethod
+    def _check(terms) -> None:
         for e, c in terms:
             if not _is_dyadic(c):
                 raise ValueError(f"denominator of {c} at v^{e} is not a power of 2")
-        object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalLaurent is immutable")
+    def _scale(self, k):
+        k = _coerce_fraction(k)
+        out = super()._scale(k)
+        if not _is_dyadic(k):
+            self._check(out.terms)
+        return out
 
     @classmethod
     def from_integral(cls, p: LaurentPoly) -> "RationalLaurent":
-        return cls([(e, Fraction(c)) for e, c in p.terms])
-
-    @classmethod
-    def const(cls, c) -> "RationalLaurent":
-        return cls(((0, _coerce_fraction(c)),))
+        return cls._from_terms(tuple((e, Fraction(c)) for e, c in p.terms))
 
     def to_integral(self) -> LaurentPoly:
         for e, c in self.terms:
             if c.denominator != 1:
                 raise NarrowingError(f"coefficient {c} at v^{e} is not an integer")
-        return LaurentPoly([(e, int(c)) for e, c in self.terms])
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalLaurent.const(other)
-        if not isinstance(other, RationalLaurent):
-            return NotImplemented
-        return RationalLaurent(list(self.terms) + list(other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalLaurent([(e, -c) for e, c in self.terms])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalLaurent.const(other)
-        if not isinstance(other, RationalLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _coerce_fraction(other)
-            return RationalLaurent([(e, c * f) for e, c in self.terms])
-        if not isinstance(other, RationalLaurent):
-            return NotImplemented
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return RationalLaurent(acc)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalLaurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(("RationalLaurent", self.terms))
-
-    @property
-    def degree(self):
-        return self.terms[0][0] if self.terms else float("-inf")
-
-    def bar(self) -> "RationalLaurent":
-        return RationalLaurent([(-e, c) for e, c in self.terms])
-
-    def __repr__(self):
-        return f"RationalLaurent('{self}')"
-
-    def __str__(self):
-        return _format_terms(self.terms, lambda m: str(m) if isinstance(m, int) else str(m))
-
-    @classmethod
-    def parse(cls, text: str) -> "RationalLaurent":
-        return cls(_parse_terms(text, Fraction))
+        return LaurentPoly._from_terms(tuple((e, c.numerator) for e, c in self.terms))

@@ -4,7 +4,9 @@ import random
 
 from tlbases.algebra import STRATEGIES, AlgebraElement, TLAlgebra, aux_elements, evaluate_mixed
 from tlbases.coxeter import CoxeterGraph
-from tlbases.laurent import DELTA, ONE, V, V_INV, ZERO, LaurentPoly, classify
+from tlbases.laurent import (
+    DELTA, ONE, V, V_INV, ZERO, LaurentPoly, classify, invariant_completion,
+)
 
 H3 = TLAlgebra(CoxeterGraph("H", 3))
 H4 = TLAlgebra(CoxeterGraph("H", 4))
@@ -192,6 +194,75 @@ def test_canonical_properties():
 def test_canonical_order_independence():
     for alg in (B2, H2, H3):
         assert alg.canonical_table(order="max-first") == alg.canonical_table(order="min-first")
+
+
+def _reference_solve(coords, table):
+    """Triangular solve that takes the largest remaining word at every step."""
+    rem = dict(coords)
+    out = {}
+    while rem:
+        x = max(rem, key=lambda w: (len(w), w))
+        gamma = rem.pop(x)
+        out[x] = gamma
+        for w, c in table[x].items():
+            if w != x:
+                s = rem.get(w, ZERO) - gamma * c
+                if s:
+                    rem[w] = s
+                else:
+                    rem.pop(w, None)
+    return out
+
+
+def _reference_canonical_table(alg):
+    """Per element: solve for e_w in t-tilde coordinates, then correct it."""
+    ttable = {w: alg.ttilde_element(w).as_dict() for w in alg.fc_words()}
+    canon_t = {}
+    for w in alg.fc_words():
+        cur = _reference_solve({w: ONE}, ttable)
+        for _ in range(len(ttable) + 1):
+            offenders = [x for x, c in cur.items()
+                         if x != w and not classify(c).in_vinv_Aminus]
+            if not offenders:
+                break
+            pick = max(offenders, key=lambda u: (len(u), u))
+            mu = invariant_completion(cur[pick])
+            for x, c in canon_t[pick].items():
+                s = cur.get(x, ZERO) - mu * c
+                if s:
+                    cur[x] = s
+                else:
+                    cur.pop(x, None)
+        else:
+            raise AssertionError(f"reference recursion did not settle at {w}")
+        canon_t[w] = cur
+    table = {}
+    for w, tco in canon_t.items():
+        acc = {}
+        for x, gamma in tco.items():
+            for y, c in ttable[x].items():
+                acc[y] = acc.get(y, ZERO) + gamma * c
+        table[w] = {y: c for y, c in acc.items() if c}
+    return ttable, table
+
+
+def test_one_pass_tables_match_per_element_reference():
+    rng = random.Random(11)
+    for family, rank in (("A", 4), ("B", 4), ("H", 3)):
+        alg = TLAlgebra(CoxeterGraph(family, rank))
+        ttable, canon = _reference_canonical_table(alg)
+        assert alg.ttilde_table() == ttable
+        assert alg.canonical_table() == canon
+        assert alg.canonical_table(order="min-first") == canon
+        # the walk-down conversion against the reference solve
+        words = alg.fc_words()
+        for _ in range(20):
+            mono = {w: LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)})
+                    for w in rng.sample(words, 5)}
+            mono = {w: c for w, c in mono.items() if c}
+            for table in (ttable, canon):
+                assert alg._convert_from_monomial(mono, table) == \
+                    _reference_solve(mono, table)
 
 
 def test_f_element_examples():

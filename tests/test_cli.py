@@ -224,3 +224,67 @@ def test_gram_check_command_reports(tmp_path):
     body = json.loads(out.read_text())["results"]
     assert body["witness_found"] is True
     assert body["solution_space_dimension"] >= 1
+
+
+def _raiser(exc):
+    def boom(*args, **kwargs):
+        raise exc
+    return boom
+
+
+def _internal_failure(path):
+    """(object to patch, attribute, exception raised, argv) for one failure path."""
+    import tlbases.cli as cli_mod
+    from tlbases.laurent import NarrowingError
+    from tlbases.tangles import CalibrationError, DiagramCalculus, ReductionError
+
+    return {
+        "narrowing": (TLAlgebra, "canonical_table",
+                      NarrowingError("coefficient 1/2 at v^0 is not an integer"),
+                      ["--command", "basis", "--family", "B", "--rank", "2"]),
+        "reduction": (DiagramCalculus, "image", ReductionError("tangle does not reduce"),
+                      ["--command", "basis", "--family", "H", "--rank", "2",
+                       "--basis", "diagram"]),
+        # a csv job: the failure report is JSON whatever the format
+        "value-error": (
+            TLAlgebra, "fc_elements",
+            ValueError("support is not a combination of canonical diagrams"),
+            ["--command", "enumerate", "--family", "B", "--rank", "2", "--format", "csv"]),
+        "assertion": (TLAlgebra, "_canonical_table",
+                      AssertionError("correction recursion did not settle at (1, 2)"),
+                      ["--command", "basis", "--family", "H", "--rank", "2"]),
+        "runtime": (cli_mod, "run_suite",
+                    RuntimeError("identity element rejected by the closure acceptor"),
+                    ["--command", "verify", "--family", "B", "--suite", "thm-2.2.5"]),
+        "calibration": (cli_mod, "calibrate_ruleset", CalibrationError("no admissible scalars"),
+                        ["--command", "calibrate", "--family", "H"]),
+    }[path]
+
+
+@pytest.mark.parametrize("path", ["narrowing", "reduction", "value-error",
+                                  "assertion", "runtime", "calibration"])
+def test_internal_failure_exits_2_with_report(path, tmp_path, monkeypatch):
+    target, attr, exc, argv = _internal_failure(path)
+    monkeypatch.setattr(target, attr, _raiser(exc))
+    code, out = run_args(argv, tmp_path)
+    assert code == EXIT_VERIFY_FAIL
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["results"]["error"] == {"type": type(exc).__name__, "message": str(exc)}
+
+
+def test_bad_ruleset_file_is_config_error(tmp_path):
+    missing = ["--command", "basis", "--family", "B", "--rank", "2", "--basis", "diagram",
+               "--ruleset", str(tmp_path / "absent.json")]
+    code, out = run_args(missing, tmp_path)
+    assert code == EXIT_CONFIG and not out.exists()
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    code, out = run_args(missing[:-1] + [str(broken)], tmp_path)
+    assert code == EXIT_CONFIG and not out.exists()
+
+
+def test_malformed_tangle_is_config_error(tmp_path):
+    code, out = run_args(
+        ["--command", "render", "--family", "H", "--tangle", "N1-N2"], tmp_path)
+    assert code == EXIT_CONFIG and not out.exists()

@@ -37,6 +37,17 @@ def test_bond_table():
     assert all(H3.bond(i, j) in (1, 2, 3, 4, 5) for i in (1, 2, 3) for j in (1, 2, 3))
 
 
+def test_bond_matrix_matches_bond():
+    for family in ("A", "B", "H"):
+        for rank in range(1, 6):
+            g = CoxeterGraph(family, rank)
+            assert len(g.bonds) == rank + 1
+            for i in g.generators:
+                assert g.bonds[i][1:] == tuple(g.bond(i, j) for j in g.generators)
+    with pytest.raises(ValueError):
+        H3.bond(1, 4)  # the public lookup keeps its range check
+
+
 def test_commutation_class_examples():
     assert commutation_class(H3, (1, 3)) == {(1, 3), (3, 1)}
     assert commutation_class(H3, (1, 2)) == {(1, 2)}

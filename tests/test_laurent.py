@@ -174,3 +174,76 @@ def test_no_silent_mixing():
 def test_immutability():
     with pytest.raises(AttributeError):
         ONE.terms = ()  # type: ignore[misc]
+
+
+def test_public_constructor_validates():
+    with pytest.raises(TypeError):
+        LaurentPoly({1.0: 1})
+    with pytest.raises(TypeError):
+        LaurentPoly({1: True})
+    with pytest.raises(TypeError):
+        LaurentPoly({1: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        RationalLaurent({Fraction(1): 1})
+    with pytest.raises(TypeError):
+        RationalLaurent({1: False})
+    with pytest.raises(TypeError):
+        RationalLaurent({1: 0.5})
+    with pytest.raises(ValueError):
+        RationalLaurent([(0, Fraction(1, 2)), (1, Fraction(1, 6))])
+    with pytest.raises(TypeError):
+        ONE.shift(0.5)
+
+
+def random_rational(rng, span=6, nterms=5):
+    return RationalLaurent({rng.randint(-span, span):
+                            Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 3))
+                            for _ in range(rng.randint(0, nterms))})
+
+
+def _same(got, want):
+    # ``want`` comes from the validating public constructor; compare exact
+    # term tuples: order, no zeros, and the coefficient types too
+    assert type(got) is type(want)
+    assert got.terms == want.terms
+    assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, RationalLaurent])
+def test_kernel_operations_match_validating_constructor(cls):
+    rng = random.Random(7)
+    make = random_poly if cls is LaurentPoly else random_rational
+    for _ in range(300):
+        a, b = make(rng), make(rng)
+        k = rng.randint(-4, 4)
+        neg_b = [(e, -c) for e, c in b.terms]
+        _same(a + b, cls(a.terms + b.terms))
+        _same(a + k, cls(a.terms + ((0, k),)))
+        _same(a - b, cls(a.terms + tuple(neg_b)))
+        _same(k - a, cls([(0, k)] + [(e, -c) for e, c in a.terms]))
+        _same(-b, cls(neg_b))
+        _same(a * b, cls([(e1 + e2, c1 * c2)
+                                    for e1, c1 in a.terms for e2, c2 in b.terms]))
+        _same(a * k, cls([(e, c * k) for e, c in a.terms]))
+        _same(a.bar(), cls([(-e, c) for e, c in a.terms]))
+        _same(a.shift(k), cls([(e + k, c) for e, c in a.terms]))
+        _same(a ** 2, cls([(e1 + e2, c1 * c2)
+                                     for e1, c1 in a.terms for e2, c2 in a.terms]))
+        _same(invariant_completion(a), cls(
+            [(e, c) for e, c in a.terms if e >= 0]
+            + [(-e, c) for e, c in a.terms if e > 0]))
+        assert (a == b) == (a.terms == cls(b.terms).terms)
+    if cls is RationalLaurent:
+        for _ in range(100):
+            a = make(rng)
+            f = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+            try:
+                want = cls([(e, c * f) for e, c in a.terms])
+            except ValueError:
+                with pytest.raises(ValueError):
+                    a * f
+            else:
+                _same(a * f, want)
+            whole = cls([(e, Fraction(c.numerator)) for e, c in a.terms])
+            _same(whole.to_integral(), LaurentPoly([(e, int(c)) for e, c in whole.terms]))
+            _same(RationalLaurent.from_integral(whole.to_integral()), whole)
