@@ -196,7 +196,7 @@ class _Laurent:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return self._from_terms(_normalized(acc))
+        return self._from_dict(acc)
 
     __radd__ = __add__
 
@@ -225,7 +225,7 @@ class _Laurent:
         for e1, c1 in a:
             for e2, c2 in b:
                 acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        return self._from_terms(_normalized(acc))
+        return self._from_dict(acc)
 
     __rmul__ = __mul__
 
