@@ -23,7 +23,7 @@ from .coxeter import (
     CoxeterGraph,
     FcElement,
     Word,
-    _leftmost_factor,
+    _first_factor,
     _letters,
     _scan,
     enumerate_fc,
@@ -192,42 +192,22 @@ class TLAlgebra:
             ]
         raise AssertionError(size)
 
-    def _rightmost_factor(self, letters: Word):
-        best = None
-        n = len(letters)
-        bonds = self.graph.bonds
-        for i in range(n - 1):
-            s, t = letters[i], letters[i + 1]
-            if s == t:
-                best = (i, 2)
-                continue
-            m = bonds[s][t]
-            if m >= 3 and i + m <= n:
-                if all(letters[i + k] == (s if k % 2 == 0 else t) for k in range(m)):
-                    best = (i, m)
-        return best
-
     def _pick_factor(self, scan, strategy: str):
+        # (class member order, factor scan direction) per strategy
         if strategy == "lex-least-leftmost":
-            for perm in scan.perms_sorted:
-                letters = _letters(scan.word, perm)
-                hit = _leftmost_factor(self.graph, letters)
-                if hit:
-                    return letters, hit
+            members, step = scan.perms_sorted, 1
         elif strategy == "lex-greatest-rightmost":
-            for perm in reversed(scan.perms_sorted):
-                letters = _letters(scan.word, perm)
-                hit = self._rightmost_factor(letters)
-                if hit:
-                    return letters, hit
+            members, step = reversed(scan.perms_sorted), -1
         elif strategy == "bfs-first":
-            for perm in scan.perms_bfs:
-                letters = _letters(scan.word, perm)
-                hit = _leftmost_factor(self.graph, letters)
-                if hit:
-                    return letters, hit
+            members, step = scan.perms_bfs, 1
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
+        starts = range(len(scan.word) - 1)[::step]
+        for perm in members:
+            letters = _letters(scan.word, perm)
+            hit = _first_factor(self.graph, letters, starts)
+            if hit:
+                return letters, hit
         raise AssertionError("scan reported a factor but none was found")
 
     def word_to_basis(self, word: Sequence[int], strategy: str = "lex-least-leftmost") -> AlgebraElement:
@@ -277,14 +257,12 @@ class TLAlgebra:
 
     def _mul_coords(self, a: Coords, b: Coords) -> Coords:
         out: Raw = {}
-        for u, cu in a.items():
-            cur = {u: cu}
-            # multiply on the right by each basis word of b, letter by letter
-            for w, cw in b.items():
-                tmp = cur
-                for s in w:
-                    tmp = self._times_gen(tmp, s)
-                _merge(out, tmp, cw)
+        # multiply all of a on the right by each basis word of b, letter by letter
+        for w, cw in b.items():
+            cur = a
+            for s in w:
+                cur = self._times_gen(cur, s)
+            _merge(out, cur, cw)
         return _settle(out)
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -176,6 +176,17 @@ def _exact_det(rows: List[List[LaurentPoly]]) -> LaurentPoly:
     return dp.get((1 << n) - 1, ZERO)
 
 
+def _left_mult_tables(alg: TLAlgebra, words: List[Word]
+                      ) -> Dict[int, Dict[Word, Dict[Word, LaurentPoly]]]:
+    """t~_s * t~_w in t~-coordinates, by generator s and basis word w."""
+    tables = {}
+    for s in alg.graph.generators:
+        ts = alg.ttilde_element((s,))
+        tables[s] = {w: dict(alg.to_basis(alg.multiply(ts, alg.ttilde_element(w)),
+                                          "ttilde").coords) for w in words}
+    return tables
+
+
 def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, Optional[bool]]:
     """Exact checks of the four bilinear-form conditions.
 
@@ -186,14 +197,7 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, Optional[bool]]
     symmetric = all(cand.entry(w, x) == cand.entry(x, w)
                     for w in words for x in words)
 
-    left_mult: Dict[int, Dict[Word, Dict[Word, LaurentPoly]]] = {}
-    for s in alg.graph.generators:
-        ts = alg.ttilde_element((s,))
-        table = {}
-        for w in words:
-            prod = alg.multiply(ts, alg.ttilde_element(w))
-            table[w] = dict(alg.to_basis(prod, "ttilde").coords)
-        left_mult[s] = table
+    left_mult = _left_mult_tables(alg, words)
 
     def pair(coords: Dict[Word, LaurentPoly], x: Word) -> LaurentPoly:
         acc = ZERO
@@ -252,10 +256,7 @@ def _gram_solver_dimension(alg: TLAlgebra) -> int:
                 row[index[w] * n + index[x]] = 1
                 row[index[x] * n + index[w]] = -1
                 rows.append(row)
-    for s in alg.graph.generators:
-        ts = alg.ttilde_element((s,))
-        table = {w: dict(alg.to_basis(alg.multiply(ts, alg.ttilde_element(w)),
-                                      "ttilde").coords) for w in words}
+    for table in _left_mult_tables(alg, words).values():
         for w in words:
             for x in words:
                 row = [sympy.Integer(0)] * nvars

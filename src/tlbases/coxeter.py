@@ -160,11 +160,13 @@ def _class_perms(graph: CoxeterGraph, word: Word,
     return order, members
 
 
-def _leftmost_factor(graph: CoxeterGraph, letters: Word) -> Optional[Tuple[int, int]]:
-    """Leftmost reducible factor (start, length): an ss pair or a half-braid."""
+def _first_factor(graph: CoxeterGraph, letters: Word,
+                  starts: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """First reducible factor (start, length), an ss pair or a half-braid,
+    trying the start positions in the given order."""
     n = len(letters)
     bonds = graph.bonds
-    for i in range(n - 1):
+    for i in starts:
         s, t = letters[i], letters[i + 1]
         if s == t:
             return (i, 2)
@@ -205,7 +207,8 @@ def _scan(graph: CoxeterGraph, word: Word, cap: int = DEFAULT_CLASS_CAP) -> _Cla
         return hit
     perms, members = _class_perms(graph, canon, cap)
     perms_sorted = tuple(perms[i] for i in sorted(range(len(perms)), key=members.__getitem__))
-    fc = all(_leftmost_factor(graph, m) is None for m in members)
+    starts = range(len(canon) - 1)
+    fc = all(_first_factor(graph, m, starts) is None for m in members)
     scan = _ClassScan(canon, tuple(perms), perms_sorted, fc)
     if len(_scan_cache) >= _SCAN_CACHE_MAX:
         _scan_cache.clear()

@@ -4,8 +4,11 @@ A tangle is a planar perfect matching between numbered nodes on the north
 and south faces of a rectangle; edges exposed to the west wall may carry an
 ordered sequence of decorations (circles and, in family B, squares).
 Composition concatenates rectangles and extracts the closed curves; a
-calibrated ``RuleSet`` then converts loops to scalars and folds edges with
-more than one decoration.
+calibrated ``RuleSet`` then reduces them with one ``fold`` of decoration
+words, which values each closed loop and rewrites each edge carrying a
+square or more than one decoration.  ``DiagramCalculus.multiply`` is the one
+compose -> reduce -> accumulate loop behind generator actions, word
+evaluation and products.
 
 The scalar parameters of the reduction system are never hard-coded: they
 are solved exactly from the defining relations of the algebra presentation
@@ -17,6 +20,7 @@ against the full relation set at four strands.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -287,31 +291,16 @@ def compose_raw(top: Tangle, bottom: Tangle) -> Tuple[Tangle, Tuple[Tuple[Decor,
                 return arrive, decs  # closed back to start
             eid, endside = nxts[0]
 
+    # Tangle() orients each surviving edge and reverses its decorations
     new_edges: List[Edge] = []
-    for i in range(1, top.n_north + 1):
-        node = ("T", i)
-        eid, endside = incidence[node][0]
-        if used[eid]:
-            continue
-        dest, decs = walk(eid, endside)
-        a = ("N", i)
-        b = ("N", dest[1]) if dest[0] == "T" else ("S", dest[1])
-        if _end_sort_key(a) > _end_sort_key(b):
-            a, b = b, a
-            decs = list(reversed(decs))
-        new_edges.append((a, b, tuple(decs)))
-    for l in range(1, bottom.n_south + 1):
-        node = ("B", l)
-        eid, endside = incidence[node][0]
-        if used[eid]:
-            continue
-        dest, decs = walk(eid, endside)
-        a = ("S", l)
-        b = ("N", dest[1]) if dest[0] == "T" else ("S", dest[1])
-        if _end_sort_key(a) > _end_sort_key(b):
-            a, b = b, a
-            decs = list(reversed(decs))
-        new_edges.append((a, b, tuple(decs)))
+    for face, tag, count in (("N", "T", top.n_north), ("S", "B", bottom.n_south)):
+        for i in range(1, count + 1):
+            eid, endside = incidence[(tag, i)][0]
+            if used[eid]:
+                continue
+            dest, decs = walk(eid, endside)
+            b = ("N", dest[1]) if dest[0] == "T" else ("S", dest[1])
+            new_edges.append(((face, i), b, tuple(decs)))
 
     loops: List[Tuple[Decor, ...]] = []
     for eid in range(len(edge_list)):
@@ -341,9 +330,10 @@ def _canonical_cycle(decs: Tuple[Decor, ...]) -> Tuple[Decor, ...]:
 class RuleSet:
     """Scalar parameters of a diagram reduction system, solved by calibration.
 
-    ``plain_loop``/``circle_loop`` value removed loops; an edge carrying two
-    circles expands as alpha*(one circle) + beta*(no circle); in family B a
-    square expands as sigma*(circle) + tau*(plain).
+    Two circles on one curve expand as alpha*(one circle) + beta*(no circle);
+    in family B a square expands as sigma*(circle) + tau*(plain).  ``fold``
+    applies both rules to a decoration word, and serves closed loops (valued
+    by ``plain_loop``/``circle_loop``) and surviving edges alike.
 
     The scalars may live in any commutative ring with ``+``, ``*`` (also by
     ``int``) and ``bool``; the type of ``plain_loop`` names that ring, which
@@ -361,6 +351,7 @@ class RuleSet:
     def __post_init__(self):
         # the unit is read on every composition; build it once per rule set
         object.__setattr__(self, "_one", self.const(1))
+        object.__setattr__(self, "_zero", self.const(0))
 
     def one(self):
         return self._one
@@ -371,21 +362,28 @@ class RuleSet:
     def lift(self, p: LaurentPoly):
         return type(self.plain_loop).from_integral(p)
 
-    def loop_value(self, decs: Tuple[Decor, ...]):
+    def fold(self, decs: Tuple[Decor, ...]):
+        """(plain, circle): decs reduces to plain*(none) + circle*(one circle).
+
+        The first square is replaced first; a word of circles only folds its
+        last two.
+        """
         if "s" in decs:
             if self.family != "B":
                 raise ReductionError("square decorations only occur in family B")
             k = decs.index("s")
-            with_c = decs[:k] + ("c",) + decs[k + 1:]
-            without = decs[:k] + decs[k + 1:]
-            return self.sigma * self.loop_value(with_c) + self.tau * self.loop_value(without)
-        k = len(decs)
-        if k == 0:
-            return self.plain_loop
-        if k == 1:
-            return self.circle_loop
-        return self.alpha * self.loop_value(decs[:k - 1]) + \
-            self.beta * self.loop_value(decs[:k - 2])
+            p1, c1 = self.fold(decs[:k] + ("c",) + decs[k + 1:])
+            p2, c2 = self.fold(decs[:k] + decs[k + 1:])
+            return self.sigma * p1 + self.tau * p2, self.sigma * c1 + self.tau * c2
+        if len(decs) <= 1:
+            return (self._zero, self._one) if decs else (self._one, self._zero)
+        p1, c1 = self.fold(decs[:-1])
+        p2, c2 = self.fold(decs[:-2])
+        return self.alpha * p1 + self.beta * p2, self.alpha * c1 + self.beta * c2
+
+    def loop_value(self, decs: Tuple[Decor, ...]):
+        plain, circle = self.fold(decs)
+        return plain * self.plain_loop + circle * self.circle_loop
 
     def to_json(self) -> dict:
         out = {"family": self.family}
@@ -477,57 +475,44 @@ class DiagramElement:
         return f"DiagramElement({self.family}, n={self.n}, {body})"
 
 
-def _expand_edges(t: Tangle, rules: RuleSet):
-    """Expand squares and fold multi-circle edges into reduced tangles."""
-    pending = [(rules.one(), t)]
-    done: Dict[Tangle, object] = {}
-    while pending:
-        coeff, cur = pending.pop()
-        target = None
-        for idx, edge in enumerate(cur.edges):
-            decs = edge[2]
-            if "s" in decs or len(decs) >= 2:
-                target = (idx, edge)
-                break
-        if target is None:
-            s = done.get(cur)
-            s = coeff if s is None else s + coeff
-            if s:
-                done[cur] = s
-            elif cur in done:
-                del done[cur]
-            continue
-        idx, (a, b, decs) = target
-        others = [e for k, e in enumerate(cur.edges) if k != idx]
-        if "s" in decs:
-            if rules.family != "B":
-                raise ReductionError("square decorations only occur in family B")
-            k = decs.index("s")
-            with_c = decs[:k] + ("c",) + decs[k + 1:]
-            without = decs[:k] + decs[k + 1:]
-            pending.append((coeff * rules.sigma, Tangle(cur.n_north, cur.n_south,
-                                                        others + [(a, b, with_c)])))
-            pending.append((coeff * rules.tau, Tangle(cur.n_north, cur.n_south,
-                                                      others + [(a, b, without)])))
-        else:
-            pending.append((coeff * rules.alpha, Tangle(cur.n_north, cur.n_south,
-                                                        others + [(a, b, decs[:-1])])))
-            pending.append((coeff * rules.beta, Tangle(cur.n_north, cur.n_south,
-                                                       others + [(a, b, decs[:-2])])))
-    return done
+def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
+    """Fold every edge with a square or several decorations to reduced form."""
+    folds = [(k, rules.fold(decs)) for k, (_, _, decs) in enumerate(t.edges)
+             if "s" in decs or len(decs) >= 2]
+    if not folds:
+        return {t: rules.one()}
+    out: Dict[Tangle, object] = {}
+    # one reduced tangle per choice of (plain | one circle) on each folded edge
+    for choice in itertools.product(*[((p, ()), (c, ("c",))) for _, (p, c) in folds]):
+        coeff = math.prod((x for x, _ in choice), start=rules.one())
+        if coeff:
+            edges = list(t.edges)
+            for (k, _), (_, decs) in zip(folds, choice):
+                edges[k] = edges[k][:2] + (decs,)
+            out[Tangle(t.n_north, t.n_south, edges)] = coeff
+    return out
+
+
+def _reduce(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
+            rules: RuleSet) -> Dict[Tangle, object]:
+    """Value the loops and fold the edges: {reduced tangle: coefficient}."""
+    scalar = math.prod((rules.loop_value(loop) for loop in loops), start=rules.one())
+    if not scalar:
+        return {}
+    return {t: c * scalar for t, c in _expand_edges(tangle, rules).items()}
 
 
 def reduce_composition(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
                        rules: RuleSet) -> DiagramElement:
     """Convert loops to scalars and fold decorations down to reduced form."""
-    scalar = rules.one()
-    for loop in loops:
-        scalar = scalar * rules.loop_value(loop)
-    if not scalar:
-        return DiagramElement(rules.family, tangle.n_north, {})
-    expanded = _expand_edges(tangle, rules)
-    return DiagramElement(rules.family, tangle.n_north,
-                          {t: c * scalar for t, c in expanded.items()})
+    return DiagramElement(rules.family, tangle.n_north, _reduce(tangle, loops, rules))
+
+
+def _add_scaled(acc: Dict[Tangle, object], terms, scale) -> None:
+    """acc += scale * terms, for (tangle, coefficient) pairs."""
+    for t, c in terms:
+        s = acc.get(t)
+        acc[t] = c * scale if s is None else s + c * scale
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +535,8 @@ class DiagramCalculus:
         return DiagramElement(self.family, n, {generator_U(self.family, n, i): scale})
 
     def apply_gen(self, elem: DiagramElement, i: int, side: str = "right") -> DiagramElement:
-        u = generator_U(self.family, elem.n, i)
-        scale = self.rules.const(2) if (self.family == "B" and i == 1) else self.rules.one()
-        acc = DiagramElement(self.family, elem.n, {})
-        for t, c in elem.coeffs:
-            pair = (t, u) if side == "right" else (u, t)
-            raw, loops = compose_raw(*pair)
-            acc = acc + reduce_composition(raw, loops, self.rules).scale(c * scale)
-        return acc
+        gen = self.evaluate_word(elem.n, (i,))
+        return self.multiply(elem, gen) if side == "right" else self.multiply(gen, elem)
 
     def evaluate_word(self, n: int, word: Sequence[int]) -> DiagramElement:
         w = tuple(word)
@@ -567,8 +546,10 @@ class DiagramCalculus:
             return hit
         if not w:
             out = self.one(n)
+        elif len(w) == 1:
+            out = self.gen_element(n, w[0])
         else:
-            out = self.apply_gen(self.evaluate_word(n, w[:-1]), w[-1], side="right")
+            out = self.multiply(self.evaluate_word(n, w[:-1]), self.evaluate_word(n, w[-1:]))
         self._eval_cache[key] = out
         return out
 
@@ -578,18 +559,18 @@ class DiagramCalculus:
         ``coords`` maps reduced words to ``LaurentPoly`` coefficients (a dict
         or (word, coefficient) pairs), as the algebra's basis tables do.
         """
-        acc = DiagramElement(self.family, n, {})
+        acc: Dict[Tangle, object] = {}
         for x, c in dict(coords).items():
-            acc = acc + self.evaluate_word(n, x).scale(self.rules.lift(c))
-        return acc
+            _add_scaled(acc, self.evaluate_word(n, x).coeffs, self.rules.lift(c))
+        return DiagramElement(self.family, n, acc)
 
     def multiply(self, a: DiagramElement, b: DiagramElement) -> DiagramElement:
-        acc = DiagramElement(self.family, a.n, {})
+        """The one compose -> reduce -> accumulate loop of the calculus."""
+        acc: Dict[Tangle, object] = {}
         for t1, c1 in a.coeffs:
             for t2, c2 in b.coeffs:
-                raw, loops = compose_raw(t1, t2)
-                acc = acc + reduce_composition(raw, loops, self.rules).scale(c1 * c2)
-        return acc
+                _add_scaled(acc, _reduce(*compose_raw(t1, t2), self.rules).items(), c1 * c2)
+        return DiagramElement(self.family, a.n, acc)
 
 
 def evaluate_word(family: str, n: int, word: Sequence[int], rules: RuleSet) -> DiagramElement:
@@ -898,22 +879,14 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet,
                 candidates.append(calc.apply_gen(cur, i, side="left"))
                 candidates.append(calc.apply_gen(cur, i, side="right"))
             for s, sp in ((1, 2), (2, 1)):
-                left_gate = calc.apply_gen(cur, sp, side="left") == cur.scale(vpv)
-                right_gate = calc.apply_gen(cur, sp, side="right") == cur.scale(vpv)
-                if left_gate:
-                    bs = calc.apply_gen(cur, s, side="left")
-                    candidates.append(calc.apply_gen(bs, sp, side="left") - cur)
+                for side in ("left", "right"):
+                    if calc.apply_gen(cur, sp, side) != cur.scale(vpv):
+                        continue
+                    bs = calc.apply_gen(cur, s, side)
+                    bsp = calc.apply_gen(bs, sp, side)
+                    candidates.append(bsp - cur)
                     if family == "H":
-                        candidates.append(
-                            calc.apply_gen(calc.apply_gen(bs, sp, side="left"), s, side="left")
-                            - bs.scale(rules.const(2)))
-                if right_gate:
-                    bs = calc.apply_gen(cur, s, side="right")
-                    candidates.append(calc.apply_gen(bs, sp, side="right") - cur)
-                    if family == "H":
-                        candidates.append(
-                            calc.apply_gen(calc.apply_gen(bs, sp, side="right"), s, side="right")
-                            - bs.scale(rules.const(2)))
+                        candidates.append(calc.apply_gen(bsp, s, side) - bs.scale(rules.const(2)))
             for cand in candidates:
                 key = accept(cand)
                 if key is not None and key not in closure:

@@ -141,21 +141,13 @@ def _transport_b(res: SuiteResult, strands: int, rules: RuleSet):
         f"image set vs canonical enumeration: {len(recognized)} vs {len(expected)}"))
 
 
-def suite_transport_h(family: str, rank: Optional[int], opts) -> SuiteResult:
-    res = SuiteResult("thm-2.1.3", "H")
+def suite_transport(family: str, rank: Optional[int], opts) -> SuiteResult:
+    res = SuiteResult({"H": "thm-2.1.3", "B": "thm-2.2.5"}[family], family)
+    transport = _transport_h if family == "H" else _transport_b
     strands_list = (3, 4) if rank is None else (rank + 1,)
-    rules = _rules("H")
+    rules = _rules(family)
     for strands in strands_list:
-        _transport_h(res, strands, rules)
-    return res
-
-
-def suite_transport_b(family: str, rank: Optional[int], opts) -> SuiteResult:
-    res = SuiteResult("thm-2.2.5", "B")
-    strands_list = (3, 4) if rank is None else (rank + 1,)
-    rules = _rules("B")
-    for strands in strands_list:
-        _transport_b(res, strands, rules)
+        transport(res, strands, rules)
     return res
 
 
@@ -176,23 +168,13 @@ def _f_equals_canonical(res: SuiteResult, family: str, rank: int):
         None if not bad else {"words": [_word_str(w) for w in bad]}))
 
 
-def suite_f_canonical_h(family, rank, opts) -> SuiteResult:
-    res = SuiteResult("thm-3.4.3", "H")
+def suite_f_canonical(family, rank, opts) -> SuiteResult:
+    res = SuiteResult({"H": "thm-3.4.3", "B": "thm-5.2.1"}[family], family)
     ranks = (2, 3) if rank is None else (rank,)
     if opts.get("slow") and rank is None:
         ranks = (2, 3, 4)
     for r in ranks:
-        _f_equals_canonical(res, "H", r)
-    return res
-
-
-def suite_f_canonical_b(family, rank, opts) -> SuiteResult:
-    res = SuiteResult("thm-5.2.1", "B")
-    ranks = (2, 3) if rank is None else (rank,)
-    if opts.get("slow") and rank is None:
-        ranks = (2, 3, 4)
-    for r in ranks:
-        _f_equals_canonical(res, "B", r)
+        _f_equals_canonical(res, family, r)
     return res
 
 
@@ -255,15 +237,9 @@ def _positivity(res: SuiteResult, family: str, rank: int):
             {"w": _word_str(a), "i": i} for a, i in equiv_bad[:5]]}))
 
 
-def suite_positivity_h(family, rank, opts) -> SuiteResult:
-    res = SuiteResult("prop-4.1.9", "H")
-    _positivity(res, "H", rank or 3)
-    return res
-
-
-def suite_positivity_b(family, rank, opts) -> SuiteResult:
-    res = SuiteResult("prop-5.2.2", "B")
-    _positivity(res, "B", rank or 3)
+def suite_positivity(family, rank, opts) -> SuiteResult:
+    res = SuiteResult({"H": "prop-4.1.9", "B": "prop-5.2.2"}[family], family)
+    _positivity(res, family, rank or 3)
     return res
 
 
@@ -405,12 +381,12 @@ def suite_calibration(family, rank, opts) -> SuiteResult:
 
 
 SUITES = {
-    "thm-2.1.3": ("H", suite_transport_h),
-    "thm-2.2.5": ("B", suite_transport_b),
-    "thm-3.4.3": ("H", suite_f_canonical_h),
-    "thm-5.2.1": ("B", suite_f_canonical_b),
-    "prop-4.1.9": ("H", suite_positivity_h),
-    "prop-5.2.2": ("B", suite_positivity_b),
+    "thm-2.1.3": ("H", suite_transport),
+    "thm-2.2.5": ("B", suite_transport),
+    "thm-3.4.3": ("H", suite_f_canonical),
+    "thm-5.2.1": ("B", suite_f_canonical),
+    "prop-4.1.9": ("H", suite_positivity),
+    "prop-5.2.2": ("B", suite_positivity),
     "lemma-3.3.6": ("H", suite_block_identities),
     "prop-3.1.9": (None, suite_deletion),
     "confluence": (None, suite_confluence),

@@ -371,3 +371,30 @@ def test_canonical_bar_fixed_h3():
     for w, co in H3.canonical_table().items():
         elem = AlgebraElement.make(H3.graph, "monomial", co)
         assert H3.bar_element(elem) == elem
+
+
+def _ref_mul_coords(alg, a, b):
+    """Each basis word of a times each basis word of b, letter by letter."""
+    out = {}
+    for u, cu in a.items():
+        for w, cw in b.items():
+            cur = {u: cu}
+            for s in w:
+                cur = alg._times_gen(cur, s)
+            for x, c in cur.items():
+                out[x] = out.get(x, ZERO) + c * cw
+    return {x: c for x, c in out.items() if c}
+
+
+def test_mul_coords_matches_per_word_reference():
+    rng = random.Random(23)
+
+    def random_coords(words):
+        return {w: LaurentPoly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))})
+                for w in rng.sample(words, rng.randint(1, 4))}
+
+    for alg in (H3, B3):
+        words = alg.fc_words()
+        for _ in range(30):
+            a, b = random_coords(words), random_coords(words)
+            assert alg._mul_coords(a, b) == _ref_mul_coords(alg, a, b), (a, b)

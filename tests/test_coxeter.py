@@ -8,6 +8,7 @@ from group_oracle import oracle
 from tlbases.coxeter import (
     CoxeterGraph,
     FcElement,
+    _first_factor,
     bruhat_leq,
     classify_letters,
     commutation_class,
@@ -240,3 +241,28 @@ def test_class_cap_raises():
     from tlbases.coxeter import ClassSizeError
     with pytest.raises(ClassSizeError):
         commutation_class(CoxeterGraph("A", 6), (1, 3, 5, 1, 3, 5), cap=4)
+
+
+def _ref_factors(graph, letters):
+    """Every reducible factor (start, length), ss pairs before half-braids."""
+    out = []
+    for i in range(len(letters) - 1):
+        s, t = letters[i], letters[i + 1]
+        if s == t:
+            out.append((i, 2))
+            continue
+        m = graph.bond(s, t)
+        if m >= 3 and letters[i:i + m] == tuple(s if k % 2 == 0 else t for k in range(m)):
+            out.append((i, m))
+    return out
+
+
+def test_first_factor_scans_in_the_given_order():
+    rng = random.Random(24)
+    for graph in (H3, B3, CoxeterGraph("H", 4), CoxeterGraph("B", 4)):
+        for _ in range(400):
+            letters = tuple(rng.randint(1, graph.rank) for _ in range(rng.randint(0, 10)))
+            starts = range(len(letters) - 1)
+            found = _ref_factors(graph, letters)
+            assert _first_factor(graph, letters, starts) == (found[0] if found else None)
+            assert _first_factor(graph, letters, starts[::-1]) == (found[-1] if found else None)

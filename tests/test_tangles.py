@@ -1,5 +1,6 @@
 """Diagram calculus: composition, calibration, transport, generation, render."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from tlbases.tangles import (
     loop_count,
     parse_tangle,
     recognize_b_canonical,
+    reduce_composition,
     render,
     verify_relations,
 )
@@ -484,3 +486,159 @@ def test_transport_suites_at_default_strands(suite, form):
     assert res.passed, [c.to_json() for c in res.checks if not c.passed]
     assert [c.name for c in res.checks] == [
         f"strands-{n}-{kind}" for n in (3, 4) for kind in (form, "image-set")]
+
+
+# ---------------------------------------------------------------------------
+# references for the one-fold calculus: the per-rule recursions it replaced
+
+
+def _ref_loop_value(rules, decs):
+    """Loop value by recursing on loops: first square, else the last two circles."""
+    if "s" in decs:
+        if rules.family != "B":
+            raise ReductionError("square decorations only occur in family B")
+        k = decs.index("s")
+        with_c = decs[:k] + ("c",) + decs[k + 1:]
+        without = decs[:k] + decs[k + 1:]
+        return rules.sigma * _ref_loop_value(rules, with_c) + \
+            rules.tau * _ref_loop_value(rules, without)
+    k = len(decs)
+    if k == 0:
+        return rules.plain_loop
+    if k == 1:
+        return rules.circle_loop
+    return rules.alpha * _ref_loop_value(rules, decs[:k - 1]) + \
+        rules.beta * _ref_loop_value(rules, decs[:k - 2])
+
+
+def _ref_expand_edges(t, rules):
+    """Rewrite one decorated edge at a time through intermediate tangles."""
+    pending = [(rules.one(), t)]
+    done = {}
+    while pending:
+        coeff, cur = pending.pop()
+        target = None
+        for idx, edge in enumerate(cur.edges):
+            if "s" in edge[2] or len(edge[2]) >= 2:
+                target = (idx, edge)
+                break
+        if target is None:
+            s = done.get(cur)
+            s = coeff if s is None else s + coeff
+            if s:
+                done[cur] = s
+            elif cur in done:
+                del done[cur]
+            continue
+        idx, (a, b, decs) = target
+        others = [e for k, e in enumerate(cur.edges) if k != idx]
+        if "s" in decs:
+            if rules.family != "B":
+                raise ReductionError("square decorations only occur in family B")
+            k = decs.index("s")
+            steps = ((rules.sigma, decs[:k] + ("c",) + decs[k + 1:]),
+                     (rules.tau, decs[:k] + decs[k + 1:]))
+        else:
+            steps = ((rules.alpha, decs[:-1]), (rules.beta, decs[:-2]))
+        for scalar, new in steps:
+            pending.append((coeff * scalar,
+                            Tangle(cur.n_north, cur.n_south, others + [(a, b, new)])))
+    return done
+
+
+def _ref_reduce(tangle, loops, rules):
+    scalar = rules.one()
+    for loop in loops:
+        scalar = scalar * _ref_loop_value(rules, loop)
+    if not scalar:
+        return DiagramElement(rules.family, tangle.n_north, {})
+    return DiagramElement(rules.family, tangle.n_north,
+                          {t: c * scalar for t, c in _ref_expand_edges(tangle, rules).items()})
+
+
+def _ref_apply_gen(rules, elem, i, side):
+    """The per-term compose loop: one reduced composition per support tangle."""
+    u = generator_U(rules.family, elem.n, i)
+    scale = rules.const(2) if (rules.family == "B" and i == 1) else rules.one()
+    acc = DiagramElement(rules.family, elem.n, {})
+    for t, c in elem.coeffs:
+        raw, loops = compose_raw(*((t, u) if side == "right" else (u, t)))
+        acc = acc + _ref_reduce(raw, loops, rules).scale(c * scale)
+    return acc
+
+
+def _symbolic_rules(family):
+    alpha, beta, cl = (_SymPoly.var(x) for x in ("alpha", "beta", "cl"))
+    # square scalars distinct from every other scalar, so no rule hides another
+    return RuleSet(family, _SymPoly.from_integral(DELTA), cl, alpha, beta,
+                   alpha * beta, _SymPoly.from_integral(LaurentPoly.monomial(1)))
+
+
+def _terms(x):
+    return x.terms if isinstance(x, _SymPoly) else x
+
+
+def _elem_terms(elem):
+    return {t: _terms(c) for t, c in elem.coeffs}
+
+
+def _decoration_words(max_len=4):
+    for k in range(max_len + 1):
+        yield from itertools.product("cs", repeat=k)
+
+
+RULE_SETS = [("H", RULES_H), ("B", RULES_B),
+             ("H-symbolic", _symbolic_rules("H")), ("B-symbolic", _symbolic_rules("B"))]
+
+
+@pytest.mark.parametrize("name,rules", RULE_SETS, ids=[n for n, _ in RULE_SETS])
+def test_fold_matches_per_rule_references(name, rules):
+    def cup_tangle(decs):
+        return Tangle(3, 3, [(("N", 1), ("N", 2), decs), (("S", 1), ("S", 2), ()),
+                             (("N", 3), ("S", 3), ())])
+
+    for decs in _decoration_words():
+        decorated = cup_tangle(decs)
+        if rules.family == "H" and "s" in decs:
+            for call in (lambda: rules.fold(decs), lambda: rules.loop_value(decs),
+                         lambda: expand_squares(decorated, rules),
+                         lambda: _ref_loop_value(rules, decs)):
+                with pytest.raises(ReductionError, match="only occur in family B"):
+                    call()
+            continue
+        # fold is the edge rewrite: plain on the bare edge, circle on one circle
+        plain, circle = rules.fold(decs)
+        want = {cup_tangle(()): plain, cup_tangle(("c",)): circle}
+        if len(decs) <= 1 and "s" not in decs:
+            want = {decorated: rules.one()}
+        assert {t: _terms(c) for t, c in _ref_expand_edges(decorated, rules).items()} == \
+            {t: _terms(c) for t, c in want.items() if c}, decs
+        assert _terms(rules.loop_value(decs)) == _terms(_ref_loop_value(rules, decs)), decs
+
+
+@pytest.mark.parametrize("name,rules", RULE_SETS, ids=[n for n, _ in RULE_SETS])
+def test_reduce_composition_matches_references(name, rules):
+    words = [d for d in _decoration_words() if rules.family == "B" or "s" not in d]
+    short = [d for d in words if len(d) <= 2]
+    rng = random.Random(50)
+    for decs in words:
+        # the word under test on one edge and in a loop, short words elsewhere
+        t = Tangle(3, 3, [(("N", 1), ("N", 2), decs), (("S", 1), ("S", 2), rng.choice(short)),
+                          (("N", 3), ("S", 3), rng.choice(short))])
+        for loops in ((), (decs, rng.choice(short))):
+            got = reduce_composition(t, loops, rules)
+            assert _elem_terms(got) == _elem_terms(_ref_reduce(t, loops, rules)), (t, loops)
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_apply_gen_matches_per_term_compose_loop(family):
+    rules, calc = (RULES_H, CALC_H) if family == "H" else (RULES_B, CALC_B)
+    for w in TLAlgebra(CoxeterGraph(family, 3)).fc_words():
+        elem = DiagramElement(family, 4, {identity_tangle(4): rules.one()})
+        for s in w:
+            elem = _ref_apply_gen(rules, elem, s, "right")
+        assert calc.evaluate_word(4, w) == elem, w
+        for i in range(1, 4):
+            for side in ("left", "right"):
+                assert calc.apply_gen(elem, i, side) == \
+                    _ref_apply_gen(rules, elem, i, side), (w, i, side)
