@@ -9,9 +9,9 @@ terminates, and confluence lets three different factor-selection strategies
 coexist (they are compared by the acceptance suite).
 
 On top of multiplication sit the t-tilde basis, the bar involution, lattice
-degrees, the canonical basis computed by the usual bar-invariant correction
-recursion, the f-basis built from right-justified block decompositions, and
-the auxiliary mixed products used to relate the two.
+degrees, the canonical basis by the Kazhdan-Lusztig step (c_{w's} is c_{w'} b_s
+less bar-invariant multiples of earlier c_y), the f-basis built from
+right-justified block decompositions, and the mixed products relating the two.
 """
 
 from __future__ import annotations
@@ -407,48 +407,36 @@ class TLAlgebra:
 
     # -- canonical basis -----------------------------------------------------
 
-    def canonical_table(self, order: str = "max-first") -> Dict[Word, Coords]:
-        if self._canonical is not None and order == "max-first":
-            return self._canonical
-        table = self._canonical_table(order)
-        if order == "max-first":
-            self._canonical = table
-        return table
+    def canonical_table(self) -> Dict[Word, Coords]:
+        if self._canonical is None:
+            self._canonical = self._canonical_table()
+        return self._canonical
 
-    def _canonical_table(self, order: str) -> Dict[Word, Coords]:
-        """Bar-invariant correction recursion in t-tilde coordinates.
+    def _canonical_table(self) -> Dict[Word, Coords]:
+        """Kazhdan-Lusztig step, then bar-invariant correction in t-tilde
+        coordinates.
 
-        For each index word in increasing length order, start from the
-        (bar-fixed) monomial basis element and subtract the invariant
-        completion of every offending coordinate until all coordinates away
-        from the top are in v^-1 Z[v^-1].  Uniqueness of the result makes the
-        processing order irrelevant; both orders are exposed for testing.
-
-        The t-tilde coordinates of the monomial basis are built in the same
-        pass, one column per word from the columns of shorter words: the
-        table is unitriangular, so e_w = t_w - sum_{x != w} T[x, w] e_x.
-        The monomial coordinates follow the corrections directly: the
-        element is e_w minus the sum of mu * C_pick over the corrections.
+        For each index word w = w' s in increasing length order, start from
+        c_{w'} * b_s: bar-fixed, with top monomial b_w at coefficient 1
+        (every other term of c_{w'} is shorter than w').  Subtract the
+        invariant completion of the largest offending coordinate until all
+        coordinates away from the top are in v^-1 Z[v^-1]; uniqueness of the
+        canonical basis makes the result independent of start and order.
         """
         ttable = self.ttilde_table()
         steps = 4 * len(self.fc_elements()) + 4
-        pick_fn = max if order == "max-first" else min
-        inverse: Dict[Word, Coords] = {}
         canon_t: Dict[Word, Coords] = {}
         out: Dict[Word, Coords] = {}
         for w in self.fc_words():
-            cur: Raw = {w: {0: 1}}
-            for x, c in ttable[w].items():
-                if x != w:
-                    _merge(cur, inverse[x], -c)
-            inverse[w] = _settle(cur)
-            mono: Raw = {w: {0: 1}}
+            start = self._times_gen(out[w[:-1]], w[-1]) if w else {(): ONE}
+            mono = _merge({}, start, ONE)
+            cur = _merge({}, self._convert_from_monomial(start, ttable), ONE)
             for _ in range(steps):
                 offenders = [x for x, d in cur.items()
                              if x != w and any(c for e, c in d.items() if e >= 0)]
                 if not offenders:
                     break
-                pick = pick_fn(offenders, key=lambda u: (len(u), u))
+                pick = max(offenders, key=lambda u: (len(u), u))
                 mu = invariant_completion(LaurentPoly._from_dict(cur[pick]))
                 _merge(cur, canon_t[pick], -mu)
                 _merge(mono, out[pick], -mu)
@@ -586,12 +574,12 @@ def evaluate_mixed(alg: TLAlgebra, mixed: MixedWord, prescale: Optional[LaurentP
     """Multiply out a mixed word; the t-symbol expands as b_i - v^-1."""
     coords: Coords = {(): prescale if prescale is not None else ONE}
     for kind, i in mixed:
-        nxt = alg._times_gen_into({}, coords, i)
         if kind == "t":
-            _merge(nxt, coords, -V_INV)
-        elif kind != "b":
+            coords = alg._ttilde_step(coords, i)
+        elif kind == "b":
+            coords = alg._times_gen(coords, i)
+        else:
             raise ValueError(f"unknown mixed symbol {kind!r}")
-        coords = _settle(nxt)
     return AlgebraElement.make(alg.graph, "monomial", coords)
 
 

@@ -275,7 +275,8 @@ def _gram_solver_dimension(alg: TLAlgebra) -> int:
 
 
 def _effective_rank(cfg: JobConfig) -> int:
-    return cfg.rank if cfg.rank is not None else 3
+    default = 2 if cfg.command == "gram-check" else 3
+    return cfg.rank if cfg.rank is not None else default
 
 
 def _graph(cfg: JobConfig) -> CoxeterGraph:
@@ -375,8 +376,7 @@ def _cmd_render(cfg: JobConfig) -> Tuple[dict, int]:
 
 
 def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
-    rank = cfg.rank if cfg.rank is not None else 2
-    alg = TLAlgebra(CoxeterGraph(cfg.family, rank), class_cap=cfg.cap_class_size)
+    alg = TLAlgebra(_graph(cfg), class_cap=cfg.cap_class_size)
     cand = natural_gram_candidate(alg)
     checks = gram_check(alg, cand)
     body = {
@@ -384,7 +384,7 @@ def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
         "checks": checks,
         "witness_found": all(checks.values()),
     }
-    if rank <= 2:
+    if alg.graph.rank <= 2:
         body["solution_space_dimension"] = _gram_solver_dimension(alg)
     # exploratory: the command reports outcomes and never fails the build
     return body, EXIT_PASS

@@ -556,14 +556,15 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int],
     cls = classify_letters(graph, w, cap)
     scan = _scan(graph, w, cap)
     canon_perm = _lex_least_perm(graph, w)
-    perms = [tuple(canon_perm[p] for p in perm) for perm in scan.perms_bfs]
+    # in letter-word order, which the first-match scan below relies on
+    perms = [tuple(canon_perm[p] for p in perm) for perm in scan.perms_sorted]
     roles = {pid: cls.category[pid] for pid in range(len(w))}
     rset = _r_set(graph, w, perms, roles)
 
     def neighbour_ok(letters_roles, idx):
         return letters_roles[idx] in ("internal", "lateral", "bilateral")
 
-    for perm in sorted(perms, key=lambda p: _letters(w, p)):
+    for perm in perms:
         letters = _letters(w, perm)
         lr = [roles[pid] for pid in perm]
         ok = True

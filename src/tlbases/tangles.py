@@ -851,6 +851,8 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet,
                            cap: int = 1_000_000) -> List[DiagramElement]:
     """Closure of the identity under generator multiplications and the gated
     quadratic moves; family H uses the two three-step moves as well."""
+    if n < 3:
+        raise ValueError(f"the gated moves use generators 1 and 2; {n} strands have fewer")
     calc = DiagramCalculus(rules)
     vpv = rules.lift(DELTA)
 
@@ -874,15 +876,15 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet,
     while frontier:
         new: List[DiagramElement] = []
         for cur in frontier:
-            candidates: List[DiagramElement] = []
-            for i in gens:
-                candidates.append(calc.apply_gen(cur, i, side="left"))
-                candidates.append(calc.apply_gen(cur, i, side="right"))
+            # each generator action on cur once; the gated moves reuse them
+            acts = {(i, side): calc.apply_gen(cur, i, side)
+                    for i in gens for side in ("left", "right")}
+            candidates = list(acts.values())
             for s, sp in ((1, 2), (2, 1)):
                 for side in ("left", "right"):
-                    if calc.apply_gen(cur, sp, side) != cur.scale(vpv):
+                    if acts[(sp, side)] != cur.scale(vpv):
                         continue
-                    bs = calc.apply_gen(cur, s, side)
+                    bs = acts[(s, side)]
                     bsp = calc.apply_gen(bs, sp, side)
                     candidates.append(bsp - cur)
                     if family == "H":
@@ -1020,19 +1022,22 @@ def _nonneg(p) -> bool:
     return all(c >= 0 for _, c in p.terms)
 
 
-def calibrate_ruleset(family: str, solve_strands: int = 3,
-                      verify_strands: int = 4) -> RuleSet:
+_SOLVE_STRANDS = 3
+_VERIFY_STRANDS = 4
+
+
+def calibrate_ruleset(family: str) -> RuleSet:
     """Solve the reduction scalars from the presentation, then re-verify.
 
     The plain loop value is forced to delta by the quadratic relation away
     from the strong bond.  The remaining loop and folding scalars come from
-    an exact polynomial solve of all defining relations at the solve rank;
+    an exact polynomial solve of all defining relations at three strands;
     the sign freedom of flipping every circle is removed by requiring these
     scalars to be nonnegative, matching the reduction rules' reading as
     sums of diagrams.  In family B the square definition is then solved
     linearly from the canonical element on three strands whose reduced form
     carries the square.  Failure to pin a unique solution, or any nonzero
-    residual at the verify rank, raises ``CalibrationError``.
+    residual at four strands, raises ``CalibrationError``.
     """
     if family not in ("H", "B"):
         raise ValueError("calibration applies to families H and B")
@@ -1042,7 +1047,7 @@ def calibrate_ruleset(family: str, solve_strands: int = 3,
     symbolic = RuleSet(family, _SymPoly.from_integral(DELTA), cl, alpha, beta)
     v, sa, sb, sc = sympy.symbols("v a b c")
     sym_eqs = []
-    for _, _, residual in _relation_residuals(symbolic, solve_strands):
+    for _, _, residual in _relation_residuals(symbolic, _SOLVE_STRANDS):
         for _, e in residual.coeffs:
             expr = sympy.Integer(0)
             for (i, j, k), p in e.terms.items():
@@ -1065,7 +1070,7 @@ def calibrate_ruleset(family: str, solve_strands: int = 3,
     admissible = sorted(set(admissible), key=repr)
     if len(admissible) != 1:
         raise CalibrationError(
-            f"relations at {solve_strands} strands admit {len(admissible)} "
+            f"relations at {_SOLVE_STRANDS} strands admit {len(admissible)} "
             f"nonnegative exact solutions: {admissible}")
     a_val, b_val, c_val = admissible[0]
 
@@ -1101,11 +1106,11 @@ def calibrate_ruleset(family: str, solve_strands: int = 3,
             raise CalibrationError("square definition inconsistent between the "
                                    "two three-strand canonical elements")
 
-    residual = verify_relations(rules, verify_strands)
+    residual = verify_relations(rules, _VERIFY_STRANDS)
     if residual:
         raise CalibrationError(
             f"solved rules violate {len(residual)} relations at "
-            f"{verify_strands} strands: {residual[:3]}")
+            f"{_VERIFY_STRANDS} strands: {residual[:3]}")
     return rules
 
 

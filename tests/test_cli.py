@@ -226,6 +226,16 @@ def test_gram_check_command_reports(tmp_path):
     assert body["solution_space_dimension"] >= 1
 
 
+def test_gram_check_default_rank_names_report(tmp_path, monkeypatch):
+    # gram-check defaults to rank 2, and the report file is named for it
+    monkeypatch.setenv("TLBASES_REPORT_DIR", str(tmp_path))
+    code = run(config_from_args(["--command", "gram-check", "--family", "B"]))
+    assert code == EXIT_PASS
+    assert [p.name for p in tmp_path.iterdir()] == ["gram-check-B2.json"]
+    body = json.loads((tmp_path / "gram-check-B2.json").read_text())["results"]
+    assert "solution_space_dimension" in body
+
+
 def _raiser(exc):
     def boom(*args, **kwargs):
         raise exc

@@ -412,6 +412,10 @@ def test_generate_by_procedures():
     expected = {expand_squares(t, RULES_B).scale(lam) for t, lam in enumerate_b_canonical(3)}
     assert set(closure_b) == expected
 
+    # the gated moves need generators 1 and 2
+    with pytest.raises(ValueError):
+        generate_by_procedures("H", 2, RULES_H)
+
     # applying a single right multiplication to the identity yields a generator
     ids = CALC_H.one(3)
     for i in (1, 2):
