@@ -58,9 +58,20 @@ from .tangles import (
     render,
 )
 from .verify import run_suite, suite_names
-from .cli import JobConfig, GramCandidate, gram_check, natural_gram_candidate, run
 
 __version__ = "0.1.0"
+
+# Resolved on first use (PEP 562): importing ``.cli`` here would put it in
+# sys.modules before ``python -m tlbases.cli`` runs it as ``__main__``.
+_CLI_NAMES = frozenset(("JobConfig", "GramCandidate", "gram_check",
+                        "natural_gram_candidate", "run"))
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AlgebraElement", "AuxElements", "CalibrationError", "ClassSizeError",

@@ -24,6 +24,7 @@ from .coxeter import (
     FcElement,
     Word,
     _first_factor,
+    _Heap,
     _letters,
     _scan,
     enumerate_fc,
@@ -220,10 +221,12 @@ class TLAlgebra:
         hit = self._w2b.get(key)
         if hit is not None:
             return hit
-        scan = _scan(self.graph, word, self.class_cap)
-        if scan.fc_reduced:
-            result: Coords = {scan.word: ONE}
+        heap = _Heap(self.graph, word)
+        if heap.fc_reduced():
+            result: Coords = {heap.normal_form(): ONE}
         else:
+            # the strategies pick a factor from ordered class members
+            scan = _scan(self.graph, word, self.class_cap)
             member, (pos, size) = self._pick_factor(scan, strategy)
             acc: Raw = {}
             for coeff, branch in self._rewrite_branches(member, pos, size):

@@ -4,16 +4,23 @@ The graphs are lines on generators 1..n whose first bond carries strength
 3, 4 or 5 according to the family; all other neighbouring bonds have
 strength 3 and non-neighbours commute.  Elements are handled through words:
 an element is fully commutative (FC) when the commutation class of one of
-its reduced words is the set of all of them, and that class is detected by
-the absence of "ss" factors and half-braid factors s t s .. of length
-m(s, t) in every member of the class.
+its reduced words is the set of all of them.
+
+A word's commutation class is the set of linear extensions of its heap, the
+partial order on letter occurrences generated by "i comes before j and the
+letters do not commute" (Viennot).  So FC detection, the normal form (the
+lexicographically least class member), descents, class sizes and the Bruhat
+subword test are read off the heap without building the class: by
+Stembridge's criterion a word is FC-reduced iff its heap has no covering
+pair with equal labels and no convex chain of length m(s, t) whose labels
+alternate between s and t.
 
 Letter occurrences are tracked through commutations by position identity:
 two occurrences of the same generator can never cross, so "the same
 occurrence" is well-defined in every member of a class.  On top of that
-tracking sit the taxonomy (internal / lateral / bilateral / bad / critical),
-right-justified expressions with their block decomposition, and the subword
-test for the Bruhat order.
+tracking, and of the class itself, sit the taxonomy (internal / lateral /
+bilateral / bad / critical) and right-justified expressions with their
+block decomposition.
 """
 
 from __future__ import annotations
@@ -89,6 +96,13 @@ class CoxeterGraph:
         return ((0,) * (self.rank + 1),) + tuple(
             (0,) + tuple(self.bond(i, j) for j in gens) for i in gens)
 
+    @cached_property
+    def links(self) -> Tuple[Tuple[int, ...], ...]:
+        """``links[s]``: the generators that do not commute with s, s included."""
+        gens = range(1, self.rank + 1)
+        return ((),) + tuple(tuple(t for t in gens if self.bonds[s][t] != 2)
+                             for s in gens)
+
     @property
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -102,6 +116,156 @@ class CoxeterGraph:
 
     def key(self) -> Tuple[str, int]:
         return (self.family, self.rank)
+
+
+# ---------------------------------------------------------------------------
+# heaps
+#
+# Positions are bits: ``below[j]`` is the mask of the positions that precede
+# j in the heap, ``above[i]`` of those that follow i.  The order is generated
+# by each position's last earlier occurrence of every letter it does not
+# commute with, so building a heap touches at most three earlier positions
+# per letter on these line graphs.
+
+
+class _Heap:
+    """The heap of a word: its letter occurrences, partially ordered."""
+
+    __slots__ = ("graph", "word", "below", "above")
+
+    def __init__(self, graph: CoxeterGraph, word: Word):
+        links = graph.links
+        n = len(word)
+        below = [0] * n
+        last = [-1] * (graph.rank + 1)
+        for j, s in enumerate(word):
+            m = 0
+            for t in links[s]:
+                i = last[t]
+                if i >= 0:
+                    m |= below[i] | 1 << i
+            below[j] = m
+            last[s] = j
+        above = [0] * n
+        nxt = [-1] * (graph.rank + 1)
+        for i in range(n - 1, -1, -1):
+            s = word[i]
+            m = 0
+            for t in links[s]:
+                k = nxt[t]
+                if k >= 0:
+                    m |= above[k] | 1 << k
+            above[i] = m
+            nxt[s] = i
+        self.graph = graph
+        self.word = word
+        self.below = below
+        self.above = above
+
+    def _queues(self) -> Dict[int, List[int]]:
+        """Each letter's positions, latest first, so ``pop()`` gives the earliest."""
+        queues: Dict[int, List[int]] = {}
+        for j in range(len(self.word) - 1, -1, -1):
+            queues.setdefault(self.word[j], []).append(j)
+        return queues
+
+    def fc_reduced(self) -> bool:
+        """Stembridge's criterion: no covering pair with equal labels, and no
+        convex chain of m(s, t) pieces alternating between s and t.
+
+        All occurrences of s and t are comparable, so such a chain is a run
+        of m consecutive s/t occurrences; it is convex when exactly its m - 2
+        inner pieces lie between its ends.
+        """
+        word, below, above = self.word, self.below, self.above
+        rank, bonds = self.graph.rank, self.graph.bonds
+        last = [-1] * (rank + 1)
+        # runs[lo]: the alternating run of lo/lo+1 occurrences ending at the latest one
+        runs: List[List[int]] = [[] for _ in range(rank + 1)]
+        for j, s in enumerate(word):
+            i = last[s]
+            if i >= 0 and not above[i] & below[j]:
+                return False
+            last[s] = j
+            for lo in (s - 1, s):
+                if lo < 1 or lo >= rank:
+                    continue
+                run = runs[lo]
+                if run and word[run[-1]] == s:
+                    run.clear()
+                run.append(j)
+                m = bonds[lo][lo + 1]
+                if len(run) >= m and (above[run[-m]] & below[j]).bit_count() == m - 2:
+                    return False
+        return True
+
+    def lex_least_order(self) -> List[int]:
+        """Positions in the order of the lexicographically least linear extension.
+
+        Greedy: place the smallest letter among the minimal unplaced pieces.
+        Minimal pieces have distinct labels, and only the first unplaced
+        occurrence of a letter can be minimal.
+        """
+        below = self.below
+        pending = self._queues()
+        letters = sorted(pending)
+        rest = (1 << len(below)) - 1
+        out: List[int] = []
+        while rest:
+            for s in letters:
+                j = pending[s][-1]
+                if not below[j] & rest:
+                    break
+            pending[s].pop()
+            if not pending[s]:
+                letters.remove(s)
+            out.append(j)
+            rest ^= 1 << j
+        return out
+
+    def normal_form(self) -> Word:
+        return tuple(self.word[j] for j in self.lex_least_order())
+
+    def minimal_labels(self) -> FrozenSet[int]:
+        return frozenset(s for s, b in zip(self.word, self.below) if not b)
+
+    def maximal_labels(self) -> FrozenSet[int]:
+        return frozenset(s for s, a in zip(self.word, self.above) if not a)
+
+    def linear_extensions(self) -> int:
+        """The number of linear extensions, i.e. the size of the commutation
+        class, by a sweep over order ideals of growing size."""
+        below = self.below
+        n = len(below)
+        ways = {0: 1}
+        for _ in range(n):
+            grown: Dict[int, int] = {}
+            for ideal, count in ways.items():
+                for j in range(n):
+                    bit = 1 << j
+                    if not ideal & bit and not below[j] & ~ideal:
+                        grown[ideal | bit] = grown.get(ideal | bit, 0) + count
+            ways = grown
+        return ways[(1 << n) - 1]
+
+    def embeds_in(self, word: Word) -> bool:
+        """True when some linear extension is a subword of ``word``.
+
+        One pass: each letter of ``word`` takes the unmatched minimal piece
+        with its label, if there is one (at most one exists, and taking it
+        as early as possible never hurts).
+        """
+        below = self.below
+        pending = self._queues()
+        full = (1 << len(below)) - 1
+        matched = 0
+        for c in word:
+            if matched == full:
+                break
+            q = pending.get(c)
+            if q and not below[q[-1]] & ~matched:
+                matched |= 1 << q.pop()
+        return matched == full
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +284,6 @@ class _ClassScan:
     word: Word
     perms_bfs: Tuple[Tuple[int, ...], ...]     # insertion (BFS) order
     perms_sorted: Tuple[Tuple[int, ...], ...]  # sorted by letter word
-    fc_reduced: bool
 
 
 def _letters(word: Word, perm: Tuple[int, ...]) -> Word:
@@ -178,25 +341,8 @@ def _first_factor(graph: CoxeterGraph, letters: Word,
     return None
 
 
-def _lex_least_perm(graph: CoxeterGraph, word: Word) -> Tuple[int, ...]:
-    """Greedy construction of the lexicographically least class member."""
-    bonds = graph.bonds
-    remaining = list(range(len(word)))
-    out: List[int] = []
-    while remaining:
-        best = None
-        for idx, pid in enumerate(remaining):
-            a = word[pid]
-            row = bonds[a]
-            if all(row[word[q]] == 2 for q in remaining[:idx]):
-                if best is None or a < word[remaining[best]]:
-                    best = idx
-        out.append(remaining.pop(best))  # type: ignore[arg-type]
-    return tuple(out)
-
-
 def _scan(graph: CoxeterGraph, word: Word, cap: int = DEFAULT_CLASS_CAP) -> _ClassScan:
-    canon = _letters(word, _lex_least_perm(graph, word))
+    canon = _Heap(graph, word).normal_form()
     key = (graph.key(), canon)
     hit = _scan_cache.get(key)
     if hit is not None:
@@ -207,9 +353,7 @@ def _scan(graph: CoxeterGraph, word: Word, cap: int = DEFAULT_CLASS_CAP) -> _Cla
         return hit
     perms, members = _class_perms(graph, canon, cap)
     perms_sorted = tuple(perms[i] for i in sorted(range(len(perms)), key=members.__getitem__))
-    starts = range(len(canon) - 1)
-    fc = all(_first_factor(graph, m, starts) is None for m in members)
-    scan = _ClassScan(canon, tuple(perms), perms_sorted, fc)
+    scan = _ClassScan(canon, tuple(perms), perms_sorted)
     if len(_scan_cache) >= _SCAN_CACHE_MAX:
         _scan_cache.clear()
     _scan_cache[key] = scan
@@ -225,18 +369,17 @@ def commutation_class(graph: CoxeterGraph, word: Sequence[int], cap: int = DEFAU
 
 def normal_form(graph: CoxeterGraph, word: Sequence[int]) -> Word:
     """The lexicographically least member of the commutation class."""
-    w = graph.check_word(word)
-    return _letters(w, _lex_least_perm(graph, w))
+    return _Heap(graph, graph.check_word(word)).normal_form()
 
 
-def is_fc_reduced(graph: CoxeterGraph, word: Sequence[int], cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_fc_reduced(graph: CoxeterGraph, word: Sequence[int]) -> bool:
     """True when the word is a reduced expression of a fully commutative element.
 
-    Criterion: no member of the commutation class contains an equal adjacent
-    pair or a half-braid factor of length m(s, t).
+    Equivalently no member of the commutation class contains an equal
+    adjacent pair or a half-braid factor of length m(s, t); this is decided
+    on the word's heap by Stembridge's criterion, without building the class.
     """
-    w = graph.check_word(word)
-    return _scan(graph, w, cap).fc_reduced
+    return _Heap(graph, graph.check_word(word)).fc_reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +394,20 @@ class FcElement:
 
     def __init__(self, graph: CoxeterGraph, word: Sequence[int], _trusted: bool = False):
         w = graph.check_word(word)
+        heap = _Heap(graph, w)
         if not _trusted:
-            if not is_fc_reduced(graph, w):
+            if not heap.fc_reduced():
                 raise ValueError(f"{w} is not an FC-reduced word")
-            w = normal_form(graph, w)
-        scan = _scan(graph, w)
+            w = heap.normal_form()
         object.__setattr__(self, "family", graph.family)
         object.__setattr__(self, "rank", graph.rank)
         object.__setattr__(self, "word", w)
         object.__setattr__(self, "length", len(w))
         object.__setattr__(self, "content", frozenset(w))
-        members = [_letters(w, p) for p in scan.perms_bfs]
-        object.__setattr__(self, "left_descents",
-                           frozenset(u[0] for u in members if u))
-        object.__setattr__(self, "right_descents",
-                           frozenset(u[-1] for u in members if u))
+        # the first (last) letters of the reduced words label the minimal
+        # (maximal) pieces of the heap of any one of them
+        object.__setattr__(self, "left_descents", heap.minimal_labels())
+        object.__setattr__(self, "right_descents", heap.maximal_labels())
         object.__setattr__(self, "_hash", hash((self.family, self.rank, w)))
 
     def __setattr__(self, name, value):
@@ -299,16 +441,27 @@ def enumerate_fc(graph: CoxeterGraph,
     of FC elements are FC.  The stratum cap converts a runaway enumeration
     (which cannot happen for these families, where the algebra is finite
     dimensional) into an error rather than a hang.
+
+    Candidates are tested and normalized on their heaps, so no commutation
+    class is built.  The class cap binds the class of every FC element found
+    (its heap's number of linear extensions): ``ClassSizeError`` is raised
+    when one exceeds ``class_cap``.
     """
-    current = {(): None}
+    current: Dict[Word, None] = {(): None}
     out: List[Word] = [()]
     while current:
-        nxt = {}
+        nxt: Dict[Word, None] = {}
         for w in current:
             for s in graph.generators:
-                scan = _scan(graph, w + (s,), class_cap)
-                if scan.fc_reduced:
-                    nxt[scan.word] = None  # the scan's word is the normal form
+                heap = _Heap(graph, w + (s,))
+                if not heap.fc_reduced():
+                    continue
+                u = heap.normal_form()
+                if u not in nxt:
+                    if heap.linear_extensions() > class_cap:
+                        raise ClassSizeError(
+                            f"commutation class of {u} exceeded cap {class_cap}")
+                    nxt[u] = None
         if len(nxt) > stratum_cap:
             raise GrowthCapError(
                 f"length stratum exceeded {stratum_cap} elements; aborting"
@@ -457,12 +610,13 @@ def _critical_positions(graph, word, perms) -> Dict[int, str]:
 def classify_letters(graph: CoxeterGraph, word: Sequence[int],
                      cap: int = DEFAULT_CLASS_CAP) -> LetterClassification:
     w = graph.check_word(word)
-    if not is_fc_reduced(graph, w, cap):
+    heap = _Heap(graph, w)
+    if not heap.fc_reduced():
         raise ValueError(f"{w} is not an FC-reduced word")
     scan = _scan(graph, w, cap)
     # scan members are permutations of the canonical word; re-express them as
     # permutations of the *input* word so position ids refer to it
-    canon_perm = _lex_least_perm(graph, w)
+    canon_perm = heap.lex_least_order()
     perms = [tuple(canon_perm[p] for p in perm) for perm in scan.perms_bfs]
     internal = _internal_positions(graph, w, perms)
     lateral = _lateral_witnesses(graph, w, perms, internal)
@@ -555,7 +709,7 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int],
     w = graph.check_word(word)
     cls = classify_letters(graph, w, cap)
     scan = _scan(graph, w, cap)
-    canon_perm = _lex_least_perm(graph, w)
+    canon_perm = _Heap(graph, w).lex_least_order()
     # in letter-word order, which the first-match scan below relies on
     perms = [tuple(canon_perm[p] for p in perm) for perm in scan.perms_sorted]
     roles = {pid: cls.category[pid] for pid in range(len(w))}
@@ -636,15 +790,13 @@ def bruhat_leq_word(graph: CoxeterGraph, x: FcElement, word: Sequence[int]) -> b
     """x <= (element of the given reduced word), by the subword criterion.
 
     For a fully commutative x the reduced words of x are exactly its
-    commutation class, so it suffices to embed one class member.
+    commutation class, the linear extensions of its heap, so it suffices to
+    embed the heap in the word.
     """
     w = tuple(word)
     if x.length > len(w):
         return False
-    for u in commutation_class(graph, x.word):
-        if is_subword(u, w):
-            return True
-    return False
+    return _Heap(graph, x.word).embeds_in(w)
 
 
 def bruhat_leq(graph: CoxeterGraph, x: FcElement, y: FcElement) -> bool:

@@ -1,8 +1,14 @@
 """Command-line behaviour: exit codes, reports, determinism, gram checks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tlbases
 
 from tlbases.algebra import TLAlgebra
 from tlbases.cli import (
@@ -93,6 +99,20 @@ def test_resource_cap_exit_code(tmp_path):
         ["--command", "enumerate", "--family", "A", "--rank", "4",
          "--cap-class-size", "1"], tmp_path)
     assert code == EXIT_RESOURCE
+
+
+def test_module_entry_point_warns_nothing(tmp_path):
+    # the package must not import tlbases.cli before runpy runs it as __main__
+    src = str(Path(tlbases.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tlbases.cli",
+         "--command", "enumerate", "--family", "A", "--rank", "2",
+         "--out", str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_config_errors(tmp_path):

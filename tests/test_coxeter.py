@@ -1,22 +1,31 @@
 """Word combinatorics: commutation classes, FC tests, taxonomy, Bruhat order."""
 
+import itertools
+import os
 import random
 
 import pytest
 
 from group_oracle import oracle
 from tlbases.coxeter import (
+    ClassSizeError,
     CoxeterGraph,
     FcElement,
     _first_factor,
+    _Heap,
     bruhat_leq,
+    bruhat_leq_word,
     classify_letters,
     commutation_class,
     enumerate_fc,
     is_fc_reduced,
+    is_subword,
     normal_form,
     right_justify,
 )
+
+SLOW = pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                          reason="set TLBASES_SLOW=1 for the large heap cross-checks")
 
 H3 = CoxeterGraph("H", 3)
 H2 = CoxeterGraph("H", 2)
@@ -238,7 +247,6 @@ def test_bruhat_against_lifting_oracle():
 
 
 def test_class_cap_raises():
-    from tlbases.coxeter import ClassSizeError
     with pytest.raises(ClassSizeError):
         commutation_class(CoxeterGraph("A", 6), (1, 3, 5, 1, 3, 5), cap=4)
 
@@ -266,3 +274,119 @@ def test_first_factor_scans_in_the_given_order():
             found = _ref_factors(graph, letters)
             assert _first_factor(graph, letters, starts) == (found[0] if found else None)
             assert _first_factor(graph, letters, starts[::-1]) == (found[-1] if found else None)
+
+
+# ---------------------------------------------------------------------------
+# heaps against the class scan they replace: the references below build the
+# whole commutation class
+
+
+def _ref_fc(graph, word):
+    return all(_first_factor(graph, m, range(len(m) - 1)) is None
+               for m in commutation_class(graph, word))
+
+
+def _ref_normal_form(graph, word):
+    return min(commutation_class(graph, word))
+
+
+def _ref_descents(graph, word):
+    members = commutation_class(graph, word)
+    return ({u[0] for u in members if u}, {u[-1] for u in members if u})
+
+
+def _ref_bruhat_leq_word(graph, x, word):
+    return any(is_subword(u, tuple(word)) for u in commutation_class(graph, x.word))
+
+
+def _ref_enumerate_fc(graph):
+    """Length by length, testing and normalizing candidates on their classes."""
+    current, out = [()], [()]
+    while current:
+        nxt = {}
+        for w in current:
+            for s in graph.generators:
+                if _ref_fc(graph, w + (s,)):
+                    nxt[_ref_normal_form(graph, w + (s,))] = None
+        out.extend(nxt)
+        current = list(nxt)
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+def _check_heap_against_scan(graph, words):
+    for w in words:
+        fc = _ref_fc(graph, w)
+        assert is_fc_reduced(graph, w) == fc, w
+        assert normal_form(graph, w) == _ref_normal_form(graph, w), w
+        if fc:
+            e = FcElement(graph, w)
+            assert (e.left_descents, e.right_descents) == _ref_descents(graph, w), w
+
+
+def _words(rank, max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product(range(1, rank + 1), repeat=n)
+
+
+@pytest.mark.parametrize("family", "ABH")
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 6), (4, 5)])
+def test_heap_agrees_with_class_scan_on_all_short_words(family, rank, max_len):
+    _check_heap_against_scan(CoxeterGraph(family, rank), _words(rank, max_len))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 5), ("B", 4), ("H", 4)])
+def test_heap_agrees_with_class_scan_on_enumeration_candidates(family, rank):
+    g = CoxeterGraph(family, rank)
+    _check_heap_against_scan(
+        g, (e.word + (s,) for e in enumerate_fc(g) for s in g.generators))
+
+
+def test_heap_linear_extensions_count_the_class():
+    for family in "ABH":
+        for rank in range(1, 5):
+            g = CoxeterGraph(family, rank)
+            for e in enumerate_fc(g):
+                assert _Heap(g, e.word).linear_extensions() == \
+                    len(commutation_class(g, e.word)), e
+
+
+def test_enumerate_fc_class_cap_binds_fc_classes():
+    a4 = CoxeterGraph("A", 4)
+    assert max(len(commutation_class(a4, e.word)) for e in enumerate_fc(a4)) == 5
+    with pytest.raises(ClassSizeError):
+        enumerate_fc(a4, class_cap=4)
+    assert len(enumerate_fc(a4, class_cap=5)) == catalan(5)
+
+
+def _check_bruhat_against_class_members(graph):
+    # the (x, w) pairs of the descent-support check: w is an FC normal word,
+    # possibly followed by one more generator
+    fc = enumerate_fc(graph)
+    for y in fc:
+        for w in [y.word] + [y.word + (i,) for i in graph.generators]:
+            for x in fc:
+                assert bruhat_leq_word(graph, x, w) == \
+                    _ref_bruhat_leq_word(graph, x, w), (x, w)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 4), ("B", 4), ("H", 3)])
+def test_bruhat_heap_embedding_agrees_with_class_members(family, rank):
+    _check_bruhat_against_class_members(CoxeterGraph(family, rank))
+
+
+@SLOW
+@pytest.mark.parametrize("family", "ABH")
+def test_heap_agrees_with_class_scan_rank_4_length_8(family):
+    _check_heap_against_scan(CoxeterGraph(family, 4), _words(4, 8))
+
+
+@SLOW
+@pytest.mark.parametrize("family, rank", [("A", 6), ("B", 5), ("H", 5)])
+def test_enumerate_fc_agrees_with_class_scan_enumeration(family, rank):
+    g = CoxeterGraph(family, rank)
+    assert [e.word for e in enumerate_fc(g)] == _ref_enumerate_fc(g)
+
+
+@SLOW
+def test_bruhat_heap_embedding_agrees_with_class_members_h4():
+    _check_bruhat_against_class_members(CoxeterGraph("H", 4))
