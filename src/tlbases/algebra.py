@@ -23,10 +23,10 @@ from .coxeter import (
     CoxeterGraph,
     FcElement,
     Word,
+    _class_words,
     _first_factor,
     _Heap,
     _letters,
-    _scan,
     enumerate_fc,
     classify_letters,
     is_fc_reduced,
@@ -193,23 +193,22 @@ class TLAlgebra:
             ]
         raise AssertionError(size)
 
-    def _pick_factor(self, scan, strategy: str):
+    def _pick_factor(self, word: Word, strategy: str):
         # (class member order, factor scan direction) per strategy
-        if strategy == "lex-least-leftmost":
-            members, step = scan.perms_sorted, 1
-        elif strategy == "lex-greatest-rightmost":
-            members, step = reversed(scan.perms_sorted), -1
-        elif strategy == "bfs-first":
-            members, step = scan.perms_bfs, 1
+        heap = _Heap(self.graph, word)
+        if strategy == "bfs-first":
+            members, step = _class_words(self.graph, heap.normal_form(), self.class_cap), 1
+        elif strategy in STRATEGIES:
+            step = 1 if strategy == "lex-least-leftmost" else -1
+            members = (_letters(word, o) for o in heap.extensions(step < 0, self.class_cap))
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        starts = range(len(scan.word) - 1)[::step]
-        for perm in members:
-            letters = _letters(scan.word, perm)
+        starts = range(len(word) - 1)[::step]
+        for letters in members:
             hit = _first_factor(self.graph, letters, starts)
             if hit:
                 return letters, hit
-        raise AssertionError("scan reported a factor but none was found")
+        raise AssertionError(f"no reducible factor in the class of {word}")
 
     def word_to_basis(self, word: Sequence[int], strategy: str = "lex-least-leftmost") -> AlgebraElement:
         """Expand a product of generators in the monomial basis."""
@@ -226,8 +225,7 @@ class TLAlgebra:
             result: Coords = {heap.normal_form(): ONE}
         else:
             # the strategies pick a factor from ordered class members
-            scan = _scan(self.graph, word, self.class_cap)
-            member, (pos, size) = self._pick_factor(scan, strategy)
+            member, (pos, size) = self._pick_factor(word, strategy)
             acc: Raw = {}
             for coeff, branch in self._rewrite_branches(member, pos, size):
                 _merge(acc, self._w2b_coords(branch, strategy), coeff)

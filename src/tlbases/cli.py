@@ -5,8 +5,9 @@ the rest of the flags parameterize it.  Reports are deterministic JSON,
 written to ``--out`` or to the directory named by ``TLBASES_REPORT_DIR``.
 Exit codes: 0 pass, 2 verification or computation failure, 3 resource cap
 exceeded, 4 configuration error.  A computation that fails inside the
-library (a narrowing, a reduction, an internal invariant) exits with 2 and
-still writes a report, with status ``fail`` and the error.
+library (a narrowing, a reduction, an internal invariant) exits with 2, one
+that hits a resource cap with 3; both still write a report, with status
+``fail`` and the error.  A configuration error writes no report.
 """
 
 from __future__ import annotations
@@ -433,7 +434,7 @@ def _format_report(body: dict, cfg: JobConfig) -> str:
 
 
 def run(cfg: JobConfig) -> int:
-    """Execute one job; always writes a machine-readable report."""
+    """Execute one job; writes a report unless the configuration is bad (exit 4)."""
     try:
         cfg.validate()
     except ConfigError as exc:
@@ -453,16 +454,17 @@ def run(cfg: JobConfig) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ClassSizeError, GrowthCapError) as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except Exception as exc:
-        # configuration is validated above, so anything else is the
+        # configuration is validated above, so anything else is a cap or the
         # computation failing (a calibration, narrowing, reduction or
         # internal invariant); it is reported, never passed off as bad input
-        print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, (ClassSizeError, GrowthCapError)):
+            print(f"resource cap exceeded: {exc}", file=sys.stderr)
+            code = EXIT_RESOURCE
+        else:
+            print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = EXIT_VERIFY_FAIL
         results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = EXIT_VERIFY_FAIL
 
     body = {
         "config": cfg.to_json(),
@@ -507,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serialized tangle, e.g. 'n=3; N1-N2[c]; S1-S2[c]; N3-S3'")
     p.add_argument("--ruleset", dest="ruleset_path", default=None,
                    help="load a calibrated rule set from JSON instead of solving")
-    p.add_argument("--cap-class-size", type=int, default=1_000_000)
+    p.add_argument("--cap-class-size", type=int, default=1_000_000,
+                   help="most class members one enumeration may produce (a "
+                        "factor search counts those it walks); exit 3 past it")
     p.add_argument("--confluence-count", type=int, default=10_000)
     p.add_argument("--slow", action="store_true")
     return p

@@ -15,19 +15,20 @@ Stembridge's criterion a word is FC-reduced iff its heap has no covering
 pair with equal labels and no convex chain of length m(s, t) whose labels
 alternate between s and t.
 
-Letter occurrences are tracked through commutations by position identity:
-two occurrences of the same generator can never cross, so "the same
-occurrence" is well-defined in every member of a class.  On top of that
-tracking, and of the class itself, sit the taxonomy (internal / lateral /
-bilateral / bad / critical) and right-justified expressions with their
-block decomposition.
+The ordered class searches read the heap's linear extensions, produced
+lazily in lexicographic (or reverse lexicographic) order as position orders
+of one word: two occurrences of the same generator can never cross, so a
+position names the same occurrence in every member of the class.  The
+rewriting strategies stop at the first member with a reducible factor; the
+taxonomy (internal / lateral / bilateral / bad / critical) and right-justified
+expressions with their block decomposition read the whole ordered list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CoxeterGraph",
@@ -114,9 +115,6 @@ class CoxeterGraph:
                 raise ValueError(f"letter {s} out of range 1..{self.rank}")
         return w
 
-    def key(self) -> Tuple[str, int]:
-        return (self.family, self.rank)
-
 
 # ---------------------------------------------------------------------------
 # heaps
@@ -199,29 +197,54 @@ class _Heap:
                     return False
         return True
 
-    def lex_least_order(self) -> List[int]:
-        """Positions in the order of the lexicographically least linear extension.
+    def extensions(self, descending: bool = False,
+                   cap: int = DEFAULT_CLASS_CAP) -> Iterator[Tuple[int, ...]]:
+        """The linear extensions as position orders of ``word``, lazily and in
+        (reverse, if descending) lexicographic order of their letter words;
+        ``ClassSizeError`` past ``cap`` of them.
 
-        Greedy: place the smallest letter among the minimal unplaced pieces.
-        Minimal pieces have distinct labels, and only the first unplaced
+        Depth first over the minimal unplaced pieces, smallest (largest) letter
+        first: minimal pieces have distinct labels, and only the first unplaced
         occurrence of a letter can be minimal.
         """
-        below = self.below
+        below, word = self.below, self.word
         pending = self._queues()
-        letters = sorted(pending)
-        rest = (1 << len(below)) - 1
-        out: List[int] = []
-        while rest:
-            for s in letters:
-                j = pending[s][-1]
-                if not below[j] & rest:
-                    break
-            pending[s].pop()
-            if not pending[s]:
-                letters.remove(s)
-            out.append(j)
+        letters = sorted(pending, reverse=descending)
+        k = len(letters)
+        rest = (1 << len(word)) - 1
+        order: List[int] = []
+        tried: List[int] = []  # tried[d]: index into letters of the piece at depth d
+        i = count = 0
+        while True:
+            if not rest:
+                count += 1
+                if count > cap:
+                    raise ClassSizeError(
+                        f"commutation class of {word} exceeded cap {cap}")
+                yield tuple(order)
+            else:
+                while i < k:
+                    q = pending[letters[i]]
+                    if q and not below[q[-1]] & rest:
+                        break
+                    i += 1
+                if i < k:
+                    j = pending[letters[i]].pop()
+                    order.append(j)
+                    tried.append(i)
+                    rest ^= 1 << j
+                    i = 0
+                    continue
+            if not order:
+                return
+            j = order.pop()
             rest ^= 1 << j
-        return out
+            pending[word[j]].append(j)
+            i = tried.pop() + 1
+
+    def lex_least_order(self) -> Tuple[int, ...]:
+        """Positions in the order of the lexicographically least linear extension."""
+        return next(self.extensions())
 
     def normal_form(self) -> Word:
         return tuple(self.word[j] for j in self.lex_least_order())
@@ -271,56 +294,36 @@ class _Heap:
 # ---------------------------------------------------------------------------
 # commutation classes
 #
-# Members are stored as permutations of the original positions; the letter
-# word of a member is recovered by indexing.  Position tracking is exact:
-# equal letters never swap, so each position id denotes one occurrence.
-
-_scan_cache: Dict[Tuple[Tuple[str, int], Word], "_ClassScan"] = {}
-_SCAN_CACHE_MAX = 60_000
+# The ordered class searches walk ``_Heap.extensions``; building a class by
+# adjacent swaps serves ``commutation_class`` and the ``bfs-first`` strategy.
 
 
-@dataclass(frozen=True)
-class _ClassScan:
-    word: Word
-    perms_bfs: Tuple[Tuple[int, ...], ...]     # insertion (BFS) order
-    perms_sorted: Tuple[Tuple[int, ...], ...]  # sorted by letter word
+def _letters(word: Word, order: Sequence[int]) -> Word:
+    return tuple(map(word.__getitem__, order))
 
 
-def _letters(word: Word, perm: Tuple[int, ...]) -> Word:
-    return tuple(map(word.__getitem__, perm))
-
-
-def _class_perms(graph: CoxeterGraph, word: Word,
-                 cap: int) -> Tuple[List[Tuple[int, ...]], List[Word]]:
-    """The class members in DFS discovery order, as permutations and words.
-
-    Equal letters never swap, so a member's letter word determines its
-    permutation and can stand in for it in the visited set.
-    """
+def _class_words(graph: CoxeterGraph, word: Word, cap: int) -> List[Word]:
+    """The class members in depth-first discovery order from ``word``, by
+    swapping adjacent commuting letters."""
     bonds = graph.bonds
-    start = tuple(range(len(word)))
     seen = {word}
-    order = [start]
     members = [word]
-    stack = [0]  # indices into order/members
+    stack = [word]
     while stack:
-        k = stack.pop()
-        perm, letters = order[k], members[k]
+        letters = stack.pop()
         for i in range(len(word) - 1):
             a, b = letters[i], letters[i + 1]
             if bonds[a][b] == 2:
-                nxt_letters = letters[:i] + (b, a) + letters[i + 2:]
-                if nxt_letters not in seen:
+                nxt = letters[:i] + (b, a) + letters[i + 2:]
+                if nxt not in seen:
                     if len(seen) >= cap:
                         raise ClassSizeError(
                             f"commutation class of {word} exceeded cap {cap}"
                         )
-                    seen.add(nxt_letters)
-                    nxt = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2:]
-                    stack.append(len(order))
-                    order.append(nxt)
-                    members.append(nxt_letters)
-    return order, members
+                    seen.add(nxt)
+                    stack.append(nxt)
+                    members.append(nxt)
+    return members
 
 
 def _first_factor(graph: CoxeterGraph, letters: Word,
@@ -341,30 +344,9 @@ def _first_factor(graph: CoxeterGraph, letters: Word,
     return None
 
 
-def _scan(graph: CoxeterGraph, word: Word, cap: int = DEFAULT_CLASS_CAP) -> _ClassScan:
-    canon = _Heap(graph, word).normal_form()
-    key = (graph.key(), canon)
-    hit = _scan_cache.get(key)
-    if hit is not None:
-        # the cap bounds the class size itself, so it binds even on a hit
-        if len(hit.perms_bfs) > cap:
-            raise ClassSizeError(
-                f"commutation class of {word} exceeded cap {cap}")
-        return hit
-    perms, members = _class_perms(graph, canon, cap)
-    perms_sorted = tuple(perms[i] for i in sorted(range(len(perms)), key=members.__getitem__))
-    scan = _ClassScan(canon, tuple(perms), perms_sorted)
-    if len(_scan_cache) >= _SCAN_CACHE_MAX:
-        _scan_cache.clear()
-    _scan_cache[key] = scan
-    return scan
-
-
 def commutation_class(graph: CoxeterGraph, word: Sequence[int], cap: int = DEFAULT_CLASS_CAP) -> FrozenSet[Word]:
     """All words reachable by swapping adjacent commuting letters."""
-    w = graph.check_word(word)
-    scan = _scan(graph, w, cap)
-    return frozenset(_letters(scan.word, p) for p in scan.perms_bfs)
+    return frozenset(_class_words(graph, graph.check_word(word), cap))
 
 
 def normal_form(graph: CoxeterGraph, word: Sequence[int]) -> Word:
@@ -607,17 +589,23 @@ def _critical_positions(graph, word, perms) -> Dict[int, str]:
     return res
 
 
+def _fc_extensions(graph: CoxeterGraph, word: Word, cap: int) -> List[Tuple[int, ...]]:
+    """The class of an FC-reduced word, as position orders in lexicographic order."""
+    heap = _Heap(graph, word)
+    if not heap.fc_reduced():
+        raise ValueError(f"{word} is not an FC-reduced word")
+    return list(heap.extensions(cap=cap))
+
+
 def classify_letters(graph: CoxeterGraph, word: Sequence[int],
                      cap: int = DEFAULT_CLASS_CAP) -> LetterClassification:
     w = graph.check_word(word)
-    heap = _Heap(graph, w)
-    if not heap.fc_reduced():
-        raise ValueError(f"{w} is not an FC-reduced word")
-    scan = _scan(graph, w, cap)
-    # scan members are permutations of the canonical word; re-express them as
-    # permutations of the *input* word so position ids refer to it
-    canon_perm = heap.lex_least_order()
-    perms = [tuple(canon_perm[p] for p in perm) for perm in scan.perms_bfs]
+    return _classify(graph, w, _fc_extensions(graph, w, cap))
+
+
+def _classify(graph: CoxeterGraph, w: Word,
+              perms: List[Tuple[int, ...]]) -> LetterClassification:
+    """The taxonomy read off the class members, given as position orders of ``w``."""
     internal = _internal_positions(graph, w, perms)
     lateral = _lateral_witnesses(graph, w, perms, internal)
     bad = _bad_positions(graph, w, perms)
@@ -707,11 +695,9 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int],
     and (c) every bilateral letter starts its block.
     """
     w = graph.check_word(word)
-    cls = classify_letters(graph, w, cap)
-    scan = _scan(graph, w, cap)
-    canon_perm = _Heap(graph, w).lex_least_order()
     # in letter-word order, which the first-match scan below relies on
-    perms = [tuple(canon_perm[p] for p in perm) for perm in scan.perms_sorted]
+    perms = _fc_extensions(graph, w, cap)
+    cls = _classify(graph, w, perms)
     roles = {pid: cls.category[pid] for pid in range(len(w))}
     rset = _r_set(graph, w, perms, roles)
 

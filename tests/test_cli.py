@@ -95,10 +95,28 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_resource_cap_exit_code(tmp_path):
-    code, _ = run_args(
+    code, out = run_args(
         ["--command", "enumerate", "--family", "A", "--rank", "4",
-         "--cap-class-size", "1"], tmp_path)
+         "--cap-class-size", "1"], tmp_path, "cap.json")
     assert code == EXIT_RESOURCE
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["config"]["cap_class_size"] == 1
+    assert data["results"]["error"]["type"] == "ClassSizeError"
+    assert "exceeded cap 1" in data["results"]["error"]["message"]
+
+
+def test_cap_bounds_the_members_a_lexicographic_search_walks(tmp_path):
+    # H4 has FC classes of 12 members; the rewrites behind the canonical
+    # basis read larger classes but find their factor within 12 members
+    argv = ["--command", "basis", "--family", "H", "--rank", "4", "--basis", "canonical"]
+    code, capped = run_args(argv + ["--cap-class-size", "12"], tmp_path, "capped.json")
+    assert code == EXIT_PASS
+    _, free = run_args(argv, tmp_path, "free.json")
+    capped, free = json.loads(capped.read_text()), json.loads(free.read_text())
+    assert capped["config"].pop("cap_class_size") == 12
+    free["config"].pop("cap_class_size")
+    assert capped == free
 
 
 def test_module_entry_point_warns_nothing(tmp_path):

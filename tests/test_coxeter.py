@@ -3,10 +3,13 @@
 import itertools
 import os
 import random
+from unittest import mock
 
 import pytest
 
 from group_oracle import oracle
+from tlbases import coxeter
+from tlbases.algebra import STRATEGIES, TLAlgebra
 from tlbases.coxeter import (
     ClassSizeError,
     CoxeterGraph,
@@ -390,3 +393,163 @@ def test_enumerate_fc_agrees_with_class_scan_enumeration(family, rank):
 @SLOW
 def test_bruhat_heap_embedding_agrees_with_class_members_h4():
     _check_bruhat_against_class_members(CoxeterGraph("H", 4))
+
+
+# ---------------------------------------------------------------------------
+# ordered class searches on heap extensions against the class scan they
+# replace: the reference orders every class member of the whole class
+
+
+def _positions(word, member):
+    """``member`` as a position order of ``word``: its k-th s is the k-th s of ``word``."""
+    queues = {}
+    for j in range(len(word) - 1, -1, -1):
+        queues.setdefault(word[j], []).append(j)
+    return tuple(queues[s].pop() for s in member)
+
+
+def _ref_discovery(graph, word):
+    """The class members in depth-first adjacent-swap discovery order from ``word``."""
+    members, stack = {word: None}, [word]
+    while stack:
+        u = stack.pop()
+        for i in range(len(u) - 1):
+            if graph.bond(u[i], u[i + 1]) == 2:
+                nxt = u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+                if nxt not in members:
+                    members[nxt] = None
+                    stack.append(nxt)
+    return list(members)
+
+
+def _ref_orders(graph, word, discovery=False):
+    """The class of ``word`` as position orders of it, sorted by letter word or
+    in the discovery order from the normal form."""
+    if discovery:
+        members = _ref_discovery(graph, normal_form(graph, word))
+        assert set(members) == commutation_class(graph, word)
+    else:
+        members = sorted(commutation_class(graph, word))
+    return [_positions(word, u) for u in members]
+
+
+def _ref_pick_factor(graph, word, strategy):
+    if strategy == "bfs-first":
+        members, last = _ref_discovery(graph, normal_form(graph, word)), False
+    else:
+        members = sorted(commutation_class(graph, word))
+        last = strategy == "lex-greatest-rightmost"
+        if last:
+            members.reverse()
+    for u in members:
+        found = _ref_factors(graph, u)
+        if found:
+            return u, found[-1 if last else 0]
+    return None
+
+
+def _fc_and_candidates(graph):
+    """Every FC element and every enumeration candidate (FC or not)."""
+    fc = enumerate_fc(graph)
+    return [e.word for e in fc] + [e.word + (s,) for e in fc for s in graph.generators]
+
+
+@pytest.mark.parametrize("family", "ABH")
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_heap_extensions_are_the_sorted_class(family, rank):
+    g = CoxeterGraph(family, rank)
+    for w in _fc_and_candidates(g):
+        heap = _Heap(g, w)
+        ref = _ref_orders(g, w)
+        assert list(heap.extensions()) == ref, w
+        assert list(heap.extensions(True)) == ref[::-1], w
+        assert heap.lex_least_order() == ref[0], w
+        assert len(list(heap.extensions(cap=len(ref)))) == len(ref)
+        with pytest.raises(ClassSizeError):
+            list(heap.extensions(True, cap=len(ref) - 1))
+
+
+def _check_pick_factor(alg, words):
+    for w in words:
+        for strategy in STRATEGIES:
+            assert alg._pick_factor(w, strategy) == \
+                _ref_pick_factor(alg.graph, w, strategy), (w, strategy)
+
+
+@pytest.mark.parametrize("family", "ABH")
+def test_pick_factor_agrees_with_class_scan_on_all_short_words(family):
+    g = CoxeterGraph(family, 3)
+    _check_pick_factor(TLAlgebra(g), (w for w in _words(3, 7) if not is_fc_reduced(g, w)))
+
+
+@pytest.mark.parametrize("family", "BH")
+def test_pick_factor_agrees_with_class_scan_on_random_words(family):
+    g = CoxeterGraph(family, 4)
+    rng = random.Random(8)
+    words = []
+    while len(words) < 300:
+        w = tuple(rng.randint(1, 4) for _ in range(rng.randint(6, 14)))
+        if not is_fc_reduced(g, w):
+            words.append(w)
+    _check_pick_factor(TLAlgebra(g), words)
+
+
+def test_pick_factor_cap_bounds_the_members_walked():
+    alg = TLAlgebra(CoxeterGraph("A", 4), class_cap=1)
+    # the least member of the class of 2 1 1 3 already holds the factor 1 1
+    assert len(commutation_class(alg.graph, (2, 1, 1, 3))) == 3
+    assert alg._pick_factor((2, 1, 1, 3), "lex-least-leftmost") == ((2, 1, 1, 3), (1, 2))
+    with pytest.raises(ClassSizeError):
+        alg._pick_factor((2, 1, 1, 3), "bfs-first")
+    with pytest.raises(ValueError):
+        alg._pick_factor((1, 1), "nonsense")
+
+
+def _check_taxonomy_against_class_scan(graph):
+    for e in enumerate_fc(graph):
+        # positions refer to the input word, normal or not
+        for w in (e.word, max(commutation_class(graph, e.word))):
+            # the deleted path: the classification read the members in discovery
+            # order, the right-justification search the sorted members
+            bfs, lex = _ref_orders(graph, w, discovery=True), _ref_orders(graph, w)
+            ref_cls = coxeter._classify(graph, w, bfs)
+            assert classify_letters(graph, w) == ref_cls, w
+            assert right_justify(graph, w) == _right_justify_on(graph, w, ref_cls, lex), w
+            labels = {}
+            for order in bfs:
+                for pos, label in coxeter._critical_positions(graph, w, [order]).items():
+                    labels.setdefault(pos, set()).add(label)
+            assert all(len(v) == 1 for v in labels.values()), (w, labels)
+
+
+def _right_justify_on(graph, word, cls, orders):
+    """``right_justify`` run on the given classification and member orders."""
+    with mock.patch.object(coxeter, "_fc_extensions", lambda g, w, cap: orders), \
+            mock.patch.object(coxeter, "_classify", lambda g, w, perms: cls):
+        return right_justify(graph, word)
+
+
+@pytest.mark.parametrize("family", "ABH")
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_taxonomy_agrees_with_class_scan(family, rank):
+    _check_taxonomy_against_class_scan(CoxeterGraph(family, rank))
+
+
+@SLOW
+@pytest.mark.parametrize("family", "ABH")
+def test_taxonomy_agrees_with_class_scan_rank_5(family):
+    _check_taxonomy_against_class_scan(CoxeterGraph(family, 5))
+
+
+def test_taxonomy_cap_bounds_the_class():
+    h4 = CoxeterGraph("H", 4)
+    for e in enumerate_fc(h4):
+        size = len(commutation_class(h4, e.word))
+        if size < 2:
+            continue
+        assert classify_letters(h4, e.word, cap=size) == classify_letters(h4, e.word)
+        assert right_justify(h4, e.word, cap=size) == right_justify(h4, e.word)
+        with pytest.raises(ClassSizeError):
+            classify_letters(h4, e.word, cap=size - 1)
+        with pytest.raises(ClassSizeError):
+            right_justify(h4, e.word, cap=size - 1)
