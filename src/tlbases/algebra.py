@@ -194,7 +194,8 @@ class TLAlgebra:
         raise AssertionError(size)
 
     def _pick_factor(self, word: Word, strategy: str):
-        # (class member order, factor scan direction) per strategy
+        # (class member order, factor scan direction) per strategy; the
+        # members come lazily, so the search stops at the first with a factor
         heap = _Heap(self.graph, word)
         if strategy == "bfs-first":
             members, step = _class_words(self.graph, heap.normal_form(), self.class_cap), 1

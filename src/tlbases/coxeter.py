@@ -302,12 +302,13 @@ def _letters(word: Word, order: Sequence[int]) -> Word:
     return tuple(map(word.__getitem__, order))
 
 
-def _class_words(graph: CoxeterGraph, word: Word, cap: int) -> List[Word]:
+def _class_words(graph: CoxeterGraph, word: Word, cap: int) -> Iterator[Word]:
     """The class members in depth-first discovery order from ``word``, by
-    swapping adjacent commuting letters."""
+    swapping adjacent commuting letters, each yielded as it is found;
+    ``ClassSizeError`` past ``cap`` of them."""
     bonds = graph.bonds
     seen = {word}
-    members = [word]
+    yield word
     stack = [word]
     while stack:
         letters = stack.pop()
@@ -322,8 +323,7 @@ def _class_words(graph: CoxeterGraph, word: Word, cap: int) -> List[Word]:
                         )
                     seen.add(nxt)
                     stack.append(nxt)
-                    members.append(nxt)
-    return members
+                    yield nxt
 
 
 def _first_factor(graph: CoxeterGraph, letters: Word,

@@ -78,7 +78,7 @@ class Tangle:
     are immutable and hashable.
     """
 
-    __slots__ = ("n_north", "n_south", "edges", "_hash")
+    __slots__ = ("n_north", "n_south", "edges", "_hash", "_key")
 
     def __init__(self, n_north: int, n_south: int, edges: Iterable[Edge]):
         if (n_north + n_south) % 2 != 0:
@@ -99,6 +99,7 @@ class Tangle:
         object.__setattr__(self, "edges", tuple(canon))
         self._validate()
         object.__setattr__(self, "_hash", hash((n_north, n_south, self.edges)))
+        object.__setattr__(self, "_key", None)
 
     @staticmethod
     def _edge_kind(edge) -> int:
@@ -124,21 +125,38 @@ class Tangle:
         return self.n_north + (self.n_south - idx + 1)
 
     def _validate(self):
-        seen = set()
+        """One sweep over the boundary order.
+
+        A partner array finds nodes used twice and gaps in the matching; a
+        stack of open positions finds crossings, and its depth at an edge's
+        opening position says whether another edge shields it from the west.
+        """
+        total = self.n_north + self.n_south
+        partner = [0] * (total + 1)
+        opens = []  # per edge, its first position in the boundary order
         for a, b, _ in self.edges:
-            for end in (a, b):
-                p = self.pos(end)
-                if p in seen:
-                    raise ValueError(f"node {end} used twice")
-                seen.add(p)
-        if len(seen) != self.n_north + self.n_south:
+            pa = self.pos(a)
+            if partner[pa]:
+                raise ValueError(f"node {a} used twice")
+            partner[pa] = -1
+            pb = self.pos(b)
+            if partner[pb]:
+                raise ValueError(f"node {b} used twice")
+            partner[pa], partner[pb] = pb, pa
+            opens.append(min(pa, pb))
+        if 2 * len(opens) != total:
             raise ValueError("edges do not form a perfect matching")
-        spans = [tuple(sorted((self.pos(a), self.pos(b)))) for a, b, _ in self.edges]
-        for (a1, b1), (a2, b2) in itertools.combinations(spans, 2):
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+        stack: List[int] = []
+        shielded = [False] * (total + 1)
+        for p in range(1, total + 1):
+            q = partner[p]
+            if q > p:
+                shielded[p] = bool(stack)
+                stack.append(p)
+            elif stack.pop() != q:
                 raise ValueError("matching is not crossing-free")
-        for edge in self.edges:
-            if edge[2] and not self.west_exposed(edge):
+        for edge, lo in zip(self.edges, opens):
+            if edge[2] and shielded[lo]:
                 raise ReductionError(
                     f"decorated edge {edge} is not exposed to the west face")
 
@@ -179,8 +197,13 @@ class Tangle:
     def __repr__(self):
         return f"Tangle('{format_tangle(self)}')"
 
-    def sort_key(self):
-        return format_tangle(self)
+    def sort_key(self) -> str:
+        """The serialized form, built on first use and kept."""
+        key = self._key
+        if key is None:
+            key = format_tangle(self)
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 def format_tangle(t: Tangle) -> str:
@@ -582,16 +605,27 @@ def evaluate_word(family: str, n: int, word: Sequence[int], rules: RuleSet) -> D
 def loop_count(n: int, word: Sequence[int]) -> int:
     """Closed curves formed when composing the word without any reduction.
 
-    Decorations play no role in the count, so the composition runs on bare
-    cup-cap tangles; this is the deletion oracle for letter classification.
+    Decorations play no role in the count, so it runs on the bare product's
+    south face alone: ``south[j]`` is the south node that j is joined to, or
+    0 when j runs north.  Letter s closes a loop when s and s + 1 are already
+    joined; otherwise their two partners are joined to each other.  Either
+    way s and s + 1 then form a cap.  This is the deletion oracle for letter
+    classification.
     """
-    cur = identity_tangle(n)
+    south = [0] * (n + 1)
     total = 0
     for s in word:
-        bare = generator_U("H", n, s)
-        bare = Tangle(n, n, [(a, b, ()) for a, b, _ in bare.edges])
-        cur, loops = compose_raw(cur, bare)
-        total += len(loops)
+        if not 1 <= s <= n - 1:
+            raise ValueError(f"generator index {s} out of range for {n} strands")
+        a, b = south[s], south[s + 1]
+        if a == s + 1:
+            total += 1
+        else:
+            if a:
+                south[a] = b
+            if b:
+                south[b] = a
+        south[s], south[s + 1] = s + 1, s
     return total
 
 
@@ -880,9 +914,10 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet,
             acts = {(i, side): calc.apply_gen(cur, i, side)
                     for i in gens for side in ("left", "right")}
             candidates = list(acts.values())
+            gate = cur.scale(vpv)
             for s, sp in ((1, 2), (2, 1)):
                 for side in ("left", "right"):
-                    if acts[(sp, side)] != cur.scale(vpv):
+                    if acts[(sp, side)] != gate:
                         continue
                     bs = acts[(s, side)]
                     bsp = calc.apply_gen(bs, sp, side)

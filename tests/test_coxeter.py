@@ -498,9 +498,18 @@ def test_pick_factor_cap_bounds_the_members_walked():
     alg = TLAlgebra(CoxeterGraph("A", 4), class_cap=1)
     # the least member of the class of 2 1 1 3 already holds the factor 1 1
     assert len(commutation_class(alg.graph, (2, 1, 1, 3))) == 3
-    assert alg._pick_factor((2, 1, 1, 3), "lex-least-leftmost") == ((2, 1, 1, 3), (1, 2))
-    with pytest.raises(ClassSizeError):
-        alg._pick_factor((2, 1, 1, 3), "bfs-first")
+    for strategy in ("lex-least-leftmost", "bfs-first"):
+        assert alg._pick_factor((2, 1, 1, 3), strategy) == ((2, 1, 1, 3), (1, 2))
+    # the class of 1 3 2 1 holds its only factor in its greatest member, which
+    # the ascending searches reach second
+    assert len(commutation_class(alg.graph, (1, 3, 2, 1))) == 2
+    for strategy in STRATEGIES:
+        if strategy != "lex-greatest-rightmost":
+            with pytest.raises(ClassSizeError):
+                alg._pick_factor((1, 3, 2, 1), strategy)
+        assert TLAlgebra(alg.graph, class_cap=2)._pick_factor((1, 3, 2, 1), strategy) == \
+            ((3, 1, 2, 1), (1, 3))
+    assert alg._pick_factor((1, 3, 2, 1), "lex-greatest-rightmost") == ((3, 1, 2, 1), (1, 3))
     with pytest.raises(ValueError):
         alg._pick_factor((1, 1), "nonsense")
 

@@ -1,6 +1,7 @@
 """Diagram calculus: composition, calibration, transport, generation, render."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -57,6 +58,122 @@ def test_tangle_validation():
         Tangle(2, 2, [(("N", 1), ("S", 1), ()), (("N", 2), ("S", 2), ("c",))])
     with pytest.raises(ValueError):
         Tangle(2, 1, [])
+
+
+def _ref_validate(t):
+    """The quadratic validation that the one-sweep ``Tangle._validate`` replaced."""
+    seen = set()
+    for a, b, _ in t.edges:
+        for end in (a, b):
+            p = t.pos(end)
+            if p in seen:
+                raise ValueError(f"node {end} used twice")
+            seen.add(p)
+    if len(seen) != t.n_north + t.n_south:
+        raise ValueError("edges do not form a perfect matching")
+    spans = [tuple(sorted((t.pos(a), t.pos(b)))) for a, b, _ in t.edges]
+    for (a1, b1), (a2, b2) in itertools.combinations(spans, 2):
+        if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+            raise ValueError("matching is not crossing-free")
+    for edge in t.edges:
+        if edge[2] and not t.west_exposed(edge):
+            raise ReductionError(
+                f"decorated edge {edge} is not exposed to the west face")
+
+
+def _unvalidated(n_north, n_south, edges):
+    """The tangle the constructor builds, with validation switched off."""
+    check = Tangle._validate
+    Tangle._validate = lambda self: None
+    try:
+        return Tangle(n_north, n_south, edges)
+    finally:
+        Tangle._validate = check
+
+
+def _outcome(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+def _check_validation(n_north, n_south, edges):
+    t = _unvalidated(n_north, n_south, edges)
+    want = _outcome(_ref_validate, t)
+    assert _outcome(Tangle._validate, t) == want, (n_north, n_south, edges)
+    assert _outcome(Tangle, n_north, n_south, edges) == want, (n_north, n_south, edges)
+    return want
+
+
+def _all_matchings(positions):
+    """Every perfect matching of the positions, crossing or not."""
+    if not positions:
+        yield ()
+        return
+    first, rest = positions[0], positions[1:]
+    for k, partner in enumerate(rest):
+        for m in _all_matchings(rest[:k] + rest[k + 1:]):
+            yield ((first, partner),) + m
+
+
+def _boundary_end(p, n_north, n_south):
+    return ("N", p) if p <= n_north else ("S", n_north + n_south - p + 1)
+
+
+def test_validate_matches_quadratic_reference_on_all_matchings():
+    outcomes = set()
+    for n_north in range(5):
+        for n_south in range(n_north % 2, 5, 2):
+            total = n_north + n_south
+            for pairing in _all_matchings(tuple(range(1, total + 1))):
+                edges = [(_boundary_end(a, n_north, n_south), _boundary_end(b, n_north, n_south))
+                         for a, b in pairing]
+                outcomes.add(_check_validation(n_north, n_south, [e + ((),) for e in edges]))
+                for k in range(len(edges)):
+                    for decs in (("c",), ("s",), ("c", "c")):
+                        placed = [e + (decs if i == k else (),) for i, e in enumerate(edges)]
+                        outcomes.add(_check_validation(n_north, n_south, placed))
+    assert {o if o is None else o[0] for o in outcomes} == {None, ValueError, ReductionError}
+
+
+def test_validate_matches_quadratic_reference_on_malformed_edges():
+    n1, n2, s1, s2 = ("N", 1), ("N", 2), ("S", 1), ("S", 2)
+    cases = [
+        [(n1, s1, ()), (n1, s2, ())],                  # a node used twice
+        [(n1, n1, ()), (n2, s1, ())],                  # an edge from a node to itself
+        [(n1, s1, ()), (n2, s2, ()), (n2, s1, ())],    # more edges than pairs
+        [(n1, s1, ())],                                # a node left out
+        [(n1, ("S", 3), ()), (n2, s1, ())],            # south index out of range
+        [(("N", 0), s1, ()), (n2, s2, ())],            # north index out of range
+        [(n1, s2, ("c",)), (n2, s1, ())],              # crossing before exposure
+    ]
+    for edges in cases:
+        assert _check_validation(2, 2, edges) is not None, edges
+    with pytest.raises(ValueError, match="total node count must be even"):
+        Tangle(2, 1, [(n1, n2, ())])
+    # an odd node count cannot be matched perfectly by either validator
+    t = _unvalidated(2, 2, [(n1, n2, ())])
+    object.__setattr__(t, "n_south", 1)
+    want = (ValueError, "edges do not form a perfect matching")
+    assert _outcome(_ref_validate, t) == want
+    assert _outcome(Tangle._validate, t) == want
+
+
+def test_sort_key_is_the_cached_serialization():
+    cases = enumerate_h_admissible(4) + [t for t, _ in enumerate_b_canonical(4)]
+    for t in cases:
+        fresh = parse_tangle(format_tangle(t))
+        before = hash(fresh)
+        assert fresh.sort_key() == format_tangle(fresh)
+        assert fresh.sort_key() is fresh.sort_key()
+        assert fresh.sort_key() == format_tangle(fresh)
+        assert hash(fresh) == before
+        # equality and hashing ignore whether the key is cached
+        other = parse_tangle(format_tangle(t))
+        assert fresh == other and hash(fresh) == hash(other)
+        assert {fresh: 1}[other] == 1
 
 
 def test_serialization_round_trip():
@@ -180,6 +297,60 @@ def test_loop_count_examples():
     assert loop_count(3, (1, 2)) == 0
     assert loop_count(3, ()) == 0
     assert loop_count(4, (2, 2, 2)) == 2
+
+
+def _ref_loop_count(n, word, steps=None):
+    """The compose-based count that ``loop_count`` replaced: compose the
+    running bare product with each bare generator and count the closed
+    curves; ``steps`` memoizes (product, letter) -> (product, loops)."""
+    cur = identity_tangle(n)
+    total = 0
+    for s in word:
+        hit = None if steps is None else steps.get((cur, s))
+        if hit is None:
+            bare = generator_U("H", n, s)
+            bare = Tangle(n, n, [(a, b, ()) for a, b, _ in bare.edges])
+            hit = compose_raw(cur, bare)
+            if steps is not None:
+                steps[(cur, s)] = hit
+        cur, loops = hit
+        total += len(loops)
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_loop_count_matches_compose_on_all_short_words(n):
+    steps = {}
+    for k in range(9):
+        for word in itertools.product(range(1, n), repeat=k):
+            assert loop_count(n, word) == _ref_loop_count(n, word, steps), word
+
+
+def _check_loop_count_on_deletions(family, rank):
+    # the deletion suite's inputs: FC words and each single-letter deletion
+    n, steps = rank + 1, {}
+    for e in TLAlgebra(CoxeterGraph(family, rank)).fc_elements():
+        for word in [e.word] + [e.word[:l] + e.word[l + 1:] for l in range(e.length)]:
+            assert loop_count(n, word) == _ref_loop_count(n, word, steps), word
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_loop_count_matches_compose_on_fc_words_and_deletions(family):
+    _check_loop_count_on_deletions(family, 4)
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the H5 loop-count cross-check")
+def test_loop_count_matches_compose_on_h5_deletions():
+    _check_loop_count_on_deletions("H", 5)
+
+
+def test_loop_count_rejects_letters_out_of_range():
+    for word in ((1, 0), (4,), (2, 4, 1)):
+        with pytest.raises(ValueError, match="out of range for 4 strands"):
+            loop_count(4, word)
+        with pytest.raises(ValueError, match="out of range for 4 strands"):
+            _ref_loop_count(4, word)
 
 
 def test_loop_count_changes_by_at_most_one_under_deletion():
