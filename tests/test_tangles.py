@@ -94,7 +94,7 @@ def _unvalidated(n_north, n_south, edges):
 def _outcome(call, *args):
     try:
         call(*args)
-    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+    except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
     return None
 
