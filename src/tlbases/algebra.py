@@ -193,10 +193,11 @@ class TLAlgebra:
             ]
         raise AssertionError(size)
 
-    def _pick_factor(self, word: Word, strategy: str):
+    def _pick_factor(self, heap: _Heap, strategy: str):
+        """A class member of the heap's word and its reducible factor."""
         # (class member order, factor scan direction) per strategy; the
         # members come lazily, so the search stops at the first with a factor
-        heap = _Heap(self.graph, word)
+        word = heap.word
         if strategy == "bfs-first":
             members, step = _class_words(self.graph, heap.normal_form(), self.class_cap), 1
         elif strategy in STRATEGIES:
@@ -226,7 +227,7 @@ class TLAlgebra:
             result: Coords = {heap.normal_form(): ONE}
         else:
             # the strategies pick a factor from ordered class members
-            member, (pos, size) = self._pick_factor(word, strategy)
+            member, (pos, size) = self._pick_factor(heap, strategy)
             acc: Raw = {}
             for coeff, branch in self._rewrite_branches(member, pos, size):
                 _merge(acc, self._w2b_coords(branch, strategy), coeff)

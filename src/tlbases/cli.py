@@ -27,6 +27,7 @@ from .laurent import ONE, ZERO, LaurentPoly, classify
 from .tangles import (
     DiagramCalculus,
     RuleSet,
+    _laurent_to_sympy,
     calibrate_ruleset,
     format_tangle,
     parse_tangle,
@@ -78,6 +79,8 @@ class JobConfig:
             raise ConfigError("rank must be at least 2")
         if self.cap_class_size <= 0:
             raise ConfigError("resource caps must be positive")
+        if self.confluence_count < 1:
+            raise ConfigError("the confluence count must be at least 1")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.basis not in BASES:
@@ -246,9 +249,6 @@ def _gram_solver_dimension(alg: TLAlgebra) -> int:
     nvars = n * n
     v = sympy.Symbol("v")
 
-    def poly2sym(p: LaurentPoly):
-        return sum((sympy.Integer(c) * v ** e for e, c in p.terms), sympy.Integer(0))
-
     rows = []
     for w in words:
         for x in words:
@@ -262,9 +262,9 @@ def _gram_solver_dimension(alg: TLAlgebra) -> int:
             for x in words:
                 row = [sympy.Integer(0)] * nvars
                 for y, c in table[w].items():
-                    row[index[y] * n + index[x]] += poly2sym(c)
+                    row[index[y] * n + index[x]] += _laurent_to_sympy(c, v)
                 for y, c in table[x].items():
-                    row[index[w] * n + index[y]] -= poly2sym(c)
+                    row[index[w] * n + index[y]] -= _laurent_to_sympy(c, v)
                 if any(row):
                     rows.append(row)
     mat = sympy.Matrix(rows)
@@ -349,7 +349,8 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
 
 def _cmd_verify(cfg: JobConfig) -> Tuple[dict, int]:
     results = []
-    opts = {"count": cfg.confluence_count, "slow": cfg.slow}
+    opts = {"count": cfg.confluence_count, "slow": cfg.slow,
+            "class_cap": cfg.cap_class_size}
     all_pass = True
     for name in cfg.suites:
         fixed_family = SUITES[name][0]

@@ -19,9 +19,12 @@ The ordered class searches read the heap's linear extensions, produced
 lazily in lexicographic (or reverse lexicographic) order as position orders
 of one word: two occurrences of the same generator can never cross, so a
 position names the same occurrence in every member of the class.  The
-rewriting strategies stop at the first member with a reducible factor; the
-taxonomy (internal / lateral / bilateral / bad / critical) and right-justified
-expressions with their block decomposition read the whole ordered list.
+rewriting strategies stop at the first member with a reducible factor.  The
+letter taxonomy (internal / lateral / bilateral / bad / critical) is read in
+one pass over the whole ordered list, which records each member's flanks
+(factors q p q with m(p, q) >= 3) and pattern hits; right-justified
+expressions with their block decomposition are the first member of the same
+list that parses into blocks.
 """
 
 from __future__ import annotations
@@ -488,105 +491,33 @@ class LetterClassification:
         return not self.is_internal(i)
 
 
-def _internal_positions(graph, word, perms) -> FrozenSet[int]:
-    found = set()
-    for perm in perms:
-        letters = _letters(word, perm)
-        for idx in range(1, len(letters) - 1):
-            p = letters[idx]
-            q = letters[idx - 1]
-            if q == letters[idx + 1] and q != p and graph.bond(p, q) >= 3:
-                found.add(perm[idx])
-    return frozenset(found)
-
-
-def _lateral_witnesses(graph, word, perms, internal) -> Dict[int, set]:
-    """For each external position, the set of internal positions it flanks."""
-    wit: Dict[int, set] = {}
-    for perm in perms:
-        letters = _letters(word, perm)
-        for idx in range(1, len(letters) - 1):
-            mid = perm[idx]
-            if mid not in internal:
-                continue
-            q = letters[idx]
-            p = letters[idx - 1]
-            if p == letters[idx + 1] and p != q and graph.bond(p, q) >= 3:
-                for side in (perm[idx - 1], perm[idx + 1]):
-                    if side not in internal:
-                        wit.setdefault(side, set()).add(mid)
-    return wit
-
-
 _BAD_PATTERNS = (((3, 1, 2, 1, 2, 3), 4), ((3, 2, 1, 2, 1, 3), 1))
 
 
-def _bad_positions(graph, word, perms) -> FrozenSet[int]:
-    if graph.rank < 3:
-        return frozenset()
-    found = set()
-    for perm in perms:
-        letters = _letters(word, perm)
-        for pattern, tracked in _BAD_PATTERNS:
-            for i in range(len(letters) - 5):
-                if letters[i:i + 6] == pattern:
-                    found.add(perm[i + tracked])
-    return frozenset(found)
-
-
-def _critical_positions(graph, word, perms) -> Dict[int, str]:
-    """Positions matching the three loop-creating deletion patterns.
+def _critical_patterns(rank: int) -> List[Tuple[str, Word, int, int, int]]:
+    """The three loop-creating deletion patterns as (label, pattern, step, a, h).
 
     The patterns are anchored at the strong end of the graph: an ascending
     run of odd generators, a run of even generators whose last letter is the
-    tracked one, and a closing run of odd generators, possibly separated
-    from the tracked letter by a gap of letters commuting with the next odd
-    generator (two mirror variants).
+    tracked one, and a closing run of odd generators.  Type (i) tracks the
+    letter at offset ``a`` of the pattern (``step`` 0).  Types (ii)/(iii)
+    track a letter ``a`` followed (preceded) by ``h`` after (before) the
+    pattern, possibly separated from it by letters commuting with ``h``;
+    ``step`` is the direction of that search.
     """
-    res: Dict[int, str] = {}
-    rank = graph.rank
-    n = len(word)
-    odds = lambda top: tuple(range(1, top + 1, 2))
-    evens = lambda top: tuple(range(2, top + 1, 2))
-    for perm in perms:
-        letters = _letters(word, perm)
-        # type (i): odds(2k-1) evens(2k) odds(2k-1), tracked = last even, 2k > 2
-        for k in range(2, rank // 2 + 1):
-            pat = odds(2 * k - 1) + evens(2 * k) + odds(2 * k - 1)
-            size = len(pat)
-            for i in range(n - size + 1):
-                if letters[i:i + size] == pat:
-                    res.setdefault(perm[i + 2 * k - 1], "i")
-        # types (ii)/(iii): head with odds up to 2k+1, separated tracked letter
-        for k in range(1, (rank - 1) // 2 + 1):
-            g, h = 2 * k, 2 * k + 1
-            head = odds(h) + evens(g) + odds(2 * k - 1)
-            size = len(head)
-            for i in range(n - size + 1):
-                if letters[i:i + size] != head:
-                    continue
-                j = i + size
-                while j < n - 1:
-                    if letters[j] == g and letters[j + 1] == h:
-                        res.setdefault(perm[j], "ii")
-                        break
-                    if graph.bond(letters[j], h) != 2:
-                        break
-                    j += 1
-            tail = odds(2 * k - 1) + evens(g) + odds(h)
-            size = len(tail)
-            for i in range(n - size + 1):
-                if letters[i:i + size] != tail:
-                    continue
-                j = i - 1
-                while j > 0:
-                    if letters[j] == g and letters[j - 1] == h:
-                        res.setdefault(perm[j], "iii")
-                        break
-                    if graph.bond(letters[j], h) != 2:
-                        break
-                    j -= 1
-    return res
+    def odds(top):
+        return tuple(range(1, top + 1, 2))
+
+    def evens(top):
+        return tuple(range(2, top + 1, 2))
+
+    out = [("i", odds(2 * k - 1) + evens(2 * k) + odds(2 * k - 1), 0, 2 * k - 1, 0)
+           for k in range(2, rank // 2 + 1)]
+    for k in range(1, (rank - 1) // 2 + 1):
+        g, h = 2 * k, 2 * k + 1
+        out.append(("ii", odds(h) + evens(g) + odds(2 * k - 1), 1, g, h))
+        out.append(("iii", odds(2 * k - 1) + evens(g) + odds(h), -1, g, h))
+    return out
 
 
 def _fc_extensions(graph: CoxeterGraph, word: Word, cap: int) -> List[Tuple[int, ...]]:
@@ -600,40 +531,73 @@ def _fc_extensions(graph: CoxeterGraph, word: Word, cap: int) -> List[Tuple[int,
 def classify_letters(graph: CoxeterGraph, word: Sequence[int],
                      cap: int = DEFAULT_CLASS_CAP) -> LetterClassification:
     w = graph.check_word(word)
-    return _classify(graph, w, _fc_extensions(graph, w, cap))
+    return _taxonomy(graph, w, _fc_extensions(graph, w, cap))[0]
 
 
-def _classify(graph: CoxeterGraph, w: Word,
-              perms: List[Tuple[int, ...]]) -> LetterClassification:
-    """The taxonomy read off the class members, given as position orders of ``w``."""
-    internal = _internal_positions(graph, w, perms)
-    lateral = _lateral_witnesses(graph, w, perms, internal)
-    bad = _bad_positions(graph, w, perms)
-    crit = _critical_positions(graph, w, perms)
+def _taxonomy(graph: CoxeterGraph, w: Word, orders: List[Tuple[int, ...]]
+              ) -> Tuple[LetterClassification, FrozenSet[int]]:
+    """The taxonomy and the r-set of ``w``, read in one pass over its class
+    members, given as position orders of ``w``.
 
-    cats = []
-    for i in range(len(w)):
-        if i in internal:
-            cats.append("internal")
-        elif i in lateral:
-            cats.append("bilateral" if len(lateral[i]) >= 2 else "lateral")
-        else:
-            cats.append("plain")
-    criticals = []
-    for i in range(len(w)):
-        if i in internal:
-            criticals.append("iv")
-        else:
-            criticals.append(crit.get(i, "none"))
+    Each member contributes its flanks, the factors q p q with m(p, q) >= 3,
+    as (left, middle, right) positions, and its bad and critical pattern hits
+    (a position keeps the first critical label found).  Internal letters are
+    the middles; an external side is lateral, and bilateral when it flanks
+    two middles; the r-set holds the middles whose right side is bilateral.
+    """
+    bonds, n = graph.bonds, len(w)
+    critical_patterns = _critical_patterns(graph.rank)
+    flanks = set()
+    bad = set()
+    crit: Dict[int, str] = {}
+    for order in orders:
+        letters = _letters(w, order)
+        for i in range(1, n - 1):
+            q = letters[i - 1]
+            if q == letters[i + 1] and bonds[q][letters[i]] >= 3:
+                flanks.add(order[i - 1:i + 2])
+        for pattern, tracked in _BAD_PATTERNS:
+            for i in range(n - 5):
+                if letters[i:i + 6] == pattern:
+                    bad.add(order[i + tracked])
+        for label, pattern, step, a, h in critical_patterns:
+            size = len(pattern)
+            for i in range(n - size + 1):
+                if letters[i:i + size] != pattern:
+                    continue
+                if not step:
+                    crit.setdefault(order[i + a], label)
+                    continue
+                j = i + size if step > 0 else i - 1
+                while 0 < j < n - 1:
+                    if letters[j] == a and letters[j + step] == h:
+                        crit.setdefault(order[j], label)
+                        break
+                    if bonds[letters[j]][h] != 2:
+                        break
+                    j += step
 
-    cls = LetterClassification(w, tuple(cats), tuple(i in bad for i in range(len(w))),
-                               tuple(criticals))
-    for i in range(len(w)):
+    internal = {mid for _, mid, _ in flanks}
+    witnesses: Dict[int, set] = {}
+    for left, mid, right in flanks:
+        for side in (left, right):
+            if side not in internal:
+                witnesses.setdefault(side, set()).add(mid)
+    category = tuple(
+        "internal" if i in internal
+        else "plain" if i not in witnesses
+        else "bilateral" if len(witnesses[i]) >= 2 else "lateral"
+        for i in range(n))
+    cls = LetterClassification(
+        w, category, tuple(i in bad for i in range(n)),
+        tuple("iv" if i in internal else crit.get(i, "none") for i in range(n)))
+    for i in range(n):
         if cls.is_bilateral(i) and w[i] != 1:
             raise AssertionError(f"bilateral letter at {i} is not generator 1 in {w}")
         if cls.bad[i] and not (w[i] == 2 and cls.is_lateral(i)):
             raise AssertionError(f"bad letter at {i} is not a lateral 2 in {w}")
-    return cls
+    rset = frozenset(mid for _, mid, right in flanks if category[right] == "bilateral")
+    return cls, rset
 
 
 # ---------------------------------------------------------------------------
@@ -666,23 +630,6 @@ _SHAPES = {
 }
 
 
-def _r_set(graph, word, perms, cls_by_pid) -> FrozenSet[int]:
-    """Internal letters that sit in t s t with the right t bilateral."""
-    out = set()
-    for perm in perms:
-        letters = _letters(word, perm)
-        for idx in range(1, len(letters) - 1):
-            pid = perm[idx]
-            if cls_by_pid[pid] != "internal":
-                continue
-            s = letters[idx]
-            t = letters[idx - 1]
-            if t == letters[idx + 1] and t != s and graph.bond(s, t) >= 3:
-                if cls_by_pid[perm[idx + 1]] == "bilateral":
-                    out.add(pid)
-    return frozenset(out)
-
-
 def right_justify(graph: CoxeterGraph, word: Sequence[int],
                   cap: int = DEFAULT_CLASS_CAP) -> RightJustified:
     """A right-justified reduced expression with its block decomposition.
@@ -697,46 +644,28 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int],
     w = graph.check_word(word)
     # in letter-word order, which the first-match scan below relies on
     perms = _fc_extensions(graph, w, cap)
-    cls = _classify(graph, w, perms)
-    roles = {pid: cls.category[pid] for pid in range(len(w))}
-    rset = _r_set(graph, w, perms, roles)
-
-    def neighbour_ok(letters_roles, idx):
-        return letters_roles[idx] in ("internal", "lateral", "bilateral")
-
+    cls, rset = _taxonomy(graph, w, perms)
+    n = len(w)
     for perm in perms:
+        lr = tuple(cls.category[pid] for pid in perm)
+        # an internal letter needs a non-plain left neighbour, and a non-plain
+        # right one too unless it is in the r-set
+        if any(role == "internal" and (
+                idx == 0 or lr[idx - 1] == "plain"
+                or perm[idx] not in rset and (idx + 1 == n or lr[idx + 1] == "plain"))
+               for idx, role in enumerate(lr)):
+            continue
         letters = _letters(w, perm)
-        lr = [roles[pid] for pid in perm]
-        ok = True
-        for idx, pid in enumerate(perm):
-            if roles[pid] != "internal":
-                continue
-            left_ok = idx > 0 and neighbour_ok(lr, idx - 1)
-            if pid in rset:
-                if not left_ok:
-                    ok = False
-                    break
-            else:
-                right_ok = idx + 1 < len(perm) and neighbour_ok(lr, idx + 1)
-                if not (left_ok and right_ok):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        blocks = _parse_blocks(letters, lr, perm, roles)
-        if blocks is None:
-            continue
-        out_cls = LetterClassification(
-            letters,
-            tuple(cls.category[pid] for pid in perm),
-            tuple(cls.bad[pid] for pid in perm),
-            tuple(cls.critical[pid] for pid in perm),
-        )
-        return RightJustified(letters, blocks, out_cls)
+        blocks = _parse_blocks(letters, lr)
+        if blocks is not None:
+            out_cls = LetterClassification(
+                letters, lr, tuple(cls.bad[pid] for pid in perm),
+                tuple(cls.critical[pid] for pid in perm))
+            return RightJustified(letters, blocks, out_cls)
     raise AssertionError(f"no right-justified expression found for {w}")
 
 
-def _parse_blocks(letters, lr, perm, roles) -> Optional[Tuple[Block, ...]]:
+def _parse_blocks(letters, lr) -> Optional[Tuple[Block, ...]]:
     blocks: List[Block] = []
     i = 0
     n = len(letters)

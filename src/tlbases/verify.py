@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra
-from .coxeter import CoxeterGraph, bruhat_leq_word, classify_letters
+from .coxeter import DEFAULT_CLASS_CAP, CoxeterGraph, bruhat_leq_word, classify_letters
 from .laurent import DELTA, ONE, LaurentPoly, classify
 from .tangles import (
     DiagramCalculus,
@@ -82,13 +82,19 @@ def _rules(family: str) -> RuleSet:
     return _RULES_CACHE[family]
 
 
+def _algebra(family: str, rank: int, opts) -> TLAlgebra:
+    """A fresh algebra under the suite's class cap (``opts["class_cap"]``)."""
+    return TLAlgebra(CoxeterGraph(family, rank),
+                     class_cap=opts.get("class_cap", DEFAULT_CLASS_CAP))
+
+
 # ---------------------------------------------------------------------------
 # transport of the canonical basis to diagrams
 
 
-def _transport_h(res: SuiteResult, strands: int, rules: RuleSet):
+def _transport_h(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
     calc = DiagramCalculus(rules)
-    alg = TLAlgebra(CoxeterGraph("H", strands - 1))
+    strands = alg.graph.rank + 1
     images = {}
     for w, coords in sorted(alg.canonical_table().items(), key=lambda t: (len(t[0]), t[0])):
         elem = calc.image(strands, coords)
@@ -113,9 +119,9 @@ def _transport_h(res: SuiteResult, strands: int, rules: RuleSet):
                                               key=format_tangle)]}))
 
 
-def _transport_b(res: SuiteResult, strands: int, rules: RuleSet):
+def _transport_b(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
     calc = DiagramCalculus(rules)
-    alg = TLAlgebra(CoxeterGraph("B", strands - 1))
+    strands = alg.graph.rank + 1
     recognized = {}
     for w, coords in sorted(alg.canonical_table().items(), key=lambda t: (len(t[0]), t[0])):
         elem = calc.image(strands, coords)
@@ -147,7 +153,7 @@ def suite_transport(family: str, rank: Optional[int], opts) -> SuiteResult:
     strands_list = (3, 4) if rank is None else (rank + 1,)
     rules = _rules(family)
     for strands in strands_list:
-        transport(res, strands, rules)
+        transport(res, _algebra(family, strands - 1, opts), rules)
     return res
 
 
@@ -155,8 +161,8 @@ def suite_transport(family: str, rank: Optional[int], opts) -> SuiteResult:
 # the f-basis equals the canonical basis
 
 
-def _f_equals_canonical(res: SuiteResult, family: str, rank: int):
-    alg = TLAlgebra(CoxeterGraph(family, rank))
+def _f_equals_canonical(res: SuiteResult, alg: TLAlgebra):
+    family, rank = alg.graph.family, alg.graph.rank
     canon = alg.canonical_table()
     bad = []
     for e in alg.fc_elements():
@@ -174,7 +180,7 @@ def suite_f_canonical(family, rank, opts) -> SuiteResult:
     if opts.get("slow") and rank is None:
         ranks = (2, 3, 4)
     for r in ranks:
-        _f_equals_canonical(res, family, r)
+        _f_equals_canonical(res, _algebra(family, r, opts))
     return res
 
 
@@ -182,8 +188,8 @@ def suite_f_canonical(family, rank, opts) -> SuiteResult:
 # positivity of canonical structure constants and descent laws
 
 
-def _positivity(res: SuiteResult, family: str, rank: int):
-    alg = TLAlgebra(CoxeterGraph(family, rank))
+def _positivity(res: SuiteResult, alg: TLAlgebra):
+    family, rank = alg.graph.family, alg.graph.rank
     elements = alg.fc_elements()
     negative = []
     for x in elements:
@@ -239,7 +245,7 @@ def _positivity(res: SuiteResult, family: str, rank: int):
 
 def suite_positivity(family, rank, opts) -> SuiteResult:
     res = SuiteResult({"H": "prop-4.1.9", "B": "prop-5.2.2"}[family], family)
-    _positivity(res, family, rank or 3)
+    _positivity(res, _algebra(family, rank or 3, opts))
     return res
 
 
@@ -249,7 +255,7 @@ def suite_positivity(family, rank, opts) -> SuiteResult:
 
 def suite_block_identities(family, rank, opts) -> SuiteResult:
     res = SuiteResult("lemma-3.3.6", "H")
-    alg = TLAlgebra(CoxeterGraph("H", rank or 3))
+    alg = _algebra("H", rank or 3, opts)
 
     def t(i):
         return alg.ttilde_element((i,))
@@ -291,7 +297,7 @@ def suite_deletion(family, rank, opts) -> SuiteResult:
     fam = family or "H"
     r = rank or 3
     res = SuiteResult("prop-3.1.9", fam)
-    alg = TLAlgebra(CoxeterGraph(fam, r))
+    alg = _algebra(fam, r, opts)
     strands = r + 1
     loopy = []
     mono_bad = []
@@ -300,7 +306,7 @@ def suite_deletion(family, rank, opts) -> SuiteResult:
         if loop_count(strands, e.word):
             loopy.append(e.word)
             continue
-        cls = classify_letters(alg.graph, e.word)
+        cls = classify_letters(alg.graph, e.word, alg.class_cap)
         for l in range(e.length):
             hat = e.word[:l] + e.word[l + 1:]
             loops = loop_count(strands, hat)
@@ -341,18 +347,19 @@ def suite_confluence(family, rank, opts) -> SuiteResult:
     count = int(opts.get("count", 10_000))
     rng = random.Random(20_000 + {"A": 0, "B": 1, "H": 2}[fam])
     ranks = (3, 4) if rank is None else (rank,)
-    per_rank = count // len(ranks)
+    # exactly ``count`` words, the remainder going to the first ranks
+    per_rank, extra = divmod(count, len(ranks))
     mismatches = []
-    for r in ranks:
-        alg = TLAlgebra(CoxeterGraph(fam, r))
-        for _ in range(per_rank):
+    for i, r in enumerate(ranks):
+        alg = _algebra(fam, r, opts)
+        for _ in range(per_rank + (i < extra)):
             word = tuple(rng.randint(1, r) for _ in range(rng.randint(0, 12)))
             outs = [alg.word_to_basis(word, s) for s in STRATEGIES]
             if not (outs[0] == outs[1] == outs[2]):
                 mismatches.append((r, word))
     res.checks.append(CheckResult(
         f"{fam}-confluence", not mismatches,
-        f"{per_rank * len(ranks)} random words of length <= 12 reduced under "
+        f"{count} random words of length <= 12 reduced under "
         f"{len(STRATEGIES)} strategies",
         None if not mismatches else {"cases": [
             {"rank": r, "word": _word_str(w)} for r, w in mismatches[:5]]}))

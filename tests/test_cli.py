@@ -119,6 +119,67 @@ def test_cap_bounds_the_members_a_lexicographic_search_walks(tmp_path):
     assert capped == free
 
 
+def test_verify_honours_the_class_cap(tmp_path):
+    # the same cap makes `basis --family H --rank 3 --basis f` exit 3
+    code, out = run_args(
+        ["--command", "verify", "--family", "H", "--suite", "prop-3.1.9", "--rank", "3",
+         "--cap-class-size", "1"], tmp_path, "cap.json")
+    assert code == EXIT_RESOURCE
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["config"]["cap_class_size"] == 1
+    assert data["results"]["error"]["type"] == "ClassSizeError"
+
+
+def test_every_suite_algebra_gets_the_class_cap(monkeypatch):
+    import tlbases.verify as verify_mod
+
+    caps = []
+
+    class Spy(TLAlgebra):
+        def __init__(self, graph, class_cap=1_000_000):
+            caps.append(class_cap)
+            super().__init__(graph, class_cap)
+
+    monkeypatch.setattr(verify_mod, "TLAlgebra", Spy)
+    for name in verify_mod.suite_names():
+        if name == "calibration":
+            continue  # builds no algebra
+        caps.clear()
+        verify_mod.run_suite(name, rank=2, class_cap=999, count=4)
+        assert caps and set(caps) == {999}, name
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_confluence_count_below_one_is_a_config_error(tmp_path, count):
+    code, out = run_args(
+        ["--command", "verify", "--family", "H", "--suite", "confluence",
+         "--confluence-count", str(count)], tmp_path)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_confluence_checks_exactly_count_words(tmp_path, monkeypatch, count):
+    from tlbases.algebra import STRATEGIES
+
+    words = []
+    expand = TLAlgebra.word_to_basis
+
+    def counted(self, word, strategy="lex-least-leftmost"):
+        words.append(word)
+        return expand(self, word, strategy)
+
+    monkeypatch.setattr(TLAlgebra, "word_to_basis", counted)
+    code, out = run_args(
+        ["--command", "verify", "--family", "H", "--suite", "confluence",
+         "--confluence-count", str(count)], tmp_path)
+    assert code == EXIT_PASS
+    assert len(words) == count * len(STRATEGIES)
+    check = json.loads(out.read_text())["results"]["suites"][0]["checks"][0]
+    assert check["detail"].startswith(f"{count} random words ")
+
+
 def test_module_entry_point_warns_nothing(tmp_path):
     # the package must not import tlbases.cli before runpy runs it as __main__
     src = str(Path(tlbases.__file__).resolve().parent.parent)

@@ -472,7 +472,7 @@ def test_heap_extensions_are_the_sorted_class(family, rank):
 def _check_pick_factor(alg, words):
     for w in words:
         for strategy in STRATEGIES:
-            assert alg._pick_factor(w, strategy) == \
+            assert alg._pick_factor(_Heap(alg.graph, w), strategy) == \
                 _ref_pick_factor(alg.graph, w, strategy), (w, strategy)
 
 
@@ -498,43 +498,207 @@ def test_pick_factor_cap_bounds_the_members_walked():
     alg = TLAlgebra(CoxeterGraph("A", 4), class_cap=1)
     # the least member of the class of 2 1 1 3 already holds the factor 1 1
     assert len(commutation_class(alg.graph, (2, 1, 1, 3))) == 3
+    first = _Heap(alg.graph, (2, 1, 1, 3))
     for strategy in ("lex-least-leftmost", "bfs-first"):
-        assert alg._pick_factor((2, 1, 1, 3), strategy) == ((2, 1, 1, 3), (1, 2))
+        assert alg._pick_factor(first, strategy) == ((2, 1, 1, 3), (1, 2))
     # the class of 1 3 2 1 holds its only factor in its greatest member, which
     # the ascending searches reach second
     assert len(commutation_class(alg.graph, (1, 3, 2, 1))) == 2
+    second = _Heap(alg.graph, (1, 3, 2, 1))
     for strategy in STRATEGIES:
         if strategy != "lex-greatest-rightmost":
             with pytest.raises(ClassSizeError):
-                alg._pick_factor((1, 3, 2, 1), strategy)
-        assert TLAlgebra(alg.graph, class_cap=2)._pick_factor((1, 3, 2, 1), strategy) == \
+                alg._pick_factor(second, strategy)
+        assert TLAlgebra(alg.graph, class_cap=2)._pick_factor(second, strategy) == \
             ((3, 1, 2, 1), (1, 3))
-    assert alg._pick_factor((1, 3, 2, 1), "lex-greatest-rightmost") == ((3, 1, 2, 1), (1, 3))
+    assert alg._pick_factor(second, "lex-greatest-rightmost") == ((3, 1, 2, 1), (1, 3))
     with pytest.raises(ValueError):
-        alg._pick_factor((1, 1), "nonsense")
+        alg._pick_factor(_Heap(alg.graph, (1, 1)), "nonsense")
+
+
+# ---------------------------------------------------------------------------
+# the letter taxonomy against the per-idea scans it replaces: internal,
+# lateral, bad and critical letters and the r-set, each read by its own walk
+# over the class members
+
+
+def _ref_letters(word, perm):
+    return tuple(word[j] for j in perm)
+
+
+def _ref_internal_positions(graph, word, perms):
+    found = set()
+    for perm in perms:
+        letters = _ref_letters(word, perm)
+        for idx in range(1, len(letters) - 1):
+            p = letters[idx]
+            q = letters[idx - 1]
+            if q == letters[idx + 1] and q != p and graph.bond(p, q) >= 3:
+                found.add(perm[idx])
+    return frozenset(found)
+
+
+def _ref_lateral_witnesses(graph, word, perms, internal):
+    """For each external position, the set of internal positions it flanks."""
+    wit = {}
+    for perm in perms:
+        letters = _ref_letters(word, perm)
+        for idx in range(1, len(letters) - 1):
+            mid = perm[idx]
+            if mid not in internal:
+                continue
+            q = letters[idx]
+            p = letters[idx - 1]
+            if p == letters[idx + 1] and p != q and graph.bond(p, q) >= 3:
+                for side in (perm[idx - 1], perm[idx + 1]):
+                    if side not in internal:
+                        wit.setdefault(side, set()).add(mid)
+    return wit
+
+
+_REF_BAD_PATTERNS = (((3, 1, 2, 1, 2, 3), 4), ((3, 2, 1, 2, 1, 3), 1))
+
+
+def _ref_bad_positions(graph, word, perms):
+    if graph.rank < 3:
+        return frozenset()
+    found = set()
+    for perm in perms:
+        letters = _ref_letters(word, perm)
+        for pattern, tracked in _REF_BAD_PATTERNS:
+            for i in range(len(letters) - 5):
+                if letters[i:i + 6] == pattern:
+                    found.add(perm[i + tracked])
+    return frozenset(found)
+
+
+def _ref_critical_positions(graph, word, perms):
+    """Positions matching the three loop-creating deletion patterns."""
+    res = {}
+    rank = graph.rank
+    n = len(word)
+
+    def odds(top):
+        return tuple(range(1, top + 1, 2))
+
+    def evens(top):
+        return tuple(range(2, top + 1, 2))
+
+    for perm in perms:
+        letters = _ref_letters(word, perm)
+        # type (i): odds(2k-1) evens(2k) odds(2k-1), tracked = last even, 2k > 2
+        for k in range(2, rank // 2 + 1):
+            pat = odds(2 * k - 1) + evens(2 * k) + odds(2 * k - 1)
+            size = len(pat)
+            for i in range(n - size + 1):
+                if letters[i:i + size] == pat:
+                    res.setdefault(perm[i + 2 * k - 1], "i")
+        # types (ii)/(iii): head with odds up to 2k+1, separated tracked letter
+        for k in range(1, (rank - 1) // 2 + 1):
+            g, h = 2 * k, 2 * k + 1
+            head = odds(h) + evens(g) + odds(2 * k - 1)
+            size = len(head)
+            for i in range(n - size + 1):
+                if letters[i:i + size] != head:
+                    continue
+                j = i + size
+                while j < n - 1:
+                    if letters[j] == g and letters[j + 1] == h:
+                        res.setdefault(perm[j], "ii")
+                        break
+                    if graph.bond(letters[j], h) != 2:
+                        break
+                    j += 1
+            tail = odds(2 * k - 1) + evens(g) + odds(h)
+            size = len(tail)
+            for i in range(n - size + 1):
+                if letters[i:i + size] != tail:
+                    continue
+                j = i - 1
+                while j > 0:
+                    if letters[j] == g and letters[j - 1] == h:
+                        res.setdefault(perm[j], "iii")
+                        break
+                    if graph.bond(letters[j], h) != 2:
+                        break
+                    j -= 1
+    return res
+
+
+def _ref_classify(graph, w, perms):
+    """The taxonomy read off the class members, given as position orders of ``w``."""
+    internal = _ref_internal_positions(graph, w, perms)
+    lateral = _ref_lateral_witnesses(graph, w, perms, internal)
+    bad = _ref_bad_positions(graph, w, perms)
+    crit = _ref_critical_positions(graph, w, perms)
+
+    cats = []
+    for i in range(len(w)):
+        if i in internal:
+            cats.append("internal")
+        elif i in lateral:
+            cats.append("bilateral" if len(lateral[i]) >= 2 else "lateral")
+        else:
+            cats.append("plain")
+    criticals = []
+    for i in range(len(w)):
+        if i in internal:
+            criticals.append("iv")
+        else:
+            criticals.append(crit.get(i, "none"))
+
+    cls = coxeter.LetterClassification(
+        w, tuple(cats), tuple(i in bad for i in range(len(w))), tuple(criticals))
+    for i in range(len(w)):
+        if cls.is_bilateral(i) and w[i] != 1:
+            raise AssertionError(f"bilateral letter at {i} is not generator 1 in {w}")
+        if cls.bad[i] and not (w[i] == 2 and cls.is_lateral(i)):
+            raise AssertionError(f"bad letter at {i} is not a lateral 2 in {w}")
+    return cls
+
+
+def _ref_r_set(graph, word, perms, cls_by_pid):
+    """Internal letters that sit in t s t with the right t bilateral."""
+    out = set()
+    for perm in perms:
+        letters = _ref_letters(word, perm)
+        for idx in range(1, len(letters) - 1):
+            pid = perm[idx]
+            if cls_by_pid[pid] != "internal":
+                continue
+            s = letters[idx]
+            t = letters[idx - 1]
+            if t == letters[idx + 1] and t != s and graph.bond(s, t) >= 3:
+                if cls_by_pid[perm[idx + 1]] == "bilateral":
+                    out.add(pid)
+    return frozenset(out)
 
 
 def _check_taxonomy_against_class_scan(graph):
     for e in enumerate_fc(graph):
         # positions refer to the input word, normal or not
         for w in (e.word, max(commutation_class(graph, e.word))):
-            # the deleted path: the classification read the members in discovery
-            # order, the right-justification search the sorted members
+            # the replaced path: the classification read the members in
+            # discovery order, the r-set and the right-justification search
+            # the sorted members
             bfs, lex = _ref_orders(graph, w, discovery=True), _ref_orders(graph, w)
-            ref_cls = coxeter._classify(graph, w, bfs)
+            ref_cls = _ref_classify(graph, w, bfs)
+            ref_rset = _ref_r_set(graph, w, lex, ref_cls.category)
             assert classify_letters(graph, w) == ref_cls, w
-            assert right_justify(graph, w) == _right_justify_on(graph, w, ref_cls, lex), w
+            assert coxeter._taxonomy(graph, w, lex) == (ref_cls, ref_rset), w
+            assert right_justify(graph, w) == \
+                _right_justify_on(graph, w, ref_cls, ref_rset, lex), w
             labels = {}
             for order in bfs:
-                for pos, label in coxeter._critical_positions(graph, w, [order]).items():
+                for pos, label in _ref_critical_positions(graph, w, [order]).items():
                     labels.setdefault(pos, set()).add(label)
             assert all(len(v) == 1 for v in labels.values()), (w, labels)
 
 
-def _right_justify_on(graph, word, cls, orders):
-    """``right_justify`` run on the given classification and member orders."""
+def _right_justify_on(graph, word, cls, rset, orders):
+    """``right_justify`` run on the given taxonomy, r-set and member orders."""
     with mock.patch.object(coxeter, "_fc_extensions", lambda g, w, cap: orders), \
-            mock.patch.object(coxeter, "_classify", lambda g, w, perms: cls):
+            mock.patch.object(coxeter, "_taxonomy", lambda g, w, perms: (cls, rset)):
         return right_justify(graph, word)
 
 
@@ -548,6 +712,25 @@ def test_taxonomy_agrees_with_class_scan(family, rank):
 @pytest.mark.parametrize("family", "ABH")
 def test_taxonomy_agrees_with_class_scan_rank_5(family):
     _check_taxonomy_against_class_scan(CoxeterGraph(family, 5))
+
+
+@pytest.mark.parametrize("family", "ABH")
+def test_taxonomy_agrees_with_class_scan_on_words_that_are_not_fc(family):
+    # an FC word never holds q p q with m(p, q) = 3 (a braid), so the flank
+    # condition m(p, q) >= 3 is pinned here, on the classes of every word up
+    # to length 6 at rank 3, fed straight to the one-pass loop
+    g = CoxeterGraph(family, 3)
+    for w in _words(3, 6):
+        orders = _ref_orders(g, w)
+        try:
+            ref_cls = _ref_classify(g, w, orders)
+        except AssertionError as exc:
+            with pytest.raises(AssertionError) as got:
+                coxeter._taxonomy(g, w, orders)
+            assert str(got.value) == str(exc), w
+            continue
+        ref_rset = _ref_r_set(g, w, orders, ref_cls.category)
+        assert coxeter._taxonomy(g, w, orders) == (ref_cls, ref_rset), w
 
 
 def test_taxonomy_cap_bounds_the_class():
