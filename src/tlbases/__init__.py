@@ -33,6 +33,7 @@ from .laurent import (
     invariant_completion,
 )
 from .algebra import AlgebraElement, AuxElements, TLAlgebra, aux_elements, evaluate_mixed
+from .forms import GramCandidate, gram_check, natural_gram_candidate
 from .tangles import (
     CalibrationError,
     DiagramCalculus,
@@ -63,8 +64,7 @@ __version__ = "0.1.0"
 
 # Resolved on first use (PEP 562): importing ``.cli`` here would put it in
 # sys.modules before ``python -m tlbases.cli`` runs it as ``__main__``.
-_CLI_NAMES = frozenset(("JobConfig", "GramCandidate", "gram_check",
-                        "natural_gram_candidate", "run"))
+_CLI_NAMES = frozenset(("JobConfig", "run"))
 
 
 def __getattr__(name):

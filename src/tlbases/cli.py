@@ -19,15 +19,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import TLAlgebra
-from .coxeter import ClassSizeError, CoxeterGraph, GrowthCapError, Word
-from .laurent import ONE, ZERO, LaurentPoly, classify
+from .coxeter import ClassSizeError, CoxeterGraph, GrowthCapError
+from .forms import gram_check, natural_gram_candidate, solution_space_dimension
+from .laurent import ONE
 from .tangles import (
     DiagramCalculus,
     RuleSet,
-    _laurent_to_sympy,
     calibrate_ruleset,
     format_tangle,
     parse_tangle,
@@ -35,8 +35,7 @@ from .tangles import (
 )
 from .verify import SUITES, run_suite, suite_names
 
-__all__ = ["JobConfig", "GramCandidate", "gram_check", "run", "main",
-           "ConfigError", "natural_gram_candidate"]
+__all__ = ["JobConfig", "run", "main", "ConfigError"]
 
 REPORT_DIR_ENV = "TLBASES_REPORT_DIR"
 
@@ -114,161 +113,6 @@ class JobConfig:
 
 def _word_str(w) -> str:
     return ",".join(map(str, w)) if w else "e"
-
-
-# ---------------------------------------------------------------------------
-# gram-form checking
-
-
-@dataclass
-class GramCandidate:
-    """A symmetric-by-construction bilinear form on the t-basis."""
-
-    graph: CoxeterGraph
-    entries: Dict[Tuple[Word, Word], LaurentPoly]
-
-    def entry(self, w: Word, x: Word) -> LaurentPoly:
-        return self.entries.get((w, x), ZERO)
-
-
-def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
-    """The trace form: pair two basis elements through the identity coefficient.
-
-    The first argument is reversed (an anti-automorphism fixes each
-    generator), which makes anti-associativity hold by construction; whether
-    the form is nondegenerate and unitriangular is then checked, not assumed.
-    """
-    words = [e.word for e in alg.fc_elements()]
-    entries = {}
-    for w in words:
-        for x in words:
-            prod = alg.multiply(alg.ttilde_element(tuple(reversed(w))),
-                                alg.ttilde_element(x))
-            entries[(w, x)] = alg.to_basis(prod, "ttilde").coeff(())
-    return GramCandidate(alg.graph, entries)
-
-
-#: Largest matrix whose determinant is expanded exactly (the expansion is
-#: exponential in the size).
-_DET_CAP = 14
-
-
-def _exact_det(rows: List[List[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    if n > _DET_CAP:
-        raise ValueError(f"exact determinant limited to {_DET_CAP}x{_DET_CAP} at this scale")
-    dp = {0: ONE}
-    for r in range(n):
-        nxt: Dict[int, LaurentPoly] = {}
-        for mask, val in dp.items():
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                cell = rows[r][c]
-                if cell:
-                    # parity of inversions introduced by placing column c in row r
-                    prior = bin(mask & (bit - 1)).count("1")
-                    sign = -1 if (r - prior) % 2 else 1
-                    term = val * cell * sign
-                    cur = nxt.get(mask | bit, ZERO) + term
-                    if cur:
-                        nxt[mask | bit] = cur
-                    elif mask | bit in nxt:
-                        del nxt[mask | bit]
-        dp = nxt
-    return dp.get((1 << n) - 1, ZERO)
-
-
-def _left_mult_tables(alg: TLAlgebra, words: List[Word]
-                      ) -> Dict[int, Dict[Word, Dict[Word, LaurentPoly]]]:
-    """t~_s * t~_w in t~-coordinates, by generator s and basis word w."""
-    tables = {}
-    for s in alg.graph.generators:
-        ts = alg.ttilde_element((s,))
-        tables[s] = {w: dict(alg.to_basis(alg.multiply(ts, alg.ttilde_element(w)),
-                                          "ttilde").coords) for w in words}
-    return tables
-
-
-def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, Optional[bool]]:
-    """Exact checks of the four bilinear-form conditions.
-
-    ``nondegenerate`` is None when it could not be decided: the form is not
-    unitriangular mod v^-1 and too large for the exact determinant.
-    """
-    words = [e.word for e in alg.fc_elements()]
-    symmetric = all(cand.entry(w, x) == cand.entry(x, w)
-                    for w in words for x in words)
-
-    left_mult = _left_mult_tables(alg, words)
-
-    def pair(coords: Dict[Word, LaurentPoly], x: Word) -> LaurentPoly:
-        acc = ZERO
-        for y, c in coords.items():
-            acc = acc + c * cand.entry(y, x)
-        return acc
-
-    anti = True
-    for s in alg.graph.generators:
-        for w in words:
-            for x in words:
-                lhs = pair(left_mult[s][w], x)
-                rhs = ZERO
-                for y, c in left_mult[s][x].items():
-                    rhs = rhs + c * cand.entry(w, y)
-                if lhs != rhs:
-                    anti = False
-    unitri = True
-    for i, w in enumerate(words):
-        for j, x in enumerate(words):
-            diff = cand.entry(w, x) - (ONE if i == j else ZERO)
-            if not classify(diff).in_vinv_Aminus:
-                unitri = False
-    if unitri:
-        nondeg = True  # det lies in 1 + v^-1 Z[v^-1], so it is nonzero
-    elif len(words) > _DET_CAP:
-        nondeg = None
-    else:
-        nondeg = bool(_exact_det([[cand.entry(w, x) for x in words] for w in words]))
-    return {
-        "symmetric": symmetric,
-        "anti_associative": anti,
-        "nondegenerate": nondeg,
-        "unitriangular_mod_vinv": unitri,
-    }
-
-
-def _gram_solver_dimension(alg: TLAlgebra) -> int:
-    """Dimension of the space of symmetric anti-associative forms over Q(v)."""
-    import sympy
-
-    words = [e.word for e in alg.fc_elements()]
-    index = {w: i for i, w in enumerate(words)}
-    n = len(words)
-    nvars = n * n
-    v = sympy.Symbol("v")
-
-    rows = []
-    for w in words:
-        for x in words:
-            if index[w] < index[x]:
-                row = [0] * nvars
-                row[index[w] * n + index[x]] = 1
-                row[index[x] * n + index[w]] = -1
-                rows.append(row)
-    for table in _left_mult_tables(alg, words).values():
-        for w in words:
-            for x in words:
-                row = [sympy.Integer(0)] * nvars
-                for y, c in table[w].items():
-                    row[index[y] * n + index[x]] += _laurent_to_sympy(c, v)
-                for y, c in table[x].items():
-                    row[index[w] * n + index[y]] -= _laurent_to_sympy(c, v)
-                if any(row):
-                    rows.append(row)
-    mat = sympy.Matrix(rows)
-    return nvars - mat.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +231,7 @@ def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
         "witness_found": all(checks.values()),
     }
     if alg.graph.rank <= 2:
-        body["solution_space_dimension"] = _gram_solver_dimension(alg)
+        body["solution_space_dimension"] = solution_space_dimension(alg)
     # exploratory: the command reports outcomes and never fails the build
     return body, EXIT_PASS
 

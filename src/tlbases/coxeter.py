@@ -107,6 +107,14 @@ class CoxeterGraph:
         return ((),) + tuple(tuple(t for t in gens if self.bonds[s][t] != 2)
                              for s in gens)
 
+    @cached_property
+    def braids(self) -> Tuple[Tuple[Optional[Word], ...], ...]:
+        """``braids[s][t]``: the alternating word s t s ... of length m(s, t)
+        when m(s, t) >= 3, else None; padded like ``bonds``."""
+        return tuple(tuple(tuple(t if k % 2 else s for k in range(m)) if m >= 3 else None
+                           for t, m in enumerate(row))
+                     for s, row in enumerate(self.bonds))
+
     @property
     def generators(self) -> range:
         return range(1, self.rank + 1)
@@ -333,17 +341,14 @@ def _first_factor(graph: CoxeterGraph, letters: Word,
                   starts: Sequence[int]) -> Optional[Tuple[int, int]]:
     """First reducible factor (start, length), an ss pair or a half-braid,
     trying the start positions in the given order."""
-    n = len(letters)
-    bonds = graph.bonds
+    braids = graph.braids
     for i in starts:
         s, t = letters[i], letters[i + 1]
         if s == t:
             return (i, 2)
-        m = bonds[s][t]
-        if m >= 3 and i + m <= n:
-            ok = all(letters[i + k] == (s if k % 2 == 0 else t) for k in range(m))
-            if ok:
-                return (i, m)
+        braid = braids[s][t]
+        if braid and letters[i:i + len(braid)] == braid:
+            return (i, len(braid))
     return None
 
 

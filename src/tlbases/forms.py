@@ -1,0 +1,172 @@
+"""Bilinear forms on the t-tilde basis: the paper's gram-matrix criterion.
+
+A candidate form is checked exactly for symmetry, anti-associativity
+(B(t_s x, y) = B(x, t_s y) for every generator s), nondegeneracy and
+unitriangularity mod v^-1.  Nondegeneracy and the dimension of the space of
+symmetric anti-associative forms are both ranks, read off one fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968) over Z[v, v^-1].  That ring is an
+integral domain, so every division the elimination makes is exact and it
+runs on the Laurent entries directly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
+
+from .algebra import TLAlgebra
+from .coxeter import CoxeterGraph, Word
+from .laurent import ONE, ZERO, LaurentPoly, classify
+
+__all__ = ["GramCandidate", "natural_gram_candidate", "gram_check",
+           "solution_space_dimension"]
+
+Row = Dict[int, LaurentPoly]
+
+
+@dataclass
+class GramCandidate:
+    """A symmetric-by-construction bilinear form on the t-basis."""
+
+    graph: CoxeterGraph
+    entries: Dict[Tuple[Word, Word], LaurentPoly]
+
+    def entry(self, w: Word, x: Word) -> LaurentPoly:
+        return self.entries.get((w, x), ZERO)
+
+
+def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
+    """The trace form: pair two basis elements through the identity coefficient.
+
+    The first argument is reversed (an anti-automorphism fixes each
+    generator), which makes anti-associativity hold by construction; whether
+    the form is nondegenerate and unitriangular is then checked, not assumed.
+    """
+    words = [e.word for e in alg.fc_elements()]
+    entries = {}
+    for w in words:
+        for x in words:
+            prod = alg.multiply(alg.ttilde_element(tuple(reversed(w))),
+                                alg.ttilde_element(x))
+            entries[(w, x)] = alg.to_basis(prod, "ttilde").coeff(())
+    return GramCandidate(alg.graph, entries)
+
+
+def _rank(rows: List[Row]) -> int:
+    """Rank over Q(v) of rows {column: entry}, by Bareiss elimination.
+
+    Each step takes a pivot from a remaining row and replaces every other
+    remaining row r by (pivot * r - r[col] * pivot row) / previous pivot.
+    The entries stay minors of the input, so the division is exact.  The
+    pivot is the entry with fewest terms in a shortest row, which keeps the
+    fill-in and the minors small.
+    """
+    rows = [r for r in ({c: x for c, x in row.items() if x} for row in rows) if r]
+    prev = ONE
+    rank = 0
+    while rows:
+        prow = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        col = min(prow, key=lambda c: (len(prow[c].terms), c))
+        piv = prow[col]
+        nxt = []
+        for r in rows:
+            f = r.get(col)
+            if f is None and piv == prev:
+                nxt.append(r)  # (piv * r) / prev is r itself
+                continue
+            out = {c: piv * x for c, x in r.items() if c != col}
+            if f is not None:
+                for c, y in prow.items():
+                    if c != col:
+                        out[c] = out.get(c, ZERO) - f * y
+            out = {c: x._exact_div(prev) for c, x in out.items() if x}
+            if out:
+                nxt.append(out)
+        rows, prev = nxt, piv
+        rank += 1
+    return rank
+
+
+def _left_mult_tables(alg: TLAlgebra, words: List[Word]
+                      ) -> Dict[int, Dict[Word, Dict[Word, LaurentPoly]]]:
+    """t~_s * t~_w in t~-coordinates, by generator s and basis word w."""
+    tables = {}
+    for s in alg.graph.generators:
+        ts = alg.ttilde_element((s,))
+        tables[s] = {w: dict(alg.to_basis(alg.multiply(ts, alg.ttilde_element(w)),
+                                          "ttilde").coords) for w in words}
+    return tables
+
+
+def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
+    """Exact checks of the four bilinear-form conditions, each True or False.
+
+    A form unitriangular mod v^-1 has determinant 1 + v^-1·(…), so it is
+    nondegenerate without elimination; any other form is eliminated.
+    """
+    words = [e.word for e in alg.fc_elements()]
+    symmetric = all(cand.entry(w, x) == cand.entry(x, w)
+                    for w in words for x in words)
+
+    left_mult = _left_mult_tables(alg, words)
+
+    def pair(coords: Dict[Word, LaurentPoly], x: Word) -> LaurentPoly:
+        acc = ZERO
+        for y, c in coords.items():
+            acc = acc + c * cand.entry(y, x)
+        return acc
+
+    anti = True
+    for s in alg.graph.generators:
+        for w in words:
+            for x in words:
+                lhs = pair(left_mult[s][w], x)
+                rhs = ZERO
+                for y, c in left_mult[s][x].items():
+                    rhs = rhs + c * cand.entry(w, y)
+                if lhs != rhs:
+                    anti = False
+    unitri = True
+    for i, w in enumerate(words):
+        for j, x in enumerate(words):
+            diff = cand.entry(w, x) - (ONE if i == j else ZERO)
+            if not classify(diff).in_vinv_Aminus:
+                unitri = False
+    nondeg = unitri or _rank([{j: cand.entry(w, x) for j, x in enumerate(words)}
+                              for w in words]) == len(words)
+    return {
+        "symmetric": symmetric,
+        "anti_associative": anti,
+        "nondegenerate": nondeg,
+        "unitriangular_mod_vinv": unitri,
+    }
+
+
+def solution_space_dimension(alg: TLAlgebra) -> int:
+    """Dimension over Q(v) of the space of symmetric anti-associative forms.
+
+    One unknown per pair w <= x of basis words carries the symmetry, and
+    B(t_s t_w, t_x) = B(t_w, t_s t_x) gives one row per generator s and pair
+    w < x (the row of x, w is its negative and that of w, w is zero).
+    """
+    words = [e.word for e in alg.fc_elements()]
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+
+    def unknown(y: Word, x: Word) -> int:
+        i, j = sorted((index[y], index[x]))
+        return i * n + j
+
+    rows = []
+    for table in _left_mult_tables(alg, words).values():
+        for i, w in enumerate(words):
+            for x in words[i + 1:]:
+                row: Row = {}
+                for y, c in table[w].items():
+                    k = unknown(y, x)
+                    row[k] = row.get(k, ZERO) + c
+                for y, c in table[x].items():
+                    k = unknown(w, y)
+                    row[k] = row.get(k, ZERO) - c
+                rows.append(row)
+    return n * (n + 1) // 2 - _rank(rows)

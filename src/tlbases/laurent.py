@@ -307,6 +307,36 @@ class LaurentPoly(_Laurent):
         """The integral ring's own embedding: the identity."""
         return p
 
+    def _exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The quotient ``self / other`` in Z[v, v^-1]; ValueError if there is none.
+
+        Long division from the top term.  A quotient in the ring runs from
+        v^(val self - val other) up to v^(deg self - deg other), so a
+        remainder whose next quotient term would fall below that, or whose
+        top coefficient the divisor's does not divide, leaves no quotient.
+        """
+        if not other.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        (top, lead), rest = other.terms[0], other.terms[1:]
+        low = self.valuation - other.valuation
+        rem = dict(self.terms)
+        quot = []
+        while rem:
+            exp = max(rem)
+            shift = exp - top
+            q, r = divmod(rem.pop(exp), lead)
+            if r or shift < low:
+                raise ValueError(f"{other} does not divide {self}")
+            quot.append((shift, q))
+            for e, c in rest:
+                e += shift
+                c = rem.get(e, 0) - q * c
+                if c:
+                    rem[e] = c
+                else:
+                    rem.pop(e, None)
+        return self._from_terms(tuple(quot))
+
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)

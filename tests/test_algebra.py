@@ -179,6 +179,14 @@ def test_canonical_basis_b2_golden():
     assert {w: dict(c) for w, c in table.items()} == expected
 
 
+def test_canonical_basis_is_monomial_in_type_a():
+    # Fan-Green (J. Algebra 190, 1997): in type A every c_w is the monomial b_w
+    for rank, catalan in ((2, 5), (3, 14), (4, 42), (5, 132)):
+        table = TLAlgebra(CoxeterGraph("A", rank)).canonical_table()
+        assert len(table) == catalan
+        assert {w: dict(c) for w, c in table.items()} == {w: {w: ONE} for w in table}
+
+
 def test_canonical_properties():
     for alg in (B2, H2):
         table = alg.canonical_table()

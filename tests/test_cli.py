@@ -16,14 +16,12 @@ from tlbases.cli import (
     EXIT_PASS,
     EXIT_RESOURCE,
     EXIT_VERIFY_FAIL,
-    GramCandidate,
     JobConfig,
     config_from_args,
-    gram_check,
-    natural_gram_candidate,
     run,
 )
 from tlbases.coxeter import CoxeterGraph
+from tlbases.forms import GramCandidate, gram_check, natural_gram_candidate
 from tlbases.laurent import ONE, V, ZERO
 
 
@@ -287,25 +285,39 @@ def test_gram_check_zero_row_degenerate():
 
 
 def test_gram_natural_candidate_nondegenerate_at_b3():
-    # 24 x 24 is past the exact determinant; unitriangularity decides it
+    # unitriangularity decides it without elimination
     alg = TLAlgebra(CoxeterGraph("B", 3))
     res = gram_check(alg, natural_gram_candidate(alg))
     assert res["unitriangular_mod_vinv"] is True
     assert res["nondegenerate"] is True
 
 
-def test_gram_check_undecided_nondegeneracy_is_null(tmp_path, monkeypatch):
-    # v*I at B3: not unitriangular mod v^-1 and too large to expand exactly
+def _gram_check_report(tmp_path, monkeypatch, candidate):
     import tlbases.cli as cli_mod
 
-    def scaled_identity(alg):
-        return GramCandidate(alg.graph, {(e.word, e.word): V for e in alg.fc_elements()})
-    monkeypatch.setattr(cli_mod, "natural_gram_candidate", scaled_identity)
+    monkeypatch.setattr(cli_mod, "natural_gram_candidate", candidate)
     code, out = run_args(
         ["--command", "gram-check", "--family", "B", "--rank", "3"], tmp_path)
     assert code == EXIT_PASS
-    body = json.loads(out.read_text())["results"]
-    assert body["checks"]["nondegenerate"] is None
+    return json.loads(out.read_text())["results"]
+
+
+def test_gram_check_decides_scaled_identity_at_b3(tmp_path, monkeypatch):
+    # v*I at B3: not unitriangular mod v^-1, and 24 x 24 is eliminated exactly
+    def scaled_identity(alg):
+        return GramCandidate(alg.graph, {(e.word, e.word): V for e in alg.fc_elements()})
+    body = _gram_check_report(tmp_path, monkeypatch, scaled_identity)
+    assert body["checks"]["nondegenerate"] is True
+    assert body["checks"]["unitriangular_mod_vinv"] is False
+    assert body["witness_found"] is False
+
+
+def test_gram_check_zero_row_at_b3_is_degenerate(tmp_path, monkeypatch):
+    def identity_with_zero_row(alg):
+        words = [e.word for e in alg.fc_elements()]
+        return GramCandidate(alg.graph, {(w, w): ONE for w in words[1:]})
+    body = _gram_check_report(tmp_path, monkeypatch, identity_with_zero_row)
+    assert body["checks"]["nondegenerate"] is False
     assert body["witness_found"] is False
 
 

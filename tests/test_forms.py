@@ -1,0 +1,170 @@
+"""Bilinear forms: Bareiss elimination against the paths it replaced.
+
+The references below are the replaced code, kept here: the bitmask
+expansion of the exact determinant and the sympy rank over Q(v) of the
+solution space of symmetric anti-associative forms.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from tlbases.algebra import TLAlgebra
+from tlbases.coxeter import CoxeterGraph
+from tlbases.forms import (
+    GramCandidate,
+    _left_mult_tables,
+    _rank,
+    gram_check,
+    natural_gram_candidate,
+    solution_space_dimension,
+)
+from tlbases.laurent import ONE, V, ZERO, LaurentPoly
+
+ALGEBRAS = {name: TLAlgebra(CoxeterGraph(name[0], int(name[1])))
+            for name in ("A2", "B2", "H2", "A3")}
+
+
+def _ref_exact_det(rows):
+    """Determinant by expansion over the column subsets filled so far."""
+    n = len(rows)
+    dp = {0: ONE}
+    for r in range(n):
+        nxt = {}
+        for mask, val in dp.items():
+            for c in range(n):
+                bit = 1 << c
+                if mask & bit or not rows[r][c]:
+                    continue
+                # parity of inversions introduced by placing column c in row r
+                prior = bin(mask & (bit - 1)).count("1")
+                sign = -1 if (r - prior) % 2 else 1
+                nxt[mask | bit] = nxt.get(mask | bit, ZERO) + val * rows[r][c] * sign
+        dp = nxt
+    return dp.get((1 << n) - 1, ZERO)
+
+
+def _ref_solver_dimension(alg):
+    """Dimension of the symmetric anti-associative forms, by sympy over Q(v)."""
+    import sympy
+
+    from tlbases.tangles import _laurent_to_sympy
+
+    words = [e.word for e in alg.fc_elements()]
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+    nvars = n * n
+    v = sympy.Symbol("v")
+
+    rows = []
+    for w in words:
+        for x in words:
+            if index[w] < index[x]:
+                row = [0] * nvars
+                row[index[w] * n + index[x]] = 1
+                row[index[x] * n + index[w]] = -1
+                rows.append(row)
+    for table in _left_mult_tables(alg, words).values():
+        for w in words:
+            for x in words:
+                row = [sympy.Integer(0)] * nvars
+                for y, c in table[w].items():
+                    row[index[y] * n + index[x]] += _laurent_to_sympy(c, v)
+                for y, c in table[x].items():
+                    row[index[w] * n + index[y]] -= _laurent_to_sympy(c, v)
+                if any(row):
+                    rows.append(row)
+    return nvars - sympy.Matrix(rows).rank()
+
+
+def _dense(alg, cand):
+    words = [e.word for e in alg.fc_elements()]
+    return [[cand.entry(w, x) for x in words] for w in words]
+
+
+def _rows(matrix):
+    return [dict(enumerate(row)) for row in matrix]
+
+
+def _random_poly(rng):
+    return LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
+                        for _ in range(rng.randint(0, 3))})
+
+
+def _perturbations(matrix, rng):
+    """A few nonsingular-looking and a few singular variants of a matrix."""
+    n = len(matrix)
+    out = []
+    for _ in range(2):
+        m = [row[:] for row in matrix]
+        for _ in range(n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            m[i][j] = m[i][j] + _random_poly(rng)
+        out.append(m)
+    for _ in range(2):
+        # one row a Laurent combination of two others
+        m = [row[:] for row in matrix]
+        k, i, j = rng.sample(range(n), 3)
+        a, b = _random_poly(rng), _random_poly(rng)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+        out.append(m)
+    m = [row[:] for row in matrix]
+    m[rng.randrange(n)] = [ZERO] * n
+    out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_rank_decides_nonsingularity_as_the_exact_determinant(name):
+    alg = ALGEBRAS[name]
+    rng = random.Random(sum(map(ord, name)))
+    natural = _dense(alg, natural_gram_candidate(alg))
+    variants = [natural] + _perturbations(natural, rng)
+    singular = 0
+    for m in variants:
+        full = _rank(_rows(m)) == len(m)
+        assert full == bool(_ref_exact_det(m)), name
+        singular += not full
+    assert 0 < singular < len(variants)
+
+
+def _ref_rank(matrix):
+    """The size of the largest nonsingular square submatrix."""
+    n = len(matrix)
+    for k in range(n, 0, -1):
+        for rows in itertools.combinations(matrix, k):
+            for cols in itertools.combinations(range(n), k):
+                if _ref_exact_det([[row[j] for j in cols] for row in rows]):
+                    return k
+    return 0
+
+
+def test_rank_of_products_of_thin_matrices():
+    rng = random.Random(41)
+    for _ in range(40):
+        n, r = rng.randint(1, 5), rng.randint(0, 4)
+        left = [[_random_poly(rng) for _ in range(r)] for _ in range(n)]
+        right = [[_random_poly(rng) for _ in range(n)] for _ in range(r)]
+        m = [[sum((left[i][k] * right[k][j] for k in range(r)), ZERO)
+              for j in range(n)] for i in range(n)]
+        assert _rank(_rows(m)) == _ref_rank(m)
+
+
+@pytest.mark.parametrize("name, dimension", [("A2", 4), ("B2", 6), ("H2", 7)])
+def test_solution_space_dimension_matches_sympy_rank(name, dimension):
+    alg = ALGEBRAS[name]
+    assert solution_space_dimension(alg) == _ref_solver_dimension(alg) == dimension
+
+
+def test_gram_check_decides_nondegeneracy_of_small_forms():
+    alg = ALGEBRAS["B2"]
+    words = [e.word for e in alg.fc_elements()]
+    # v*I is not unitriangular mod v^-1 but nonsingular
+    cand = GramCandidate(alg.graph, {(w, w): V for w in words})
+    res = gram_check(alg, cand)
+    assert res["unitriangular_mod_vinv"] is False
+    assert res["nondegenerate"] is True
+    # the all-ones form has rank 1
+    ones = GramCandidate(alg.graph, {(w, x): ONE for w in words for x in words})
+    assert gram_check(alg, ones)["nondegenerate"] is False

@@ -247,3 +247,34 @@ def test_kernel_operations_match_validating_constructor(cls):
             whole = cls([(e, Fraction(c.numerator)) for e, c in a.terms])
             _same(whole.to_integral(), LaurentPoly([(e, int(c)) for e, c in whole.terms]))
             _same(RationalLaurent.from_integral(whole.to_integral()), whole)
+
+
+def test_exact_div_round_trip():
+    rng = random.Random(31)
+    for _ in range(300):
+        a, b = random_poly(rng), random_poly(rng)
+        if not b:
+            continue
+        assert (a * b)._exact_div(b) == a
+    assert LaurentPoly({2: 1, 0: -1})._exact_div(LaurentPoly({1: 1, 0: -1})) == V + 1
+    assert (DELTA * DELTA)._exact_div(DELTA) == DELTA
+    assert ZERO._exact_div(V_INV) == ZERO
+
+
+def test_exact_div_raises_when_inexact():
+    rng = random.Random(32)
+    for _ in range(200):
+        a, b = random_poly(rng), random_poly(rng)
+        if len(b.terms) < 2:
+            continue
+        # b is not a unit, so it does not divide a*b + 1
+        with pytest.raises(ValueError):
+            (a * b + ONE)._exact_div(b)
+    with pytest.raises(ValueError):
+        LaurentPoly.const(3)._exact_div(LaurentPoly.const(2))
+    with pytest.raises(ValueError):
+        ONE._exact_div(V + 1)
+    with pytest.raises(ValueError):
+        (V * V + 1)._exact_div(V + 1)
+    with pytest.raises(ZeroDivisionError):
+        ONE._exact_div(ZERO)

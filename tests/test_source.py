@@ -18,3 +18,23 @@ def test_no_bare_assert_in_package():
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
     assert not found, f"bare assert statements: {found}"
+
+
+def test_only_tangles_imports_sympy():
+    # calibration solves for its scalars with sympy; every other module
+    # computes over Z[v, v^-1] with the package's own kernel
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "tangles.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}" for name in names
+                         if name.split(".")[0] == "sympy")
+    assert not found, f"sympy imported outside tangles.py: {found}"
