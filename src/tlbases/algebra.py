@@ -32,6 +32,7 @@ from .coxeter import (
     is_fc_reduced,
     normal_form,
     right_justify,
+    word_str,
 )
 from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, invariant_completion
 
@@ -531,9 +532,6 @@ class TLAlgebra:
 
     def structure_constants_csv(self, basis: str) -> str:
         """The full multiplication table as CSV rows keyed by (x, y, z)."""
-        def word_str(w):
-            return ",".join(map(str, w)) if w else "e"
-
         lines = ["x;y;z;coeff"]
         for x in self.fc_elements():
             for y in self.fc_elements():

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .algebra import TLAlgebra
-from .coxeter import ClassSizeError, CoxeterGraph, GrowthCapError
+from .coxeter import ClassSizeError, CoxeterGraph, GrowthCapError, word_str
 from .forms import gram_check, natural_gram_candidate, solution_space_dimension
 from .laurent import ONE
 from .tangles import (
@@ -66,7 +66,6 @@ class JobConfig:
     ruleset_path: Optional[str] = None
     cap_class_size: int = 1_000_000
     confluence_count: int = 10_000
-    slow: bool = False
     report_dir: str = field(default_factory=lambda: os.environ.get(REPORT_DIR_ENV, "."))
 
     def validate(self):
@@ -107,12 +106,7 @@ class JobConfig:
             "tangle": self.tangle,
             "cap_class_size": self.cap_class_size,
             "confluence_count": self.confluence_count,
-            "slow": self.slow,
         }
-
-
-def _word_str(w) -> str:
-    return ",".join(map(str, w)) if w else "e"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +125,7 @@ def _graph(cfg: JobConfig) -> CoxeterGraph:
 def _cmd_enumerate(cfg: JobConfig) -> Tuple[dict, int]:
     alg = TLAlgebra(_graph(cfg), class_cap=cfg.cap_class_size)
     entries = [{
-        "word": _word_str(e.word),
+        "word": word_str(e.word),
         "length": e.length,
         "content": sorted(e.content),
         "descents": {"left": sorted(e.left_descents),
@@ -167,7 +161,7 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
                                 key=lambda t: (len(t[0]), t[0])):
             elem = calc.image(strands, coords)
             entries.append({
-                "index_word": _word_str(w),
+                "index_word": word_str(w),
                 "coords": [{"tangle": format_tangle(t), "poly": str(c)}
                            for t, c in elem.coeffs],
             })
@@ -182,8 +176,8 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
             else:
                 coords = alg.canonical_table()[e.word]
             entries.append({
-                "index_word": _word_str(e.word),
-                "coords": [{"word": _word_str(w), "poly": str(c)}
+                "index_word": word_str(e.word),
+                "coords": [{"word": word_str(w), "poly": str(c)}
                            for w, c in sorted(coords.items(),
                                               key=lambda t: (len(t[0]), t[0]))],
             })
@@ -193,8 +187,7 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
 
 def _cmd_verify(cfg: JobConfig) -> Tuple[dict, int]:
     results = []
-    opts = {"count": cfg.confluence_count, "slow": cfg.slow,
-            "class_cap": cfg.cap_class_size}
+    opts = {"count": cfg.confluence_count, "class_cap": cfg.cap_class_size}
     all_pass = True
     for name in cfg.suites:
         fixed_family = SUITES[name][0]
@@ -358,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most class members one enumeration may produce (a "
                         "factor search counts those it walks); exit 3 past it")
     p.add_argument("--confluence-count", type=int, default=10_000)
-    p.add_argument("--slow", action="store_true")
     return p
 
 
@@ -379,7 +371,6 @@ def config_from_args(argv) -> JobConfig:
         ruleset_path=args.ruleset_path,
         cap_class_size=args.cap_class_size,
         confluence_count=args.confluence_count,
-        slow=args.slow,
     )
 
 

@@ -50,9 +50,16 @@ __all__ = [
     "bruhat_leq",
     "bruhat_leq_word",
     "is_subword",
+    "word_str",
 ]
 
 Word = Tuple[int, ...]
+
+
+def word_str(w: Sequence[int]) -> str:
+    """The serialized word of reports: letters joined by commas, "e" if empty."""
+    return ",".join(map(str, w)) if w else "e"
+
 
 FIRST_BOND = {"A": 3, "B": 4, "H": 5}
 

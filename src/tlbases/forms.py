@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .algebra import TLAlgebra
+from .algebra import TLAlgebra, _merge, _settle
 from .coxeter import CoxeterGraph, Word
 from .laurent import ONE, ZERO, LaurentPoly, classify
 
@@ -41,14 +41,25 @@ def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
     The first argument is reversed (an anti-automorphism fixes each
     generator), which makes anti-associativity hold by construction; whether
     the form is nondegenerate and unitriangular is then checked, not assumed.
+    t~_{w^-1} t~_x is t~_{w[-1]} (t~_{w[:-1]^-1} t~_x), so its t~-coordinates
+    come from those of the prefix by one left multiplication table.
     """
     words = [e.word for e in alg.fc_elements()]
+    left_mult = _left_mult_tables(alg, words)
     entries = {}
-    for w in words:
-        for x in words:
-            prod = alg.multiply(alg.ttilde_element(tuple(reversed(w))),
-                                alg.ttilde_element(x))
-            entries[(w, x)] = alg.to_basis(prod, "ttilde").coeff(())
+    for x in words:
+        prefix_coords: Dict[Word, Dict[Word, LaurentPoly]] = {(): {x: ONE}}
+        for w in words:
+            k = len(w)
+            while w[:k] not in prefix_coords:
+                k -= 1
+            coords = prefix_coords[w[:k]]
+            for j in range(k, len(w)):
+                table, acc = left_mult[w[j]], {}
+                for y, c in coords.items():
+                    _merge(acc, table[y], c)
+                coords = prefix_coords[w[:j + 1]] = _settle(acc)
+            entries[(w, x)] = coords.get((), ZERO)
     return GramCandidate(alg.graph, entries)
 
 

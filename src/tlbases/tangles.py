@@ -94,11 +94,21 @@ class Tangle:
                 decs = tuple(reversed(decs))
             canon.append((a, b, decs))
         canon.sort(key=lambda e: (self._edge_kind(e), _end_sort_key(e[0]), _end_sort_key(e[1])))
+        self._store(n_north, n_south, tuple(canon))
+        self._validate()
+
+    @classmethod
+    def _from_edges(cls, n_north: int, n_south: int, edges: Iterable[Edge]) -> "Tangle":
+        """Trusted constructor: ``edges`` must already be canonical and valid."""
+        t = object.__new__(cls)
+        t._store(n_north, n_south, tuple(edges))
+        return t
+
+    def _store(self, n_north: int, n_south: int, edges: Tuple[Edge, ...]):
         object.__setattr__(self, "n_north", n_north)
         object.__setattr__(self, "n_south", n_south)
-        object.__setattr__(self, "edges", tuple(canon))
-        self._validate()
-        object.__setattr__(self, "_hash", hash((n_north, n_south, self.edges)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_hash", hash((n_north, n_south, edges)))
         object.__setattr__(self, "_key", None)
 
     @staticmethod
@@ -120,6 +130,8 @@ class Tangle:
             if not 1 <= idx <= self.n_north:
                 raise ValueError(f"north index {idx} out of range")
             return idx
+        if face != "S":
+            raise ValueError(f"unknown face {face!r}")
         if not 1 <= idx <= self.n_south:
             raise ValueError(f"south index {idx} out of range")
         return self.n_north + (self.n_south - idx + 1)
@@ -235,10 +247,15 @@ def parse_tangle(text: str) -> Tangle:
             chunk, _, rest = chunk.partition("[")
             decs = tuple(rest.rstrip("]"))
         a_txt, _, b_txt = chunk.partition("-")
-        a = (a_txt[0], int(a_txt[1:]))
-        b = (b_txt[0], int(b_txt[1:]))
-        edges.append((a, b, decs))
+        edges.append((_parse_end(a_txt), _parse_end(b_txt), decs))
     return Tangle(n_north, n_south, edges)
+
+
+def _parse_end(text: str) -> End:
+    face, idx = text[:1], text[1:]
+    if not (face.isalpha() and idx.isdigit()):
+        raise ValueError(f"tangle end {text!r} is not a face letter and an index")
+    return face, int(idx)
 
 
 def identity_tangle(n: int) -> Tangle:
@@ -267,72 +284,52 @@ def generator_U(family: str, n: int, i: int) -> Tangle:
 def compose_raw(top: Tangle, bottom: Tangle) -> Tuple[Tangle, Tuple[Tuple[Decor, ...], ...]]:
     """Concatenate two tangles; return the surviving tangle and closed loops.
 
-    Every closed curve is emitted with its accumulated decoration sequence
-    (canonicalized up to rotation and reversal); surviving curves keep their
-    decorations in traversal order.
+    Top north is node 1..n, the glue n+1..n+g and bottom south follows.
+    Walks start from the outer nodes in canonical end order, so each
+    surviving edge is read from its first end and lands in the stored order
+    by kind alone.  Glue nodes no walk visits lie on closed loops, emitted
+    with their decorations up to rotation and reversal.
     """
-    if top.n_south != bottom.n_north:
+    n, g, m = top.n_north, top.n_south, bottom.n_south
+    if g != bottom.n_north:
         raise ValueError(
-            f"cannot compose: {top.n_south} south nodes vs {bottom.n_north} north nodes")
+            f"cannot compose: {g} south nodes vs {bottom.n_north} north nodes")
+    size = n + g + m + 1
+    # links[side][k]: the node across k's edge in the top (0) or bottom (1)
+    # tangle, with the edge's decorations read from k
+    links = ([None] * size, [None] * size)
+    for side, t, north, south in ((0, top, 0, n), (1, bottom, n, n + g)):
+        for a, b, decs in t.edges:
+            ka = (north if a[0] == "N" else south) + a[1]
+            kb = (north if b[0] == "N" else south) + b[1]
+            links[side][ka], links[side][kb] = (kb, decs), (ka, decs[::-1])
+    seen = [False] * size
 
-    # nodes: ("T", i) top north, ("G", j) glue, ("B", l) bottom south
-    incidence: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
-    edge_list: List[Tuple[Tuple[str, int], Tuple[str, int], Tuple[Decor, ...]]] = []
-
-    def add(a, b, decs):
-        eid = len(edge_list)
-        edge_list.append((a, b, decs))
-        incidence.setdefault(a, []).append((eid, 0))
-        incidence.setdefault(b, []).append((eid, 1))
-
-    for a, b, decs in top.edges:
-        ends = tuple(("T", e[1]) if e[0] == "N" else ("G", e[1]) for e in (a, b))
-        add(ends[0], ends[1], decs)
-    for a, b, decs in bottom.edges:
-        ends = tuple(("G", e[1]) if e[0] == "N" else ("B", e[1]) for e in (a, b))
-        add(ends[0], ends[1], decs)
-
-    used = [False] * len(edge_list)
-
-    def walk(start_eid: int, start_end: int):
-        """Follow the curve beginning by traversing start_eid from start_end."""
-        decs: List[Decor] = []
-        eid, endside = start_eid, start_end
+    def walk(k: int, side: int):
+        # leave k through one tangle; stop at an outer node or back at k
+        decs: Tuple[Decor, ...] = ()
+        seen[k] = True
         while True:
-            used[eid] = True
-            a, b, d = edge_list[eid]
-            if endside == 0:
-                decs.extend(d)
-                arrive = b
-            else:
-                decs.extend(reversed(d))
-                arrive = a
-            if arrive[0] != "G":
-                return arrive, decs
-            nxts = [(e, s) for e, s in incidence[arrive] if not used[e]]
-            if not nxts:
-                return arrive, decs  # closed back to start
-            eid, endside = nxts[0]
+            k, d = links[side][k]
+            decs += d
+            if seen[k]:
+                return k, decs
+            seen[k] = True
+            if not n < k <= n + g:
+                return k, decs
+            side ^= 1
 
-    # Tangle() orients each surviving edge and reverses its decorations
-    new_edges: List[Edge] = []
-    for face, tag, count in (("N", "T", top.n_north), ("S", "B", bottom.n_south)):
-        for i in range(1, count + 1):
-            eid, endside = incidence[(tag, i)][0]
-            if used[eid]:
-                continue
-            dest, decs = walk(eid, endside)
-            b = ("N", dest[1]) if dest[0] == "T" else ("S", dest[1])
-            new_edges.append(((face, i), b, tuple(decs)))
+    def end(k: int) -> End:
+        return ("N", k) if k <= n else ("S", k - n - g)
 
-    loops: List[Tuple[Decor, ...]] = []
-    for eid in range(len(edge_list)):
-        if not used[eid]:
-            _, decs = walk(eid, 0)
-            loops.append(_canonical_cycle(tuple(decs)))
-
-    result = Tangle(top.n_north, bottom.n_south, new_edges)
-    return result, tuple(sorted(loops))
+    kinds: Tuple[List[Edge], ...] = ([], [], [])  # N-N, S-S, propagating
+    for k in itertools.chain(range(1, n + 1), range(n + g + 1, size)):
+        if not seen[k]:
+            j, decs = walk(k, 0 if k <= n else 1)
+            kinds[0 if j <= n else 2 if k <= n else 1].append((end(k), end(j), decs))
+    loops = sorted(_canonical_cycle(walk(p, 0)[1])
+                   for p in range(n + 1, n + g + 1) if not seen[p])
+    return Tangle._from_edges(n, m, kinds[0] + kinds[1] + kinds[2]), tuple(loops)
 
 
 def _canonical_cycle(decs: Tuple[Decor, ...]) -> Tuple[Decor, ...]:
@@ -512,7 +509,7 @@ def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
             edges = list(t.edges)
             for (k, _), (_, decs) in zip(folds, choice):
                 edges[k] = edges[k][:2] + (decs,)
-            out[Tangle(t.n_north, t.n_south, edges)] = coeff
+            out[Tangle._from_edges(t.n_north, t.n_south, edges)] = coeff
     return out
 
 

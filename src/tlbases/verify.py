@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra
-from .coxeter import DEFAULT_CLASS_CAP, CoxeterGraph, bruhat_leq_word, classify_letters
+from .coxeter import DEFAULT_CLASS_CAP, CoxeterGraph, bruhat_leq_word, classify_letters, word_str
 from .laurent import DELTA, ONE, LaurentPoly, classify
 from .tangles import (
     DiagramCalculus,
@@ -63,16 +63,6 @@ class SuiteResult:
         }
 
 
-def _word_str(w) -> str:
-    return ",".join(map(str, w)) if w else "e"
-
-
-def _coords_str(coords) -> list:
-    return [{"word": _word_str(w), "poly": str(c)} for w, c in sorted(
-        coords.items() if isinstance(coords, dict) else coords,
-        key=lambda t: (len(t[0]), t[0]))]
-
-
 _RULES_CACHE: Dict[str, RuleSet] = {}
 
 
@@ -102,8 +92,8 @@ def _transport_h(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
         if not single:
             res.checks.append(CheckResult(
                 f"strands-{strands}-single-diagram", False,
-                f"canonical element at {_word_str(w)} is not a unit diagram",
-                {"word": _word_str(w), "image": repr(elem)}))
+                f"canonical element at {word_str(w)} is not a unit diagram",
+                {"word": word_str(w), "image": repr(elem)}))
             return
         images[w] = elem.coeffs[0][0]
     res.checks.append(CheckResult(
@@ -129,8 +119,8 @@ def _transport_b(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
         if hit is None:
             res.checks.append(CheckResult(
                 f"strands-{strands}-canonical-form", False,
-                f"image of {_word_str(w)} is not a normalized canonical diagram",
-                {"word": _word_str(w), "image": repr(elem)}))
+                f"image of {word_str(w)} is not a normalized canonical diagram",
+                {"word": word_str(w), "image": repr(elem)}))
             return
         # normalization restores integer coefficients despite dyadic steps
         for _, c in elem.coeffs:
@@ -171,14 +161,12 @@ def _f_equals_canonical(res: SuiteResult, alg: TLAlgebra):
     res.checks.append(CheckResult(
         f"{family}{rank}-f-equals-canonical", not bad,
         f"{len(alg.fc_elements())} elements compared",
-        None if not bad else {"words": [_word_str(w) for w in bad]}))
+        None if not bad else {"words": [word_str(w) for w in bad]}))
 
 
 def suite_f_canonical(family, rank, opts) -> SuiteResult:
     res = SuiteResult({"H": "thm-3.4.3", "B": "thm-5.2.1"}[family], family)
     ranks = (2, 3) if rank is None else (rank,)
-    if opts.get("slow") and rank is None:
-        ranks = (2, 3, 4)
     for r in ranks:
         _f_equals_canonical(res, _algebra(family, r, opts))
     return res
@@ -202,7 +190,7 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
         f"{family}{rank}-positivity", not negative,
         f"{len(elements) ** 2} canonical products expanded",
         None if not negative else {"cases": [
-            {"x": _word_str(a), "y": _word_str(b), "z": _word_str(z), "coeff": s}
+            {"x": word_str(a), "y": word_str(b), "z": word_str(z), "coeff": s}
             for a, b, z, s in negative[:5]]}))
 
     graph = alg.graph
@@ -234,13 +222,13 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
         "support of f-basis right multiplications satisfies the descent and "
         "order bounds",
         None if not side_bad else {"cases": [
-            {"w": _word_str(a), "i": i, "x": _word_str(x), "why": why}
+            {"w": word_str(a), "i": i, "x": word_str(x), "why": why}
             for a, i, x, why in side_bad[:5]]}))
     res.checks.append(CheckResult(
         f"{family}{rank}-descent-equivalence", not equiv_bad,
         "right multiplication scales by the loop value exactly at descents",
         None if not equiv_bad else {"cases": [
-            {"w": _word_str(a), "i": i} for a, i in equiv_bad[:5]]}))
+            {"w": word_str(a), "i": i} for a, i in equiv_bad[:5]]}))
 
 
 def suite_positivity(family, rank, opts) -> SuiteResult:
@@ -320,18 +308,18 @@ def suite_deletion(family, rank, opts) -> SuiteResult:
     res.checks.append(CheckResult(
         f"{fam}{r}-reduced-words-loop-free", not loopy,
         "composing a reduced word closes no loop",
-        None if not loopy else {"words": [_word_str(w) for w in loopy[:5]]}))
+        None if not loopy else {"words": [word_str(w) for w in loopy[:5]]}))
     res.checks.append(CheckResult(
         f"{fam}{r}-loop-monotonicity", not mono_bad,
         "deleting one letter never adds more than one loop",
         None if not mono_bad else {"cases": [
-            {"word": _word_str(w), "position": l} for w, l in mono_bad[:5]]}))
+            {"word": word_str(w), "position": l} for w, l in mono_bad[:5]]}))
     res.checks.append(CheckResult(
         f"{fam}{r}-deletion-classification", not agree_bad,
         "lattice degree rises exactly at internal or critical letters, "
         "matching the loop oracle in both directions",
         None if not agree_bad else {"cases": [
-            {"word": _word_str(w), "position": l, "degree": d,
+            {"word": word_str(w), "position": l, "degree": d,
              "loops": lo, "marked": m}
             for w, l, d, lo, m in agree_bad[:5]]}))
     return res
@@ -362,7 +350,7 @@ def suite_confluence(family, rank, opts) -> SuiteResult:
         f"{count} random words of length <= 12 reduced under "
         f"{len(STRATEGIES)} strategies",
         None if not mismatches else {"cases": [
-            {"rank": r, "word": _word_str(w)} for r, w in mismatches[:5]]}))
+            {"rank": r, "word": word_str(w)} for r, w in mismatches[:5]]}))
     return res
 
 

@@ -250,6 +250,14 @@ def test_render_command(tmp_path):
     assert out.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("tangle", ["n=1; N1-X1", "n=2; N1-"])
+def test_malformed_tangle_is_a_config_error(tmp_path, tangle):
+    # an unknown face and a missing end are bad input, not a failed computation
+    code, out = run_args(["--command", "render", "--family", "H", "--tangle", tangle], tmp_path)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_ruleset_file_round_trip(tmp_path):
     code, out = run_args(["--command", "calibrate", "--family", "B"], tmp_path, "rules.json")
     assert code == EXIT_PASS

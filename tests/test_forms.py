@@ -1,8 +1,10 @@
-"""Bilinear forms: Bareiss elimination against the paths it replaced.
+"""Bilinear forms: Bareiss elimination and the table-driven trace form
+against the paths they replaced.
 
 The references below are the replaced code, kept here: the bitmask
-expansion of the exact determinant and the sympy rank over Q(v) of the
-solution space of symmetric anti-associative forms.
+expansion of the exact determinant, the sympy rank over Q(v) of the
+solution space of symmetric anti-associative forms, and the trace form by
+one full product per pair of basis elements.
 """
 
 import itertools
@@ -24,6 +26,28 @@ from tlbases.laurent import ONE, V, ZERO, LaurentPoly
 
 ALGEBRAS = {name: TLAlgebra(CoxeterGraph(name[0], int(name[1])))
             for name in ("A2", "B2", "H2", "A3")}
+
+
+def _ref_natural_gram_entries(alg):
+    """The trace form by one product and one t~-conversion per pair."""
+    words = [e.word for e in alg.fc_elements()]
+    entries = {}
+    for w in words:
+        for x in words:
+            prod = alg.multiply(alg.ttilde_element(tuple(reversed(w))),
+                                alg.ttilde_element(x))
+            entries[(w, x)] = alg.to_basis(prod, "ttilde").coeff(())
+    return entries
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3"])
+def test_natural_gram_candidate_matches_pairwise_products(name):
+    alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
+    entries = natural_gram_candidate(alg).entries
+    want = _ref_natural_gram_entries(alg)
+    # every pair is stored, zeros included
+    assert entries == want and len(entries) == len(alg.fc_elements()) ** 2
+    assert any(not c for c in entries.values())
 
 
 def _ref_exact_det(rows):

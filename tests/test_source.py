@@ -38,3 +38,16 @@ def test_only_tangles_imports_sympy():
             found.extend(f"{path.name}:{node.lineno}" for name in names
                          if name.split(".")[0] == "sympy")
     assert not found, f"sympy imported outside tangles.py: {found}"
+
+
+def test_trusted_tangles_are_built_only_in_tangles():
+    # Tangle._from_edges skips validation; only the module whose composition
+    # and edge folding guarantee a valid result may call it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "tangles.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "_from_edges")
+    assert not found, f"Tangle._from_edges used outside tangles.py: {found}"

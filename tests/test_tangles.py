@@ -11,6 +11,7 @@ from tlbases.algebra import TLAlgebra
 from tlbases.coxeter import CoxeterGraph
 from tlbases.laurent import DELTA, ONE, LaurentPoly, RationalLaurent
 from tlbases.tangles import (
+    _canonical_cycle,
     _SymPoly,
     DiagramCalculus,
     DiagramElement,
@@ -148,6 +149,7 @@ def test_validate_matches_quadratic_reference_on_malformed_edges():
         [(n1, ("S", 3), ()), (n2, s1, ())],            # south index out of range
         [(("N", 0), s1, ()), (n2, s2, ())],            # north index out of range
         [(n1, s2, ("c",)), (n2, s1, ())],              # crossing before exposure
+        [(n1, ("X", 1), ()), (n2, s2, ())],            # a face that is neither N nor S
     ]
     for edges in cases:
         assert _check_validation(2, 2, edges) is not None, edges
@@ -188,6 +190,13 @@ def test_serialization_round_trip():
     assert format_tangle(generator_U("H", 3, 1)) == "n=3; N1-N2[c]; S1-S2[c]; N3-S3"
 
 
+def test_parse_tangle_rejects_malformed_ends():
+    for text in ("n=2; N1-", "n=2; N1-S; N2-S2", "n=2; 1-S1; N2-S2", "n=2; N1-Sx; N2-S2",
+                 "n=1; N1-X1"):
+        with pytest.raises(ValueError):
+            parse_tangle(text)
+
+
 def test_generator_examples():
     u1 = generator_U("H", 3, 1)
     assert format_tangle(u1) == "n=3; N1-N2[c]; S1-S2[c]; N3-S3"
@@ -217,6 +226,136 @@ def test_compose_examples():
 
     with pytest.raises(ValueError):
         compose_raw(identity_tangle(2), identity_tangle(3))
+
+
+def _ref_compose_raw(top, bottom):
+    """The incidence-graph composer that the one array walk replaced.
+
+    Nodes are tagged ("T", i) top north, ("G", j) glue and ("B", l) bottom
+    south; surviving edges are handed to ``Tangle`` to orient and sort.
+    """
+    if top.n_south != bottom.n_north:
+        raise ValueError(
+            f"cannot compose: {top.n_south} south nodes vs {bottom.n_north} north nodes")
+    incidence = {}
+    edge_list = []
+
+    def add(a, b, decs):
+        eid = len(edge_list)
+        edge_list.append((a, b, decs))
+        incidence.setdefault(a, []).append((eid, 0))
+        incidence.setdefault(b, []).append((eid, 1))
+
+    for a, b, decs in top.edges:
+        add(*(("T", e[1]) if e[0] == "N" else ("G", e[1]) for e in (a, b)), decs)
+    for a, b, decs in bottom.edges:
+        add(*(("G", e[1]) if e[0] == "N" else ("B", e[1]) for e in (a, b)), decs)
+    used = [False] * len(edge_list)
+
+    def walk(eid, endside):
+        decs = []
+        while True:
+            used[eid] = True
+            a, b, d = edge_list[eid]
+            if endside == 0:
+                decs.extend(d)
+                arrive = b
+            else:
+                decs.extend(reversed(d))
+                arrive = a
+            if arrive[0] != "G":
+                return arrive, decs
+            nxts = [(e, s) for e, s in incidence[arrive] if not used[e]]
+            if not nxts:
+                return arrive, decs  # closed back to start
+            eid, endside = nxts[0]
+
+    new_edges = []
+    for face, tag, count in (("N", "T", top.n_north), ("S", "B", bottom.n_south)):
+        for i in range(1, count + 1):
+            eid, endside = incidence[(tag, i)][0]
+            if used[eid]:
+                continue
+            dest, decs = walk(eid, endside)
+            b = ("N", dest[1]) if dest[0] == "T" else ("S", dest[1])
+            new_edges.append(((face, i), b, tuple(decs)))
+    loops = [_canonical_cycle(tuple(walk(eid, 0)[1]))
+             for eid in range(len(edge_list)) if not used[eid]]
+    return Tangle(top.n_north, bottom.n_south, new_edges), tuple(sorted(loops))
+
+
+# words that are not their own reversal show which end an edge is read from
+EXPOSED_WORDS = ((), ("c",), ("s",), ("c", "s"), ("s", "c", "c"))
+
+
+def _decorated_tangles(n_north, n_south):
+    """Every tangle whose west-exposed edges carry any of EXPOSED_WORDS."""
+    out = []
+    for pairing in _all_matchings(tuple(range(1, n_north + n_south + 1))):
+        ends = [(_boundary_end(a, n_north, n_south), _boundary_end(b, n_north, n_south))
+                for a, b in pairing]
+        if _outcome(Tangle, n_north, n_south, [e + ((),) for e in ends]) is not None:
+            continue  # crossing
+        bare = Tangle(n_north, n_south, [e + ((),) for e in ends])
+        exposed = [k for k, e in enumerate(bare.edges) if bare.west_exposed(e)]
+        for words in itertools.product(EXPOSED_WORDS, repeat=len(exposed)):
+            decs = dict(zip(exposed, words))
+            out.append(Tangle(n_north, n_south, [(a, b, decs.get(k, ()))
+                                                 for k, (a, b, _) in enumerate(bare.edges)]))
+    return out
+
+
+def _check_compose(top, bottom):
+    got, want = compose_raw(top, bottom), _ref_compose_raw(top, bottom)
+    assert got == want, (top, bottom)
+    assert got[0].edges == want[0].edges and hash(got[0]) == hash(want[0])
+
+
+def test_compose_matches_incidence_reference_up_to_three_strands():
+    shapes = {(a, b): _decorated_tangles(a, b)
+              for a in range(4) for b in range(4) if (a + b) % 2 == 0}
+    pairs = 0
+    for (a, b), tops in shapes.items():
+        for c in range(b % 2, 4, 2):
+            for top in tops:
+                for bottom in shapes[(b, c)]:
+                    _check_compose(top, bottom)
+                    pairs += 1
+    assert pairs == 48_711
+
+
+def test_compose_matches_incidence_reference_on_four_strand_sample():
+    rng = random.Random(61)
+    shapes = {(a, b): _decorated_tangles(a, b) for a, b in ((4, 4), (4, 2), (2, 4))}
+    for _ in range(3000):
+        a, b = rng.choice(sorted(shapes))
+        c = rng.choice([c for (bb, c) in shapes if bb == b])
+        _check_compose(rng.choice(shapes[(a, b)]), rng.choice(shapes[(b, c)]))
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_trusted_tangles_revalidate_at_five_strands(family, monkeypatch):
+    # compose_raw and edge folding skip validation; every tangle they build
+    # on the way to the FC words' images must pass the public constructor
+    import tlbases.tangles as tangles_mod
+    built = []
+
+    def recording(top, bottom):
+        out = compose_raw(top, bottom)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(tangles_mod, "compose_raw", recording)
+    rules = RULES_H if family == "H" else RULES_B
+    calc = DiagramCalculus(rules)
+    words = TLAlgebra(CoxeterGraph(family, 4)).fc_words()
+    for w in words:
+        built.extend(calc.evaluate_word(5, w).support())
+    assert len(built) > len(words)
+    for t in built:
+        fresh = Tangle(t.n_north, t.n_south, t.edges)
+        assert fresh.edges == t.edges, t
+        assert hash(fresh) == hash(t) and fresh.sort_key() == t.sort_key()
 
 
 def test_calibrated_values():
