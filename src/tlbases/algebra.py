@@ -29,8 +29,6 @@ from .coxeter import (
     _letters,
     enumerate_fc,
     classify_letters,
-    is_fc_reduced,
-    normal_form,
     right_justify,
     word_str,
 )
@@ -148,18 +146,18 @@ class AlgebraElement:
 class TLAlgebra:
     """Computational context for one Temperley-Lieb algebra.
 
-    Caches rewriting results, generator multiplications and the basis tables
-    keyed by this graph.  All returned objects are immutable; the caches only
-    grow, so instances can be shared within a thread of work.
+    Caches rewriting results and the basis tables keyed by this graph.  All
+    returned objects are immutable; the caches only grow, so instances can be
+    shared within a thread of work.
     """
 
     def __init__(self, graph: CoxeterGraph, class_cap: int = 1_000_000):
         self.graph = graph
         self.class_cap = class_cap
         self._w2b: Dict[Tuple[str, Word], Coords] = {}
-        self._gen_mult: Dict[Tuple[Word, int], Coords] = {}
         self._fc: Optional[Tuple[FcElement, ...]] = None
         self._ttilde: Optional[Dict[Word, Coords]] = None
+        self._ttilde_left: Optional[Dict[int, Dict[Word, Coords]]] = None
         self._canonical: Optional[Dict[Word, Coords]] = None
         self._f_table: Optional[Dict[Word, Coords]] = None
         self._f_factors: Dict[Word, Tuple[Tuple[Coords, bool], ...]] = {}
@@ -241,12 +239,7 @@ class TLAlgebra:
     def _times_gen_into(self, acc: Raw, coords: Coords, s: int) -> Raw:
         """acc += coords * b_s."""
         for u, c in coords.items():
-            key = (u, s)
-            hit = self._gen_mult.get(key)
-            if hit is None:
-                hit = self._w2b_coords(u + (s,), "lex-least-leftmost")
-                self._gen_mult[key] = hit
-            _merge(acc, hit, c)
+            _merge(acc, self._w2b_coords(u + (s,), "lex-least-leftmost"), c)
         return acc
 
     def _times_gen(self, coords: Coords, s: int) -> Coords:
@@ -281,11 +274,18 @@ class TLAlgebra:
     def one(self) -> AlgebraElement:
         return AlgebraElement.make(self.graph, "monomial", {(): ONE})
 
-    def monomial(self, word: Sequence[int]) -> AlgebraElement:
-        w = self.graph.check_word(word)
-        if not is_fc_reduced(self.graph, w):
-            raise ValueError(f"{w} does not index a monomial basis element")
-        return AlgebraElement.make(self.graph, "monomial", {normal_form(self.graph, w): ONE})
+    def _index_word(self, w) -> Word:
+        """The normal word of the basis index w: an ``FcElement`` or a fully
+        commutative reduced word; any other word indexes nothing."""
+        if isinstance(w, FcElement):
+            return w.word
+        heap = _Heap(self.graph, self.graph.check_word(w))
+        if not heap.fc_reduced():
+            raise ValueError(f"{heap.word} does not index a basis element")
+        return heap.normal_form()
+
+    def monomial(self, word) -> AlgebraElement:
+        return AlgebraElement.make(self.graph, "monomial", {self._index_word(word): ONE})
 
     # -- t-tilde basis and conversions --------------------------------------
 
@@ -295,9 +295,8 @@ class TLAlgebra:
         Expands the product of (b_s - v^-1) over the letters of the normal
         word; the result is unitriangular with top coefficient 1.
         """
-        word = w.word if isinstance(w, FcElement) else self.graph.check_word(w)
         coords: Coords = {(): ONE}
-        for s in word:
+        for s in self._index_word(w):
             coords = self._ttilde_step(coords, s)
         return AlgebraElement.make(self.graph, "monomial", coords)
 
@@ -315,9 +314,28 @@ class TLAlgebra:
                 coords = self._ttilde_step(table[w[:-1]], w[-1]) if w else {(): ONE}
                 if coords.get(w) != ONE:
                     raise AssertionError(f"t-basis element at {w} is not unitriangular")
+                # the canonical correction and the one lattice L rest on this
+                if any(c.degree > 0 for c in coords.values()):
+                    raise AssertionError(f"t-basis element at {w} has a coefficient "
+                                         f"outside Z[v^-1]")
                 table[w] = dict(sorted(coords.items(), key=lambda t: (len(t[0]), t[0])))
             self._ttilde = table
         return self._ttilde
+
+    def ttilde_left_table(self) -> Dict[int, Dict[Word, Coords]]:
+        """t~_s * t~_w in t-tilde coordinates, by generator s and basis word w."""
+        if self._ttilde_left is None:
+            ttable = self.ttilde_table()
+            self._ttilde_left = {}
+            for s in self.graph.generators:
+                rows = self._ttilde_left[s] = {}
+                for w, row in ttable.items():
+                    # (b_s - v^-1) t~_w, with b_s b_u read off the rewriting
+                    acc = _merge({}, row, -V_INV)
+                    for u, c in row.items():
+                        _merge(acc, self._w2b_coords((s,) + u, "lex-least-leftmost"), c)
+                    rows[w] = self._convert_from_monomial(_settle(acc), ttable)
+        return self._ttilde_left
 
     def _convert_from_monomial(self, coords: Coords, table: Dict[Word, Coords]) -> Coords:
         """Triangular solve against a unitriangular table, largest word first.
@@ -384,28 +402,23 @@ class TLAlgebra:
         out = AlgebraElement.make(self.graph, "monomial", coords)
         return out if a.basis == "monomial" else self.to_basis(out, a.basis)
 
-    def lattice_degree(self, a: AlgebraElement, which: str = "L_H"):
-        """Smallest m with a in v^m * lattice; -inf for zero.
+    def lattice_degree(self, a: AlgebraElement):
+        """Smallest m with a in v^m * L; -inf for zero.
 
-        ``L_H`` measures in monomial coordinates, ``L`` in t-tilde
-        coordinates; either way it is the maximum coefficient degree.
+        L is the Z[v^-1]-span of the monomial basis, which is that of the
+        t-tilde basis too (``ttilde_table`` checks the table is unitriangular
+        over Z[v^-1]); the degree is the maximum monomial coefficient degree.
         """
-        if which == "L_H":
-            coords = self.to_monomial(a).coords
-        elif which == "L":
-            coords = self.to_basis(a, "ttilde").coords
-        else:
-            raise ValueError(f"unknown lattice {which!r}")
+        coords = self.to_monomial(a).coords
         if not coords:
             return float("-inf")
         return max(c.degree for _, c in coords)
 
-    def pi_equal(self, a: AlgebraElement, b: AlgebraElement, which: str = "L_H") -> bool:
-        """Equality of degree-0 lattice parts: a - b lands in v^-1 * lattice."""
-        if self.lattice_degree(a, which) > 0 or self.lattice_degree(b, which) > 0:
+    def pi_equal(self, a: AlgebraElement, b: AlgebraElement) -> bool:
+        """Equality of degree-0 lattice parts: a - b lands in v^-1 * L."""
+        if self.lattice_degree(a) > 0 or self.lattice_degree(b) > 0:
             raise ValueError("projection is only defined on lattice elements")
-        am = self.to_monomial(a) if which == "L_H" else self.to_basis(a, "ttilde")
-        bm = self.to_monomial(b) if which == "L_H" else self.to_basis(b, "ttilde")
+        am, bm = self.to_monomial(a), self.to_monomial(b)
         diff = _settle(_merge(_merge({}, dict(am.coords), ONE), dict(bm.coords), -ONE))
         return all(c.degree <= -1 for c in diff.values())
 
@@ -417,36 +430,29 @@ class TLAlgebra:
         return self._canonical
 
     def _canonical_table(self) -> Dict[Word, Coords]:
-        """Kazhdan-Lusztig step, then bar-invariant correction in t-tilde
+        """Kazhdan-Lusztig step, then bar-invariant correction in monomial
         coordinates.
 
         For each index word w = w' s in increasing length order, start from
         c_{w'} * b_s: bar-fixed, with top monomial b_w at coefficient 1
-        (every other term of c_{w'} is shorter than w').  Subtract the
-        invariant completion of the largest offending coordinate until all
-        coordinates away from the top are in v^-1 Z[v^-1]; uniqueness of the
-        canonical basis makes the result independent of start and order.
+        (every other term of c_{w'} is shorter than w').  The t-tilde table
+        lies in Z[v^-1] (``ttilde_table`` checks it), so c_w - t~_w in
+        v^-1 L says that each monomial coordinate of c_w is the constant
+        term of t~_w's, mod v^-1 Z[v^-1].  Subtracting a multiple of c_x moves
+        only x and shorter words, so one walk down the lengths below w, in
+        any order within a length, settles every coordinate.
         """
         ttable = self.ttilde_table()
-        steps = 4 * len(self.fc_elements()) + 4
-        canon_t: Dict[Word, Coords] = {}
         out: Dict[Word, Coords] = {}
         for w in self.fc_words():
-            start = self._times_gen(out[w[:-1]], w[-1]) if w else {(): ONE}
-            mono = _merge({}, start, ONE)
-            cur = _merge({}, self._convert_from_monomial(start, ttable), ONE)
-            for _ in range(steps):
-                offenders = [x for x, d in cur.items()
-                             if x != w and any(c for e, c in d.items() if e >= 0)]
-                if not offenders:
-                    break
-                pick = max(offenders, key=lambda u: (len(u), u))
-                mu = invariant_completion(LaurentPoly._from_dict(cur[pick]))
-                _merge(cur, canon_t[pick], -mu)
-                _merge(mono, out[pick], -mu)
-            else:
-                raise AssertionError(f"correction recursion did not settle at {w}")
-            canon_t[w] = _settle(cur)
+            mono = _merge({}, self._times_gen(out[w[:-1]], w[-1]) if w else {(): ONE}, ONE)
+            target = {x: k for x, c in ttable[w].items() if (k := c.coeff(0))}
+            for length in range(len(w) - 1, -1, -1):
+                for x in {x for x in (*mono, *target) if len(x) == length}:
+                    gap = LaurentPoly._from_dict(mono.get(x, {})) - target.get(x, 0)
+                    mu = invariant_completion(gap)
+                    if mu:
+                        _merge(mono, out[x], -mu)
             out[w] = _settle(mono)
         return out
 
@@ -457,8 +463,8 @@ class TLAlgebra:
         }
 
     def canonical_element(self, w) -> AlgebraElement:
-        word = w.word if isinstance(w, FcElement) else normal_form(self.graph, w)
-        return AlgebraElement.make(self.graph, "monomial", self.canonical_table()[word])
+        return AlgebraElement.make(self.graph, "monomial",
+                                   self.canonical_table()[self._index_word(w)])
 
     # -- f-basis --------------------------------------------------------------
 
@@ -501,7 +507,7 @@ class TLAlgebra:
         return result
 
     def f_element(self, w) -> AlgebraElement:
-        word = w.word if isinstance(w, FcElement) else normal_form(self.graph, w)
+        word = self._index_word(w)
         coords: Coords = {(): ONE}
         for factor, _ in self._f_factorization(word):
             coords = self._mul_coords(coords, factor)
@@ -519,8 +525,7 @@ class TLAlgebra:
 
     def structure_constants(self, basis: str, x, y) -> Dict[Word, LaurentPoly]:
         """Exact expansion of (basis element x) * (basis element y) in ``basis``."""
-        xw = x.word if isinstance(x, FcElement) else normal_form(self.graph, x)
-        yw = y.word if isinstance(y, FcElement) else normal_form(self.graph, y)
+        xw, yw = self._index_word(x), self._index_word(y)
         if basis == "monomial":
             xm: Coords = {xw: ONE}
             ym: Coords = {yw: ONE}

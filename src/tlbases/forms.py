@@ -45,7 +45,7 @@ def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
     come from those of the prefix by one left multiplication table.
     """
     words = [e.word for e in alg.fc_elements()]
-    left_mult = _left_mult_tables(alg, words)
+    left_mult = alg.ttilde_left_table()
     entries = {}
     for x in words:
         prefix_coords: Dict[Word, Dict[Word, LaurentPoly]] = {(): {x: ONE}}
@@ -98,17 +98,6 @@ def _rank(rows: List[Row]) -> int:
     return rank
 
 
-def _left_mult_tables(alg: TLAlgebra, words: List[Word]
-                      ) -> Dict[int, Dict[Word, Dict[Word, LaurentPoly]]]:
-    """t~_s * t~_w in t~-coordinates, by generator s and basis word w."""
-    tables = {}
-    for s in alg.graph.generators:
-        ts = alg.ttilde_element((s,))
-        tables[s] = {w: dict(alg.to_basis(alg.multiply(ts, alg.ttilde_element(w)),
-                                          "ttilde").coords) for w in words}
-    return tables
-
-
 def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     """Exact checks of the four bilinear-form conditions, each True or False.
 
@@ -119,7 +108,7 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     symmetric = all(cand.entry(w, x) == cand.entry(x, w)
                     for w in words for x in words)
 
-    left_mult = _left_mult_tables(alg, words)
+    left_mult = alg.ttilde_left_table()
 
     def pair(coords: Dict[Word, LaurentPoly], x: Word) -> LaurentPoly:
         acc = ZERO
@@ -169,7 +158,7 @@ def solution_space_dimension(alg: TLAlgebra) -> int:
         return i * n + j
 
     rows = []
-    for table in _left_mult_tables(alg, words).values():
+    for table in alg.ttilde_left_table().values():
         for i, w in enumerate(words):
             for x in words[i + 1:]:
                 row: Row = {}

@@ -878,8 +878,7 @@ def iota(elem: DiagramElement, rules_b: RuleSet) -> DiagramElement:
 # generation by elementary procedures
 
 
-def generate_by_procedures(family: str, n: int, rules: RuleSet,
-                           cap: int = 1_000_000) -> List[DiagramElement]:
+def generate_by_procedures(family: str, n: int, rules: RuleSet) -> List[DiagramElement]:
     """Closure of the identity under generator multiplications and the gated
     quadratic moves; family H uses the two three-step moves as well."""
     if n < 3:
@@ -924,8 +923,6 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet,
             for cand in candidates:
                 key = accept(cand)
                 if key is not None and key not in closure:
-                    if len(closure) >= cap:
-                        raise RuntimeError(f"closure exceeded cap {cap}")
                     closure[key] = cand
                     new.append(cand)
         frontier = new

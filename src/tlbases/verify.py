@@ -301,7 +301,7 @@ def suite_deletion(family, rank, opts) -> SuiteResult:
             if loops > 1:
                 mono_bad.append((e.word, l))
                 continue
-            deg = alg.lattice_degree(alg.word_to_basis(hat), "L_H")
+            deg = alg.lattice_degree(alg.word_to_basis(hat))
             marked = cls.is_internal(l) or cls.critical[l] in ("i", "ii", "iii")
             if (deg == 1) != marked or (loops == 1) != marked:
                 agree_bad.append((e.word, l, str(deg), loops, marked))

@@ -174,7 +174,7 @@ def test_criterion_8_deletion_laws():
             hat = e.word[:l] + e.word[l + 1:]
             loops = loop_count(strands, hat)
             ok = ok and loops <= 1
-            deg = alg.lattice_degree(alg.word_to_basis(hat), "L_H")
+            deg = alg.lattice_degree(alg.word_to_basis(hat))
             marked = cls.is_internal(l) or cls.critical[l] in ("i", "ii", "iii")
             ok = ok and (deg == 1) == marked and (loops == 1) == marked
     report(8, ok, "exhaustive over W_c(H3) and all positions")

@@ -1,6 +1,9 @@
 """Algebra layer: rewriting, bases, bar involution, canonical and f bases."""
 
+import os
 import random
+
+import pytest
 
 from tlbases.algebra import STRATEGIES, AlgebraElement, TLAlgebra, aux_elements, evaluate_mixed
 from tlbases.coxeter import CoxeterGraph
@@ -156,12 +159,12 @@ def test_bar_unitriangular_in_ttilde_coords():
 
 def test_lattice_degree_examples():
     for e in H3.fc_elements():
-        assert H3.lattice_degree(H3.monomial(e.word), "L_H") == 0
+        assert H3.lattice_degree(H3.monomial(e.word)) == 0
     d = H3.monomial((1,)).scale(DELTA)
-    assert H3.lattice_degree(d, "L_H") == 1
-    assert H3.lattice_degree(H3.word_to_basis((1, 1)), "L_H") == 1
+    assert H3.lattice_degree(d) == 1
+    assert H3.lattice_degree(H3.word_to_basis((1, 1))) == 1
     zero = AlgebraElement.make(H3.graph, "monomial", {})
-    assert H3.lattice_degree(zero, "L_H") == float("-inf")
+    assert H3.lattice_degree(zero) == float("-inf")
 
 
 def test_canonical_basis_b2_golden():
@@ -254,6 +257,27 @@ def _reference_canonical_table(alg, pick=max):
                 acc[y] = acc.get(y, ZERO) + gamma * c
         table[w] = {y: c for y, c in acc.items() if c}
     return ttable, table
+
+
+def test_ttilde_table_lies_in_z_vinv():
+    # the canonical correction in monomial coordinates and the one lattice
+    # L rest on it; off the diagonal only the constant terms are non-trivial
+    for family, rank in (("A", 5), ("B", 5), ("H", 4)):
+        table = TLAlgebra(CoxeterGraph(family, rank)).ttilde_table()
+        assert all(c.degree <= 0 for row in table.values() for c in row.values())
+        constants = sum(1 for w, row in table.items() for x, c in row.items()
+                        if x != w and c.coeff(0))
+        assert (constants == 0) == (family == "A")
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the rank-5 canonical cross-check")
+@pytest.mark.parametrize("family", ["B", "H"])
+def test_canonical_table_matches_reference_at_rank_5(family):
+    alg = TLAlgebra(CoxeterGraph(family, 5))
+    ttable, canon = _reference_canonical_table(alg)
+    assert alg.ttilde_table() == ttable
+    assert alg.canonical_table() == canon
 
 
 def test_one_pass_tables_match_per_element_reference():
@@ -366,6 +390,17 @@ def test_structure_constants_csv_table():
     for row in lines[1:]:
         _, _, _, poly = row.split(";")
         LP.parse(poly)
+
+
+def test_basis_constructors_reject_words_that_index_nothing():
+    # (1, 1) is not reduced, so no basis element carries it
+    for make in (B2.monomial, B2.ttilde_element, B2.canonical_element, B2.f_element,
+                 lambda w: B2.structure_constants("canonical", w, ()),
+                 lambda w: B2.structure_constants("f", (), w)):
+        with pytest.raises(ValueError, match="does not index a basis element"):
+            make((1, 1))
+    e = B2.fc_elements()[3]
+    assert B2.canonical_element(e) == B2.canonical_element(e.word)
 
 
 def test_multiply_graph_mismatch_raises():

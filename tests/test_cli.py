@@ -300,6 +300,26 @@ def test_gram_natural_candidate_nondegenerate_at_b3():
     assert res["nondegenerate"] is True
 
 
+def test_ttilde_entry_outside_z_vinv_fails_with_report(tmp_path, monkeypatch):
+    step = TLAlgebra._ttilde_step
+
+    def with_v_term(self, coords, s):
+        out = dict(step(self, coords, s))
+        out[()] = out.get((), ZERO) + V
+        return out
+    monkeypatch.setattr(TLAlgebra, "_ttilde_step", with_v_term)
+    with pytest.raises(AssertionError, match=r"outside Z\[v\^-1\]"):
+        TLAlgebra(CoxeterGraph("B", 3)).canonical_table()
+    code, out = run_args(
+        ["--command", "basis", "--family", "B", "--rank", "3", "--basis", "canonical"],
+        tmp_path)
+    assert code == EXIT_VERIFY_FAIL
+    body = json.loads(out.read_text())
+    assert body["status"] == "fail"
+    assert body["results"]["error"]["type"] == "AssertionError"
+    assert "outside Z[v^-1]" in body["results"]["error"]["message"]
+
+
 def _gram_check_report(tmp_path, monkeypatch, candidate):
     import tlbases.cli as cli_mod
 

@@ -3,8 +3,9 @@ against the paths they replaced.
 
 The references below are the replaced code, kept here: the bitmask
 expansion of the exact determinant, the sympy rank over Q(v) of the
-solution space of symmetric anti-associative forms, and the trace form by
-one full product per pair of basis elements.
+solution space of symmetric anti-associative forms, the trace form by
+one full product per pair of basis elements, and the t~ left-multiplication
+tables by one full product per generator and basis element.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from tlbases.algebra import TLAlgebra
 from tlbases.coxeter import CoxeterGraph
 from tlbases.forms import (
     GramCandidate,
-    _left_mult_tables,
     _rank,
     gram_check,
     natural_gram_candidate,
@@ -26,6 +26,22 @@ from tlbases.laurent import ONE, V, ZERO, LaurentPoly
 
 ALGEBRAS = {name: TLAlgebra(CoxeterGraph(name[0], int(name[1])))
             for name in ("A2", "B2", "H2", "A3")}
+
+
+def _ref_left_mult_tables(alg, words):
+    """t~_s * t~_w in t~-coordinates, by one product and one solve each."""
+    tables = {}
+    for s in alg.graph.generators:
+        ts = alg.ttilde_element((s,))
+        tables[s] = {w: dict(alg.to_basis(alg.multiply(ts, alg.ttilde_element(w)),
+                                          "ttilde").coords) for w in words}
+    return tables
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3", "H3"])
+def test_ttilde_left_table_matches_products(name):
+    alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
+    assert alg.ttilde_left_table() == _ref_left_mult_tables(alg, alg.fc_words())
 
 
 def _ref_natural_gram_entries(alg):
@@ -89,7 +105,7 @@ def _ref_solver_dimension(alg):
                 row[index[w] * n + index[x]] = 1
                 row[index[x] * n + index[w]] = -1
                 rows.append(row)
-    for table in _left_mult_tables(alg, words).values():
+    for table in _ref_left_mult_tables(alg, words).values():
         for w in words:
             for x in words:
                 row = [sympy.Integer(0)] * nvars
