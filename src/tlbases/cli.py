@@ -22,16 +22,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .algebra import TLAlgebra
-from .coxeter import ClassSizeError, CoxeterGraph, GrowthCapError, word_str
+from .coxeter import ClassSizeError, CoxeterGraph, word_str
 from .forms import gram_check, natural_gram_candidate, solution_space_dimension
 from .laurent import ONE
 from .tangles import (
+    CALIBRATION_STRANDS,
     DiagramCalculus,
     RuleSet,
     calibrate_ruleset,
     format_tangle,
     parse_tangle,
     render,
+    verify_relations,
 )
 from .verify import SUITES, run_suite, suite_names
 
@@ -90,6 +92,8 @@ class JobConfig:
                 if s not in SUITES:
                     raise ConfigError(
                         f"unknown suite {s!r}; known: {', '.join(suite_names())}")
+            if "calibration" in self.suites and self.family == "A":
+                raise ConfigError("the calibration suite applies to families B and H")
         if self.command == "render" and not self.tangle:
             raise ConfigError("render requires --tangle")
         if self.command in ("calibrate", "render", "gram-check") and self.family == "A":
@@ -139,12 +143,20 @@ def _rules_for(cfg: JobConfig) -> RuleSet:
         return calibrate_ruleset(cfg.family)
     try:
         with open(cfg.ruleset_path, "r", encoding="utf-8") as fh:
-            rules = RuleSet.from_json(json.load(fh))
+            data = json.load(fh)
+        if "results" in data:  # a calibrate report
+            data = data["results"]["ruleset"]
+        rules = RuleSet.from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load rule set {cfg.ruleset_path}: {exc}") from exc
     if rules.family != cfg.family:
         raise ConfigError(f"rule set {cfg.ruleset_path} is for family {rules.family}, "
                           f"not {cfg.family}")
+    for strands in CALIBRATION_STRANDS:
+        bad = verify_relations(rules, strands)
+        if bad:
+            raise ConfigError(f"rule set {cfg.ruleset_path} violates {len(bad)} relations "
+                              f"at {strands} strands: {bad[:3]}")
     return rules
 
 
@@ -166,15 +178,9 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
                            for t, c in elem.coeffs],
             })
     else:
+        table = None if cfg.basis == "monomial" else alg._table_for(cfg.basis)
         for e in alg.fc_elements():
-            if cfg.basis == "monomial":
-                coords = {e.word: ONE}
-            elif cfg.basis == "ttilde":
-                coords = alg.ttilde_table()[e.word]
-            elif cfg.basis == "f":
-                coords = alg.f_table()[e.word]
-            else:
-                coords = alg.canonical_table()[e.word]
+            coords = {e.word: ONE} if table is None else table[e.word]
             entries.append({
                 "index_word": word_str(e.word),
                 "coords": [{"word": word_str(w), "poly": str(c)}
@@ -296,7 +302,7 @@ def run(cfg: JobConfig) -> int:
         # configuration is validated above, so anything else is a cap or the
         # computation failing (a calibration, narrowing, reduction or
         # internal invariant); it is reported, never passed off as bad input
-        if isinstance(exc, (ClassSizeError, GrowthCapError)):
+        if isinstance(exc, ClassSizeError):
             print(f"resource cap exceeded: {exc}", file=sys.stderr)
             code = EXIT_RESOURCE
         else:

@@ -40,7 +40,6 @@ __all__ = [
     "Block",
     "RightJustified",
     "ClassSizeError",
-    "GrowthCapError",
     "commutation_class",
     "normal_form",
     "is_fc_reduced",
@@ -64,15 +63,10 @@ def word_str(w: Sequence[int]) -> str:
 FIRST_BOND = {"A": 3, "B": 4, "H": 5}
 
 DEFAULT_CLASS_CAP = 1_000_000
-DEFAULT_STRATUM_CAP = 1_000_000
 
 
 class ClassSizeError(RuntimeError):
     """A commutation class outgrew the configured cap."""
-
-
-class GrowthCapError(RuntimeError):
-    """Enumeration exceeded its growth cap (suspected infinitude)."""
 
 
 @dataclass(frozen=True)
@@ -429,15 +423,13 @@ class FcElement:
 
 
 def enumerate_fc(graph: CoxeterGraph,
-                 stratum_cap: int = DEFAULT_STRATUM_CAP,
                  class_cap: int = DEFAULT_CLASS_CAP) -> Tuple[FcElement, ...]:
     """All fully commutative elements, sorted by (length, word).
 
     Works length by length: every FC element of length k+1 arises from one of
     length k by appending a generator, because prefixes of reduced products
-    of FC elements are FC.  The stratum cap converts a runaway enumeration
-    (which cannot happen for these families, where the algebra is finite
-    dimensional) into an error rather than a hang.
+    of FC elements are FC.  The FC sets of families A, B and H are finite,
+    so the walk ends.
 
     Candidates are tested and normalized on their heaps, so no commutation
     class is built.  The class cap binds the class of every FC element found
@@ -459,10 +451,6 @@ def enumerate_fc(graph: CoxeterGraph,
                         raise ClassSizeError(
                             f"commutation class of {u} exceeded cap {class_cap}")
                     nxt[u] = None
-        if len(nxt) > stratum_cap:
-            raise GrowthCapError(
-                f"length stratum exceeded {stratum_cap} elements; aborting"
-            )
         out.extend(nxt)
         current = nxt
     elements = [FcElement(graph, w, _trusted=True) for w in out]

@@ -11,10 +11,10 @@ compose -> reduce -> accumulate loop behind generator actions, word
 evaluation and products.
 
 The scalar parameters of the reduction system are never hard-coded: they
-are solved exactly from the defining relations of the algebra presentation
-at three strands, constrained to have nonnegative loop and folding scalars
-(the reduction rules express diagrams as sums of diagrams), and re-verified
-against the full relation set at four strands.
+are solved exactly at three strands from the defining relations, each word
+against ``TLAlgebra``'s rewrite of it, constrained to have nonnegative loop
+and folding scalars (the reduction rules express diagrams as sums of
+diagrams), and re-verified against the full relation set at four strands.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .algebra import TLAlgebra
+from .coxeter import CoxeterGraph
 from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent
 
 __all__ = [
@@ -414,13 +416,26 @@ class RuleSet:
 
     @staticmethod
     def from_json(data: dict) -> "RuleSet":
+        """Read ``to_json``'s object; TypeError for a scalar that is not text.
+
+        Only family H's square scalars may be null.
+        """
         fam = data["family"]
-        parse = LaurentPoly.parse if fam == "H" else RationalLaurent.parse
+        parse = _RINGS[fam].parse
         vals = {}
         for key in ("plain_loop", "circle_loop", "alpha", "beta", "sigma", "tau"):
             raw = data.get(key)
-            vals[key] = None if raw is None else parse(raw)
+            if raw is None and fam == "H" and key in ("sigma", "tau"):
+                vals[key] = None
+            elif isinstance(raw, str):
+                vals[key] = parse(raw)
+            else:
+                raise TypeError(f"rule set scalar {key} is {raw!r}, not polynomial text")
         return RuleSet(family=fam, **vals)
+
+
+#: The scalar ring of each family's diagram calculus: family B divides by 2.
+_RINGS = {"H": LaurentPoly, "B": RationalLaurent}
 
 
 class DiagramElement:
@@ -978,38 +993,26 @@ class _SymPoly:
         return bool(self.terms)
 
 
-def _defining_relations(family: str, n: int):
-    """(lhs word, [(int coeff, rhs word), ...]) for all presentation relations."""
-    rels = []
-    gens = range(1, n)
-    for i in gens:
-        rels.append(((i, i), [("delta", (i,))]))
-    for i in gens:
-        for j in gens:
-            if j > i + 1:
-                rels.append(((i, j), [(1, (j, i))]))
-    for i in gens:
-        for j in gens:
-            if abs(i - j) == 1 and i > 1 and j > 1:
-                rels.append(((i, j, i), [(1, (i,))]))
-    if 2 in gens:
-        for (i, j) in ((1, 2), (2, 1)):
-            if family == "H":
-                rels.append(((i, j, i, j, i), [(3, (i, j, i)), (-1, (i,))]))
-            else:
-                rels.append(((i, j, i, j), [(2, (i, j))]))
-    return rels
+def _relations(family: str, n: int):
+    """(word, its rewrite) for each defining relation on n strands.
+
+    The words come from the Coxeter graph: each square s s, each commuting
+    pair t s out of normal order, and each braid word.  Their rewrites are
+    ``TLAlgebra``'s own, so the presentation has one encoding.
+    """
+    alg = TLAlgebra(CoxeterGraph(family, n - 1))
+    gens, bonds, braids = alg.graph.generators, alg.graph.bonds, alg.graph.braids
+    words = [(s, s) for s in gens]
+    words += [(t, s) for s in gens for t in gens if t > s and bonds[s][t] == 2]
+    words += [braids[s][t] for s in gens for t in gens if braids[s][t]]
+    return [(w, alg.word_to_basis(w)) for w in words]
 
 
 def _relation_residuals(rules: RuleSet, n: int):
-    """Yield (lhs word, rhs terms, lhs - rhs) for every defining relation."""
+    """Yield (word, rewrite, image of the word - image of the rewrite)."""
     calc = DiagramCalculus(rules)
-    for lhs, rhs in _defining_relations(rules.family, n):
-        residual = calc.evaluate_word(n, lhs)
-        for coeff, word in rhs:
-            scalar = rules.lift(DELTA) if coeff == "delta" else rules.const(coeff)
-            residual = residual - calc.evaluate_word(n, word).scale(scalar)
-        yield lhs, rhs, residual
+    for lhs, rhs in _relations(rules.family, n):
+        yield lhs, rhs, calc.evaluate_word(n, lhs) - calc.image(n, rhs.coords)
 
 
 def _laurent_to_sympy(p: LaurentPoly, v):
@@ -1018,7 +1021,7 @@ def _laurent_to_sympy(p: LaurentPoly, v):
 
 
 def _sympy_to_laurent(expr, v, family: str):
-    """Convert a solved scalar back to the exact ring; None if it is not in it."""
+    """Convert a solved scalar back to the family's ring; None if it is not in it."""
     import sympy
     try:
         expr = sympy.together(sympy.expand(expr))
@@ -1027,32 +1030,24 @@ def _sympy_to_laurent(expr, v, family: str):
         if len(den_poly.monoms()) != 1:
             return None
         (dexp,), dcoeff = den_poly.monoms()[0], den_poly.coeffs()[0]
-        num_poly = sympy.Poly(num, v)
         terms = {}
-        for (e,), c in zip(num_poly.monoms(), num_poly.coeffs()):
+        for (e,), c in sympy.Poly(num, v).terms():
             q = sympy.Rational(c, dcoeff)
-            frac = Fraction(int(q.p), int(q.q))
-            if family == "H":
-                if frac.denominator != 1:
-                    return None
-            else:
-                d = frac.denominator
-                if d & (d - 1):
-                    return None
-            terms[e - dexp] = frac
+            terms[e - dexp] = Fraction(int(q.p), int(q.q))
+        # the dyadic constructor and the integral narrowing reject the rest
+        p = RationalLaurent(terms)
+        return p.to_integral() if _RINGS[family] is LaurentPoly else p
     except (sympy.PolynomialError, TypeError, ValueError):
         return None
-    if family == "H":
-        return LaurentPoly({e: int(c) for e, c in terms.items()})
-    return RationalLaurent(terms)
 
 
 def _nonneg(p) -> bool:
     return all(c >= 0 for _, c in p.terms)
 
 
-_SOLVE_STRANDS = 3
-_VERIFY_STRANDS = 4
+#: Calibration solves at the first strand count and re-verifies at the second.
+CALIBRATION_STRANDS = (3, 4)
+_SOLVE_STRANDS, _VERIFY_STRANDS = CALIBRATION_STRANDS
 
 
 def calibrate_ruleset(family: str) -> RuleSet:
@@ -1064,8 +1059,8 @@ def calibrate_ruleset(family: str) -> RuleSet:
     the sign freedom of flipping every circle is removed by requiring these
     scalars to be nonnegative, matching the reduction rules' reading as
     sums of diagrams.  In family B the square definition is then solved
-    linearly from the canonical element on three strands whose reduced form
-    carries the square.  Failure to pin a unique solution, or any nonzero
+    linearly from the image of B2's canonical element c_{212}, whose reduced
+    form carries the square.  Failure to pin a unique solution, or any nonzero
     residual at four strands, raises ``CalibrationError``.
     """
     if family not in ("H", "B"):
@@ -1103,34 +1098,28 @@ def calibrate_ruleset(family: str) -> RuleSet:
             f"nonnegative exact solutions: {admissible}")
     a_val, b_val, c_val = admissible[0]
 
-    plain = DELTA if family == "H" else RationalLaurent.from_integral(DELTA)
+    ring = _RINGS[family]
+    plain = ring.from_integral(DELTA)
     if family == "H":
         rules = RuleSet("H", plain, c_val, a_val, b_val)
     else:
-        # square definition: the three-strand element b2 b1 b2 - b2 reduces to
+        # square definition: the canonical element c_{212} of B2 reduces to
         # the single diagram with a square on its middle propagating edge
-        rules0 = RuleSet("B", plain, c_val, a_val, b_val,
-                         RationalLaurent.const(0), RationalLaurent.const(0))
+        rules0 = RuleSet("B", plain, c_val, a_val, b_val, ring.const(0), ring.const(0))
         calc = DiagramCalculus(rules0)
-        elem = calc.evaluate_word(3, (2, 1, 2)) - calc.evaluate_word(3, (2,))
-        circled = Tangle(3, 3, [(("N", 1), ("S", 1), ("c",)),
-                                (("N", 2), ("N", 3), ()),
-                                (("S", 2), ("S", 3), ())])
-        plain_t = Tangle(3, 3, [(("N", 1), ("S", 1), ()),
-                                (("N", 2), ("N", 3), ()),
-                                (("S", 2), ("S", 3), ())])
+        canon = TLAlgebra(CoxeterGraph("B", 2)).canonical_table()
+        elem = calc.image(3, canon[(2, 1, 2)])
+        circled = parse_tangle("n=3; N1-S1[c]; N2-N3; S2-S3")
+        plain_t = parse_tangle("n=3; N1-S1; N2-N3; S2-S3")
         if set(elem.support()) != {circled, plain_t}:
             raise CalibrationError("square-defining element has unexpected support")
         sigma, tau = elem.coeff(circled), elem.coeff(plain_t)
         rules = RuleSet("B", plain, c_val, a_val, b_val, sigma, tau)
-        # consistency: the other short canonical element gives the same pair
-        elem2 = calc.evaluate_word(3, (1, 2, 1)) - calc.evaluate_word(3, (1,))
-        x_all = Tangle(3, 3, [(("N", 1), ("N", 2), ("c",)),
-                              (("S", 1), ("S", 2), ("c",)),
-                              (("N", 3), ("S", 3), ("c",))])
-        x_plain = Tangle(3, 3, [(("N", 1), ("N", 2), ("c",)),
-                                (("S", 1), ("S", 2), ("c",)),
-                                (("N", 3), ("S", 3), ())])
+        # consistency: the other short canonical element, c_{121}, carries
+        # the square at normalization factor 2
+        elem2 = calc.image(3, canon[(1, 2, 1)])
+        x_all = parse_tangle("n=3; N1-N2[c]; S1-S2[c]; N3-S3[c]")
+        x_plain = parse_tangle("n=3; N1-N2[c]; S1-S2[c]; N3-S3")
         if not (elem2.coeff(x_all) == sigma * 2 and elem2.coeff(x_plain) == tau * 2):
             raise CalibrationError("square definition inconsistent between the "
                                    "two three-strand canonical elements")

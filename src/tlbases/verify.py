@@ -16,6 +16,8 @@ from .algebra import STRATEGIES, TLAlgebra
 from .coxeter import DEFAULT_CLASS_CAP, CoxeterGraph, bruhat_leq_word, classify_letters, word_str
 from .laurent import DELTA, ONE, LaurentPoly, classify
 from .tangles import (
+    CALIBRATION_STRANDS,
+    CalibrationError,
     DiagramCalculus,
     RuleSet,
     calibrate_ruleset,
@@ -363,11 +365,11 @@ def suite_calibration(family, rank, opts) -> SuiteResult:
     res = SuiteResult("calibration", fam)
     try:
         rules = calibrate_ruleset(fam)
-    except Exception as exc:  # CalibrationError or solver trouble
+    except CalibrationError as exc:
         res.checks.append(CheckResult("solve", False, str(exc)))
         return res
     res.checks.append(CheckResult("solve", True, str(rules.to_json())))
-    for strands in (3, 4):
+    for strands in CALIBRATION_STRANDS:
         bad = verify_relations(rules, strands)
         res.checks.append(CheckResult(
             f"residual-strands-{strands}", not bad,

@@ -271,6 +271,50 @@ def test_ruleset_file_round_trip(tmp_path):
     assert len(json.loads(out2.read_text())["results"]["entries"]) == 7
 
 
+H_RULES = {"family": "H", "plain_loop": "v + v^-1", "circle_loop": "0",
+           "alpha": "1", "beta": "1", "sigma": None, "tau": None}
+
+
+def _diagram_job(family, ruleset):
+    return ["--command", "basis", "--family", family, "--rank", "2",
+            "--basis", "diagram", "--ruleset", str(ruleset)]
+
+
+def test_ruleset_violating_the_relations_is_config_error(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(H_RULES))
+    assert run_args(_diagram_job("H", path), tmp_path)[0] == EXIT_PASS
+    path.write_text(json.dumps(dict(H_RULES, circle_loop="v", alpha="2")))
+    code, out = run_args(_diagram_job("H", path), tmp_path, "bad.json")
+    assert code == EXIT_CONFIG and not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("plain_loop", 5), ("alpha", [1]),
+                                        ("beta", True), ("circle_loop", None)])
+def test_ruleset_scalar_that_is_not_text_is_config_error(tmp_path, key, value):
+    # only family H's square scalars may be null
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(dict(H_RULES, **{key: value})))
+    code, out = run_args(_diagram_job("H", path), tmp_path)
+    assert code == EXIT_CONFIG and not out.exists()
+
+
+def test_ruleset_reads_the_calibrate_report(tmp_path):
+    code, rules = run_args(["--command", "calibrate", "--family", "B"], tmp_path, "ruleset.json")
+    assert code == EXIT_PASS
+    code, out = run_args(_diagram_job("B", rules), tmp_path, "loaded.json")
+    assert code == EXIT_PASS
+    code, ref = run_args(_diagram_job("B", rules)[:-2], tmp_path, "solved.json")
+    assert code == EXIT_PASS
+    assert out.read_text() == ref.read_text()
+
+
+def test_calibration_suite_rejects_family_a(tmp_path):
+    code, out = run_args(["--command", "verify", "--suite", "calibration", "--family", "A"],
+                         tmp_path)
+    assert code == EXIT_CONFIG and not out.exists()
+
+
 def test_gram_check_identity_candidate():
     alg = TLAlgebra(CoxeterGraph("B", 2))
     words = [e.word for e in alg.fc_elements()]
@@ -384,6 +428,7 @@ def _raiser(exc):
 def _internal_failure(path):
     """(object to patch, attribute, exception raised, argv) for one failure path."""
     import tlbases.cli as cli_mod
+    import tlbases.verify as verify_mod
     from tlbases.laurent import NarrowingError
     from tlbases.tangles import CalibrationError, DiagramCalculus, ReductionError
 
@@ -407,11 +452,16 @@ def _internal_failure(path):
                     ["--command", "verify", "--family", "B", "--suite", "thm-2.2.5"]),
         "calibration": (cli_mod, "calibrate_ruleset", CalibrationError("no admissible scalars"),
                         ["--command", "calibrate", "--family", "H"]),
+        # the calibration suite reports only a failed solve as a failed check
+        "calibration-suite": (verify_mod, "calibrate_ruleset",
+                              ZeroDivisionError("division by zero"),
+                              ["--command", "verify", "--suite", "calibration"]),
     }[path]
 
 
 @pytest.mark.parametrize("path", ["narrowing", "reduction", "value-error",
-                                  "assertion", "runtime", "calibration"])
+                                  "assertion", "runtime", "calibration",
+                                  "calibration-suite"])
 def test_internal_failure_exits_2_with_report(path, tmp_path, monkeypatch):
     target, attr, exc, argv = _internal_failure(path)
     monkeypatch.setattr(target, attr, _raiser(exc))

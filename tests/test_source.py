@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tlbases
@@ -38,6 +41,17 @@ def test_only_tangles_imports_sympy():
             found.extend(f"{path.name}:{node.lineno}" for name in names
                          if name.split(".")[0] == "sympy")
     assert not found, f"sympy imported outside tangles.py: {found}"
+
+
+def test_importing_the_package_leaves_sympy_unloaded():
+    # calibration imports sympy when it solves; a cold import costs about
+    # 0.3 s, which a job that never calibrates should not pay
+    code = "import sys, tlbases, tlbases.cli; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_trusted_tangles_are_built_only_in_tangles():

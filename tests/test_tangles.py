@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from tlbases.coxeter import CoxeterGraph
 from tlbases.laurent import DELTA, ONE, LaurentPoly, RationalLaurent
 from tlbases.tangles import (
     _canonical_cycle,
+    _relations,
+    _sympy_to_laurent,
     _SymPoly,
     DiagramCalculus,
     DiagramElement,
@@ -375,6 +378,59 @@ def test_calibration_zero_residual_at_ranks_3_and_4():
     for rules in (RULES_H, RULES_B):
         assert verify_relations(rules, 3) == []
         assert verify_relations(rules, 4) == []
+
+
+def _ref_defining_relations(family: str, n: int):
+    """(lhs word, [(int coeff, rhs word), ...]) for all presentation relations.
+
+    The presentation written out by hand, the reference for the relation
+    words read off the Coxeter graph and rewritten by ``TLAlgebra``.
+    """
+    rels = []
+    gens = range(1, n)
+    for i in gens:
+        rels.append(((i, i), [("delta", (i,))]))
+    for i in gens:
+        for j in gens:
+            if j > i + 1:
+                rels.append(((i, j), [(1, (j, i))]))
+    for i in gens:
+        for j in gens:
+            if abs(i - j) == 1 and i > 1 and j > 1:
+                rels.append(((i, j, i), [(1, (i,))]))
+    if 2 in gens:
+        for (i, j) in ((1, 2), (2, 1)):
+            if family == "H":
+                rels.append(((i, j, i, j, i), [(3, (i, j, i)), (-1, (i,))]))
+            else:
+                rels.append(((i, j, i, j), [(2, (i, j))]))
+    return rels
+
+
+def _relation_key(lhs, rhs):
+    # a commutation s t = t s reads the same either way round
+    if rhs == {lhs[::-1]: ONE}:
+        return "commute", tuple(sorted(lhs))
+    return lhs, tuple(sorted(rhs.items()))
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_relations_match_the_hand_written_presentation(family, n):
+    derived = Counter(_relation_key(lhs, rhs.as_dict()) for lhs, rhs in _relations(family, n))
+    ref = Counter(_relation_key(lhs, {w: DELTA if c == "delta" else LaurentPoly.const(c)
+                                      for c, w in rhs})
+                  for lhs, rhs in _ref_defining_relations(family, n))
+    assert derived == ref
+
+
+def test_sympy_to_laurent_narrows_through_the_family_ring():
+    import sympy
+    v = sympy.Symbol("v")
+    assert _sympy_to_laurent(sympy.Rational(1, 3), v, "B") is None
+    assert _sympy_to_laurent(sympy.Rational(1, 2), v, "H") is None
+    half = Fraction(1, 2)
+    assert _sympy_to_laurent((v + 1 / v) / 2, v, "B") == RationalLaurent({1: half, -1: half})
 
 
 def test_symbolic_scalars_reproduce_numeric_calculus():
