@@ -11,6 +11,7 @@ from .coxeter import (
     FcElement,
     LetterClassification,
     ClassSizeError,
+    GrowthCapError,
     bruhat_leq,
     classify_letters,
     commutation_class,
@@ -75,8 +76,8 @@ def __getattr__(name):
 __all__ = [
     "AlgebraElement", "AuxElements", "CalibrationError", "ClassSizeError",
     "CoxeterGraph", "DELTA", "DiagramCalculus", "DiagramElement", "FcElement",
-    "GramCandidate", "JobConfig", "LaurentPoly", "LetterClassification",
-    "NarrowingError", "ONE", "RationalLaurent",
+    "GramCandidate", "GrowthCapError", "JobConfig", "LaurentPoly",
+    "LetterClassification", "NarrowingError", "ONE", "RationalLaurent",
     "ReductionError", "RuleSet", "TLAlgebra", "Tangle", "V", "V_INV", "ZERO",
     "aux_elements", "bruhat_leq", "calibrate_ruleset", "classify",
     "classify_diagram", "classify_letters", "commutation_class", "compose_raw",

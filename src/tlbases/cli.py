@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .algebra import TLAlgebra
-from .coxeter import ClassSizeError, CoxeterGraph, word_str
+from .coxeter import ClassSizeError, CoxeterGraph, GrowthCapError, word_str
 from .forms import gram_check, natural_gram_candidate, solution_space_dimension
 from .laurent import ONE
 from .tangles import (
@@ -92,12 +92,13 @@ class JobConfig:
                 if s not in SUITES:
                     raise ConfigError(
                         f"unknown suite {s!r}; known: {', '.join(suite_names())}")
-            if "calibration" in self.suites and self.family == "A":
-                raise ConfigError("the calibration suite applies to families B and H")
         if self.command == "render" and not self.tangle:
             raise ConfigError("render requires --tangle")
-        if self.command in ("calibrate", "render", "gram-check") and self.family == "A":
-            raise ConfigError(f"{self.command} applies to families B and H")
+        calibration_suite = self.command == "verify" and "calibration" in self.suites
+        if self.family == "A" and (calibration_suite or
+                                   self.command in ("calibrate", "render", "gram-check")):
+            what = "the calibration suite" if calibration_suite else self.command
+            raise ConfigError(f"{what} applies to families B and H")
 
     def to_json(self):
         return {
@@ -302,7 +303,7 @@ def run(cfg: JobConfig) -> int:
         # configuration is validated above, so anything else is a cap or the
         # computation failing (a calibration, narrowing, reduction or
         # internal invariant); it is reported, never passed off as bad input
-        if isinstance(exc, ClassSizeError):
+        if isinstance(exc, (ClassSizeError, GrowthCapError)):
             print(f"resource cap exceeded: {exc}", file=sys.stderr)
             code = EXIT_RESOURCE
         else:

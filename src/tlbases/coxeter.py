@@ -40,6 +40,7 @@ __all__ = [
     "Block",
     "RightJustified",
     "ClassSizeError",
+    "GrowthCapError",
     "commutation_class",
     "normal_form",
     "is_fc_reduced",
@@ -63,10 +64,15 @@ def word_str(w: Sequence[int]) -> str:
 FIRST_BOND = {"A": 3, "B": 4, "H": 5}
 
 DEFAULT_CLASS_CAP = 1_000_000
+STRATUM_CAP = 1_000_000
 
 
 class ClassSizeError(RuntimeError):
     """A commutation class outgrew the configured cap."""
+
+
+class GrowthCapError(RuntimeError):
+    """An enumeration's length stratum outgrew ``STRATUM_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -429,7 +435,9 @@ def enumerate_fc(graph: CoxeterGraph,
     Works length by length: every FC element of length k+1 arises from one of
     length k by appending a generator, because prefixes of reduced products
     of FC elements are FC.  The FC sets of families A, B and H are finite,
-    so the walk ends.
+    so the walk ends, but not soon at a large rank: a word of distinct letters
+    is FC, so the length-k stratum of A_r has at least C(r, k) elements.
+    ``GrowthCapError`` is raised when a stratum exceeds ``STRATUM_CAP``.
 
     Candidates are tested and normalized on their heaps, so no commutation
     class is built.  The class cap binds the class of every FC element found
@@ -451,6 +459,9 @@ def enumerate_fc(graph: CoxeterGraph,
                         raise ClassSizeError(
                             f"commutation class of {u} exceeded cap {class_cap}")
                     nxt[u] = None
+        if len(nxt) > STRATUM_CAP:
+            raise GrowthCapError(
+                f"length stratum exceeded {STRATUM_CAP} elements; aborting")
         out.extend(nxt)
         current = nxt
     elements = [FcElement(graph, w, _trusted=True) for w in out]

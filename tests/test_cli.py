@@ -20,6 +20,7 @@ from tlbases.cli import (
     config_from_args,
     run,
 )
+from tlbases import coxeter as coxeter_mod
 from tlbases.coxeter import CoxeterGraph
 from tlbases.forms import GramCandidate, gram_check, natural_gram_candidate
 from tlbases.laurent import ONE, V, ZERO
@@ -102,6 +103,18 @@ def test_resource_cap_exit_code(tmp_path):
     assert data["config"]["cap_class_size"] == 1
     assert data["results"]["error"]["type"] == "ClassSizeError"
     assert "exceeded cap 1" in data["results"]["error"]["message"]
+
+
+def test_stratum_cap_exit_code(tmp_path, monkeypatch):
+    # A4 has 4 FC elements of length 1
+    monkeypatch.setattr(coxeter_mod, "STRATUM_CAP", 3)
+    code, out = run_args(
+        ["--command", "enumerate", "--family", "A", "--rank", "4"], tmp_path, "cap.json")
+    assert code == EXIT_RESOURCE
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["results"]["error"]["type"] == "GrowthCapError"
+    assert "exceeded 3 elements" in data["results"]["error"]["message"]
 
 
 def test_cap_bounds_the_members_a_lexicographic_search_walks(tmp_path):
