@@ -151,9 +151,8 @@ class TLAlgebra:
     shared within a thread of work.
     """
 
-    def __init__(self, graph: CoxeterGraph, class_cap: int = 1_000_000):
+    def __init__(self, graph: CoxeterGraph):
         self.graph = graph
-        self.class_cap = class_cap
         self._w2b: Dict[Tuple[str, Word], Coords] = {}
         self._fc: Optional[Tuple[FcElement, ...]] = None
         self._ttilde: Optional[Dict[Word, Coords]] = None
@@ -167,7 +166,7 @@ class TLAlgebra:
 
     def fc_elements(self) -> Tuple[FcElement, ...]:
         if self._fc is None:
-            self._fc = enumerate_fc(self.graph, class_cap=self.class_cap)
+            self._fc = enumerate_fc(self.graph)
         return self._fc
 
     def fc_words(self) -> Tuple[Word, ...]:
@@ -198,10 +197,10 @@ class TLAlgebra:
         # members come lazily, so the search stops at the first with a factor
         word = heap.word
         if strategy == "bfs-first":
-            members, step = _class_words(self.graph, heap.normal_form(), self.class_cap), 1
+            members, step = _class_words(self.graph, heap.normal_form()), 1
         elif strategy in STRATEGIES:
             step = 1 if strategy == "lex-least-leftmost" else -1
-            members = (_letters(word, o) for o in heap.extensions(step < 0, self.class_cap))
+            members = (_letters(word, o) for o in heap.extensions(step < 0))
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         starts = range(len(word) - 1)[::step]
@@ -485,7 +484,7 @@ class TLAlgebra:
         """
         if word in self._f_factors:
             return self._f_factors[word]
-        rj = right_justify(self.graph, word, self.class_cap)
+        rj = right_justify(self.graph, word)
         factors: List[Tuple[Coords, bool]] = []
         covered = {}
         for b in rj.blocks:
@@ -593,7 +592,7 @@ def aux_elements(alg: TLAlgebra, w) -> AuxElements:
     # the mixed products depend on the chosen reduced expression, so the word
     # is used exactly as given (their lattice projections do not depend on it)
     word = w.word if isinstance(w, FcElement) else alg.graph.check_word(tuple(w))
-    cls = classify_letters(alg.graph, word, alg.class_cap)
+    cls = classify_letters(alg.graph, word)
     kappa = sum(1 for i in range(len(word)) if cls.is_bilateral(i))
 
     expanded: List[MixedSymbol] = []

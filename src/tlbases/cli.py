@@ -66,8 +66,6 @@ class JobConfig:
     basis: str = "canonical"
     tangle: Optional[str] = None
     ruleset_path: Optional[str] = None
-    cap_class_size: int = 1_000_000
-    confluence_count: int = 10_000
     report_dir: str = field(default_factory=lambda: os.environ.get(REPORT_DIR_ENV, "."))
 
     def validate(self):
@@ -77,14 +75,12 @@ class JobConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.rank is not None and self.rank < 2:
             raise ConfigError("rank must be at least 2")
-        if self.cap_class_size <= 0:
-            raise ConfigError("resource caps must be positive")
-        if self.confluence_count < 1:
-            raise ConfigError("the confluence count must be at least 1")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.basis not in BASES:
             raise ConfigError(f"unknown basis {self.basis!r}")
+        if self.ruleset_path and (self.command, self.basis) != ("basis", "diagram"):
+            raise ConfigError("--ruleset applies only to basis --basis diagram")
         if self.command == "verify":
             if not self.suites:
                 raise ConfigError("verify requires --suite")
@@ -109,8 +105,6 @@ class JobConfig:
             "suites": list(self.suites),
             "basis": self.basis,
             "tangle": self.tangle,
-            "cap_class_size": self.cap_class_size,
-            "confluence_count": self.confluence_count,
         }
 
 
@@ -128,7 +122,7 @@ def _graph(cfg: JobConfig) -> CoxeterGraph:
 
 
 def _cmd_enumerate(cfg: JobConfig) -> Tuple[dict, int]:
-    alg = TLAlgebra(_graph(cfg), class_cap=cfg.cap_class_size)
+    alg = TLAlgebra(_graph(cfg))
     entries = [{
         "word": word_str(e.word),
         "length": e.length,
@@ -145,7 +139,7 @@ def _rules_for(cfg: JobConfig) -> RuleSet:
     try:
         with open(cfg.ruleset_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if "results" in data:  # a calibrate report
+        if isinstance(data, dict) and "results" in data:  # a calibrate report
             data = data["results"]["ruleset"]
         rules = RuleSet.from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -162,7 +156,7 @@ def _rules_for(cfg: JobConfig) -> RuleSet:
 
 
 def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
-    alg = TLAlgebra(_graph(cfg), class_cap=cfg.cap_class_size)
+    alg = TLAlgebra(_graph(cfg))
     body = {"graph": {"family": cfg.family, "rank": _effective_rank(cfg)}, "basis": cfg.basis}
     entries = []
     if cfg.basis == "diagram":
@@ -194,12 +188,10 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
 
 def _cmd_verify(cfg: JobConfig) -> Tuple[dict, int]:
     results = []
-    opts = {"count": cfg.confluence_count, "class_cap": cfg.cap_class_size}
     all_pass = True
     for name in cfg.suites:
         fixed_family = SUITES[name][0]
-        res = run_suite(name, family=fixed_family or cfg.family,
-                        rank=cfg.rank, **opts)
+        res = run_suite(name, family=fixed_family or cfg.family, rank=cfg.rank)
         results.append(res.to_json())
         all_pass = all_pass and res.passed
     return ({"suites": results},
@@ -222,7 +214,7 @@ def _cmd_render(cfg: JobConfig) -> Tuple[dict, int]:
 
 
 def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
-    alg = TLAlgebra(_graph(cfg), class_cap=cfg.cap_class_size)
+    alg = TLAlgebra(_graph(cfg))
     cand = natural_gram_candidate(alg)
     checks = gram_check(alg, cand)
     body = {
@@ -353,11 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tangle", default=None,
                    help="serialized tangle, e.g. 'n=3; N1-N2[c]; S1-S2[c]; N3-S3'")
     p.add_argument("--ruleset", dest="ruleset_path", default=None,
-                   help="load a calibrated rule set from JSON instead of solving")
-    p.add_argument("--cap-class-size", type=int, default=1_000_000,
-                   help="most class members one enumeration may produce (a "
-                        "factor search counts those it walks); exit 3 past it")
-    p.add_argument("--confluence-count", type=int, default=10_000)
+                   help="basis --basis diagram: load a calibrated rule set from "
+                        "JSON instead of solving")
     return p
 
 
@@ -376,8 +365,6 @@ def config_from_args(argv) -> JobConfig:
         basis=args.basis,
         tangle=args.tangle,
         ruleset_path=args.ruleset_path,
-        cap_class_size=args.cap_class_size,
-        confluence_count=args.confluence_count,
     )
 
 

@@ -63,12 +63,12 @@ def word_str(w: Sequence[int]) -> str:
 
 FIRST_BOND = {"A": 3, "B": 4, "H": 5}
 
-DEFAULT_CLASS_CAP = 1_000_000
+CLASS_CAP = 1_000_000
 STRATUM_CAP = 1_000_000
 
 
 class ClassSizeError(RuntimeError):
-    """A commutation class outgrew the configured cap."""
+    """A commutation class walk outgrew ``CLASS_CAP`` members."""
 
 
 class GrowthCapError(RuntimeError):
@@ -215,11 +215,10 @@ class _Heap:
                     return False
         return True
 
-    def extensions(self, descending: bool = False,
-                   cap: int = DEFAULT_CLASS_CAP) -> Iterator[Tuple[int, ...]]:
+    def extensions(self, descending: bool = False) -> Iterator[Tuple[int, ...]]:
         """The linear extensions as position orders of ``word``, lazily and in
         (reverse, if descending) lexicographic order of their letter words;
-        ``ClassSizeError`` past ``cap`` of them.
+        ``ClassSizeError`` past ``CLASS_CAP`` of them.
 
         Depth first over the minimal unplaced pieces, smallest (largest) letter
         first: minimal pieces have distinct labels, and only the first unplaced
@@ -236,9 +235,9 @@ class _Heap:
         while True:
             if not rest:
                 count += 1
-                if count > cap:
+                if count > CLASS_CAP:
                     raise ClassSizeError(
-                        f"commutation class of {word} exceeded cap {cap}")
+                        f"commutation class of {word} exceeded cap {CLASS_CAP}")
                 yield tuple(order)
             else:
                 while i < k:
@@ -273,22 +272,6 @@ class _Heap:
     def maximal_labels(self) -> FrozenSet[int]:
         return frozenset(s for s, a in zip(self.word, self.above) if not a)
 
-    def linear_extensions(self) -> int:
-        """The number of linear extensions, i.e. the size of the commutation
-        class, by a sweep over order ideals of growing size."""
-        below = self.below
-        n = len(below)
-        ways = {0: 1}
-        for _ in range(n):
-            grown: Dict[int, int] = {}
-            for ideal, count in ways.items():
-                for j in range(n):
-                    bit = 1 << j
-                    if not ideal & bit and not below[j] & ~ideal:
-                        grown[ideal | bit] = grown.get(ideal | bit, 0) + count
-            ways = grown
-        return ways[(1 << n) - 1]
-
     def embeds_in(self, word: Word) -> bool:
         """True when some linear extension is a subword of ``word``.
 
@@ -320,10 +303,10 @@ def _letters(word: Word, order: Sequence[int]) -> Word:
     return tuple(map(word.__getitem__, order))
 
 
-def _class_words(graph: CoxeterGraph, word: Word, cap: int) -> Iterator[Word]:
+def _class_words(graph: CoxeterGraph, word: Word) -> Iterator[Word]:
     """The class members in depth-first discovery order from ``word``, by
     swapping adjacent commuting letters, each yielded as it is found;
-    ``ClassSizeError`` past ``cap`` of them."""
+    ``ClassSizeError`` past ``CLASS_CAP`` of them."""
     bonds = graph.bonds
     seen = {word}
     yield word
@@ -335,9 +318,9 @@ def _class_words(graph: CoxeterGraph, word: Word, cap: int) -> Iterator[Word]:
             if bonds[a][b] == 2:
                 nxt = letters[:i] + (b, a) + letters[i + 2:]
                 if nxt not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= CLASS_CAP:
                         raise ClassSizeError(
-                            f"commutation class of {word} exceeded cap {cap}"
+                            f"commutation class of {word} exceeded cap {CLASS_CAP}"
                         )
                     seen.add(nxt)
                     stack.append(nxt)
@@ -359,9 +342,9 @@ def _first_factor(graph: CoxeterGraph, letters: Word,
     return None
 
 
-def commutation_class(graph: CoxeterGraph, word: Sequence[int], cap: int = DEFAULT_CLASS_CAP) -> FrozenSet[Word]:
+def commutation_class(graph: CoxeterGraph, word: Sequence[int]) -> FrozenSet[Word]:
     """All words reachable by swapping adjacent commuting letters."""
-    return frozenset(_class_words(graph, graph.check_word(word), cap))
+    return frozenset(_class_words(graph, graph.check_word(word)))
 
 
 def normal_form(graph: CoxeterGraph, word: Sequence[int]) -> Word:
@@ -428,8 +411,7 @@ class FcElement:
         return CoxeterGraph(self.family, self.rank)
 
 
-def enumerate_fc(graph: CoxeterGraph,
-                 class_cap: int = DEFAULT_CLASS_CAP) -> Tuple[FcElement, ...]:
+def enumerate_fc(graph: CoxeterGraph) -> Tuple[FcElement, ...]:
     """All fully commutative elements, sorted by (length, word).
 
     Works length by length: every FC element of length k+1 arises from one of
@@ -440,9 +422,7 @@ def enumerate_fc(graph: CoxeterGraph,
     ``GrowthCapError`` is raised when a stratum exceeds ``STRATUM_CAP``.
 
     Candidates are tested and normalized on their heaps, so no commutation
-    class is built.  The class cap binds the class of every FC element found
-    (its heap's number of linear extensions): ``ClassSizeError`` is raised
-    when one exceeds ``class_cap``.
+    class is built and ``CLASS_CAP`` does not apply.
     """
     current: Dict[Word, None] = {(): None}
     out: List[Word] = [()]
@@ -453,12 +433,7 @@ def enumerate_fc(graph: CoxeterGraph,
                 heap = _Heap(graph, w + (s,))
                 if not heap.fc_reduced():
                     continue
-                u = heap.normal_form()
-                if u not in nxt:
-                    if heap.linear_extensions() > class_cap:
-                        raise ClassSizeError(
-                            f"commutation class of {u} exceeded cap {class_cap}")
-                    nxt[u] = None
+                nxt[heap.normal_form()] = None
         if len(nxt) > STRATUM_CAP:
             raise GrowthCapError(
                 f"length stratum exceeded {STRATUM_CAP} elements; aborting")
@@ -531,18 +506,17 @@ def _critical_patterns(rank: int) -> List[Tuple[str, Word, int, int, int]]:
     return out
 
 
-def _fc_extensions(graph: CoxeterGraph, word: Word, cap: int) -> List[Tuple[int, ...]]:
+def _fc_extensions(graph: CoxeterGraph, word: Word) -> List[Tuple[int, ...]]:
     """The class of an FC-reduced word, as position orders in lexicographic order."""
     heap = _Heap(graph, word)
     if not heap.fc_reduced():
         raise ValueError(f"{word} is not an FC-reduced word")
-    return list(heap.extensions(cap=cap))
+    return list(heap.extensions())
 
 
-def classify_letters(graph: CoxeterGraph, word: Sequence[int],
-                     cap: int = DEFAULT_CLASS_CAP) -> LetterClassification:
+def classify_letters(graph: CoxeterGraph, word: Sequence[int]) -> LetterClassification:
     w = graph.check_word(word)
-    return _taxonomy(graph, w, _fc_extensions(graph, w, cap))[0]
+    return _taxonomy(graph, w, _fc_extensions(graph, w))[0]
 
 
 def _taxonomy(graph: CoxeterGraph, w: Word, orders: List[Tuple[int, ...]]
@@ -641,8 +615,7 @@ _SHAPES = {
 }
 
 
-def right_justify(graph: CoxeterGraph, word: Sequence[int],
-                  cap: int = DEFAULT_CLASS_CAP) -> RightJustified:
+def right_justify(graph: CoxeterGraph, word: Sequence[int]) -> RightJustified:
     """A right-justified reduced expression with its block decomposition.
 
     Scans the commutation class in lexicographic order and returns the first
@@ -654,7 +627,7 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int],
     """
     w = graph.check_word(word)
     # in letter-word order, which the first-match scan below relies on
-    perms = _fc_extensions(graph, w, cap)
+    perms = _fc_extensions(graph, w)
     cls, rset = _taxonomy(graph, w, perms)
     n = len(w)
     for perm in perms:

@@ -353,8 +353,9 @@ class PolyClass(NamedTuple):
     bar_fixed: bool        # invariant under v -> v^-1
 
 
-def classify(p: LaurentPoly) -> PolyClass:
-    """Membership predicates used by lattice and positivity checks."""
+def classify(p: _Laurent) -> PolyClass:
+    """Membership predicates used by lattice and positivity checks, for
+    either polynomial type."""
     return PolyClass(
         in_Aminus=p.degree <= 0,
         in_vinv_Aminus=p.degree <= -1,

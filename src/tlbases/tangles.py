@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import TLAlgebra
 from .coxeter import CoxeterGraph
-from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent
+from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent, classify
 
 __all__ = [
     "Tangle",
@@ -416,11 +416,17 @@ class RuleSet:
 
     @staticmethod
     def from_json(data: dict) -> "RuleSet":
-        """Read ``to_json``'s object; TypeError for a scalar that is not text.
+        """Read ``to_json``'s object; TypeError for anything but an object or
+        for a scalar that is not text, ValueError for a family other than B
+        or H.
 
         Only family H's square scalars may be null.
         """
-        fam = data["family"]
+        if not isinstance(data, dict):
+            raise TypeError(f"a rule set is a JSON object, not {type(data).__name__}")
+        fam = data.get("family")
+        if fam not in _RINGS:
+            raise ValueError(f"rule set family must be B or H, not {fam!r}")
         parse = _RINGS[fam].parse
         vals = {}
         for key in ("plain_loop", "circle_loop", "alpha", "beta", "sigma", "tau"):
@@ -1041,10 +1047,6 @@ def _sympy_to_laurent(expr, v, family: str):
         return None
 
 
-def _nonneg(p) -> bool:
-    return all(c >= 0 for _, c in p.terms)
-
-
 #: Calibration solves at the first strand count and re-verifies at the second.
 CALIBRATION_STRANDS = (3, 4)
 _SOLVE_STRANDS, _VERIFY_STRANDS = CALIBRATION_STRANDS
@@ -1085,7 +1087,7 @@ def calibrate_ruleset(family: str) -> RuleSet:
         good = True
         for sym in (sa, sb, sc):
             p = _sympy_to_laurent(sol.get(sym, sym), v, family)
-            if p is None or not _nonneg(p):
+            if p is None or not classify(p).nonneg:
                 good = False
                 break
             vals.append(p)

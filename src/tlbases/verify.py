@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra
-from .coxeter import DEFAULT_CLASS_CAP, CoxeterGraph, bruhat_leq_word, classify_letters, word_str
+from .coxeter import CoxeterGraph, bruhat_leq_word, classify_letters, word_str
 from .laurent import DELTA, ONE, LaurentPoly, classify
 from .tangles import (
     CALIBRATION_STRANDS,
@@ -30,6 +30,8 @@ from .tangles import (
 )
 
 __all__ = ["SUITES", "run_suite", "CheckResult", "SuiteResult", "suite_names"]
+
+CONFLUENCE_COUNT = 10_000
 
 
 @dataclass
@@ -72,12 +74,6 @@ def _rules(family: str) -> RuleSet:
     if family not in _RULES_CACHE:
         _RULES_CACHE[family] = calibrate_ruleset(family)
     return _RULES_CACHE[family]
-
-
-def _algebra(family: str, rank: int, opts) -> TLAlgebra:
-    """A fresh algebra under the suite's class cap (``opts["class_cap"]``)."""
-    return TLAlgebra(CoxeterGraph(family, rank),
-                     class_cap=opts.get("class_cap", DEFAULT_CLASS_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +135,13 @@ def _transport_b(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
         f"image set vs canonical enumeration: {len(recognized)} vs {len(expected)}"))
 
 
-def suite_transport(family: str, rank: Optional[int], opts) -> SuiteResult:
+def suite_transport(family: str, rank: Optional[int]) -> SuiteResult:
     res = SuiteResult({"H": "thm-2.1.3", "B": "thm-2.2.5"}[family], family)
     transport = _transport_h if family == "H" else _transport_b
     strands_list = (3, 4) if rank is None else (rank + 1,)
     rules = _rules(family)
     for strands in strands_list:
-        transport(res, _algebra(family, strands - 1, opts), rules)
+        transport(res, TLAlgebra(CoxeterGraph(family, strands - 1)), rules)
     return res
 
 
@@ -166,11 +162,11 @@ def _f_equals_canonical(res: SuiteResult, alg: TLAlgebra):
         None if not bad else {"words": [word_str(w) for w in bad]}))
 
 
-def suite_f_canonical(family, rank, opts) -> SuiteResult:
+def suite_f_canonical(family, rank) -> SuiteResult:
     res = SuiteResult({"H": "thm-3.4.3", "B": "thm-5.2.1"}[family], family)
     ranks = (2, 3) if rank is None else (rank,)
     for r in ranks:
-        _f_equals_canonical(res, _algebra(family, r, opts))
+        _f_equals_canonical(res, TLAlgebra(CoxeterGraph(family, r)))
     return res
 
 
@@ -233,9 +229,9 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
             {"w": word_str(a), "i": i} for a, i in equiv_bad[:5]]}))
 
 
-def suite_positivity(family, rank, opts) -> SuiteResult:
+def suite_positivity(family, rank) -> SuiteResult:
     res = SuiteResult({"H": "prop-4.1.9", "B": "prop-5.2.2"}[family], family)
-    _positivity(res, _algebra(family, rank or 3, opts))
+    _positivity(res, TLAlgebra(CoxeterGraph(family, rank or 3)))
     return res
 
 
@@ -243,9 +239,9 @@ def suite_positivity(family, rank, opts) -> SuiteResult:
 # the generator identities relating block substitutions to mixed products
 
 
-def suite_block_identities(family, rank, opts) -> SuiteResult:
+def suite_block_identities(family, rank) -> SuiteResult:
     res = SuiteResult("lemma-3.3.6", "H")
-    alg = _algebra("H", rank or 3, opts)
+    alg = TLAlgebra(CoxeterGraph("H", rank or 3))
 
     def t(i):
         return alg.ttilde_element((i,))
@@ -283,11 +279,11 @@ def suite_block_identities(family, rank, opts) -> SuiteResult:
 # deletion laws: loop counts, lattice degree, letter classification
 
 
-def suite_deletion(family, rank, opts) -> SuiteResult:
+def suite_deletion(family, rank) -> SuiteResult:
     fam = family or "H"
     r = rank or 3
     res = SuiteResult("prop-3.1.9", fam)
-    alg = _algebra(fam, r, opts)
+    alg = TLAlgebra(CoxeterGraph(fam, r))
     strands = r + 1
     loopy = []
     mono_bad = []
@@ -296,7 +292,7 @@ def suite_deletion(family, rank, opts) -> SuiteResult:
         if loop_count(strands, e.word):
             loopy.append(e.word)
             continue
-        cls = classify_letters(alg.graph, e.word, alg.class_cap)
+        cls = classify_letters(alg.graph, e.word)
         for l in range(e.length):
             hat = e.word[:l] + e.word[l + 1:]
             loops = loop_count(strands, hat)
@@ -331,17 +327,16 @@ def suite_deletion(family, rank, opts) -> SuiteResult:
 # rewriting confluence
 
 
-def suite_confluence(family, rank, opts) -> SuiteResult:
+def suite_confluence(family, rank) -> SuiteResult:
     fam = family or "H"
     res = SuiteResult("confluence", fam)
-    count = int(opts.get("count", 10_000))
     rng = random.Random(20_000 + {"A": 0, "B": 1, "H": 2}[fam])
     ranks = (3, 4) if rank is None else (rank,)
-    # exactly ``count`` words, the remainder going to the first ranks
-    per_rank, extra = divmod(count, len(ranks))
+    # exactly ``CONFLUENCE_COUNT`` words, the remainder going to the first ranks
+    per_rank, extra = divmod(CONFLUENCE_COUNT, len(ranks))
     mismatches = []
     for i, r in enumerate(ranks):
-        alg = _algebra(fam, r, opts)
+        alg = TLAlgebra(CoxeterGraph(fam, r))
         for _ in range(per_rank + (i < extra)):
             word = tuple(rng.randint(1, r) for _ in range(rng.randint(0, 12)))
             outs = [alg.word_to_basis(word, s) for s in STRATEGIES]
@@ -349,7 +344,7 @@ def suite_confluence(family, rank, opts) -> SuiteResult:
                 mismatches.append((r, word))
     res.checks.append(CheckResult(
         f"{fam}-confluence", not mismatches,
-        f"{count} random words of length <= 12 reduced under "
+        f"{CONFLUENCE_COUNT} random words of length <= 12 reduced under "
         f"{len(STRATEGIES)} strategies",
         None if not mismatches else {"cases": [
             {"rank": r, "word": word_str(w)} for r, w in mismatches[:5]]}))
@@ -360,7 +355,7 @@ def suite_confluence(family, rank, opts) -> SuiteResult:
 # calibration as a suite
 
 
-def suite_calibration(family, rank, opts) -> SuiteResult:
+def suite_calibration(family, rank) -> SuiteResult:
     fam = family or "H"
     res = SuiteResult("calibration", fam)
     try:
@@ -396,10 +391,10 @@ def suite_names() -> Tuple[str, ...]:
 
 
 def run_suite(name: str, family: Optional[str] = None,
-              rank: Optional[int] = None, **opts) -> SuiteResult:
+              rank: Optional[int] = None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
     fixed_family, fn = SUITES[name]
     if fixed_family is not None and family is not None and family != fixed_family:
         raise ValueError(f"suite {name} is specific to family {fixed_family}")
-    return fn(family or fixed_family, rank, opts)
+    return fn(family or fixed_family, rank)

@@ -18,6 +18,7 @@ from tlbases.cli import (
     EXIT_VERIFY_FAIL,
     JobConfig,
     config_from_args,
+    main,
     run,
 )
 from tlbases import coxeter as coxeter_mod
@@ -76,7 +77,7 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     import tlbases.verify as verify_mod
     from tlbases.verify import CheckResult, SuiteResult
 
-    def failing(family, rank, opts):
+    def failing(family, rank):
         res = SuiteResult("always-red", family or "H")
         res.checks.append(CheckResult(
             "sentinel", False, "injected failure",
@@ -93,16 +94,34 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     assert ce == {"word": "1,2", "poly": "v + v^-1"}
 
 
-def test_resource_cap_exit_code(tmp_path):
+def test_resource_cap_exit_code(tmp_path, monkeypatch):
+    # the taxonomy behind the deletion suite lists whole classes
+    monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
     code, out = run_args(
-        ["--command", "enumerate", "--family", "A", "--rank", "4",
-         "--cap-class-size", "1"], tmp_path, "cap.json")
+        ["--command", "verify", "--family", "H", "--suite", "prop-3.1.9", "--rank", "3"],
+        tmp_path, "cap.json")
     assert code == EXIT_RESOURCE
     data = json.loads(out.read_text())
     assert data["status"] == "fail"
-    assert data["config"]["cap_class_size"] == 1
     assert data["results"]["error"]["type"] == "ClassSizeError"
     assert "exceeded cap 1" in data["results"]["error"]["message"]
+
+
+@pytest.mark.parametrize("flag", ["--cap-class-size", "--confluence-count"])
+def test_removed_tuning_flags_are_config_errors(tmp_path, flag):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--command", "verify", "--family", "H", "--suite", "confluence",
+              flag, "5", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG and not out.exists()
+
+
+def test_enumerate_b7_builds_no_class(tmp_path):
+    # B7 has an FC element whose class exceeds a million members
+    code, out = run_args(["--command", "enumerate", "--family", "B", "--rank", "7"],
+                         tmp_path)
+    assert code == EXIT_PASS
+    assert json.loads(out.read_text())["results"]["count"] == 3860
 
 
 def test_stratum_cap_exit_code(tmp_path, monkeypatch):
@@ -117,61 +136,20 @@ def test_stratum_cap_exit_code(tmp_path, monkeypatch):
     assert "exceeded 3 elements" in data["results"]["error"]["message"]
 
 
-def test_cap_bounds_the_members_a_lexicographic_search_walks(tmp_path):
+def test_cap_bounds_the_members_a_lexicographic_search_walks(tmp_path, monkeypatch):
     # H4 has FC classes of 12 members; the rewrites behind the canonical
     # basis read larger classes but find their factor within 12 members
     argv = ["--command", "basis", "--family", "H", "--rank", "4", "--basis", "canonical"]
-    code, capped = run_args(argv + ["--cap-class-size", "12"], tmp_path, "capped.json")
-    assert code == EXIT_PASS
     _, free = run_args(argv, tmp_path, "free.json")
-    capped, free = json.loads(capped.read_text()), json.loads(free.read_text())
-    assert capped["config"].pop("cap_class_size") == 12
-    free["config"].pop("cap_class_size")
-    assert capped == free
-
-
-def test_verify_honours_the_class_cap(tmp_path):
-    # the same cap makes `basis --family H --rank 3 --basis f` exit 3
-    code, out = run_args(
-        ["--command", "verify", "--family", "H", "--suite", "prop-3.1.9", "--rank", "3",
-         "--cap-class-size", "1"], tmp_path, "cap.json")
-    assert code == EXIT_RESOURCE
-    data = json.loads(out.read_text())
-    assert data["status"] == "fail"
-    assert data["config"]["cap_class_size"] == 1
-    assert data["results"]["error"]["type"] == "ClassSizeError"
-
-
-def test_every_suite_algebra_gets_the_class_cap(monkeypatch):
-    import tlbases.verify as verify_mod
-
-    caps = []
-
-    class Spy(TLAlgebra):
-        def __init__(self, graph, class_cap=1_000_000):
-            caps.append(class_cap)
-            super().__init__(graph, class_cap)
-
-    monkeypatch.setattr(verify_mod, "TLAlgebra", Spy)
-    for name in verify_mod.suite_names():
-        if name == "calibration":
-            continue  # builds no algebra
-        caps.clear()
-        verify_mod.run_suite(name, rank=2, class_cap=999, count=4)
-        assert caps and set(caps) == {999}, name
-
-
-@pytest.mark.parametrize("count", [0, -5])
-def test_confluence_count_below_one_is_a_config_error(tmp_path, count):
-    code, out = run_args(
-        ["--command", "verify", "--family", "H", "--suite", "confluence",
-         "--confluence-count", str(count)], tmp_path)
-    assert code == EXIT_CONFIG
-    assert not out.exists()
+    monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 12)
+    code, capped = run_args(argv, tmp_path, "capped.json")
+    assert code == EXIT_PASS
+    assert capped.read_text() == free.read_text()
 
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_confluence_checks_exactly_count_words(tmp_path, monkeypatch, count):
+    import tlbases.verify as verify_mod
     from tlbases.algebra import STRATEGIES
 
     words = []
@@ -182,9 +160,9 @@ def test_confluence_checks_exactly_count_words(tmp_path, monkeypatch, count):
         return expand(self, word, strategy)
 
     monkeypatch.setattr(TLAlgebra, "word_to_basis", counted)
+    monkeypatch.setattr(verify_mod, "CONFLUENCE_COUNT", count)
     code, out = run_args(
-        ["--command", "verify", "--family", "H", "--suite", "confluence",
-         "--confluence-count", str(count)], tmp_path)
+        ["--command", "verify", "--family", "H", "--suite", "confluence"], tmp_path)
     assert code == EXIT_PASS
     assert len(words) == count * len(STRATEGIES)
     check = json.loads(out.read_text())["results"]["suites"][0]["checks"][0]
@@ -212,7 +190,6 @@ def test_config_errors(tmp_path):
     assert run(JobConfig(command="render", family="H")) == EXIT_CONFIG
     assert run(JobConfig(command="nonsense")) == EXIT_CONFIG
     with pytest.raises(SystemExit) as exc:
-        from tlbases.cli import main
         main(["--command", "bogus"])
     assert exc.value.code == EXIT_CONFIG
 
@@ -494,6 +471,33 @@ def test_bad_ruleset_file_is_config_error(tmp_path):
     broken.write_text("{not json")
     code, out = run_args(missing[:-1] + [str(broken)], tmp_path)
     assert code == EXIT_CONFIG and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "verify", "--family", "H", "--suite", "thm-2.1.3"],
+    ["--command", "basis", "--family", "H", "--rank", "2", "--basis", "canonical"],
+])
+def test_ruleset_outside_the_diagram_dump_is_config_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(H_RULES, alpha="2")))
+    for ruleset in (bad, tmp_path / "missing.json"):
+        code, out = run_args(argv + ["--ruleset", str(ruleset)], tmp_path)
+        assert code == EXIT_CONFIG and not out.exists()
+        assert "--ruleset applies only to basis --basis diagram" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    ([H_RULES], "a rule set is a JSON object, not list"),
+    (dict(H_RULES, family="A"), "rule set family must be B or H, not 'A'"),
+    ({k: v for k, v in H_RULES.items() if k != "family"},
+     "rule set family must be B or H, not None"),
+])
+def test_malformed_ruleset_names_the_problem(tmp_path, capsys, data, message):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(data))
+    code, out = run_args(_diagram_job("H", path), tmp_path)
+    assert code == EXIT_CONFIG and not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_tangle_is_config_error(tmp_path):

@@ -249,9 +249,10 @@ def test_bruhat_against_lifting_oracle():
                 assert bruhat_leq(g, x, y) == orc.bruhat_leq(ex, ey), (x, y)
 
 
-def test_class_cap_raises():
+def test_class_cap_raises(monkeypatch):
+    monkeypatch.setattr(coxeter, "CLASS_CAP", 4)
     with pytest.raises(ClassSizeError):
-        commutation_class(CoxeterGraph("A", 6), (1, 3, 5, 1, 3, 5), cap=4)
+        commutation_class(CoxeterGraph("A", 6), (1, 3, 5, 1, 3, 5))
 
 
 def _ref_factors(graph, letters):
@@ -344,21 +345,11 @@ def test_heap_agrees_with_class_scan_on_enumeration_candidates(family, rank):
         g, (e.word + (s,) for e in enumerate_fc(g) for s in g.generators))
 
 
-def test_heap_linear_extensions_count_the_class():
-    for family in "ABH":
-        for rank in range(1, 5):
-            g = CoxeterGraph(family, rank)
-            for e in enumerate_fc(g):
-                assert _Heap(g, e.word).linear_extensions() == \
-                    len(commutation_class(g, e.word)), e
-
-
-def test_enumerate_fc_class_cap_binds_fc_classes():
+def test_enumerate_fc_builds_no_class(monkeypatch):
     a4 = CoxeterGraph("A", 4)
     assert max(len(commutation_class(a4, e.word)) for e in enumerate_fc(a4)) == 5
-    with pytest.raises(ClassSizeError):
-        enumerate_fc(a4, class_cap=4)
-    assert len(enumerate_fc(a4, class_cap=5)) == catalan(5)
+    monkeypatch.setattr(coxeter, "CLASS_CAP", 1)
+    assert len(enumerate_fc(a4)) == catalan(5)
 
 
 def _check_bruhat_against_class_members(graph):
@@ -456,7 +447,7 @@ def _fc_and_candidates(graph):
 
 @pytest.mark.parametrize("family", "ABH")
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_heap_extensions_are_the_sorted_class(family, rank):
+def test_heap_extensions_are_the_sorted_class(family, rank, monkeypatch):
     g = CoxeterGraph(family, rank)
     for w in _fc_and_candidates(g):
         heap = _Heap(g, w)
@@ -464,9 +455,12 @@ def test_heap_extensions_are_the_sorted_class(family, rank):
         assert list(heap.extensions()) == ref, w
         assert list(heap.extensions(True)) == ref[::-1], w
         assert heap.lex_least_order() == ref[0], w
-        assert len(list(heap.extensions(cap=len(ref)))) == len(ref)
-        with pytest.raises(ClassSizeError):
-            list(heap.extensions(True, cap=len(ref) - 1))
+        with monkeypatch.context() as m:
+            m.setattr(coxeter, "CLASS_CAP", len(ref))
+            assert len(list(heap.extensions())) == len(ref)
+            m.setattr(coxeter, "CLASS_CAP", len(ref) - 1)
+            with pytest.raises(ClassSizeError):
+                list(heap.extensions(True))
 
 
 def _check_pick_factor(alg, words):
@@ -494,24 +488,26 @@ def test_pick_factor_agrees_with_class_scan_on_random_words(family):
     _check_pick_factor(TLAlgebra(g), words)
 
 
-def test_pick_factor_cap_bounds_the_members_walked():
-    alg = TLAlgebra(CoxeterGraph("A", 4), class_cap=1)
+def test_pick_factor_cap_bounds_the_members_walked(monkeypatch):
+    alg = TLAlgebra(CoxeterGraph("A", 4))
     # the least member of the class of 2 1 1 3 already holds the factor 1 1
     assert len(commutation_class(alg.graph, (2, 1, 1, 3))) == 3
-    first = _Heap(alg.graph, (2, 1, 1, 3))
-    for strategy in ("lex-least-leftmost", "bfs-first"):
-        assert alg._pick_factor(first, strategy) == ((2, 1, 1, 3), (1, 2))
     # the class of 1 3 2 1 holds its only factor in its greatest member, which
     # the ascending searches reach second
     assert len(commutation_class(alg.graph, (1, 3, 2, 1))) == 2
+    monkeypatch.setattr(coxeter, "CLASS_CAP", 1)
+    first = _Heap(alg.graph, (2, 1, 1, 3))
+    for strategy in ("lex-least-leftmost", "bfs-first"):
+        assert alg._pick_factor(first, strategy) == ((2, 1, 1, 3), (1, 2))
     second = _Heap(alg.graph, (1, 3, 2, 1))
     for strategy in STRATEGIES:
         if strategy != "lex-greatest-rightmost":
             with pytest.raises(ClassSizeError):
                 alg._pick_factor(second, strategy)
-        assert TLAlgebra(alg.graph, class_cap=2)._pick_factor(second, strategy) == \
-            ((3, 1, 2, 1), (1, 3))
     assert alg._pick_factor(second, "lex-greatest-rightmost") == ((3, 1, 2, 1), (1, 3))
+    monkeypatch.setattr(coxeter, "CLASS_CAP", 2)
+    for strategy in STRATEGIES:
+        assert alg._pick_factor(second, strategy) == ((3, 1, 2, 1), (1, 3))
     with pytest.raises(ValueError):
         alg._pick_factor(_Heap(alg.graph, (1, 1)), "nonsense")
 
@@ -697,7 +693,7 @@ def _check_taxonomy_against_class_scan(graph):
 
 def _right_justify_on(graph, word, cls, rset, orders):
     """``right_justify`` run on the given taxonomy, r-set and member orders."""
-    with mock.patch.object(coxeter, "_fc_extensions", lambda g, w, cap: orders), \
+    with mock.patch.object(coxeter, "_fc_extensions", lambda g, w: orders), \
             mock.patch.object(coxeter, "_taxonomy", lambda g, w, perms: (cls, rset)):
         return right_justify(graph, word)
 
@@ -733,15 +729,19 @@ def test_taxonomy_agrees_with_class_scan_on_words_that_are_not_fc(family):
         assert coxeter._taxonomy(g, w, orders) == (ref_cls, ref_rset), w
 
 
-def test_taxonomy_cap_bounds_the_class():
+def test_taxonomy_cap_bounds_the_class(monkeypatch):
     h4 = CoxeterGraph("H", 4)
     for e in enumerate_fc(h4):
         size = len(commutation_class(h4, e.word))
         if size < 2:
             continue
-        assert classify_letters(h4, e.word, cap=size) == classify_letters(h4, e.word)
-        assert right_justify(h4, e.word, cap=size) == right_justify(h4, e.word)
-        with pytest.raises(ClassSizeError):
-            classify_letters(h4, e.word, cap=size - 1)
-        with pytest.raises(ClassSizeError):
-            right_justify(h4, e.word, cap=size - 1)
+        cls, rj = classify_letters(h4, e.word), right_justify(h4, e.word)
+        with monkeypatch.context() as m:
+            m.setattr(coxeter, "CLASS_CAP", size)
+            assert classify_letters(h4, e.word) == cls
+            assert right_justify(h4, e.word) == rj
+            m.setattr(coxeter, "CLASS_CAP", size - 1)
+            with pytest.raises(ClassSizeError):
+                classify_letters(h4, e.word)
+            with pytest.raises(ClassSizeError):
+                right_justify(h4, e.word)

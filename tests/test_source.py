@@ -65,3 +65,20 @@ def test_trusted_tangles_are_built_only_in_tangles():
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and node.attr == "_from_edges")
     assert not found, f"Tangle._from_edges used outside tangles.py: {found}"
+
+
+def test_no_function_takes_a_tuning_knob():
+    # resource bounds are module constants (coxeter.CLASS_CAP, STRATUM_CAP,
+    # verify.CONFLUENCE_COUNT), not parameters threaded through the calls
+    knobs = {"cap", "class_cap", "opts"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + \
+                    [p for p in (a.vararg, a.kwarg) if p]
+                found.extend(f"{path.name}:{node.lineno} {p.arg}" for p in params
+                             if p.arg in knobs)
+    assert not found, f"tuning parameters: {found}"
