@@ -137,8 +137,8 @@ def test_stratum_cap_exit_code(tmp_path, monkeypatch):
 
 
 def test_cap_bounds_the_members_a_lexicographic_search_walks(tmp_path, monkeypatch):
-    # H4 has FC classes of 12 members; the rewrites behind the canonical
-    # basis read larger classes but find their factor within 12 members
+    # the rewrites behind H4's canonical basis read classes of more than 12
+    # members but find their factor within the first 10 they walk
     argv = ["--command", "basis", "--family", "H", "--rank", "4", "--basis", "canonical"]
     _, free = run_args(argv, tmp_path, "free.json")
     monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 12)
