@@ -95,6 +95,19 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_resource_cap_exit_code(tmp_path, monkeypatch):
+    # the f-basis of H3 is built from whole commutation classes
+    monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
+    code, out = run_args(
+        ["--command", "basis", "--family", "H", "--rank", "3", "--basis", "f"],
+        tmp_path, "cap.json")
+    assert code == EXIT_RESOURCE
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["results"]["error"]["type"] == "ClassSizeError"
+    assert "exceeded cap 1" in data["results"]["error"]["message"]
+
+
+def test_verify_honours_the_class_cap(tmp_path, monkeypatch):
     # the taxonomy behind the deletion suite lists whole classes
     monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
     code, out = run_args(
