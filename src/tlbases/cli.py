@@ -140,9 +140,16 @@ def _rules_for(cfg: JobConfig) -> RuleSet:
         with open(cfg.ruleset_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict) and "results" in data:  # a calibrate report
-            data = data["results"]["ruleset"]
+            results = data["results"]
+            if not isinstance(results, dict):
+                raise TypeError("a calibrate report's results are a JSON object, "
+                                f"not {type(results).__name__}")
+            if "ruleset" not in results:
+                raise ValueError("the calibrate report has no results.ruleset "
+                                 f"(its status is {data.get('status')!r})")
+            data = results["ruleset"]
         rules = RuleSet.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot load rule set {cfg.ruleset_path}: {exc}") from exc
     if rules.family != cfg.family:
         raise ConfigError(f"rule set {cfg.ruleset_path} is for family {rules.family}, "

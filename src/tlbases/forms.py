@@ -64,13 +64,20 @@ def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
 
 
 def _rank(rows: List[Row]) -> int:
-    """Rank over Q(v) of rows {column: entry}, by Bareiss elimination.
+    """Rank over Q(v) of rows {column: entry}."""
+    return _bareiss(rows)[0]
+
+
+def _bareiss(rows: List[Row]) -> Tuple[int, LaurentPoly]:
+    """(rank over Q(v), last pivot) of rows {column: entry}, by Bareiss
+    elimination.
 
     Each step takes a pivot from a remaining row and replaces every other
     remaining row r by (pivot * r - r[col] * pivot row) / previous pivot.
-    The entries stay minors of the input, so the division is exact.  The
-    pivot is the entry with fewest terms in a shortest row, which keeps the
-    fill-in and the minors small.
+    The entries stay minors of the input, so the division is exact, and the
+    last pivot is a maximal nonzero minor: of a square matrix of full rank,
+    its determinant up to sign.  The pivot is the entry with fewest terms in
+    a shortest row, which keeps the fill-in and the minors small.
     """
     rows = [r for r in ({c: x for c, x in row.items() if x} for row in rows) if r]
     prev = ONE
@@ -95,7 +102,7 @@ def _rank(rows: List[Row]) -> int:
                 nxt.append(out)
         rows, prev = nxt, piv
         rank += 1
-    return rank
+    return rank, prev
 
 
 def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:

@@ -137,13 +137,15 @@ class _Laurent:
     Stored as ``terms``, a normalized term tuple, which makes equality and
     hashing cheap.  Values are immutable after construction and safe to
     share.  A subclass names its coefficient check (``_coerce``), the scalar
-    types it accepts (``_scalars``) and its coefficient parser.
+    types it accepts (``_scalars``), its coefficient parser and its
+    coefficient division (``_divmod``: quotient and remainder).
     """
 
     __slots__ = ("terms",)
     _coerce = staticmethod(_coerce_int)
     _scalars: tuple = (int,)
     _parse_coeff = staticmethod(int)
+    _divmod = staticmethod(divmod)
 
     def __init__(self, data: Union[Mapping, Iterable[Tuple[int, object]]] = ()):
         terms = _gather(data, self._coerce)
@@ -252,6 +254,40 @@ class _Laurent:
         """The involution v -> v^-1: negate every exponent."""
         return self._from_terms(tuple((-e, c) for e, c in reversed(self.terms)))
 
+    def _exact_div(self, other):
+        """The quotient ``self / other`` in this type's ring; ValueError if there
+        is none.
+
+        Long division from the top term.  A quotient in the ring runs from
+        v^(val self - val other) up to v^(deg self - deg other), so a
+        remainder whose next quotient term would fall below that, or whose
+        top coefficient the divisor's does not divide (``_divmod``), leaves
+        no quotient; neither does a quotient the constructor would reject.
+        """
+        if not other.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        (top, lead), rest = other.terms[0], other.terms[1:]
+        low = self.valuation - other.valuation
+        rem = dict(self.terms)
+        quot = []
+        while rem:
+            exp = max(rem)
+            shift = exp - top
+            q, r = self._divmod(rem.pop(exp), lead)
+            if r or shift < low:
+                raise ValueError(f"{other} does not divide {self}")
+            quot.append((shift, q))
+            for e, c in rest:
+                e += shift
+                c = rem.get(e, 0) - q * c
+                if c:
+                    rem[e] = c
+                else:
+                    rem.pop(e, None)
+        quot = tuple(quot)
+        self._check(quot)
+        return self._from_terms(quot)
+
     # -- structure ---------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -306,36 +342,6 @@ class LaurentPoly(_Laurent):
     def from_integral(cls, p: "LaurentPoly") -> "LaurentPoly":
         """The integral ring's own embedding: the identity."""
         return p
-
-    def _exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """The quotient ``self / other`` in Z[v, v^-1]; ValueError if there is none.
-
-        Long division from the top term.  A quotient in the ring runs from
-        v^(val self - val other) up to v^(deg self - deg other), so a
-        remainder whose next quotient term would fall below that, or whose
-        top coefficient the divisor's does not divide, leaves no quotient.
-        """
-        if not other.terms:
-            raise ZeroDivisionError("division by the zero polynomial")
-        (top, lead), rest = other.terms[0], other.terms[1:]
-        low = self.valuation - other.valuation
-        rem = dict(self.terms)
-        quot = []
-        while rem:
-            exp = max(rem)
-            shift = exp - top
-            q, r = divmod(rem.pop(exp), lead)
-            if r or shift < low:
-                raise ValueError(f"{other} does not divide {self}")
-            quot.append((shift, q))
-            for e, c in rest:
-                e += shift
-                c = rem.get(e, 0) - q * c
-                if c:
-                    rem[e] = c
-                else:
-                    rem.pop(e, None)
-        return self._from_terms(tuple(quot))
 
 
 ZERO = LaurentPoly()
@@ -393,6 +399,10 @@ class RationalLaurent(_Laurent):
     _coerce = staticmethod(_coerce_fraction)
     _scalars = (int, Fraction)
     _parse_coeff = Fraction
+
+    @staticmethod
+    def _divmod(c, d):
+        return c / d, 0
 
     @staticmethod
     def _check(terms) -> None:

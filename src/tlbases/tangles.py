@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import TLAlgebra
 from .coxeter import CoxeterGraph
+from .forms import _bareiss
 from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent, classify
 
 __all__ = [
@@ -394,18 +395,22 @@ class RuleSet:
             if self.family != "B":
                 raise ReductionError("square decorations only occur in family B")
             k = decs.index("s")
-            p1, c1 = self.fold(decs[:k] + ("c",) + decs[k + 1:])
-            p2, c2 = self.fold(decs[:k] + decs[k + 1:])
-            return self.sigma * p1 + self.tau * p2, self.sigma * c1 + self.tau * c2
-        if len(decs) <= 1:
+            x, y = self.sigma, self.tau
+            (p1, c1), (p2, c2) = (self.fold(decs[:k] + ("c",) + decs[k + 1:]),
+                                  self.fold(decs[:k] + decs[k + 1:]))
+        elif len(decs) <= 1:
             return (self._zero, self._one) if decs else (self._one, self._zero)
-        p1, c1 = self.fold(decs[:-1])
-        p2, c2 = self.fold(decs[:-2])
-        return self.alpha * p1 + self.beta * p2, self.alpha * c1 + self.beta * c2
+        else:
+            x, y = self.alpha, self.beta
+            (p1, c1), (p2, c2) = self.fold(decs[:-1]), self.fold(decs[:-2])
+        one = self._one
+        return (_times(one, x, p1) + _times(one, y, p2),
+                _times(one, x, c1) + _times(one, y, c2))
 
     def loop_value(self, decs: Tuple[Decor, ...]):
         plain, circle = self.fold(decs)
-        return plain * self.plain_loop + circle * self.circle_loop
+        one = self._one
+        return _times(one, plain, self.plain_loop) + _times(one, circle, self.circle_loop)
 
     def to_json(self) -> dict:
         out = {"family": self.family}
@@ -525,7 +530,7 @@ def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
     out: Dict[Tangle, object] = {}
     # one reduced tangle per choice of (plain | one circle) on each folded edge
     for choice in itertools.product(*[((p, ()), (c, ("c",))) for _, (p, c) in folds]):
-        coeff = math.prod((x for x, _ in choice), start=rules.one())
+        coeff = _times(rules.one(), *(x for x, _ in choice))
         if coeff:
             edges = list(t.edges)
             for (k, _), (_, decs) in zip(folds, choice):
@@ -537,10 +542,11 @@ def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
 def _reduce(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
             rules: RuleSet) -> Dict[Tangle, object]:
     """Value the loops and fold the edges: {reduced tangle: coefficient}."""
-    scalar = math.prod((rules.loop_value(loop) for loop in loops), start=rules.one())
+    one = rules.one()
+    scalar = _times(one, *(rules.loop_value(loop) for loop in loops))
     if not scalar:
         return {}
-    return {t: c * scalar for t, c in _expand_edges(tangle, rules).items()}
+    return {t: _times(one, c, scalar) for t, c in _expand_edges(tangle, rules).items()}
 
 
 def reduce_composition(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
@@ -549,11 +555,22 @@ def reduce_composition(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
     return DiagramElement(rules.family, tangle.n_north, _reduce(tangle, loops, rules))
 
 
-def _add_scaled(acc: Dict[Tangle, object], terms, scale) -> None:
+def _times(one, *factors):
+    """The product of ``factors``; a factor equal to the unit ``one`` is
+    skipped, not multiplied (most coefficients of the calculus are 1)."""
+    out = one
+    for x in factors:
+        if x != one:
+            out = x if out is one else out * x
+    return out
+
+
+def _add_scaled(acc: Dict[Tangle, object], terms, scale, one) -> None:
     """acc += scale * terms, for (tangle, coefficient) pairs."""
     for t, c in terms:
+        c = _times(one, c, scale)
         s = acc.get(t)
-        acc[t] = c * scale if s is None else s + c * scale
+        acc[t] = c if s is None else s + c
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +618,19 @@ class DiagramCalculus:
         or (word, coefficient) pairs), as the algebra's basis tables do.
         """
         acc: Dict[Tangle, object] = {}
+        one = self.rules.one()
         for x, c in dict(coords).items():
-            _add_scaled(acc, self.evaluate_word(n, x).coeffs, self.rules.lift(c))
+            _add_scaled(acc, self.evaluate_word(n, x).coeffs, self.rules.lift(c), one)
         return DiagramElement(self.family, n, acc)
 
     def multiply(self, a: DiagramElement, b: DiagramElement) -> DiagramElement:
         """The one compose -> reduce -> accumulate loop of the calculus."""
         acc: Dict[Tangle, object] = {}
+        one = self.rules.one()
         for t1, c1 in a.coeffs:
             for t2, c2 in b.coeffs:
-                _add_scaled(acc, _reduce(*compose_raw(t1, t2), self.rules).items(), c1 * c2)
+                _add_scaled(acc, _reduce(*compose_raw(t1, t2), self.rules).items(),
+                            _times(one, c1, c2), one)
         return DiagramElement(self.family, a.n, acc)
 
 
@@ -1021,35 +1041,189 @@ def _relation_residuals(rules: RuleSet, n: int):
         yield lhs, rhs, calc.evaluate_word(n, lhs) - calc.image(n, rhs.coords)
 
 
-def _laurent_to_sympy(p: LaurentPoly, v):
-    import sympy
-    return sum((sympy.Integer(c) * v ** e for e, c in p.terms), sympy.Integer(0))
-
-
-def _sympy_to_laurent(expr, v, family: str):
-    """Convert a solved scalar back to the family's ring; None if it is not in it."""
-    import sympy
-    try:
-        expr = sympy.together(sympy.expand(expr))
-        num, den = sympy.fraction(expr)
-        den_poly = sympy.Poly(den, v)
-        if len(den_poly.monoms()) != 1:
-            return None
-        (dexp,), dcoeff = den_poly.monoms()[0], den_poly.coeffs()[0]
-        terms = {}
-        for (e,), c in sympy.Poly(num, v).terms():
-            q = sympy.Rational(c, dcoeff)
-            terms[e - dexp] = Fraction(int(q.p), int(q.q))
-        # the dyadic constructor and the integral narrowing reject the rest
-        p = RationalLaurent(terms)
-        return p.to_integral() if _RINGS[family] is LaurentPoly else p
-    except (sympy.PolynomialError, TypeError, ValueError):
-        return None
-
-
 #: Calibration solves at the first strand count and re-verifies at the second.
 CALIBRATION_STRANDS = (3, 4)
 _SOLVE_STRANDS, _VERIFY_STRANDS = CALIBRATION_STRANDS
+
+
+def _calibration_equations(family: str) -> List[Dict[Tuple[int, int, int], LaurentPoly]]:
+    """The calibration system: every coefficient of every relation residual
+    at three strands, computed with the unknown scalars symbolic.
+
+    An equation maps (i, j, k) to its coefficient of alpha^i beta^j c^k, c
+    the circle loop value; the equation says their sum is zero.
+    """
+    alpha, beta, cl = (_SymPoly.var(x) for x in ("alpha", "beta", "cl"))
+    symbolic = RuleSet(family, _SymPoly.from_integral(DELTA), cl, alpha, beta)
+    return [e.terms for _, _, residual in _relation_residuals(symbolic, _SOLVE_STRANDS)
+            for _, e in residual.coeffs]
+
+
+def _equation_text(eq) -> str:
+    """A calibration equation as text, e.g. ``(v + v^-1)*beta + (1)*alpha*c = 0``."""
+    terms = []
+    for key in sorted(eq, reverse=True):
+        mono = "*".join(x if n == 1 else f"{x}^{n}"
+                        for x, n in zip(("alpha", "beta", "c"), key) if n)
+        terms.append(f"({eq[key]})" + (f"*{mono}" if mono else ""))
+    return " + ".join(terms) + " = 0"
+
+
+def _narrow(terms: Dict[int, Fraction], family: str):
+    """The element of the family's scalar ring with these rational terms, or
+    None if the ring has none: family H's ring is integral, B's dyadic."""
+    try:
+        p = RationalLaurent(terms)
+        return p.to_integral() if _RINGS[family] is LaurentPoly else p
+    except ValueError:
+        return None
+
+
+def _evaluate(poly: Dict[int, object], x: Fraction) -> Fraction:
+    return sum((c * x ** e for e, c in poly.items()), Fraction(0))
+
+
+def _divisors(n: int) -> List[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _rational_roots(poly: Dict[int, object]) -> List[Fraction]:
+    """The distinct rational roots of a nonzero polynomial {exponent >= 0:
+    rational coefficient}, by the rational-root theorem."""
+    den = math.lcm(*(Fraction(c).denominator for c in poly.values()))
+    ints = {e: int(c * den) for e, c in poly.items() if c}
+    low, lead = min(ints), ints[max(ints)]
+    roots = {Fraction(0)} if low else set()
+    for p in _divisors(abs(ints[low])):
+        for q in _divisors(abs(lead)):
+            roots.update(x for x in (Fraction(p, q), Fraction(-p, q)) if not _evaluate(ints, x))
+    return sorted(roots)
+
+
+def _at_beta(f: Dict[Tuple[int, int], int], b: Fraction) -> Dict[int, Fraction]:
+    """f(alpha, b) as {power of alpha: nonzero coefficient}."""
+    out: Dict[int, Fraction] = {}
+    for (i, j), c in f.items():
+        out[i] = out.get(i, 0) + c * b ** j
+    return {i: c for i, c in out.items() if c}
+
+
+def _resultant(f: Dict[Tuple[int, int], int], g: Dict[Tuple[int, int], int]) -> LaurentPoly:
+    """The Sylvester resultant in alpha of two integer polynomials
+    {(i, j): coefficient of alpha^i beta^j}, up to sign: a polynomial in beta,
+    written in v, whose determinant is Bareiss-eliminated over Z[beta]."""
+    def in_alpha(h):
+        out = [{} for _ in range(max(i for i, _ in h) + 1)]
+        for (i, j), c in h.items():
+            out[i][j] = c
+        return [LaurentPoly(d) for d in out]
+
+    fc, gc = in_alpha(f), in_alpha(g)
+    m, n = len(fc) - 1, len(gc) - 1
+    rows = [{r + i: x for i, x in enumerate(fc)} for r in range(n)]
+    rows += [{r + i: x for i, x in enumerate(gc)} for r in range(m)]
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == m + n else ZERO
+
+
+def _ring_solutions(equations, family: str) -> List[Tuple[object, object, object]]:
+    """Every (alpha, beta, c) in the family's scalar ring solving ``equations``
+    (as ``_calibration_equations`` writes them), sorted.
+
+    The equations free of c must have integer coefficients.  The Sylvester
+    resultant in alpha of two of them is a nonzero integer polynomial in
+    beta, so every rational solution has a rational root of it as beta;
+    alpha comes from the rational roots at that beta, and every c-free
+    equation is checked.  The other equations must be linear in c, and c is
+    their exact quotient in the family ring, the same from each.  A value
+    outside the family ring drops its solution; a system of any other shape
+    raises ``CalibrationError`` naming the shape.
+    """
+    distinct = {}
+    for eq in equations:
+        eq = {k: p for k, p in eq.items() if p}
+        if eq:
+            distinct.setdefault(tuple(sorted((k, p.terms) for k, p in eq.items())), eq)
+    free, linear = [], []
+    for eq in distinct.values():
+        degree = max(k for _, _, k in eq)
+        if degree > 1:
+            raise CalibrationError(f"calibration equation {_equation_text(eq)} has "
+                                   f"degree {degree} in c, not 1")
+        if degree:
+            linear.append(eq)
+        elif any(p.degree != 0 or p.valuation != 0 for p in eq.values()):
+            raise CalibrationError(f"c-free calibration equation {_equation_text(eq)} "
+                                   "depends on v")
+        else:
+            free.append({(i, j): p.coeff(0) for (i, j, _), p in eq.items()})
+    for pos, name in ((0, "alpha"), (1, "beta")):
+        if not any(key[pos] for f in free for key in f):
+            raise CalibrationError(f"no c-free calibration equation pins {name}")
+    if not linear:
+        raise CalibrationError("no calibration equation pins c")
+
+    if len(free) < 2:
+        raise CalibrationError("one c-free calibration equation leaves alpha and beta free")
+    for f, g in itertools.combinations(free, 2):
+        if any(i for i, _ in f) or any(i for i, _ in g):
+            resultant = _resultant(f, g)
+            if resultant:
+                break
+    else:
+        raise CalibrationError(f"the resultant in alpha of every pair of the {len(free)} "
+                               "c-free calibration equations vanishes identically")
+
+    solutions = set()
+    for b in _rational_roots(dict(resultant.terms)):
+        at_b = [p for p in (_at_beta(f, b) for f in free) if p]
+        if not at_b:
+            raise CalibrationError(f"alpha is left free at beta = {b}")
+        for a in _rational_roots(at_b[0]):
+            if any(_evaluate(p, a) for p in at_b[1:]):
+                continue
+            alpha, beta = _narrow({0: a}, family), _narrow({0: b}, family)
+            if alpha is not None and beta is not None:
+                c = _solve_linear_c(linear, alpha, beta)
+                if c is not None:
+                    solutions.add((alpha, beta, c))
+    return sorted(solutions, key=repr)
+
+
+def _solve_linear_c(linear, alpha, beta):
+    """The c in alpha's ring that solves every equation of ``linear`` at
+    (alpha, beta), or None if there is none."""
+    ring = type(alpha)
+    # each equation as (c-free part, coefficient of c)
+    parts = []
+    for eq in linear:
+        part = [ring.const(0), ring.const(0)]
+        for (i, j, k), p in eq.items():
+            part[k] = part[k] + ring.from_integral(p) * alpha ** i * beta ** j
+        parts.append(part)
+    pivot = next((part for part in parts if part[1]), None)
+    if pivot is None:
+        if any(rest for rest, _ in parts):
+            return None
+        raise CalibrationError(f"c is left free at alpha = {alpha}, beta = {beta}")
+    try:
+        c = (-pivot[0])._exact_div(pivot[1])
+    except ValueError:  # no quotient in the ring
+        return None
+    return None if any(rest + lin * c for rest, lin in parts) else c
+
+
+def _calibrated_scalars(equations, family: str) -> Tuple[object, object, object]:
+    """The one solution of ``equations`` in the family ring with every scalar
+    nonnegative; ``CalibrationError`` if there is not exactly one."""
+    admissible = [s for s in _ring_solutions(equations, family)
+                  if all(classify(x).nonneg for x in s)]
+    if len(admissible) != 1:
+        raise CalibrationError(
+            f"relations at {_SOLVE_STRANDS} strands admit {len(admissible)} "
+            f"nonnegative exact solutions: {admissible}")
+    return admissible[0]
 
 
 def calibrate_ruleset(family: str) -> RuleSet:
@@ -1057,48 +1231,18 @@ def calibrate_ruleset(family: str) -> RuleSet:
 
     The plain loop value is forced to delta by the quadratic relation away
     from the strong bond.  The remaining loop and folding scalars come from
-    an exact polynomial solve of all defining relations at three strands;
-    the sign freedom of flipping every circle is removed by requiring these
-    scalars to be nonnegative, matching the reduction rules' reading as
-    sums of diagrams.  In family B the square definition is then solved
-    linearly from the image of B2's canonical element c_{212}, whose reduced
-    form carries the square.  Failure to pin a unique solution, or any nonzero
-    residual at four strands, raises ``CalibrationError``.
+    an exact solve of all defining relations at three strands
+    (``_ring_solutions``); the sign freedom of flipping every circle is
+    removed by requiring these scalars to be nonnegative, matching the
+    reduction rules' reading as sums of diagrams.  In family B the square
+    definition is then solved linearly from the image of B2's canonical
+    element c_{212}, whose reduced form carries the square.  Failure to pin a
+    unique solution, or any nonzero residual at four strands, raises
+    ``CalibrationError``.
     """
     if family not in ("H", "B"):
         raise ValueError("calibration applies to families H and B")
-    import sympy
-
-    alpha, beta, cl = (_SymPoly.var(x) for x in ("alpha", "beta", "cl"))
-    symbolic = RuleSet(family, _SymPoly.from_integral(DELTA), cl, alpha, beta)
-    v, sa, sb, sc = sympy.symbols("v a b c")
-    sym_eqs = []
-    for _, _, residual in _relation_residuals(symbolic, _SOLVE_STRANDS):
-        for _, e in residual.coeffs:
-            expr = sympy.Integer(0)
-            for (i, j, k), p in e.terms.items():
-                expr += _laurent_to_sympy(p, v) * sa ** i * sb ** j * sc ** k
-            sym_eqs.append(sympy.expand(expr))
-    solutions = sympy.solve(sym_eqs, [sa, sb, sc], dict=True)
-
-    admissible = []
-    for sol in solutions:
-        vals = []
-        good = True
-        for sym in (sa, sb, sc):
-            p = _sympy_to_laurent(sol.get(sym, sym), v, family)
-            if p is None or not classify(p).nonneg:
-                good = False
-                break
-            vals.append(p)
-        if good:
-            admissible.append(tuple(vals))
-    admissible = sorted(set(admissible), key=repr)
-    if len(admissible) != 1:
-        raise CalibrationError(
-            f"relations at {_SOLVE_STRANDS} strands admit {len(admissible)} "
-            f"nonnegative exact solutions: {admissible}")
-    a_val, b_val, c_val = admissible[0]
+    a_val, b_val, c_val = _calibrated_scalars(_calibration_equations(family), family)
 
     ring = _RINGS[family]
     plain = ring.from_integral(DELTA)

@@ -312,6 +312,37 @@ def test_ruleset_reads_the_calibrate_report(tmp_path):
     assert out.read_text() == ref.read_text()
 
 
+@pytest.mark.parametrize("report, message", [
+    ({"status": "fail", "results": {"error": {"type": "CalibrationError", "message": "x"}}},
+     "the calibrate report has no results.ruleset (its status is 'fail')"),
+    ({"results": 5}, "a calibrate report's results are a JSON object, not int"),
+])
+def test_ruleset_from_a_report_without_one_names_the_problem(tmp_path, capsys, report,
+                                                             message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out = run_args(_diagram_job("H", path), tmp_path)
+    assert code == EXIT_CONFIG and not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_calibration_system_of_unsupported_shape_is_a_reported_failure(tmp_path,
+                                                                       monkeypatch):
+    # a solve the exact solver cannot decide fails the job with a report
+    import tlbases.tangles as tangles_mod
+    from tlbases.laurent import LaurentPoly
+
+    quadratic = [{(1, 0, 0): ONE, (0, 0, 0): -ONE}, {(0, 1, 0): ONE, (0, 0, 0): -ONE},
+                 {(0, 0, 2): ONE, (0, 0, 0): LaurentPoly.const(-4)}]
+    monkeypatch.setattr(tangles_mod, "_calibration_equations", lambda family: quadratic)
+    code, out = run_args(["--command", "calibrate", "--family", "H"], tmp_path)
+    assert code == EXIT_VERIFY_FAIL
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["results"]["error"]["type"] == "CalibrationError"
+    assert "has degree 2 in c" in data["results"]["error"]["message"]
+
+
 def test_calibration_suite_rejects_family_a(tmp_path):
     code, out = run_args(["--command", "verify", "--suite", "calibration", "--family", "A"],
                          tmp_path)

@@ -17,6 +17,7 @@ from tlbases.algebra import TLAlgebra
 from tlbases.coxeter import CoxeterGraph
 from tlbases.forms import (
     GramCandidate,
+    _bareiss,
     _rank,
     gram_check,
     natural_gram_candidate,
@@ -89,7 +90,7 @@ def _ref_solver_dimension(alg):
     """Dimension of the symmetric anti-associative forms, by sympy over Q(v)."""
     import sympy
 
-    from tlbases.tangles import _laurent_to_sympy
+    from sympy_reference import laurent_to_sympy
 
     words = [e.word for e in alg.fc_elements()]
     index = {w: i for i, w in enumerate(words)}
@@ -110,9 +111,9 @@ def _ref_solver_dimension(alg):
             for x in words:
                 row = [sympy.Integer(0)] * nvars
                 for y, c in table[w].items():
-                    row[index[y] * n + index[x]] += _laurent_to_sympy(c, v)
+                    row[index[y] * n + index[x]] += laurent_to_sympy(c, v)
                 for y, c in table[x].items():
-                    row[index[w] * n + index[y]] -= _laurent_to_sympy(c, v)
+                    row[index[w] * n + index[y]] -= laurent_to_sympy(c, v)
                 if any(row):
                     rows.append(row)
     return nvars - sympy.Matrix(rows).rank()
@@ -167,6 +168,21 @@ def test_rank_decides_nonsingularity_as_the_exact_determinant(name):
         assert full == bool(_ref_exact_det(m)), name
         singular += not full
     assert 0 < singular < len(variants)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_last_pivot_is_the_determinant_up_to_sign(name):
+    # the calibration resultant is this pivot of a Sylvester matrix
+    alg = ALGEBRAS[name]
+    rng = random.Random(sum(map(ord, name)) + 1)
+    natural = _dense(alg, natural_gram_candidate(alg))
+    for m in [natural] + _perturbations(natural, rng):
+        rank, pivot = _bareiss(_rows(m))
+        det = _ref_exact_det(m)
+        if rank == len(m):
+            assert pivot in (det, -det), name
+        else:
+            assert not det, name
 
 
 def _ref_rank(matrix):

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -23,13 +24,11 @@ def test_no_bare_assert_in_package():
     assert not found, f"bare assert statements: {found}"
 
 
-def test_only_tangles_imports_sympy():
-    # calibration solves for its scalars with sympy; every other module
-    # computes over Z[v, v^-1] with the package's own kernel
+def test_no_module_imports_sympy():
+    # the package computes over Z[v, v^-1] with its own kernel, calibration
+    # included; sympy is a development dependency of the reference tests
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "tangles.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -40,18 +39,48 @@ def test_only_tangles_imports_sympy():
                 continue
             found.extend(f"{path.name}:{node.lineno}" for name in names
                          if name.split(".")[0] == "sympy")
-    assert not found, f"sympy imported outside tangles.py: {found}"
+    assert not found, f"sympy imported by the package: {found}"
+
+
+def _run_python(code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def test_importing_the_package_leaves_sympy_unloaded():
-    # calibration imports sympy when it solves; a cold import costs about
-    # 0.3 s, which a job that never calibrates should not pay
+    # nothing in the package needs sympy, so nothing may load it
     code = "import sys, tlbases, tlbases.cli; print('sympy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _run_python(code).strip() == "False"
+
+
+_JOBS_WITHOUT_SYMPY = """
+import json, os, sys
+if sys.argv[1] == "blocked":
+    sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from tlbases.cli import config_from_args, run
+reports = {}
+for argv in (["--command", "calibrate", "--family", "H"],
+             ["--command", "calibrate", "--family", "B"],
+             ["--command", "verify", "--suite", "calibration,thm-2.2.5", "--family", "B"]):
+    out = os.path.join(sys.argv[2], sys.argv[1] + "-" + "-".join(argv[1::2]) + ".json")
+    code = run(config_from_args(argv + ["--out", out]))
+    with open(out, encoding="utf-8") as fh:
+        reports[" ".join(argv)] = [code, fh.read()]
+print(json.dumps({"sympy": sys.modules.get("sympy") is not None, "reports": reports}))
+"""
+
+
+def test_calibration_runs_without_sympy(tmp_path):
+    # the package's only former runtime dependency: blocking its import must
+    # change no exit code and no report, and a cold run must never load it
+    runs = {}
+    for mode in ("blocked", "open"):
+        runs[mode] = json.loads(_run_python(_JOBS_WITHOUT_SYMPY, mode, str(tmp_path)))
+    assert runs["blocked"]["reports"] == runs["open"]["reports"]
+    assert [code for code, _ in runs["open"]["reports"].values()] == [0, 0, 0]
+    assert runs["open"]["sympy"] is False
 
 
 def test_trusted_tangles_are_built_only_in_tangles():

@@ -7,15 +7,21 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy_reference
 
 from tlbases.algebra import TLAlgebra
 from tlbases.coxeter import CoxeterGraph
 from tlbases.laurent import DELTA, ONE, LaurentPoly, RationalLaurent
 from tlbases.tangles import (
+    _RINGS,
+    _calibrated_scalars,
+    _calibration_equations,
     _canonical_cycle,
+    _narrow,
     _relations,
-    _sympy_to_laurent,
+    _ring_solutions,
     _SymPoly,
+    CalibrationError,
     DiagramCalculus,
     DiagramElement,
     ReductionError,
@@ -424,13 +430,108 @@ def test_relations_match_the_hand_written_presentation(family, n):
     assert derived == ref
 
 
-def test_sympy_to_laurent_narrows_through_the_family_ring():
-    import sympy
-    v = sympy.Symbol("v")
-    assert _sympy_to_laurent(sympy.Rational(1, 3), v, "B") is None
-    assert _sympy_to_laurent(sympy.Rational(1, 2), v, "H") is None
+def test_narrow_keeps_only_the_family_ring():
     half = Fraction(1, 2)
-    assert _sympy_to_laurent((v + 1 / v) / 2, v, "B") == RationalLaurent({1: half, -1: half})
+    assert _narrow({0: Fraction(1, 3)}, "B") is None
+    assert _narrow({0: half}, "H") is None
+    assert _narrow({1: half, -1: half}, "B") == RationalLaurent({1: half, -1: half})
+    assert _narrow({0: Fraction(2)}, "H") == LaurentPoly.const(2)
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_exact_solve_matches_the_sympy_solve(family, monkeypatch):
+    # the sympy solve the exact solver replaced: the same solutions in the
+    # family ring before the nonnegativity filter, and the same rule set
+    pytest.importorskip("sympy")
+    equations = _calibration_equations(family)
+    ref = sympy_reference.solve_in_ring(equations, _RINGS[family])
+    assert _ring_solutions(equations, family) == ref
+    assert len(ref) == 2
+    import tlbases.tangles as tangles_mod
+    monkeypatch.setattr(tangles_mod, "_ring_solutions",
+                        lambda eqs, fam: sympy_reference.solve_in_ring(eqs, _RINGS[fam]))
+    assert calibrate_ruleset(family) == {"H": RULES_H, "B": RULES_B}[family]
+
+
+def _system(*equations):
+    """Calibration equations from {(i, j, k): int or LaurentPoly} dicts."""
+    return [{k: p if isinstance(p, LaurentPoly) else LaurentPoly.const(p)
+             for k, p in eq.items()} for eq in equations]
+
+
+# alpha = 1, beta = 1 and c = 1, each pinned by its own equation
+PINNED = _system({(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1},
+                 {(0, 0, 1): 1, (0, 0, 0): -1})
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_ring_solutions_of_small_systems(family):
+    one = _RINGS[family].const(1)
+    assert _ring_solutions(PINNED, family) == [(one, one, one)]
+    # duplicates, multiples and an identically zero equation change nothing
+    assert _ring_solutions(PINNED + PINNED + [{k: p * 3 for k, p in PINNED[0].items()}]
+                           + _system({(0, 0, 0): 0}), family) == [(one, one, one)]
+    # every c-equation must give the same c
+    assert _ring_solutions(PINNED + _system({(0, 0, 1): 1, (0, 0, 0): -2}), family) == []
+    # beta = 1/2 lies in B's dyadic ring only; c = 1/3 in neither ring
+    half = _system({(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 2, (0, 0, 0): -1},
+                   {(0, 0, 1): 1, (0, 0, 0): -1})
+    assert len(_ring_solutions(half, family)) == (family == "B")
+    third = _system({(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1},
+                    {(0, 0, 1): 3, (0, 0, 0): -1})
+    assert _ring_solutions(third, family) == []
+    # c = (v + v^-1) / 2 from 2*alpha*c - delta: dyadic, so B keeps it
+    loop = _system({(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1},
+                   {(1, 0, 1): 2, (0, 0, 0): -DELTA})
+    want = [(one, one, RationalLaurent({1: Fraction(1, 2), -1: Fraction(1, 2)}))]
+    assert _ring_solutions(loop, family) == (want if family == "B" else [])
+
+
+def test_ring_solutions_find_every_rational_point():
+    # alpha^2 = 4 beta^2 and beta^3 = beta: (0, 0), (+-2, 1), (+-2, -1)
+    system = _system({(2, 0, 0): 1, (0, 2, 0): -4}, {(0, 3, 0): 1, (0, 1, 0): -1},
+                     {(0, 0, 1): 1})
+    got = [(a.coeff(0), b.coeff(0)) for a, b, _ in _ring_solutions(system, "H")]
+    assert sorted(got) == [(-2, -1), (-2, 1), (0, 0), (2, -1), (2, 1)]
+
+
+@pytest.mark.parametrize("shape, system, message", [
+    ("quadratic in c", PINNED[:2] + _system({(0, 0, 2): 1, (0, 0, 0): -1}),
+     "has degree 2 in c, not 1"),
+    ("v-dependent c-free equation", _system({(1, 0, 0): 1, (0, 0, 0): -LaurentPoly.monomial(1)})
+     + PINNED[1:], "depends on v"),
+    ("beta pinned by nothing", _system({(1, 0, 0): 1, (0, 0, 0): -1},
+                                       {(2, 0, 0): 1, (0, 0, 0): -1}) + PINNED[2:],
+     "no c-free calibration equation pins beta"),
+    ("c pinned by nothing", PINNED[:2], "no calibration equation pins c"),
+    ("one c-free equation", _system({(1, 1, 0): 1, (0, 0, 0): -1}) + PINNED[2:],
+     "one c-free calibration equation leaves alpha and beta free"),
+    ("alpha left free", _system({(1, 1, 0): 1, (1, 0, 0): -1},
+                                {(0, 2, 0): 1, (0, 1, 0): -1}) + PINNED[2:],
+     "alpha is left free at beta = 1"),
+    ("c left free", PINNED[:2] + _system({(1, 0, 1): 1, (0, 0, 1): -1}),
+     "c is left free at alpha = 1, beta = 1"),
+    ("resultant vanishes", _system({(1, 0, 0): 1, (0, 1, 0): -1},
+                                   {(1, 0, 0): 2, (0, 1, 0): -2}) + PINNED[2:],
+     "resultant in alpha of every pair of the 2 c-free calibration equations "
+     "vanishes identically"),
+])
+def test_unsupported_system_shapes_are_reported(shape, system, message):
+    for family in ("H", "B"):
+        with pytest.raises(CalibrationError, match=message):
+            _calibrated_scalars(system, family)
+
+
+def test_two_nonnegative_solutions_are_reported():
+    # beta^2 = beta leaves beta = 0 and beta = 1, both nonnegative
+    system = PINNED[::2] + _system({(0, 2, 0): 1, (0, 1, 0): -1})
+    assert len(_ring_solutions(system, "H")) == 2
+    with pytest.raises(CalibrationError, match="admit 2 nonnegative exact solutions"):
+        _calibrated_scalars(system, "H")
+    # a negative solution is filtered out, not counted
+    system = PINNED[::2] + _system({(0, 2, 0): 1, (0, 0, 0): -1})
+    one = LaurentPoly.const(1)
+    assert _calibrated_scalars(system, "H") == (one, one, one)
 
 
 def test_symbolic_scalars_reproduce_numeric_calculus():
