@@ -9,28 +9,27 @@ its reduced words is the set of all of them.
 A word's commutation class is the set of linear extensions of its heap, the
 partial order on letter occurrences generated by "i comes before j and the
 letters do not commute" (Viennot).  So FC detection, the normal form (the
-lexicographically least class member), descents, class sizes and the Bruhat
-subword test are read off the heap without building the class: by
-Stembridge's criterion a word is FC-reduced iff its heap has no covering
+lexicographically least class member), descents, the letter taxonomy and
+the Bruhat subword test are read off the heap without building the class:
+by Stembridge's criterion a word is FC-reduced iff its heap has no covering
 pair with equal labels and no convex chain of length m(s, t) whose labels
-alternate between s and t.
+alternate between s and t.  Likewise a sequence of pieces is a factor of
+some class member iff it is convex in the heap and ordered compatibly, so
+the taxonomy (internal / lateral / bilateral / bad / critical letters) reads
+its flanks (factors q p q with m(p, q) >= 3) and pattern hits as such runs.
 
 The ordered class searches read the heap's linear extensions, produced
 lazily in lexicographic (or reverse lexicographic) order as position orders
 of one word: two occurrences of the same generator can never cross, so a
 position names the same occurrence in every member of the class.  The
-rewriting strategies stop at the first member with a reducible factor.  The
-letter taxonomy (internal / lateral / bilateral / bad / critical) is read in
-one pass over the whole ordered list, which records each member's flanks
-(factors q p q with m(p, q) >= 3) and pattern hits; right-justified
-expressions with their block decomposition are the first member of the same
-list that parses into blocks.
+rewriting strategies stop at the first member with a reducible factor, and
+right-justification at the first member that parses into blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -373,12 +372,8 @@ class FcElement:
                  "left_descents", "right_descents", "_hash")
 
     def __init__(self, graph: CoxeterGraph, word: Sequence[int], _trusted: bool = False):
-        w = graph.check_word(word)
-        heap = _Heap(graph, w)
-        if not _trusted:
-            if not heap.fc_reduced():
-                raise ValueError(f"{w} is not an FC-reduced word")
-            w = heap.normal_form()
+        heap = _Heap(graph, graph.check_word(word)) if _trusted else _fc_heap(graph, word)
+        w = heap.word if _trusted else heap.normal_form()
         object.__setattr__(self, "family", graph.family)
         object.__setattr__(self, "rank", graph.rank)
         object.__setattr__(self, "word", w)
@@ -480,87 +475,96 @@ class LetterClassification:
 _BAD_PATTERNS = (((3, 1, 2, 1, 2, 3), 4), ((3, 2, 1, 2, 1, 3), 1))
 
 
-def _critical_patterns(rank: int) -> List[Tuple[str, Word, int, int, int]]:
-    """The three loop-creating deletion patterns as (label, pattern, step, a, h).
+@lru_cache(maxsize=None)
+def _critical_patterns(graph: CoxeterGraph
+                       ) -> Tuple[Tuple[str, Word, FrozenSet[int], Word, int], ...]:
+    """The three loop-creating deletion patterns as ``_runs`` searches:
+    (label, labels, star, then, offset of the tracked letter in a hit).
 
     The patterns are anchored at the strong end of the graph: an ascending
-    run of odd generators, a run of even generators whose last letter is the
-    tracked one, and a closing run of odd generators.  Type (i) tracks the
-    letter at offset ``a`` of the pattern (``step`` 0).  Types (ii)/(iii)
-    track a letter ``a`` followed (preceded) by ``h`` after (before) the
-    pattern, possibly separated from it by letters commuting with ``h``;
-    ``step`` is the direction of that search.
+    run of odd generators, a run of even generators and a closing run of odd
+    generators.  Type (i) tracks the last even letter.  Type (ii) tracks a
+    letter g = 2k followed by h = g + 1 after the pattern, possibly
+    separated from it by letters commuting with h; type (iii) is its mirror
+    image, h g before the pattern, searched on the heap upside down.
     """
-    def odds(top):
-        return tuple(range(1, top + 1, 2))
-
-    def evens(top):
-        return tuple(range(2, top + 1, 2))
-
-    out = [("i", odds(2 * k - 1) + evens(2 * k) + odds(2 * k - 1), 0, 2 * k - 1, 0)
-           for k in range(2, rank // 2 + 1)]
-    for k in range(1, (rank - 1) // 2 + 1):
-        g, h = 2 * k, 2 * k + 1
-        out.append(("ii", odds(h) + evens(g) + odds(2 * k - 1), 1, g, h))
-        out.append(("iii", odds(2 * k - 1) + evens(g) + odds(h), -1, g, h))
-    return out
+    out = []
+    for k in range(1, graph.rank // 2 + 1):
+        odds, evens = tuple(range(1, 2 * k, 2)), tuple(range(2, 2 * k + 1, 2))
+        if k > 1:
+            out.append(("i", odds + evens + odds, frozenset(), (), 2 * k - 1))
+        if 2 * k < graph.rank:
+            h = 2 * k + 1
+            star = frozenset(s for s in graph.generators if graph.bonds[s][h] == 2)
+            out.append(("ii", odds + (h,) + evens + odds, star, (h - 1, h), -2))
+            out.append(("iii", (odds + evens + odds + (h,))[::-1], star, (h - 1, h), -2))
+    return tuple(out)
 
 
-def _fc_extensions(graph: CoxeterGraph, word: Word) -> List[Tuple[int, ...]]:
-    """The class of an FC-reduced word, as position orders in lexicographic order."""
-    heap = _Heap(graph, word)
+def _runs(heap: _Heap, labels: Word, star: FrozenSet[int] = frozenset(),
+          then: Word = (), upside_down: bool = False) -> List[Tuple[int, ...]]:
+    """The position tuples of pieces labelled ``labels``, then any number
+    labelled in ``star`` (not ``then[0]``), then ``then``, that are
+    consecutive in this order in some linear extension of the heap, or of
+    the heap upside down (the reversed word's, with positions kept).
+
+    Depth first over each letter's positions: a piece may follow the chosen
+    ones when it lies below none of them and no unchosen piece lies between.
+    """
+    word, pattern = heap.word, labels + then
+    below, above = (heap.above, heap.below) if upside_down else (heap.below, heap.above)
+    if len(word) < len(pattern) or any(word.count(s) < pattern.count(s) for s in set(pattern)):
+        return []
+    places = {s: [j for j, t in enumerate(word) if t == s] for s in set(pattern)}
+    starred = [j for j, s in enumerate(word) if s in star]
+    hits: List[Tuple[int, ...]] = []
+
+    def grow(k, hit, mask, up):
+        if k == len(pattern):
+            hits.append(hit)
+            return
+        for x in places[pattern[k]] + starred if k == len(labels) else places[pattern[k]]:
+            if not (mask >> x & 1 or above[x] & mask or up & below[x] & ~mask):
+                grow(k + (word[x] == pattern[k]), hit + (x,), mask | 1 << x, up | above[x])
+
+    grow(0, (), 0, 0)
+    return hits
+
+
+def _fc_heap(graph: CoxeterGraph, word: Sequence[int]) -> _Heap:
+    heap = _Heap(graph, graph.check_word(word))
     if not heap.fc_reduced():
-        raise ValueError(f"{word} is not an FC-reduced word")
-    return list(heap.extensions())
+        raise ValueError(f"{heap.word} is not an FC-reduced word")
+    return heap
 
 
 def classify_letters(graph: CoxeterGraph, word: Sequence[int]) -> LetterClassification:
-    w = graph.check_word(word)
-    return _taxonomy(graph, w, _fc_extensions(graph, w))[0]
+    return _taxonomy(_fc_heap(graph, word))[0]
 
 
-def _taxonomy(graph: CoxeterGraph, w: Word, orders: List[Tuple[int, ...]]
-              ) -> Tuple[LetterClassification, FrozenSet[int]]:
-    """The taxonomy and the r-set of ``w``, read in one pass over its class
-    members, given as position orders of ``w``.
+def _taxonomy(heap: _Heap) -> Tuple[LetterClassification, FrozenSet[int]]:
+    """The taxonomy and the r-set of the heap's word, read off the heap.
 
-    Each member contributes its flanks, the factors q p q with m(p, q) >= 3,
-    as (left, middle, right) positions, and its bad and critical pattern hits
-    (a position keeps the first critical label found).  Internal letters are
-    the middles; an external side is lateral, and bilateral when it flanks
-    two middles; the r-set holds the middles whose right side is bilateral.
+    The flanks q p q with m(p, q) >= 3, as (left, middle, right) positions,
+    are the consecutive occurrences of q with one piece p between them; bad
+    and critical letters are read off the runs of their patterns (a position
+    keeps the first critical label found).  Internal letters are the middles;
+    an external side is lateral, and bilateral when it flanks two middles;
+    the r-set holds the middles whose right side is bilateral.
     """
-    bonds, n = graph.bonds, len(w)
-    critical_patterns = _critical_patterns(graph.rank)
-    flanks = set()
-    bad = set()
+    graph, w, n = heap.graph, heap.word, len(heap.word)
+    flanks, last = [], {}
+    for j, q in enumerate(w):
+        i, last[q] = last.get(q, j), j
+        between = heap.above[i] & heap.below[j]
+        p = between.bit_length() - 1
+        if between.bit_count() == 1 and graph.bonds[q][w[p]] >= 3:
+            flanks.append((i, p, j))
+    bad = {hit[tracked] for pattern, tracked in _BAD_PATTERNS for hit in _runs(heap, pattern)}
     crit: Dict[int, str] = {}
-    for order in orders:
-        letters = _letters(w, order)
-        for i in range(1, n - 1):
-            q = letters[i - 1]
-            if q == letters[i + 1] and bonds[q][letters[i]] >= 3:
-                flanks.add(order[i - 1:i + 2])
-        for pattern, tracked in _BAD_PATTERNS:
-            for i in range(n - 5):
-                if letters[i:i + 6] == pattern:
-                    bad.add(order[i + tracked])
-        for label, pattern, step, a, h in critical_patterns:
-            size = len(pattern)
-            for i in range(n - size + 1):
-                if letters[i:i + size] != pattern:
-                    continue
-                if not step:
-                    crit.setdefault(order[i + a], label)
-                    continue
-                j = i + size if step > 0 else i - 1
-                while 0 < j < n - 1:
-                    if letters[j] == a and letters[j + step] == h:
-                        crit.setdefault(order[j], label)
-                        break
-                    if bonds[letters[j]][h] != 2:
-                        break
-                    j += step
+    for label, labels, star, then, at in _critical_patterns(graph):
+        for hit in _runs(heap, labels, star, then, upside_down=label == "iii"):
+            crit.setdefault(hit[at], label)
 
     internal = {mid for _, mid, _ in flanks}
     witnesses: Dict[int, set] = {}
@@ -618,19 +622,18 @@ _SHAPES = {
 def right_justify(graph: CoxeterGraph, word: Sequence[int]) -> RightJustified:
     """A right-justified reduced expression with its block decomposition.
 
-    Scans the commutation class in lexicographic order and returns the first
-    member in which (a) every internal letter has the required lateral or
-    internal neighbours (one-sided for letters whose flanking pattern ends
-    in a bilateral letter, two-sided otherwise), (b) the maximal runs of
-    internal and lateral letters parse into the six admissible block shapes
-    and (c) every bilateral letter starts its block.
+    Reads the taxonomy off the heap, then walks the commutation class lazily
+    in lexicographic order, so only the members walked count against
+    ``CLASS_CAP``, and returns the first in which (a) every internal letter
+    has the required lateral or internal neighbours (one-sided for letters
+    whose flanking pattern ends in a bilateral letter, two-sided otherwise),
+    (b) the maximal runs of internal and lateral letters parse into the six
+    admissible block shapes and (c) every bilateral letter starts its block.
     """
-    w = graph.check_word(word)
-    # in letter-word order, which the first-match scan below relies on
-    perms = _fc_extensions(graph, w)
-    cls, rset = _taxonomy(graph, w, perms)
-    n = len(w)
-    for perm in perms:
+    heap = _fc_heap(graph, word)
+    cls, rset = _taxonomy(heap)
+    w, n = heap.word, len(heap.word)
+    for perm in heap.extensions():
         lr = tuple(cls.category[pid] for pid in perm)
         # an internal letter needs a non-plain left neighbour, and a non-plain
         # right one too unless it is in the r-set

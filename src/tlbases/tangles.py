@@ -58,6 +58,7 @@ __all__ = [
 End = Tuple[str, int]  # ("N", i) or ("S", j), 1-based
 Decor = str            # "c" (circle) or "s" (square)
 Edge = Tuple[End, End, Tuple[Decor, ...]]
+_UNITS = {LaurentPoly: ONE, RationalLaurent: RationalLaurent.const(1)}  # by coefficient type
 
 
 class ReductionError(ValueError):
@@ -501,10 +502,12 @@ class DiagramElement:
         return DiagramElement(self.family, self.n, acc)
 
     def scale(self, c):
-        return DiagramElement(self.family, self.n, {t: cc * c for t, cc in self.coeffs})
+        one = _UNITS.get(type(c))  # a unit coefficient (most are) takes c, not a product
+        return DiagramElement(self.family, self.n,
+                              {t: c if cc == one else cc * c for t, cc in self.coeffs})
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + DiagramElement(other.family, other.n, {t: -c for t, c in other.coeffs})
 
     def __eq__(self, other):
         if not isinstance(other, DiagramElement):
@@ -1004,6 +1007,9 @@ class _SymPoly:
         for k, v in other.terms.items():
             out[k] = out.get(k, ZERO) + v
         return _SymPoly(out)
+
+    def __neg__(self):
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -95,7 +95,8 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_resource_cap_exit_code(tmp_path, monkeypatch):
-    # the f-basis of H3 is built from whole commutation classes
+    # the right-justification behind H3's f-basis walks past the first
+    # member of some commutation class
     monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
     code, out = run_args(
         ["--command", "basis", "--family", "H", "--rank", "3", "--basis", "f"],
@@ -108,7 +109,8 @@ def test_resource_cap_exit_code(tmp_path, monkeypatch):
 
 
 def test_verify_honours_the_class_cap(tmp_path, monkeypatch):
-    # the taxonomy behind the deletion suite lists whole classes
+    # the rewrites behind the deletion suite walk past the first member of
+    # some commutation class before they find a factor
     monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
     code, out = run_args(
         ["--command", "verify", "--family", "H", "--suite", "prop-3.1.9", "--rank", "3"],

@@ -670,18 +670,97 @@ def _ref_r_set(graph, word, perms, cls_by_pid):
     return frozenset(out)
 
 
+def _ref_one_pass_taxonomy(graph, w, orders):
+    """The taxonomy and the r-set of ``w`` read in one pass over its class
+    members, given as position orders of ``w``: the list-based reading that
+    the heap runs replaced.
+
+    Each member contributes its flanks, the factors q p q with m(p, q) >= 3,
+    as (left, middle, right) positions, and its bad and critical pattern hits
+    (a position keeps the first critical label found).
+    """
+    bonds, n, rank = graph.bonds, len(w), graph.rank
+
+    def odds(top):
+        return tuple(range(1, top + 1, 2))
+
+    def evens(top):
+        return tuple(range(2, top + 1, 2))
+
+    # (label, pattern, step, a, h): type (i) tracks offset a of the pattern;
+    # types (ii)/(iii) track a letter a followed (preceded) by h after
+    # (before) the pattern, possibly separated by letters commuting with h
+    critical_patterns = [("i", odds(2 * k - 1) + evens(2 * k) + odds(2 * k - 1), 0, 2 * k - 1, 0)
+                         for k in range(2, rank // 2 + 1)]
+    for k in range(1, (rank - 1) // 2 + 1):
+        g, h = 2 * k, 2 * k + 1
+        critical_patterns.append(("ii", odds(h) + evens(g) + odds(2 * k - 1), 1, g, h))
+        critical_patterns.append(("iii", odds(2 * k - 1) + evens(g) + odds(h), -1, g, h))
+    flanks = set()
+    bad = set()
+    crit = {}
+    for order in orders:
+        letters = _ref_letters(w, order)
+        for i in range(1, n - 1):
+            q = letters[i - 1]
+            if q == letters[i + 1] and bonds[q][letters[i]] >= 3:
+                flanks.add(order[i - 1:i + 2])
+        for pattern, tracked in _REF_BAD_PATTERNS:
+            for i in range(n - 5):
+                if letters[i:i + 6] == pattern:
+                    bad.add(order[i + tracked])
+        for label, pattern, step, a, h in critical_patterns:
+            size = len(pattern)
+            for i in range(n - size + 1):
+                if letters[i:i + size] != pattern:
+                    continue
+                if not step:
+                    crit.setdefault(order[i + a], label)
+                    continue
+                j = i + size if step > 0 else i - 1
+                while 0 < j < n - 1:
+                    if letters[j] == a and letters[j + step] == h:
+                        crit.setdefault(order[j], label)
+                        break
+                    if bonds[letters[j]][h] != 2:
+                        break
+                    j += step
+
+    internal = {mid for _, mid, _ in flanks}
+    witnesses = {}
+    for left, mid, right in flanks:
+        for side in (left, right):
+            if side not in internal:
+                witnesses.setdefault(side, set()).add(mid)
+    category = tuple(
+        "internal" if i in internal
+        else "plain" if i not in witnesses
+        else "bilateral" if len(witnesses[i]) >= 2 else "lateral"
+        for i in range(n))
+    cls = coxeter.LetterClassification(
+        w, category, tuple(i in bad for i in range(n)),
+        tuple("iv" if i in internal else crit.get(i, "none") for i in range(n)))
+    for i in range(n):
+        if cls.is_bilateral(i) and w[i] != 1:
+            raise AssertionError(f"bilateral letter at {i} is not generator 1 in {w}")
+        if cls.bad[i] and not (w[i] == 2 and cls.is_lateral(i)):
+            raise AssertionError(f"bad letter at {i} is not a lateral 2 in {w}")
+    rset = frozenset(mid for _, mid, right in flanks if category[right] == "bilateral")
+    return cls, rset
+
+
 def _check_taxonomy_against_class_scan(graph):
     for e in enumerate_fc(graph):
         # positions refer to the input word, normal or not
         for w in (e.word, max(commutation_class(graph, e.word))):
-            # the replaced path: the classification read the members in
-            # discovery order, the r-set and the right-justification search
-            # the sorted members
+            # the classification read the members in discovery order, the
+            # r-set and the right-justification search the sorted members
             bfs, lex = _ref_orders(graph, w, discovery=True), _ref_orders(graph, w)
             ref_cls = _ref_classify(graph, w, bfs)
             ref_rset = _ref_r_set(graph, w, lex, ref_cls.category)
             assert classify_letters(graph, w) == ref_cls, w
-            assert coxeter._taxonomy(graph, w, lex) == (ref_cls, ref_rset), w
+            assert coxeter._taxonomy(_Heap(graph, w)) == (ref_cls, ref_rset), w
+            assert _ref_one_pass_taxonomy(graph, w, lex) == (ref_cls, ref_rset), w
             assert right_justify(graph, w) == \
                 _right_justify_on(graph, w, ref_cls, ref_rset, lex), w
             labels = {}
@@ -693,8 +772,8 @@ def _check_taxonomy_against_class_scan(graph):
 
 def _right_justify_on(graph, word, cls, rset, orders):
     """``right_justify`` run on the given taxonomy, r-set and member orders."""
-    with mock.patch.object(coxeter, "_fc_extensions", lambda g, w: orders), \
-            mock.patch.object(coxeter, "_taxonomy", lambda g, w, perms: (cls, rset)):
+    with mock.patch.object(_Heap, "extensions", lambda self, descending=False: iter(orders)), \
+            mock.patch.object(coxeter, "_taxonomy", lambda heap: (cls, rset)):
         return right_justify(graph, word)
 
 
@@ -710,11 +789,23 @@ def test_taxonomy_agrees_with_class_scan_rank_5(family):
     _check_taxonomy_against_class_scan(CoxeterGraph(family, 5))
 
 
+@SLOW
+def test_taxonomy_agrees_with_the_one_pass_reading_b6():
+    # B6 has 1,055 FC elements, some with classes of thousands of members
+    b6 = CoxeterGraph("B", 6)
+    for e in enumerate_fc(b6):
+        lex = _ref_orders(b6, e.word)
+        ref_cls, ref_rset = _ref_one_pass_taxonomy(b6, e.word, lex)
+        assert coxeter._taxonomy(_Heap(b6, e.word)) == (ref_cls, ref_rset), e.word
+        assert right_justify(b6, e.word) == \
+            _right_justify_on(b6, e.word, ref_cls, ref_rset, lex), e.word
+
+
 @pytest.mark.parametrize("family", "ABH")
 def test_taxonomy_agrees_with_class_scan_on_words_that_are_not_fc(family):
     # an FC word never holds q p q with m(p, q) = 3 (a braid), so the flank
     # condition m(p, q) >= 3 is pinned here, on the classes of every word up
-    # to length 6 at rank 3, fed straight to the one-pass loop
+    # to length 6 at rank 3, read off their heaps
     g = CoxeterGraph(family, 3)
     for w in _words(3, 6):
         orders = _ref_orders(g, w)
@@ -722,26 +813,53 @@ def test_taxonomy_agrees_with_class_scan_on_words_that_are_not_fc(family):
             ref_cls = _ref_classify(g, w, orders)
         except AssertionError as exc:
             with pytest.raises(AssertionError) as got:
-                coxeter._taxonomy(g, w, orders)
+                coxeter._taxonomy(_Heap(g, w))
             assert str(got.value) == str(exc), w
             continue
         ref_rset = _ref_r_set(g, w, orders, ref_cls.category)
-        assert coxeter._taxonomy(g, w, orders) == (ref_cls, ref_rset), w
+        assert coxeter._taxonomy(_Heap(g, w)) == (ref_cls, ref_rset), w
 
 
-def test_taxonomy_cap_bounds_the_class(monkeypatch):
+@pytest.mark.parametrize("word", [(1, 3, 2, 1, 5, 4, 3, 2, 1, 2, 3, 4, 5),
+                                  (5, 4, 3, 2, 1, 2, 1, 3, 2, 1, 4, 3, 5)])
+def test_critical_search_crosses_letters_commuting_with_h(word):
+    # these H5 elements hold a type (ii) or (iii) hit only across a letter that
+    # commutes with h; no FC element of rank 4 or less needs one
+    h5 = CoxeterGraph("H", 5)
+    lex = _ref_orders(h5, word)
+    ref_cls = _ref_classify(h5, word, lex)
+    assert {"ii", "iii"} & set(ref_cls.critical)
+    assert coxeter._taxonomy(_Heap(h5, word)) == \
+        (ref_cls, _ref_r_set(h5, word, lex, ref_cls.category))
+
+
+def test_classify_letters_builds_no_class(monkeypatch):
+    # the taxonomy is read off the heap: no class member is produced
     h4 = CoxeterGraph("H", 4)
+    expected = {e.word: classify_letters(h4, e.word) for e in enumerate_fc(h4)}
+
+    def no_walk(self, descending=False):
+        raise AssertionError("a commutation class was walked")
+
+    monkeypatch.setattr(coxeter, "CLASS_CAP", 1)
+    monkeypatch.setattr(_Heap, "extensions", no_walk)
+    for w, cls in expected.items():
+        assert classify_letters(h4, w) == cls, w
+
+
+def test_right_justify_cap_bounds_the_members_walked(monkeypatch):
+    # the search stops at the first right-justified member, the k-th in
+    # lexicographic order: it passes under a cap of k and trips below it
+    h4 = CoxeterGraph("H", 4)
+    deep = 0
     for e in enumerate_fc(h4):
-        size = len(commutation_class(h4, e.word))
-        if size < 2:
-            continue
-        cls, rj = classify_letters(h4, e.word), right_justify(h4, e.word)
+        rj = right_justify(h4, e.word)
+        k = sorted(commutation_class(h4, e.word)).index(rj.word) + 1
+        deep += k > 1
         with monkeypatch.context() as m:
-            m.setattr(coxeter, "CLASS_CAP", size)
-            assert classify_letters(h4, e.word) == cls
+            m.setattr(coxeter, "CLASS_CAP", k)
             assert right_justify(h4, e.word) == rj
-            m.setattr(coxeter, "CLASS_CAP", size - 1)
-            with pytest.raises(ClassSizeError):
-                classify_letters(h4, e.word)
+            m.setattr(coxeter, "CLASS_CAP", k - 1)
             with pytest.raises(ClassSizeError):
                 right_justify(h4, e.word)
+    assert deep

@@ -111,3 +111,20 @@ def test_no_function_takes_a_tuning_knob():
                 found.extend(f"{path.name}:{node.lineno} {p.arg}" for p in params
                              if p.arg in knobs)
     assert not found, f"tuning parameters: {found}"
+
+
+def test_no_module_lists_a_commutation_class():
+    # the class searches walk _Heap.extensions lazily and stop at their first
+    # hit; the letter taxonomy reads the heap itself, so no code materializes
+    # a whole class by passing the walk to a collection
+    collectors = {"list", "tuple", "sorted", "set", "frozenset"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in collectors:
+                found.extend(f"{path.name}:{node.lineno}" for arg in node.args
+                             if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                             and arg.func.attr == "extensions")
+    assert not found, f"commutation classes listed: {found}"
