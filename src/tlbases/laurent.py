@@ -343,6 +343,10 @@ class LaurentPoly(_Laurent):
         """The integral ring's own embedding: the identity."""
         return p
 
+    def to_integral(self) -> "LaurentPoly":
+        """The integral ring's own narrowing: the identity."""
+        return self
+
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)

@@ -19,6 +19,7 @@ diagrams), and re-verified against the full relation set at four strands.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -841,43 +842,45 @@ def _leading_tangle(elem: DiagramElement) -> Tangle:
     return max(elem.support(), key=lambda t: (t.decoration_count(), t.sort_key()))
 
 
-def _b_canonical_candidate(shadow: Tangle, rules: RuleSet):
-    """The canonical diagram whose expansion leads with ``shadow``.
+@functools.lru_cache(maxsize=None)
+def _canonical_index(rules: RuleSet, n: int):
+    """The family's enumerated canonical diagrams at ``n`` strands:
+    ({leading tangle of image: (diagram, factor, image)}, image sizes), the
+    image being the normalized expansion (in family H, factor 1 and the
+    diagram itself)."""
+    diagrams = ([(t, 1) for t in enumerate_h_admissible(n)] if rules.family == "H"
+                else enumerate_b_canonical(n))
+    by_lead = {}
+    for t, lam in diagrams:
+        image = expand_squares(t, rules).scale(lam)
+        lead = _leading_tangle(image)
+        if lead in by_lead:
+            raise AssertionError(f"canonical diagrams {format_tangle(by_lead[lead][0])} and "
+                                 f"{format_tangle(t)} both lead with {format_tangle(lead)}")
+        by_lead[lead] = (t, lam, image)
+    return by_lead, frozenset(len(image.coeffs) for _, _, image in by_lead.values())
 
-    Circles stay on the two node-1 edges and every other circle came from a
-    square.  Returns (candidate, normalization factor, normalized expansion)
-    or None when the rebuilt diagram is not in the canonical set.
-    """
-    if shadow.has_squares():
+
+def _match_canonical(index, elem: DiagramElement):
+    """(diagram, factor, image) of the canonical diagram whose image is
+    ``elem``, or None; ``index`` is ``_canonical_index``'s."""
+    by_lead, sizes = index
+    if len(elem.coeffs) not in sizes:
         return None
-    edges = []
-    for (a, b, decs), ty in zip(shadow.edges, classify_diagram(shadow).edge_types):
-        if len(decs) > 1:
-            return None
-        edges.append((a, b, decs and (("c",) if ty == "p2" else ("s",))))
-    candidate = Tangle(shadow.n_north, shadow.n_south, edges)
-    cls = classify_diagram(candidate).B_canonical_class
-    if cls == "none":
-        return None
-    lam = 2 if cls == "C2" else 1
-    return candidate, lam, expand_squares(candidate, rules).scale(lam)
+    hit = by_lead.get(_leading_tangle(elem))
+    return hit if hit is not None and hit[2] == elem else None
 
 
 def recognize_b_canonical(elem: DiagramElement, rules: RuleSet):
     """Match a circle-calculus element against the canonical set.
 
-    Returns (decorated diagram, normalization factor) or None.  The
-    candidate is reconstructed from the support tangle with the most
-    decorations.
+    Returns (decorated diagram, normalization factor) or None, looking the
+    enumerated diagrams up by the leading tangle of their normalized images.
     """
     if rules.family != "B" or elem.family != "B":
         raise ValueError("recognition is a family-B operation")
-    if elem.is_zero():
-        return None
-    hit = _b_canonical_candidate(_leading_tangle(elem), rules)
-    if hit is None or hit[2] != elem:
-        return None
-    return hit[0], hit[1]
+    hit = _match_canonical(_canonical_index(rules, elem.n), elem)
+    return None if hit is None else hit[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -888,17 +891,21 @@ def iota(elem: DiagramElement, rules_b: RuleSet) -> DiagramElement:
     """Replace every decoration by a circle, canonical diagram by diagram.
 
     The input must be a combination of canonical-set elements; the
-    decomposition peels off the most-decorated support tangle, recognizes
-    the canonical diagram underneath, and maps it to the family-H diagram
-    with all decorations circular (normalization factors drop to 1).
+    decomposition peels off the most-decorated support tangle, looks up the
+    canonical diagram whose normalized expansion leads with it, and maps
+    that diagram to the family-H diagram with all decorations circular
+    (normalization factors drop to 1).
     """
     if elem.family != "B":
         raise ValueError("the decoration-replacing map starts from family B")
+    if rules_b.family != "B":
+        raise ValueError("rule set family does not match")
+    by_lead, _ = _canonical_index(rules_b, elem.n)
     out: Dict[Tangle, LaurentPoly] = {}
     rem = elem
     while not rem.is_zero():
         shadow = _leading_tangle(rem)
-        hit = _b_canonical_candidate(shadow, rules_b)
+        hit = by_lead.get(shadow)
         lead = None if hit is None else hit[2].coeff(shadow)
         # the leading coefficient must be a dyadic constant for the peeled
         # multiplicity to be exact
@@ -924,27 +931,21 @@ def iota(elem: DiagramElement, rules_b: RuleSet) -> DiagramElement:
 
 def generate_by_procedures(family: str, n: int, rules: RuleSet) -> List[DiagramElement]:
     """Closure of the identity under generator multiplications and the gated
-    quadratic moves; family H uses the two three-step moves as well."""
+    quadratic moves; family H uses the two three-step moves as well.  The
+    acceptor keeps each candidate that is the normalized image of a canonical
+    diagram of the family (in H, an admissible diagram with coefficient 1)."""
+    if rules.family != family:
+        raise ValueError("rule set family does not match")
     if n < 3:
         raise ValueError(f"the gated moves use generators 1 and 2; {n} strands have fewer")
     calc = DiagramCalculus(rules)
     vpv = rules.lift(DELTA)
-
-    def accept(elem: DiagramElement):
-        if family == "H":
-            if len(elem.coeffs) == 1 and elem.coeffs[0][1] == ONE:
-                t = elem.coeffs[0][0]
-                if classify_diagram(t).H_admissible:
-                    return t
-            return None
-        hit = recognize_b_canonical(elem, rules)
-        return hit[0] if hit else None
-
+    index = _canonical_index(rules, n)
     start = calc.one(n)
-    start_key = accept(start)
-    if start_key is None:
+    hit = _match_canonical(index, start)
+    if hit is None:
         raise RuntimeError("identity element rejected by the closure acceptor")
-    closure: Dict[Tangle, DiagramElement] = {start_key: start}
+    closure: Dict[Tangle, DiagramElement] = {hit[0]: start}
     frontier = [start]
     gens = range(1, n)
     while frontier:
@@ -965,9 +966,9 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet) -> List[DiagramE
                     if family == "H":
                         candidates.append(calc.apply_gen(bsp, s, side) - bs.scale(rules.const(2)))
             for cand in candidates:
-                key = accept(cand)
-                if key is not None and key not in closure:
-                    closure[key] = cand
+                hit = _match_canonical(index, cand)
+                if hit is not None and hit[0] not in closure:
+                    closure[hit[0]] = cand
                     new.append(cand)
         frontier = new
     return sorted(closure.values(), key=lambda e: e.coeffs[0][0].sort_key())

@@ -14,18 +14,17 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra
 from .coxeter import CoxeterGraph, bruhat_leq_word, classify_letters, word_str
-from .laurent import DELTA, ONE, LaurentPoly, classify
+from .laurent import DELTA, LaurentPoly, classify
 from .tangles import (
+    _canonical_index,
+    _match_canonical,
     CALIBRATION_STRANDS,
     CalibrationError,
     DiagramCalculus,
     RuleSet,
     calibrate_ruleset,
-    enumerate_b_canonical,
-    enumerate_h_admissible,
     format_tangle,
     loop_count,
-    recognize_b_canonical,
     verify_relations,
 )
 
@@ -80,68 +79,54 @@ def _rules(family: str) -> RuleSet:
 # transport of the canonical basis to diagrams
 
 
-def _transport_h(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
-    calc = DiagramCalculus(rules)
-    strands = alg.graph.rank + 1
-    images = {}
-    for w, coords in sorted(alg.canonical_table().items(), key=lambda t: (len(t[0]), t[0])):
-        elem = calc.image(strands, coords)
-        single = len(elem.coeffs) == 1 and elem.coeffs[0][1] == ONE
-        if not single:
-            res.checks.append(CheckResult(
-                f"strands-{strands}-single-diagram", False,
-                f"canonical element at {word_str(w)} is not a unit diagram",
-                {"word": word_str(w), "image": repr(elem)}))
-            return
-        images[w] = elem.coeffs[0][0]
-    res.checks.append(CheckResult(
-        f"strands-{strands}-single-diagram", True,
-        f"all {len(images)} canonical elements map to single diagrams"))
-    admissible = enumerate_h_admissible(strands)
-    same = set(images.values()) == set(admissible) and len(images) == len(admissible)
-    res.checks.append(CheckResult(
-        f"strands-{strands}-image-set", same,
-        f"image set vs admissible enumeration: {len(images)} vs {len(admissible)}",
-        None if same else {"missing": [format_tangle(t) for t in
-                                       sorted(set(admissible) - set(images.values()),
-                                              key=format_tangle)]}))
+#: Per family: the suite, its recognition check, that check's failure and
+#: pass details, and the enumeration the image set is compared with.
+_TRANSPORT = {
+    "H": ("thm-2.1.3", "single-diagram",
+          "canonical element at {} is not a single admissible diagram with coefficient 1",
+          "all {} canonical elements map to single diagrams", "admissible"),
+    "B": ("thm-2.2.5", "canonical-form",
+          "image of {} is not a normalized canonical diagram",
+          "all {} canonical elements recognized with integer coefficients after "
+          "normalization", "canonical"),
+}
 
 
-def _transport_b(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
+def _transport(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
+    _, check, failed, passed, enumeration = _TRANSPORT[rules.family]
     calc = DiagramCalculus(rules)
     strands = alg.graph.rank + 1
+    index = _canonical_index(rules, strands)
     recognized = {}
     for w, coords in sorted(alg.canonical_table().items(), key=lambda t: (len(t[0]), t[0])):
         elem = calc.image(strands, coords)
-        hit = recognize_b_canonical(elem, rules)
+        hit = _match_canonical(index, elem)
         if hit is None:
             res.checks.append(CheckResult(
-                f"strands-{strands}-canonical-form", False,
-                f"image of {word_str(w)} is not a normalized canonical diagram",
+                f"strands-{strands}-{check}", False, failed.format(word_str(w)),
                 {"word": word_str(w), "image": repr(elem)}))
             return
         # normalization restores integer coefficients despite dyadic steps
         for _, c in elem.coeffs:
             c.to_integral()
-        recognized[w] = hit
+        recognized[w] = hit[0]
     res.checks.append(CheckResult(
-        f"strands-{strands}-canonical-form", True,
-        f"all {len(recognized)} canonical elements recognized with integer "
-        f"coefficients after normalization"))
-    expected = enumerate_b_canonical(strands)
-    same = set(recognized.values()) == set(expected) and len(recognized) == len(expected)
+        f"strands-{strands}-{check}", True, passed.format(len(recognized))))
+    expected = {t for t, _, _ in index[0].values()}
+    images = set(recognized.values())
+    same = images == expected and len(recognized) == len(expected)
     res.checks.append(CheckResult(
         f"strands-{strands}-image-set", same,
-        f"image set vs canonical enumeration: {len(recognized)} vs {len(expected)}"))
+        f"image set vs {enumeration} enumeration: {len(recognized)} vs {len(expected)}",
+        None if same else {"missing": sorted(map(format_tangle, expected - images))}))
 
 
 def suite_transport(family: str, rank: Optional[int]) -> SuiteResult:
-    res = SuiteResult({"H": "thm-2.1.3", "B": "thm-2.2.5"}[family], family)
-    transport = _transport_h if family == "H" else _transport_b
+    res = SuiteResult(_TRANSPORT[family][0], family)
     strands_list = (3, 4) if rank is None else (rank + 1,)
     rules = _rules(family)
     for strands in strands_list:
-        transport(res, TLAlgebra(CoxeterGraph(family, strands - 1)), rules)
+        _transport(res, TLAlgebra(CoxeterGraph(family, strands - 1)), rules)
     return res
 
 

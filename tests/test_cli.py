@@ -508,6 +508,24 @@ def test_internal_failure_exits_2_with_report(path, tmp_path, monkeypatch):
     assert data["results"]["error"] == {"type": type(exc).__name__, "message": str(exc)}
 
 
+def test_duplicate_canonical_diagram_is_a_reported_assertion(tmp_path, monkeypatch):
+    # two enumerated diagrams whose images lead with one tangle break the
+    # index's invariant: a failed computation, never a passing report
+    import tlbases.tangles as tangles_mod
+    full = tangles_mod.enumerate_b_canonical
+    monkeypatch.setattr(tangles_mod, "enumerate_b_canonical", lambda n: full(n) + full(n)[:1])
+    tangles_mod._canonical_index.cache_clear()
+    try:
+        code, out = run_args(["--command", "verify", "--family", "B",
+                              "--suite", "thm-2.2.5"], tmp_path)
+    finally:
+        tangles_mod._canonical_index.cache_clear()
+    assert code == EXIT_VERIFY_FAIL
+    data = json.loads(out.read_text())
+    assert data["status"] == "fail"
+    assert data["results"]["error"]["type"] == "AssertionError"
+
+
 def test_bad_ruleset_file_is_config_error(tmp_path):
     missing = ["--command", "basis", "--family", "B", "--rank", "2", "--basis", "diagram",
                "--ruleset", str(tmp_path / "absent.json")]

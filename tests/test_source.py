@@ -128,3 +128,34 @@ def test_no_module_lists_a_commutation_class():
                              if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
                              and arg.func.attr == "extensions")
     assert not found, f"commutation classes listed: {found}"
+
+
+def _calls_by_owner(names):
+    """(module, top-level function or method, callee) for each call to ``names``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owners = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                owners.extend((getattr(item, "name", node.name), item) for item in node.body)
+            else:
+                owners.append((getattr(node, "name", "<module>"), node))
+        for owner, node in owners:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    f = call.func
+                    callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if callee in names:
+                        found.append((path.name, owner, callee))
+    return found
+
+
+def test_one_canonical_diagram_recognizer():
+    # the enumerations are the only encoding of the canonical diagrams: one
+    # index reads them, and the classifier serves only the enumerations
+    enum = _calls_by_owner({"enumerate_b_canonical", "enumerate_h_admissible"})
+    assert enum and {owner for _, owner, _ in enum} == {"_canonical_index"}, enum
+    classify = _calls_by_owner({"classify_diagram"})
+    assert classify and {owner for _, owner, _ in classify} <= \
+        {"enumerate_b_canonical", "enumerate_h_admissible"}, classify

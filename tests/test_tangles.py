@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 import sympy_reference
 
+import tlbases.tangles as tangles_mod
+
 from tlbases.algebra import TLAlgebra
 from tlbases.coxeter import CoxeterGraph
 from tlbases.laurent import DELTA, ONE, LaurentPoly, RationalLaurent
@@ -957,6 +959,177 @@ def test_transport_suites_at_default_strands(suite, form):
     assert res.passed, [c.to_json() for c in res.checks if not c.passed]
     assert [c.name for c in res.checks] == [
         f"strands-{n}-{kind}" for n in (3, 4) for kind in (form, "image-set")]
+
+
+@pytest.fixture
+def fresh_index():
+    # the index is cached per (rule set, strands); a patched enumeration
+    # must be read afresh, and must not outlive the test
+    tangles_mod._canonical_index.cache_clear()
+    yield
+    tangles_mod._canonical_index.cache_clear()
+
+
+def test_transport_fails_with_a_counterexample_when_the_enumeration_drops_a_diagram(
+        monkeypatch, fresh_index):
+    from tlbases.verify import run_suite
+    full = tangles_mod.enumerate_h_admissible
+    monkeypatch.setattr(tangles_mod, "enumerate_h_admissible", lambda n: full(n)[:-1])
+    res = run_suite("thm-2.1.3")
+    assert not res.passed
+    failed = next(c for c in res.checks if not c.passed)
+    assert failed.name == "strands-3-single-diagram"
+    assert failed.detail.endswith("is not a single admissible diagram with coefficient 1")
+    word = failed.counterexample["word"]
+    image = failed.counterexample["image"]
+    assert word and format_tangle(full(3)[-1]) in image
+
+
+# ---------------------------------------------------------------------------
+# references for the canonical-diagram index: the recognizers it replaced
+
+
+def _ref_b_canonical_candidate(shadow, rules):
+    """The canonical diagram whose expansion leads with ``shadow``.
+
+    Circles stay on the two node-1 edges and every other circle came from a
+    square.  Returns (candidate, normalization factor, normalized expansion)
+    or None when the rebuilt diagram is not in the canonical set.
+    """
+    if shadow.has_squares():
+        return None
+    edges = []
+    for (a, b, decs), ty in zip(shadow.edges, classify_diagram(shadow).edge_types):
+        if len(decs) > 1:
+            return None
+        edges.append((a, b, decs and (("c",) if ty == "p2" else ("s",))))
+    candidate = Tangle(shadow.n_north, shadow.n_south, edges)
+    cls = classify_diagram(candidate).B_canonical_class
+    if cls == "none":
+        return None
+    lam = 2 if cls == "C2" else 1
+    return candidate, lam, expand_squares(candidate, rules).scale(lam)
+
+
+def _ref_recognize_b(elem, rules):
+    """(diagram, factor) by rebuilding the candidate from the leading tangle."""
+    if elem.is_zero():
+        return None
+    shadow = max(elem.support(), key=lambda t: (t.decoration_count(), t.sort_key()))
+    hit = _ref_b_canonical_candidate(shadow, rules)
+    return None if hit is None or hit[2] != elem else hit[:2]
+
+
+def _ref_h_accepts(elem):
+    """The family-H closure acceptor: one admissible diagram, coefficient 1."""
+    if len(elem.coeffs) == 1 and elem.coeffs[0][1] == ONE:
+        t = elem.coeffs[0][0]
+        if classify_diagram(t).H_admissible:
+            return t
+    return None
+
+
+def _ref_accepts(elem, rules):
+    if rules.family == "H":
+        return _ref_h_accepts(elem)
+    hit = _ref_recognize_b(elem, rules)
+    return hit and hit[0]
+
+
+def _accepts(elem, rules):
+    hit = tangles_mod._match_canonical(tangles_mod._canonical_index(rules, elem.n), elem)
+    return hit and hit[0]
+
+
+def _check_against_references(elem, rules):
+    expected = _ref_accepts(elem, rules)
+    assert _accepts(elem, rules) == expected, elem
+    if rules.family == "B":
+        assert recognize_b_canonical(elem, rules) == _ref_recognize_b(elem, rules), elem
+    return expected
+
+
+def _canonical_images(rules, n):
+    """Each canonical diagram's normalized image, built without the index."""
+    if rules.family == "H":
+        return [(t, DiagramElement("H", n, {t: ONE})) for t in enumerate_h_admissible(n)]
+    return [(t, expand_squares(t, rules).scale(lam)) for t, lam in enumerate_b_canonical(n)]
+
+
+@pytest.mark.parametrize("family, n", [("H", 3), ("H", 4), ("H", 5),
+                                       ("B", 3), ("B", 4), ("B", 5)])
+def test_closure_acceptor_agrees_with_the_references(family, n, monkeypatch):
+    # every candidate the closure weighs, kept or not, gets the references' verdict
+    rules = {"H": RULES_H, "B": RULES_B}[family]
+    seen = []
+    match = tangles_mod._match_canonical
+
+    def recorded(index, elem):
+        seen.append(elem)
+        return match(index, elem)
+
+    monkeypatch.setattr(tangles_mod, "_match_canonical", recorded)
+    closure = generate_by_procedures(family, n, rules)
+    monkeypatch.undo()
+    verdicts = Counter(_check_against_references(e, rules) is not None for e in seen)
+    assert verdicts[True] >= len(closure) and verdicts[False] > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_index_recognizes_every_canonical_image(n):
+    for rules in (RULES_H, RULES_B):
+        for t, image in _canonical_images(rules, n):
+            assert _check_against_references(image, rules) == t
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_index_rejects_sums_and_rescalings(n):
+    # each fake shares its leading tangle, its term count or both with a
+    # canonical image, and is none
+    for rules in (RULES_H, RULES_B):
+        images = [image for _, image in _canonical_images(rules, n)]
+        for k, image in enumerate(images):
+            other = images[(k + 1) % len(images)]
+            lead = tangles_mod._leading_tangle(image)
+            fakes = [image.scale(rules.const(2)), image.scale(rules.lift(DELTA)),
+                     image + other, image - other,
+                     DiagramElement(rules.family, n, {lead: image.coeff(lead)})]
+            for t, c in image.coeffs:
+                # one coefficient changed, or one term dropped
+                fakes.append(image + DiagramElement(rules.family, n, {t: rules.one()}))
+                if len(image.coeffs) > 1:
+                    fakes.append(image - DiagramElement(rules.family, n, {t: c}))
+            for fake in fakes:
+                if fake not in images:
+                    assert _check_against_references(fake, rules) is None, fake
+
+
+def test_b_enumeration_equals_the_classifier_filter():
+    # the constructive enumeration against classify_diagram over every
+    # matching with each west-exposed edge bare, circled or squared
+    for n in range(2, 7):
+        ref = []
+        for t in tangles_mod.all_matchings(n):
+            exposed = [i for i, e in enumerate(t.edges) if t.west_exposed(e)]
+            for decs in itertools.product(((), ("c",), ("s",)), repeat=len(exposed)):
+                edges = list(t.edges)
+                for i, d in zip(exposed, decs):
+                    edges[i] = edges[i][:2] + (d,)
+                cand = Tangle(n, n, edges)
+                cls = classify_diagram(cand).B_canonical_class
+                if cls != "none":
+                    ref.append((cand, 2 if cls == "C2" else 1))
+        ref.sort(key=lambda tc: tc[0].sort_key())
+        assert enumerate_b_canonical(n) == ref, n
+
+
+def test_rule_set_family_must_match():
+    with pytest.raises(ValueError, match="rule set family does not match"):
+        generate_by_procedures("H", 3, RULES_B)
+    with pytest.raises(ValueError, match="rule set family does not match"):
+        generate_by_procedures("B", 3, RULES_H)
+    with pytest.raises(ValueError, match="rule set family does not match"):
+        iota(CALC_B.one(3), RULES_H)
 
 
 # ---------------------------------------------------------------------------
