@@ -790,11 +790,12 @@ def enumerate_h_admissible(n: int) -> List[Tangle]:
         exposed = [i for i, e in enumerate(t.edges) if t.west_exposed(e)]
         for r in range(len(exposed) + 1):
             for combo in itertools.combinations(exposed, r):
+                # circling west-exposed edges keeps the tangle canonical and valid
                 edges = [
                     (a, b, ("c",) if i in combo else ())
                     for i, (a, b, _) in enumerate(t.edges)
                 ]
-                cand = Tangle(n, n, edges)
+                cand = Tangle._from_edges(n, n, edges)
                 if classify_diagram(cand).H_admissible:
                     out.append(cand)
     out.sort(key=Tangle.sort_key)
@@ -839,6 +840,8 @@ def expand_squares(t: Tangle, rules: RuleSet) -> DiagramElement:
 
 def _leading_tangle(elem: DiagramElement) -> Tangle:
     """The most-decorated support tangle (ties broken by serialized form)."""
+    if len(elem.coeffs) == 1:  # most closure candidates; skip the keyed scan
+        return elem.coeffs[0][0]
     return max(elem.support(), key=lambda t: (t.decoration_count(), t.sort_key()))
 
 
@@ -852,7 +855,8 @@ def _canonical_index(rules: RuleSet, n: int):
                 else enumerate_b_canonical(n))
     by_lead = {}
     for t, lam in diagrams:
-        image = expand_squares(t, rules).scale(lam)
+        image = expand_squares(t, rules)
+        image = image if lam == 1 else image.scale(lam)
         lead = _leading_tangle(image)
         if lead in by_lead:
             raise AssertionError(f"canonical diagrams {format_tangle(by_lead[lead][0])} and "
