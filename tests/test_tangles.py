@@ -1123,6 +1123,13 @@ def test_b_enumeration_equals_the_classifier_filter():
         assert enumerate_b_canonical(n) == ref, n
 
 
+def test_h_enumeration_builds_valid_canonical_tangles():
+    # the enumeration builds its candidates with the trusted constructor
+    for n in range(2, 7):
+        for t in enumerate_h_admissible(n):
+            assert Tangle(n, n, t.edges) == t, t
+
+
 def test_rule_set_family_must_match():
     with pytest.raises(ValueError, match="rule set family does not match"):
         generate_by_procedures("H", 3, RULES_B)
