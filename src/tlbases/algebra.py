@@ -12,6 +12,7 @@ On top of multiplication sit the t-tilde basis, the bar involution, lattice
 degrees, the canonical basis by the Kazhdan-Lusztig step (c_{w's} is c_{w'} b_s
 less bar-invariant multiples of earlier c_y), the f-basis built from
 right-justified block decompositions, and the mixed products relating the two.
+Canonical structure constants come a row at a time, by the same step.
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ class TLAlgebra:
         self._ttilde: Optional[Dict[Word, Coords]] = None
         self._ttilde_left: Optional[Dict[int, Dict[Word, Coords]]] = None
         self._canonical: Optional[Dict[Word, Coords]] = None
+        self._canonical_steps: Optional[Dict[Word, Coords]] = None
+        self._canonical_right: Optional[Dict[int, Dict[Word, Coords]]] = None
         self._f_table: Optional[Dict[Word, Coords]] = None
         self._f_factors: Dict[Word, Tuple[Tuple[Coords, bool], ...]] = {}
         self._descending: Optional[Tuple[Word, ...]] = None
@@ -425,10 +428,10 @@ class TLAlgebra:
 
     def canonical_table(self) -> Dict[Word, Coords]:
         if self._canonical is None:
-            self._canonical = self._canonical_table()
+            self._canonical, self._canonical_steps = self._canonical_table()
         return self._canonical
 
-    def _canonical_table(self) -> Dict[Word, Coords]:
+    def _canonical_table(self) -> Tuple[Dict[Word, Coords], Dict[Word, Coords]]:
         """Kazhdan-Lusztig step, then bar-invariant correction in monomial
         coordinates.
 
@@ -440,20 +443,60 @@ class TLAlgebra:
         term of t~_w's, mod v^-1 Z[v^-1].  Subtracting a multiple of c_x moves
         only x and shorter words, so one walk down the lengths below w, in
         any order within a length, settles every coordinate.
+
+        Returns the table and, per w, the step's {x: mu_x}:
+        c_w = c_{w'} b_s - sum_x mu_x c_x.
         """
         ttable = self.ttilde_table()
         out: Dict[Word, Coords] = {}
+        steps: Dict[Word, Coords] = {}
         for w in self.fc_words():
             mono = _merge({}, self._times_gen(out[w[:-1]], w[-1]) if w else {(): ONE}, ONE)
             target = {x: k for x, c in ttable[w].items() if (k := c.coeff(0))}
+            step = steps[w] = {}
             for length in range(len(w) - 1, -1, -1):
                 for x in {x for x in (*mono, *target) if len(x) == length}:
                     gap = LaurentPoly._from_dict(mono.get(x, {})) - target.get(x, 0)
                     mu = invariant_completion(gap)
                     if mu:
                         _merge(mono, out[x], -mu)
+                        step[x] = mu
             out[w] = _settle(mono)
-        return out
+        return out, steps
+
+    def _canonical_right_table(self) -> Dict[int, Dict[Word, Coords]]:
+        """c_u * b_s in canonical coordinates, by generator s and basis word u."""
+        if self._canonical_right is None:
+            canon = self.canonical_table()
+            self._canonical_right = {
+                s: {u: self._convert_from_monomial(self._times_gen(row, s), canon)
+                    for u, row in canon.items()}
+                for s in self.graph.generators}
+        return self._canonical_right
+
+    def canonical_products(self, x) -> Dict[Word, Coords]:
+        """Row x of the canonical multiplication table: for every basis word y,
+        in ``fc_words`` order, c_x * c_y in canonical coordinates.
+
+        Read off the step the table was built with: c_y = c_{y'} b_s -
+        sum_z mu_z c_z for y = y' s, so c_x c_y = (c_x c_{y'}) b_s -
+        sum_z mu_z c_x c_z.  The prefix y' and every z are shorter than y, so
+        their entries come earlier in the row.  Each entry lists its words in
+        the order ``structure_constants`` gives them.
+        """
+        rows: Dict[Word, Coords] = {(): {self._index_word(x): ONE}}
+        right = self._canonical_right_table()  # builds the table and its steps
+        steps = self._canonical_steps
+        for y in self.fc_words()[1:]:
+            acc: Raw = {}
+            right_s = right[y[-1]]
+            for u, c in rows[y[:-1]].items():
+                _merge(acc, right_s[u], c)
+            for z, mu in steps[y].items():
+                _merge(acc, rows[z], -mu)
+            rows[y] = dict(sorted(_settle(acc).items(),
+                                  key=lambda t: (len(t[0]), t[0]), reverse=True))
+        return rows
 
     def canonical_basis(self) -> Dict[Word, AlgebraElement]:
         return {

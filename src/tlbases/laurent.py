@@ -309,6 +309,11 @@ class _Laurent:
         return 0
 
     @property
+    def nonneg(self) -> bool:
+        """Every coefficient is >= 0 (true of the zero polynomial)."""
+        return all(c >= 0 for _, c in self.terms)
+
+    @property
     def degree(self):
         """Largest exponent, or -inf for the zero polynomial."""
         return self.terms[0][0] if self.terms else float("-inf")
@@ -369,7 +374,7 @@ def classify(p: _Laurent) -> PolyClass:
     return PolyClass(
         in_Aminus=p.degree <= 0,
         in_vinv_Aminus=p.degree <= -1,
-        nonneg=all(c >= 0 for _, c in p.terms),
+        nonneg=p.nonneg,
         bar_fixed=p == p.bar(),
     )
 

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .algebra import TLAlgebra
 from .coxeter import CoxeterGraph
 from .forms import _bareiss
-from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent, classify
+from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent
 
 __all__ = [
     "Tangle",
@@ -1229,7 +1229,7 @@ def _calibrated_scalars(equations, family: str) -> Tuple[object, object, object]
     """The one solution of ``equations`` in the family ring with every scalar
     nonnegative; ``CalibrationError`` if there is not exactly one."""
     admissible = [s for s in _ring_solutions(equations, family)
-                  if all(classify(x).nonneg for x in s)]
+                  if all(x.nonneg for x in s)]
     if len(admissible) != 1:
         raise CalibrationError(
             f"relations at {_SOLVE_STRANDS} strands admit {len(admissible)} "

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra
 from .coxeter import CoxeterGraph, bruhat_leq_word, classify_letters, word_str
-from .laurent import DELTA, LaurentPoly, classify
+from .laurent import DELTA, LaurentPoly
 from .tangles import (
     _canonical_index,
     _match_canonical,
@@ -164,11 +164,10 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
     elements = alg.fc_elements()
     negative = []
     for x in elements:
-        for y in elements:
-            sc = alg.structure_constants("canonical", x, y)
+        for y, sc in alg.canonical_products(x).items():
             for z, c in sc.items():
-                if not classify(c).nonneg:
-                    negative.append((x.word, y.word, z, str(c)))
+                if not c.nonneg:
+                    negative.append((x.word, y, z, str(c)))
     res.checks.append(CheckResult(
         f"{family}{rank}-positivity", not negative,
         f"{len(elements) ** 2} canonical products expanded",
@@ -188,7 +187,7 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
             if scaled != descent:
                 equiv_bad.append((w.word, i))
             for x, c in sc.items():
-                if not classify(c).nonneg:
+                if not c.nonneg:
                     side_bad.append((w.word, i, x, "negative " + str(c)))
                 # support satisfies x s_i < x and x <= max(w, w s_i)
                 xe = by_word[x]

@@ -6,10 +6,11 @@ import random
 import pytest
 
 from tlbases.algebra import STRATEGIES, AlgebraElement, TLAlgebra, aux_elements, evaluate_mixed
-from tlbases.coxeter import CoxeterGraph
+from tlbases.coxeter import CoxeterGraph, word_str
 from tlbases.laurent import (
     DELTA, ONE, V, V_INV, ZERO, LaurentPoly, classify, invariant_completion,
 )
+from tlbases.verify import run_suite
 
 H3 = TLAlgebra(CoxeterGraph("H", 3))
 H4 = TLAlgebra(CoxeterGraph("H", 4))
@@ -395,6 +396,7 @@ def test_structure_constants_csv_table():
 def test_basis_constructors_reject_words_that_index_nothing():
     # (1, 1) is not reduced, so no basis element carries it
     for make in (B2.monomial, B2.ttilde_element, B2.canonical_element, B2.f_element,
+                 B2.canonical_products,
                  lambda w: B2.structure_constants("canonical", w, ()),
                  lambda w: B2.structure_constants("f", (), w)):
         with pytest.raises(ValueError, match="does not index a basis element"):
@@ -442,3 +444,62 @@ def test_mul_coords_matches_per_word_reference():
         for _ in range(30):
             a, b = random_coords(words), random_coords(words)
             assert alg._mul_coords(a, b) == _ref_mul_coords(alg, a, b), (a, b)
+
+
+def _check_rows_against_per_pair_route(alg):
+    words = alg.fc_words()
+    for x in words:
+        rows = alg.canonical_products(x)
+        assert list(rows) == list(words)
+        for y in words:
+            # same coefficients, listed in the same order
+            assert list(rows[y].items()) == \
+                list(alg.structure_constants("canonical", x, y).items()), (x, y)
+
+
+def test_canonical_rows_match_the_per_pair_route():
+    for alg in (A3, B3, H3, TLAlgebra(CoxeterGraph("B", 4))):
+        _check_rows_against_per_pair_route(alg)
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the H4 and B5 row cross-check")
+@pytest.mark.parametrize("family, rank", [("H", 4), ("B", 5)])
+def test_canonical_rows_match_the_per_pair_route_slow(family, rank):
+    _check_rows_against_per_pair_route(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+def test_recorded_steps_rebuild_the_canonical_table():
+    # c_w = c_{w'} b_s - sum_z mu_z c_z for w = w' s, in monomial coordinates
+    for family, rank in (("A", 4), ("B", 4), ("H", 4)):
+        alg = TLAlgebra(CoxeterGraph(family, rank))
+        table = alg.canonical_table()
+        steps = alg._canonical_steps
+        assert list(steps) == list(table) and steps[()] == {}
+        for w in alg.fc_words()[1:]:
+            rebuilt = alg.multiply(alg.canonical_element(w[:-1]), alg.monomial(w[-1:]))
+            for z, mu in steps[w].items():
+                assert len(z) < len(w) and mu
+                rebuilt = rebuilt - alg.canonical_element(z).scale(mu)
+            assert rebuilt == alg.canonical_element(w), w
+        assert (family == "A") == all(not step for step in steps.values())
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_positivity_failure_lists_the_per_pair_loop_cases(family, monkeypatch):
+    # reject every coefficient with a positive-degree term; the report's
+    # cases are the first five of the per-pair loop over x, then y, then z
+    monkeypatch.setattr(LaurentPoly, "nonneg", property(lambda p: p.degree <= 0))
+    suite = {"H": "prop-4.1.9", "B": "prop-5.2.2"}[family]
+    check = next(c for c in run_suite(suite, rank=3).checks
+                 if c.name == f"{family}3-positivity")
+    alg = TLAlgebra(CoxeterGraph(family, 3))
+    expected = []
+    for x in alg.fc_words():
+        for y in alg.fc_words():
+            for z, c in alg.structure_constants("canonical", x, y).items():
+                if c.degree > 0:
+                    expected.append({"x": word_str(x), "y": word_str(y),
+                                     "z": word_str(z), "coeff": str(c)})
+    assert len(expected) > 5 and not check.passed
+    assert check.counterexample == {"cases": expected[:5]}

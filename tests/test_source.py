@@ -159,3 +159,26 @@ def test_one_canonical_diagram_recognizer():
     classify = _calls_by_owner({"classify_diagram"})
     assert classify and {owner for _, owner, _ in classify} <= \
         {"enumerate_b_canonical", "enumerate_h_admissible"}, classify
+
+
+def _non_f_structure_constant_calls(source: str):
+    """Line numbers of ``structure_constants`` calls whose basis is not the
+    literal ``"f"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "structure_constants":
+            basis = node.args[0] if node.args else None
+            if not (isinstance(basis, ast.Constant) and basis.value == "f"):
+                found.append(node.lineno)
+    return found
+
+
+def test_suites_expand_canonical_products_by_rows():
+    # the positivity suites read whole rows off canonical_products; a
+    # per-pair canonical loop must not come back, and the scan must see one
+    per_pair = ("for x in elements:\n    for y in elements:\n"
+                "        sc = alg.structure_constants(\"canonical\", x, y)\n")
+    assert _non_f_structure_constant_calls(per_pair) == [3]
+    source = (SRC / "verify.py").read_text(encoding="utf-8")
+    assert "structure_constants(\"f\"" in source
+    assert _non_f_structure_constant_calls(source) == []
