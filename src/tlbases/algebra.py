@@ -18,7 +18,7 @@ Canonical structure constants come a row at a time, by the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coxeter import (
     CoxeterGraph,
@@ -238,14 +238,12 @@ class TLAlgebra:
 
     # -- products ----------------------------------------------------------
 
-    def _times_gen_into(self, acc: Raw, coords: Coords, s: int) -> Raw:
-        """acc += coords * b_s."""
+    def _times_gen(self, coords: Coords, s: int) -> Coords:
+        """coords * b_s."""
+        acc: Raw = {}
         for u, c in coords.items():
             _merge(acc, self._w2b_coords(u + (s,), "lex-least-leftmost"), c)
-        return acc
-
-    def _times_gen(self, coords: Coords, s: int) -> Coords:
-        return _settle(self._times_gen_into({}, coords, s))
+        return _settle(acc)
 
     def monomial_product(self, word: Sequence[int]) -> Coords:
         """Fold-left expansion of a word; agrees with word_to_basis by confluence."""
@@ -302,26 +300,78 @@ class TLAlgebra:
             coords = self._ttilde_step(coords, s)
         return AlgebraElement.make(self.graph, "monomial", coords)
 
-    def _ttilde_step(self, coords: Coords, s: int) -> Coords:
-        """coords * (b_s - v^-1)."""
-        return _settle(_merge(self._times_gen_into({}, coords, s), coords, -V_INV))
+    def _ttilde_step(self, coords: Coords, s: int, floor: float = float("-inf")) -> Coords:
+        """coords * (b_s - v^-1), less every term of degree below ``floor``.
+
+        Raises if some b_u b_s has a coefficient of degree above 1: only then
+        does each term of the result come from terms of coords of degree at
+        most one lower, which makes the truncated walk exact.
+        """
+        acc: Raw = {}
+        for u, c in coords.items():
+            us = u + (s,)
+            top = c.degree
+            for x, r in self._w2b_coords(us, "lex-least-leftmost").items():
+                rd = r.degree
+                if rd > 1:
+                    raise AssertionError(f"the rewriting of {word_str(us)} has the "
+                                         f"coefficient {r} of degree above 1")
+                if top + rd < floor:
+                    continue
+                d = acc.setdefault(x, {})
+                # terms run by descending degree, so each scan stops at the floor
+                for e1, c1 in c.terms:
+                    for e2, c2 in r.terms:
+                        e = e1 + e2
+                        if e < floor:
+                            break
+                        d[e] = d.get(e, 0) + c1 * c2
+        for u, c in coords.items():
+            if c.degree > floor:
+                d = acc.setdefault(u, {})
+                for e, k in c.terms:
+                    if e <= floor:
+                        break
+                    d[e - 1] = d.get(e - 1, 0) - k
+        return _settle(acc)
+
+    def _ttilde_walk(self, truncated: bool) -> Iterator[Tuple[Word, Coords]]:
+        """Every t-tilde element in monomial coordinates, depth first over the
+        prefix tree of normal words: t~_{w's} = t~_{w'} (b_s - v^-1).
+
+        A prefix of a normal word is normal (a smaller member of its class
+        would extend to a smaller member of w's class), so each row is one
+        step from its parent, and a row is dropped once its children are built.
+        A step lowers the degrees by at most one (``_ttilde_step``), so a row
+        whose subtree has height h fixes its descendants' constant terms
+        through its coefficients of degree >= -h; ``truncated`` rows keep only
+        those, and the others keep every term.
+        """
+        words = self.fc_words()
+        children: Dict[Word, List[Word]] = {w: [] for w in words}
+        height = dict.fromkeys(words, 0)
+        for w in reversed(words[1:]):
+            children[w[:-1]].append(w)
+            height[w[:-1]] = max(height[w[:-1]], height[w] + 1)
+        stack: List[Tuple[Word, Coords]] = [((), {})]
+        while stack:
+            w, parent = stack.pop()
+            floor = -height[w] if truncated else float("-inf")
+            row = self._ttilde_step(parent, w[-1], floor) if w else {(): ONE}
+            if row.get(w) != ONE:
+                raise AssertionError(f"t-basis element at {w} is not unitriangular")
+            # the canonical correction and the one lattice L rest on this
+            if any(c.degree > 0 for c in row.values()):
+                raise AssertionError(f"t-basis element at {w} has a coefficient "
+                                     f"outside Z[v^-1]")
+            yield w, row
+            stack.extend((child, row) for child in children[w])
 
     def ttilde_table(self) -> Dict[Word, Coords]:
         if self._ttilde is None:
-            table: Dict[Word, Coords] = {}
-            for w in self.fc_words():
-                # a prefix of a normal word is normal (a smaller member of its
-                # class would extend to a smaller member of w's class), so
-                # each element is one step from an earlier one
-                coords = self._ttilde_step(table[w[:-1]], w[-1]) if w else {(): ONE}
-                if coords.get(w) != ONE:
-                    raise AssertionError(f"t-basis element at {w} is not unitriangular")
-                # the canonical correction and the one lattice L rest on this
-                if any(c.degree > 0 for c in coords.values()):
-                    raise AssertionError(f"t-basis element at {w} has a coefficient "
-                                         f"outside Z[v^-1]")
-                table[w] = dict(sorted(coords.items(), key=lambda t: (len(t[0]), t[0])))
-            self._ttilde = table
+            rows = {w: dict(sorted(row.items(), key=lambda t: (len(t[0]), t[0])))
+                    for w, row in self._ttilde_walk(truncated=False)}
+            self._ttilde = {w: rows[w] for w in self.fc_words()}
         return self._ttilde
 
     def ttilde_left_table(self) -> Dict[int, Dict[Word, Coords]]:
@@ -437,22 +487,24 @@ class TLAlgebra:
 
         For each index word w = w' s in increasing length order, start from
         c_{w'} * b_s: bar-fixed, with top monomial b_w at coefficient 1
-        (every other term of c_{w'} is shorter than w').  The t-tilde table
-        lies in Z[v^-1] (``ttilde_table`` checks it), so c_w - t~_w in
+        (every other term of c_{w'} is shorter than w').  The t-tilde elements
+        lie in Z[v^-1] (``_ttilde_walk`` checks it), so c_w - t~_w in
         v^-1 L says that each monomial coordinate of c_w is the constant
-        term of t~_w's, mod v^-1 Z[v^-1].  Subtracting a multiple of c_x moves
+        term of t~_w's, mod v^-1 Z[v^-1]; the truncated walk gives exactly
+        those constant terms.  Subtracting a multiple of c_x moves
         only x and shorter words, so one walk down the lengths below w, in
         any order within a length, settles every coordinate.
 
         Returns the table and, per w, the step's {x: mu_x}:
         c_w = c_{w'} b_s - sum_x mu_x c_x.
         """
-        ttable = self.ttilde_table()
+        targets = {w: {x: k for x, c in row.items() if (k := c.coeff(0))}
+                   for w, row in self._ttilde_walk(truncated=True)}
         out: Dict[Word, Coords] = {}
         steps: Dict[Word, Coords] = {}
         for w in self.fc_words():
             mono = _merge({}, self._times_gen(out[w[:-1]], w[-1]) if w else {(): ONE}, ONE)
-            target = {x: k for x, c in ttable[w].items() if (k := c.coeff(0))}
+            target = targets[w]
             step = steps[w] = {}
             for length in range(len(w) - 1, -1, -1):
                 for x in {x for x in (*mono, *target) if len(x) == length}:
@@ -578,14 +630,16 @@ class TLAlgebra:
         return self._convert_from_monomial(prod, table)
 
     def structure_constants_csv(self, basis: str) -> str:
-        """The full multiplication table as CSV rows keyed by (x, y, z)."""
+        """The full multiplication table as CSV rows keyed by (x, y, z); the
+        canonical table comes a row at a time (``canonical_products``)."""
         lines = ["x;y;z;coeff"]
-        for x in self.fc_elements():
-            for y in self.fc_elements():
-                sc = self.structure_constants(basis, x, y)
+        words = self.fc_words()
+        for x in words:
+            row = self.canonical_products(x) if basis == "canonical" else None
+            for y in words:
+                sc = row[y] if row is not None else self.structure_constants(basis, x, y)
                 for z, c in sorted(sc.items(), key=lambda t: (len(t[0]), t[0])):
-                    lines.append(f"{word_str(x.word)};{word_str(y.word)};"
-                                 f"{word_str(z)};{c}")
+                    lines.append(f"{word_str(x)};{word_str(y)};{word_str(z)};{c}")
         return "\n".join(lines) + "\n"
 
 

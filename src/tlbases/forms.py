@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 from .algebra import TLAlgebra, _merge, _settle
 from .coxeter import CoxeterGraph, Word
-from .laurent import ONE, ZERO, LaurentPoly, classify
+from .laurent import ONE, ZERO, LaurentPoly
 
 __all__ = ["GramCandidate", "natural_gram_candidate", "gram_check",
            "solution_space_dimension"]
@@ -133,12 +133,9 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
                     rhs = rhs + c * cand.entry(w, y)
                 if lhs != rhs:
                     anti = False
-    unitri = True
-    for i, w in enumerate(words):
-        for j, x in enumerate(words):
-            diff = cand.entry(w, x) - (ONE if i == j else ZERO)
-            if not classify(diff).in_vinv_Aminus:
-                unitri = False
+    # G - I has every entry in v^-1 Z[v^-1]
+    unitri = all((cand.entry(w, x) - (ONE if w == x else ZERO)).degree <= -1
+                 for w in words for x in words)
     nondeg = unitri or _rank([{j: cand.entry(w, x) for j, x in enumerate(words)}
                               for w in words]) == len(words)
     return {

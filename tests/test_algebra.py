@@ -281,6 +281,35 @@ def test_canonical_table_matches_reference_at_rank_5(family):
     assert alg.canonical_table() == canon
 
 
+def _check_walk_against_full_table(alg):
+    # the truncated walk keeps each row's constant terms exact
+    full = alg.ttilde_table()
+    walked = dict(alg._ttilde_walk(truncated=True))
+    assert sorted(walked) == sorted(full)
+    for w, row in full.items():
+        assert {x: c.coeff(0) for x, c in walked[w].items() if c.coeff(0)} == \
+            {x: c.coeff(0) for x, c in row.items() if c.coeff(0)}, w
+
+
+def test_truncated_walk_keeps_the_constant_terms():
+    for family in "ABH":
+        for rank in (2, 3, 4):
+            _check_walk_against_full_table(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the H5 and B6 walk cross-check")
+@pytest.mark.parametrize("family, rank", [("H", 5), ("B", 6)])
+def test_truncated_walk_keeps_the_constant_terms_slow(family, rank):
+    _check_walk_against_full_table(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+def test_canonical_table_builds_no_ttilde_table():
+    alg = TLAlgebra(CoxeterGraph("H", 3))
+    alg.canonical_table()
+    assert alg._ttilde is None
+
+
 def test_one_pass_tables_match_per_element_reference():
     rng = random.Random(11)
     for family, rank in (("A", 4), ("B", 4), ("H", 3), ("H", 4)):
@@ -391,6 +420,23 @@ def test_structure_constants_csv_table():
     for row in lines[1:]:
         _, _, _, poly = row.split(";")
         LP.parse(poly)
+
+
+def _ref_structure_constants_csv(alg, basis):
+    """The multiplication table one product at a time."""
+    lines = ["x;y;z;coeff"]
+    for x in alg.fc_elements():
+        for y in alg.fc_elements():
+            sc = alg.structure_constants(basis, x, y)
+            for z, c in sorted(sc.items(), key=lambda t: (len(t[0]), t[0])):
+                lines.append(f"{word_str(x.word)};{word_str(y.word)};{word_str(z)};{c}")
+    return "\n".join(lines) + "\n"
+
+
+def test_structure_constants_csv_matches_the_per_pair_route():
+    for alg in (A3, B3, H3):
+        assert alg.structure_constants_csv("canonical") == \
+            _ref_structure_constants_csv(alg, "canonical")
 
 
 def test_basis_constructors_reject_words_that_index_nothing():

@@ -380,16 +380,7 @@ def test_gram_natural_candidate_nondegenerate_at_b3():
     assert res["nondegenerate"] is True
 
 
-def test_ttilde_entry_outside_z_vinv_fails_with_report(tmp_path, monkeypatch):
-    step = TLAlgebra._ttilde_step
-
-    def with_v_term(self, coords, s):
-        out = dict(step(self, coords, s))
-        out[()] = out.get((), ZERO) + V
-        return out
-    monkeypatch.setattr(TLAlgebra, "_ttilde_step", with_v_term)
-    with pytest.raises(AssertionError, match=r"outside Z\[v\^-1\]"):
-        TLAlgebra(CoxeterGraph("B", 3)).canonical_table()
+def _assert_basis_canonical_fails_with(tmp_path, message):
     code, out = run_args(
         ["--command", "basis", "--family", "B", "--rank", "3", "--basis", "canonical"],
         tmp_path)
@@ -397,7 +388,38 @@ def test_ttilde_entry_outside_z_vinv_fails_with_report(tmp_path, monkeypatch):
     body = json.loads(out.read_text())
     assert body["status"] == "fail"
     assert body["results"]["error"]["type"] == "AssertionError"
-    assert "outside Z[v^-1]" in body["results"]["error"]["message"]
+    assert message in body["results"]["error"]["message"]
+
+
+def test_ttilde_entry_outside_z_vinv_fails_with_report(tmp_path, monkeypatch):
+    # the injection sits in the step that both routes of the t-tilde walk share
+    step = TLAlgebra._ttilde_step
+
+    def with_v_term(self, coords, s, *floor):
+        out = dict(step(self, coords, s, *floor))
+        out[()] = out.get((), ZERO) + V
+        return out
+    monkeypatch.setattr(TLAlgebra, "_ttilde_step", with_v_term)
+    for table in ("canonical_table", "ttilde_table"):
+        with pytest.raises(AssertionError, match=r"outside Z\[v\^-1\]"):
+            getattr(TLAlgebra(CoxeterGraph("B", 3)), table)()
+    _assert_basis_canonical_fails_with(tmp_path, "outside Z[v^-1]")
+
+
+def test_rewrite_coefficient_above_degree_one_fails_with_report(tmp_path, monkeypatch):
+    # the truncated t-tilde walk is exact only while every b_u b_s has
+    # coefficients of degree <= 1; b_1 b_1 = (v + v^-1) b_1 becomes (v^2 + 1) b_1
+    w2b = TLAlgebra._w2b_coords
+
+    def with_v2_term(self, word, strategy):
+        out = w2b(self, word, strategy)
+        return {x: c * V for x, c in out.items()} if word == (1, 1) else out
+    monkeypatch.setattr(TLAlgebra, "_w2b_coords", with_v2_term)
+    message = "the rewriting of 1,1 has the coefficient v^2 + 1 of degree above 1"
+    with pytest.raises(AssertionError) as raised:
+        TLAlgebra(CoxeterGraph("B", 3)).canonical_table()
+    assert str(raised.value) == message
+    _assert_basis_canonical_fails_with(tmp_path, message)
 
 
 def _gram_check_report(tmp_path, monkeypatch, candidate):

@@ -182,3 +182,13 @@ def test_suites_expand_canonical_products_by_rows():
     source = (SRC / "verify.py").read_text(encoding="utf-8")
     assert "structure_constants(\"f\"" in source
     assert _non_f_structure_constant_calls(source) == []
+
+
+def test_canonical_basis_reads_the_truncated_walk():
+    # the canonical table needs only the constant terms of the t-tilde rows,
+    # which the truncated walk gives; the full table serves t-tilde
+    # coordinates only, and one walk builds both
+    full = _calls_by_owner({"ttilde_table"})
+    assert full and "_canonical_table" not in {owner for _, owner, _ in full}, full
+    walk = _calls_by_owner({"_ttilde_walk"})
+    assert sorted(owner for _, owner, _ in walk) == ["_canonical_table", "ttilde_table"], walk
