@@ -29,7 +29,6 @@ from .laurent import (
     LaurentPoly,
     NarrowingError,
     RationalLaurent,
-    classify,
     invariant_completion,
 )
 from .algebra import AlgebraElement, AuxElements, TLAlgebra, aux_elements, evaluate_mixed
@@ -79,7 +78,7 @@ __all__ = [
     "GramCandidate", "GrowthCapError", "JobConfig", "LaurentPoly",
     "LetterClassification", "NarrowingError", "ONE", "RationalLaurent",
     "ReductionError", "RuleSet", "TLAlgebra", "Tangle", "V", "V_INV", "ZERO",
-    "aux_elements", "bruhat_leq", "calibrate_ruleset", "classify",
+    "aux_elements", "bruhat_leq", "calibrate_ruleset",
     "classify_diagram", "classify_letters", "commutation_class", "compose_raw",
     "enumerate_b_canonical", "enumerate_fc", "enumerate_h_admissible",
     "evaluate_mixed", "evaluate_word", "format_tangle", "generate_by_procedures",

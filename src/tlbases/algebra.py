@@ -5,8 +5,10 @@ rewriting words with the defining relations: an equal adjacent pair
 contributes the loop scalar delta, and a half-braid factor of length m
 collapses by the m-specific rule (s t s -> s, s t s t -> 2 s t,
 s t s t s -> 3 s t s - s).  Every rewrite shortens the word, so reduction
-terminates, and confluence lets three different factor-selection strategies
-coexist (they are compared by the acceptance suite).
+terminates, and by confluence any factor may be rewritten first.  The
+package rewrites at the factor that the word's Stembridge witness names
+(``heap-witness``); the ``confluence`` suite and the tests compare it with
+the first factor of the lexicographically least and greatest class members.
 
 On top of multiplication sit the t-tilde basis, the bar involution, lattice
 degrees, the canonical basis by the Kazhdan-Lusztig step (c_{w's} is c_{w'} b_s
@@ -24,7 +26,6 @@ from .coxeter import (
     CoxeterGraph,
     FcElement,
     Word,
-    _class_words,
     _first_factor,
     _Heap,
     _letters,
@@ -48,7 +49,7 @@ Coords = Dict[Word, LaurentPoly]
 #: turned into polynomials once by ``_settle``.
 Raw = Dict[Word, Dict[int, int]]
 
-STRATEGIES = ("lex-least-leftmost", "lex-greatest-rightmost", "bfs-first")
+STRATEGIES = ("lex-least-leftmost", "lex-greatest-rightmost", "heap-witness")
 
 BASIS_TAGS = ("monomial", "ttilde", "f", "canonical")
 
@@ -194,26 +195,27 @@ class TLAlgebra:
             ]
         raise AssertionError(size)
 
-    def _pick_factor(self, heap: _Heap, strategy: str):
-        """A class member of the heap's word and its reducible factor."""
-        # (class member order, factor scan direction) per strategy; the
-        # members come lazily, so the search stops at the first with a factor
+    def _pick_factor(self, heap: _Heap, witness: Tuple[int, ...], strategy: str):
+        """A class member of the heap's word and its reducible factor (start,
+        length), given the heap's Stembridge witness."""
         word = heap.word
-        if strategy == "bfs-first":
-            members, step = _class_words(self.graph, heap.normal_form()), 1
-        elif strategy in STRATEGIES:
-            step = 1 if strategy == "lex-least-leftmost" else -1
-            members = (_letters(word, o) for o in heap.extensions(step < 0))
-        else:
+        if strategy == "heap-witness":
+            order, start = heap.witness_order(witness)
+            return _letters(word, order), (start, len(witness))
+        if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
+        # the lexicographic walks come lazily and stop at the first member
+        # with a factor, scanned from the left (right) in (reverse) order
+        step = 1 if strategy == "lex-least-leftmost" else -1
         starts = range(len(word) - 1)[::step]
-        for letters in members:
+        for order in heap.extensions(step < 0):
+            letters = _letters(word, order)
             hit = _first_factor(self.graph, letters, starts)
             if hit:
                 return letters, hit
         raise AssertionError(f"no reducible factor in the class of {word}")
 
-    def word_to_basis(self, word: Sequence[int], strategy: str = "lex-least-leftmost") -> AlgebraElement:
+    def word_to_basis(self, word: Sequence[int], strategy: str = "heap-witness") -> AlgebraElement:
         """Expand a product of generators in the monomial basis."""
         w = self.graph.check_word(word)
         return AlgebraElement.make(self.graph, "monomial", self._w2b_coords(w, strategy))
@@ -224,11 +226,11 @@ class TLAlgebra:
         if hit is not None:
             return hit
         heap = _Heap(self.graph, word)
-        if heap.fc_reduced():
+        witness = heap.witness()
+        if witness is None:
             result: Coords = {heap.normal_form(): ONE}
         else:
-            # the strategies pick a factor from ordered class members
-            member, (pos, size) = self._pick_factor(heap, strategy)
+            member, (pos, size) = self._pick_factor(heap, witness, strategy)
             acc: Raw = {}
             for coeff, branch in self._rewrite_branches(member, pos, size):
                 _merge(acc, self._w2b_coords(branch, strategy), coeff)
@@ -242,7 +244,7 @@ class TLAlgebra:
         """coords * b_s."""
         acc: Raw = {}
         for u, c in coords.items():
-            _merge(acc, self._w2b_coords(u + (s,), "lex-least-leftmost"), c)
+            _merge(acc, self._w2b_coords(u + (s,), "heap-witness"), c)
         return _settle(acc)
 
     def monomial_product(self, word: Sequence[int]) -> Coords:
@@ -311,7 +313,7 @@ class TLAlgebra:
         for u, c in coords.items():
             us = u + (s,)
             top = c.degree
-            for x, r in self._w2b_coords(us, "lex-least-leftmost").items():
+            for x, r in self._w2b_coords(us, "heap-witness").items():
                 rd = r.degree
                 if rd > 1:
                     raise AssertionError(f"the rewriting of {word_str(us)} has the "
@@ -385,7 +387,7 @@ class TLAlgebra:
                     # (b_s - v^-1) t~_w, with b_s b_u read off the rewriting
                     acc = _merge({}, row, -V_INV)
                     for u, c in row.items():
-                        _merge(acc, self._w2b_coords((s,) + u, "lex-least-leftmost"), c)
+                        _merge(acc, self._w2b_coords((s,) + u, "heap-witness"), c)
                     rows[w] = self._convert_from_monomial(_settle(acc), ttable)
         return self._ttilde_left
 

@@ -11,19 +11,22 @@ partial order on letter occurrences generated by "i comes before j and the
 letters do not commute" (Viennot).  So FC detection, the normal form (the
 lexicographically least class member), descents, the letter taxonomy and
 the Bruhat subword test are read off the heap without building the class:
-by Stembridge's criterion a word is FC-reduced iff its heap has no covering
-pair with equal labels and no convex chain of length m(s, t) whose labels
-alternate between s and t.  Likewise a sequence of pieces is a factor of
-some class member iff it is convex in the heap and ordered compatibly, so
-the taxonomy (internal / lateral / bilateral / bad / critical letters) reads
-its flanks (factors q p q with m(p, q) >= 3) and pattern hits as such runs.
+by Stembridge's criterion a word is FC-reduced iff its heap has no witness:
+no covering pair with equal labels and no convex chain of length m(s, t)
+whose labels alternate between s and t.  Likewise a sequence of pieces is a
+factor of some class member iff it is convex in the heap and ordered
+compatibly, so a witness is a reducible factor of the class member that
+places the pieces below it first, and the taxonomy (internal / lateral /
+bilateral / bad / critical letters) reads its flanks (factors q p q with
+m(p, q) >= 3) and pattern hits as such runs.
 
 The ordered class searches read the heap's linear extensions, produced
 lazily in lexicographic (or reverse lexicographic) order as position orders
 of one word: two occurrences of the same generator can never cross, so a
 position names the same occurrence in every member of the class.  The
-rewriting strategies stop at the first member with a reducible factor, and
-right-justification at the first member that parses into blocks.
+lexicographic rewriting strategies stop at the first member with a
+reducible factor, and right-justification at the first member that parses
+into blocks.
 """
 
 from __future__ import annotations
@@ -184,9 +187,10 @@ class _Heap:
             queues.setdefault(self.word[j], []).append(j)
         return queues
 
-    def fc_reduced(self) -> bool:
-        """Stembridge's criterion: no covering pair with equal labels, and no
-        convex chain of m(s, t) pieces alternating between s and t.
+    def witness(self) -> Optional[Tuple[int, ...]]:
+        """The positions, in word order, of the first Stembridge witness: a
+        covering pair with equal labels, or a convex chain of m(s, t) pieces
+        alternating between s and t.  None when the word is FC-reduced.
 
         All occurrences of s and t are comparable, so such a chain is a run
         of m consecutive s/t occurrences; it is convex when exactly its m - 2
@@ -200,7 +204,7 @@ class _Heap:
         for j, s in enumerate(word):
             i = last[s]
             if i >= 0 and not above[i] & below[j]:
-                return False
+                return (i, j)
             last[s] = j
             for lo in (s - 1, s):
                 if lo < 1 or lo >= rank:
@@ -211,8 +215,27 @@ class _Heap:
                 run.append(j)
                 m = bonds[lo][lo + 1]
                 if len(run) >= m and (above[run[-m]] & below[j]).bit_count() == m - 2:
-                    return False
-        return True
+                    return tuple(run[-m:])
+        return None
+
+    def fc_reduced(self) -> bool:
+        return self.witness() is None
+
+    def witness_order(self, witness: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+        """A linear extension in which ``witness`` is a factor, and the
+        factor's start.
+
+        The pieces below the witness come first, then the witness, then the
+        rest, each in word order.  The witness is a chain and convex, so no
+        piece below it lies above its lowest piece: the order is a linear
+        extension, and its factor reads s s or the braid word of s and t.
+        """
+        chain = sum(1 << j for j in witness)
+        down = self.below[witness[-1]] & ~chain
+        positions = range(len(self.word))
+        order = (*(j for j in positions if down >> j & 1), *witness,
+                 *(j for j in positions if not (down | chain) >> j & 1))
+        return order, down.bit_count()
 
     def extensions(self, descending: bool = False) -> Iterator[Tuple[int, ...]]:
         """The linear extensions as position orders of ``word``, lazily and in
@@ -294,36 +317,12 @@ class _Heap:
 # ---------------------------------------------------------------------------
 # commutation classes
 #
-# The ordered class searches walk ``_Heap.extensions``; building a class by
-# adjacent swaps serves ``commutation_class`` and the ``bfs-first`` strategy.
+# Every class walk reads ``_Heap.extensions``: the whole class for
+# ``commutation_class``, and the ordered searches up to their first hit.
 
 
 def _letters(word: Word, order: Sequence[int]) -> Word:
     return tuple(map(word.__getitem__, order))
-
-
-def _class_words(graph: CoxeterGraph, word: Word) -> Iterator[Word]:
-    """The class members in depth-first discovery order from ``word``, by
-    swapping adjacent commuting letters, each yielded as it is found;
-    ``ClassSizeError`` past ``CLASS_CAP`` of them."""
-    bonds = graph.bonds
-    seen = {word}
-    yield word
-    stack = [word]
-    while stack:
-        letters = stack.pop()
-        for i in range(len(word) - 1):
-            a, b = letters[i], letters[i + 1]
-            if bonds[a][b] == 2:
-                nxt = letters[:i] + (b, a) + letters[i + 2:]
-                if nxt not in seen:
-                    if len(seen) >= CLASS_CAP:
-                        raise ClassSizeError(
-                            f"commutation class of {word} exceeded cap {CLASS_CAP}"
-                        )
-                    seen.add(nxt)
-                    stack.append(nxt)
-                    yield nxt
 
 
 def _first_factor(graph: CoxeterGraph, letters: Word,
@@ -343,7 +342,8 @@ def _first_factor(graph: CoxeterGraph, letters: Word,
 
 def commutation_class(graph: CoxeterGraph, word: Sequence[int]) -> FrozenSet[Word]:
     """All words reachable by swapping adjacent commuting letters."""
-    return frozenset(_class_words(graph, graph.check_word(word)))
+    w = graph.check_word(word)
+    return frozenset(_letters(w, o) for o in _Heap(graph, w).extensions())
 
 
 def normal_form(graph: CoxeterGraph, word: Sequence[int]) -> Word:

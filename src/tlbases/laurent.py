@@ -18,19 +18,17 @@ by an arbitrary ``Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
 __all__ = [
     "LaurentPoly",
     "RationalLaurent",
     "NarrowingError",
-    "PolyClass",
     "ZERO",
     "ONE",
     "V",
     "V_INV",
     "DELTA",
-    "classify",
     "invariant_completion",
 ]
 
@@ -359,24 +357,6 @@ V = LaurentPoly.monomial(1)
 V_INV = LaurentPoly.monomial(-1)
 #: The loop scalar delta = v + v^-1; exposed once so call sites never rebuild it.
 DELTA = V + V_INV
-
-
-class PolyClass(NamedTuple):
-    in_Aminus: bool        # all exponents <= 0, i.e. in Z[v^-1]
-    in_vinv_Aminus: bool   # all exponents <= -1, i.e. in v^-1 Z[v^-1]
-    nonneg: bool           # all coefficients >= 0
-    bar_fixed: bool        # invariant under v -> v^-1
-
-
-def classify(p: _Laurent) -> PolyClass:
-    """Membership predicates used by lattice and positivity checks, for
-    either polynomial type."""
-    return PolyClass(
-        in_Aminus=p.degree <= 0,
-        in_vinv_Aminus=p.degree <= -1,
-        nonneg=p.nonneg,
-        bar_fixed=p == p.bar(),
-    )
 
 
 def invariant_completion(p: LaurentPoly) -> LaurentPoly:

@@ -15,7 +15,7 @@ import pytest
 from group_oracle import oracle
 from tlbases.algebra import STRATEGIES, TLAlgebra
 from tlbases.coxeter import CoxeterGraph, classify_letters, enumerate_fc
-from tlbases.laurent import ONE, LaurentPoly, classify
+from tlbases.laurent import ONE, LaurentPoly
 from tlbases.tangles import (
     DiagramCalculus,
     DiagramElement,

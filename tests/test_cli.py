@@ -109,17 +109,28 @@ def test_resource_cap_exit_code(tmp_path, monkeypatch):
 
 
 def test_verify_honours_the_class_cap(tmp_path, monkeypatch):
-    # the rewrites behind the deletion suite walk past the first member of
-    # some commutation class before they find a factor
+    # the confluence suite's lexicographic strategies walk past the first
+    # member of some commutation class before they find a factor
     monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
     code, out = run_args(
-        ["--command", "verify", "--family", "H", "--suite", "prop-3.1.9", "--rank", "3"],
+        ["--command", "verify", "--family", "H", "--suite", "confluence", "--rank", "3"],
         tmp_path, "cap.json")
     assert code == EXIT_RESOURCE
     data = json.loads(out.read_text())
     assert data["status"] == "fail"
     assert data["results"]["error"]["type"] == "ClassSizeError"
     assert "exceeded cap 1" in data["results"]["error"]["message"]
+
+
+def test_rewriting_walks_no_class(tmp_path, monkeypatch):
+    # the deletion suite rewrites at each word's Stembridge witness and reads
+    # the taxonomy off the heap, so it passes under the smallest cap
+    argv = ["--command", "verify", "--family", "H", "--suite", "prop-3.1.9", "--rank", "3"]
+    _, free = run_args(argv, tmp_path, "free.json")
+    monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
+    code, capped = run_args(argv, tmp_path, "capped.json")
+    assert code == EXIT_PASS
+    assert capped.read_text() == free.read_text()
 
 
 @pytest.mark.parametrize("flag", ["--cap-class-size", "--confluence-count"])
@@ -152,11 +163,11 @@ def test_stratum_cap_exit_code(tmp_path, monkeypatch):
 
 
 def test_cap_bounds_the_members_a_lexicographic_search_walks(tmp_path, monkeypatch):
-    # the rewrites behind H4's canonical basis read classes of more than 12
-    # members but find their factor within the first 10 they walk
-    argv = ["--command", "basis", "--family", "H", "--rank", "4", "--basis", "canonical"]
+    # the lexicographic rewrites behind the confluence suite at H3 read
+    # classes of up to 924 members but find their factor within the first 3
+    argv = ["--command", "verify", "--family", "H", "--suite", "confluence", "--rank", "3"]
     _, free = run_args(argv, tmp_path, "free.json")
-    monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 12)
+    monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 3)
     code, capped = run_args(argv, tmp_path, "capped.json")
     assert code == EXIT_PASS
     assert capped.read_text() == free.read_text()

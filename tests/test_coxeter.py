@@ -285,22 +285,40 @@ def test_first_factor_scans_in_the_given_order():
 # whole commutation class
 
 
+def _ref_discovery(graph, word):
+    """The class members in depth-first adjacent-swap discovery order from ``word``."""
+    members, stack = {word: None}, [word]
+    while stack:
+        u = stack.pop()
+        for i in range(len(u) - 1):
+            if graph.bonds[u[i]][u[i + 1]] == 2:
+                nxt = u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+                if nxt not in members:
+                    members[nxt] = None
+                    stack.append(nxt)
+    return list(members)
+
+
+def _ref_class(graph, word):
+    return frozenset(_ref_discovery(graph, tuple(word)))
+
+
 def _ref_fc(graph, word):
     return all(_first_factor(graph, m, range(len(m) - 1)) is None
-               for m in commutation_class(graph, word))
+               for m in _ref_class(graph, word))
 
 
 def _ref_normal_form(graph, word):
-    return min(commutation_class(graph, word))
+    return min(_ref_class(graph, word))
 
 
 def _ref_descents(graph, word):
-    members = commutation_class(graph, word)
+    members = _ref_class(graph, word)
     return ({u[0] for u in members if u}, {u[-1] for u in members if u})
 
 
 def _ref_bruhat_leq_word(graph, x, word):
-    return any(is_subword(u, tuple(word)) for u in commutation_class(graph, x.word))
+    return any(is_subword(u, tuple(word)) for u in _ref_class(graph, x.word))
 
 
 def _ref_enumerate_fc(graph):
@@ -399,39 +417,23 @@ def _positions(word, member):
     return tuple(queues[s].pop() for s in member)
 
 
-def _ref_discovery(graph, word):
-    """The class members in depth-first adjacent-swap discovery order from ``word``."""
-    members, stack = {word: None}, [word]
-    while stack:
-        u = stack.pop()
-        for i in range(len(u) - 1):
-            if graph.bond(u[i], u[i + 1]) == 2:
-                nxt = u[:i] + (u[i + 1], u[i]) + u[i + 2:]
-                if nxt not in members:
-                    members[nxt] = None
-                    stack.append(nxt)
-    return list(members)
-
-
 def _ref_orders(graph, word, discovery=False):
     """The class of ``word`` as position orders of it, sorted by letter word or
     in the discovery order from the normal form."""
-    if discovery:
-        members = _ref_discovery(graph, normal_form(graph, word))
-        assert set(members) == commutation_class(graph, word)
-    else:
-        members = sorted(commutation_class(graph, word))
+    members = _ref_discovery(graph, normal_form(graph, word))
+    assert set(members) == commutation_class(graph, word)
+    if not discovery:
+        members.sort()
     return [_positions(word, u) for u in members]
 
 
 def _ref_pick_factor(graph, word, strategy):
-    if strategy == "bfs-first":
-        members, last = _ref_discovery(graph, normal_form(graph, word)), False
-    else:
-        members = sorted(commutation_class(graph, word))
-        last = strategy == "lex-greatest-rightmost"
-        if last:
-            members.reverse()
+    """The first factor of the first class member that has one, from the
+    left of the least or from the right of the greatest member."""
+    members = sorted(_ref_class(graph, word))
+    last = strategy == "lex-greatest-rightmost"
+    if last:
+        members.reverse()
     for u in members:
         found = _ref_factors(graph, u)
         if found:
@@ -463,11 +465,28 @@ def test_heap_extensions_are_the_sorted_class(family, rank, monkeypatch):
                 list(heap.extensions(True))
 
 
+LEXICOGRAPHIC = ("lex-least-leftmost", "lex-greatest-rightmost")
+
+
 def _check_pick_factor(alg, words):
+    """The lexicographic strategies against the class scan; the witness route
+    by its member, its factor and its expansion."""
+    g = alg.graph
+    assert sorted(STRATEGIES) == sorted(LEXICOGRAPHIC + ("heap-witness",))
     for w in words:
-        for strategy in STRATEGIES:
-            assert alg._pick_factor(_Heap(alg.graph, w), strategy) == \
-                _ref_pick_factor(alg.graph, w, strategy), (w, strategy)
+        heap = _Heap(g, w)
+        witness = heap.witness()
+        for strategy in LEXICOGRAPHIC:
+            assert alg._pick_factor(heap, witness, strategy) == \
+                _ref_pick_factor(g, w, strategy), (w, strategy)
+        order, start = heap.witness_order(witness)
+        assert order in _ref_orders(g, w), w
+        assert order[start:start + len(witness)] == witness, w
+        member, factor = alg._pick_factor(heap, witness, "heap-witness")
+        assert member == tuple(w[j] for j in order) and factor == (start, len(witness)), w
+        assert factor in _ref_factors(g, member), (w, member, factor)
+        assert alg.word_to_basis(w, "heap-witness") == \
+            alg.word_to_basis(w, "lex-least-leftmost"), w
 
 
 @pytest.mark.parametrize("family", "ABH")
@@ -493,23 +512,24 @@ def test_pick_factor_cap_bounds_the_members_walked(monkeypatch):
     # the least member of the class of 2 1 1 3 already holds the factor 1 1
     assert len(commutation_class(alg.graph, (2, 1, 1, 3))) == 3
     # the class of 1 3 2 1 holds its only factor in its greatest member, which
-    # the ascending searches reach second
+    # the ascending search reaches second
     assert len(commutation_class(alg.graph, (1, 3, 2, 1))) == 2
     monkeypatch.setattr(coxeter, "CLASS_CAP", 1)
     first = _Heap(alg.graph, (2, 1, 1, 3))
-    for strategy in ("lex-least-leftmost", "bfs-first"):
-        assert alg._pick_factor(first, strategy) == ((2, 1, 1, 3), (1, 2))
+    for strategy in ("lex-least-leftmost", "heap-witness"):
+        assert alg._pick_factor(first, first.witness(), strategy) == ((2, 1, 1, 3), (1, 2))
     second = _Heap(alg.graph, (1, 3, 2, 1))
-    for strategy in STRATEGIES:
-        if strategy != "lex-greatest-rightmost":
-            with pytest.raises(ClassSizeError):
-                alg._pick_factor(second, strategy)
-    assert alg._pick_factor(second, "lex-greatest-rightmost") == ((3, 1, 2, 1), (1, 3))
+    with pytest.raises(ClassSizeError):
+        alg._pick_factor(second, second.witness(), "lex-least-leftmost")
+    # the witness route walks no class: it places the pieces below the
+    # witness 1 2 1 first
+    for strategy in ("lex-greatest-rightmost", "heap-witness"):
+        assert alg._pick_factor(second, second.witness(), strategy) == ((3, 1, 2, 1), (1, 3))
     monkeypatch.setattr(coxeter, "CLASS_CAP", 2)
     for strategy in STRATEGIES:
-        assert alg._pick_factor(second, strategy) == ((3, 1, 2, 1), (1, 3))
+        assert alg._pick_factor(second, second.witness(), strategy) == ((3, 1, 2, 1), (1, 3))
     with pytest.raises(ValueError):
-        alg._pick_factor(_Heap(alg.graph, (1, 1)), "nonsense")
+        alg._pick_factor(_Heap(alg.graph, (1, 1)), (0, 1), "nonsense")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from tlbases.laurent import (
     LaurentPoly,
     NarrowingError,
     RationalLaurent,
-    classify,
     invariant_completion,
 )
 
@@ -99,12 +98,6 @@ def test_bar_fixed_elements_are_delta_polynomials():
         assert r - r.coeff(0) == ZERO
 
 
-def test_classify_examples():
-    assert classify(LaurentPoly({-1: 1, -3: 2})) == (True, True, True, False)
-    assert classify(DELTA) == (False, False, True, True)
-    assert classify(ZERO) == (True, True, True, True)
-
-
 def test_invariant_completion_examples():
     assert invariant_completion(LaurentPoly({2: 1, 0: 5})) == LaurentPoly({2: 1, -2: 1, 0: 5})
     assert invariant_completion(LaurentPoly({-3: 1})) == ZERO
@@ -148,6 +141,10 @@ def test_degree_and_valuation():
     assert p.degree == 3 and p.valuation == -2
     assert ZERO.degree == float("-inf")
     assert ZERO.valuation == float("inf")
+    # the lattice and positivity readings the package takes off a polynomial
+    assert LaurentPoly({-1: 1, -3: 2}).degree == -1 and LaurentPoly({-1: 1, -3: 2}).nonneg
+    assert DELTA.degree == 1 and DELTA.nonneg and DELTA.bar() == DELTA
+    assert not (DELTA - 3).nonneg and ZERO.nonneg
 
 
 def test_rational_laurent_dyadic_invariant():

@@ -113,25 +113,45 @@ def test_no_function_takes_a_tuning_knob():
     assert not found, f"tuning parameters: {found}"
 
 
+_COLLECTORS = {"list", "tuple", "sorted", "set", "frozenset"}
+
+
+def _walks_extensions(node):
+    return any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "extensions"
+               for n in ast.walk(node))
+
+
+def _lists_a_class(node):
+    """The collector called on, or the comprehension iterating, a walk of
+    ``extensions``, however deep in its argument or generators; else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _COLLECTORS:
+        if any(_walks_extensions(arg) for arg in node.args):
+            return node.func.id
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+        if any(_walks_extensions(gen.iter) for gen in node.generators):
+            return type(node).__name__
+    return None
+
+
 def test_no_module_lists_a_commutation_class():
-    # the class searches walk _Heap.extensions lazily and stop at their first
-    # hit; the letter taxonomy reads the heap itself, so no code materializes
-    # a whole class by passing the walk to a collection
-    collectors = {"list", "tuple", "sorted", "set", "frozenset"}
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                    and node.func.id in collectors:
-                found.extend(f"{path.name}:{node.lineno}" for arg in node.args
-                             if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
-                             and arg.func.attr == "extensions")
-    assert not found, f"commutation classes listed: {found}"
+    # the ordered class searches walk _Heap.extensions lazily and stop at
+    # their first hit, the rewriting reads each word's Stembridge witness and
+    # the letter taxonomy reads the heap itself: only commutation_class
+    # materializes a whole class
+    listed = [_lists_a_class(node) for node in ast.walk(ast.parse(
+        "a = frozenset(_letters(w, o) for o in heap.extensions())\n"
+        "b = [o for o in sorted(heap.extensions())]\n"
+        "c = {o: 1 for o in _Heap(g, w).extensions(True)}\n"
+        "d = next(heap.extensions())\n"
+        "for o in heap.extensions():\n    pass\n"))]
+    assert sorted(filter(None, listed)) == ["DictComp", "ListComp", "frozenset", "sorted"]
+    found = _by_owner(_lists_a_class)
+    assert {owner for _, owner, _ in found} == {"commutation_class"}, found
 
 
-def _calls_by_owner(names):
-    """(module, top-level function or method, callee) for each call to ``names``."""
+def _by_owner(match):
+    """(module, top-level function or method, label) for each node of the
+    package's syntax trees that ``match`` labels."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -142,13 +162,23 @@ def _calls_by_owner(names):
             else:
                 owners.append((getattr(node, "name", "<module>"), node))
         for owner, node in owners:
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call):
-                    f = call.func
-                    callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if callee in names:
-                        found.append((path.name, owner, callee))
+            for sub in ast.walk(node):
+                label = match(sub)
+                if label:
+                    found.append((path.name, owner, label))
     return found
+
+
+def _calls_by_owner(names):
+    """(module, top-level function or method, callee) for each call to ``names``."""
+    def callee(node):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            return name if name in names else None
+        return None
+
+    return _by_owner(callee)
 
 
 def test_one_canonical_diagram_recognizer():
