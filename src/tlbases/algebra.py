@@ -79,6 +79,14 @@ def _settle(acc: Raw) -> Coords:
     return out
 
 
+def _combine(coeffs: Coords, rows: Dict[Word, Coords]) -> Coords:
+    """The sum over y of coeffs[y] * rows[y]; every y must have a row."""
+    acc: Raw = {}
+    for y, c in coeffs.items():
+        _merge(acc, rows[y], c)
+    return _settle(acc)
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """A finitely supported combination of basis elements, tagged by basis.
@@ -417,12 +425,6 @@ class TLAlgebra:
             raise KeyError(next(iter(rem)))
         return out
 
-    def _convert_to_monomial(self, coords: Coords, table: Dict[Word, Coords]) -> Coords:
-        out: Raw = {}
-        for x, gamma in coords.items():
-            _merge(out, table[x], gamma)
-        return _settle(out)
-
     def _table_for(self, basis: str) -> Dict[Word, Coords]:
         if basis == "ttilde":
             return self.ttilde_table()
@@ -435,7 +437,7 @@ class TLAlgebra:
     def to_monomial(self, a: AlgebraElement) -> AlgebraElement:
         if a.basis == "monomial":
             return a
-        coords = self._convert_to_monomial(a.as_dict(), self._table_for(a.basis))
+        coords = _combine(a.as_dict(), self._table_for(a.basis))
         return AlgebraElement.make(self.graph, "monomial", coords)
 
     def to_basis(self, a: AlgebraElement, basis: str) -> AlgebraElement:

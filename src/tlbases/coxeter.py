@@ -605,7 +605,6 @@ class Block:
 class RightJustified:
     word: Word
     blocks: Tuple[Block, ...]
-    classification: LetterClassification  # roles indexed by the output word
 
 
 # block shapes as ((letter, is_internal), ...); barred letters are internal
@@ -645,10 +644,7 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int]) -> RightJustified:
         letters = _letters(w, perm)
         blocks = _parse_blocks(letters, lr)
         if blocks is not None:
-            out_cls = LetterClassification(
-                letters, lr, tuple(cls.bad[pid] for pid in perm),
-                tuple(cls.critical[pid] for pid in perm))
-            return RightJustified(letters, blocks, out_cls)
+            return RightJustified(letters, blocks)
     raise AssertionError(f"no right-justified expression found for {w}")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .algebra import TLAlgebra, _merge, _settle
+from .algebra import Coords, TLAlgebra, _combine
 from .coxeter import CoxeterGraph, Word
 from .laurent import ONE, ZERO, LaurentPoly
 
@@ -41,26 +41,27 @@ def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
     The first argument is reversed (an anti-automorphism fixes each
     generator), which makes anti-associativity hold by construction; whether
     the form is nondegenerate and unitriangular is then checked, not assumed.
-    t~_{w^-1} t~_x is t~_{w[-1]} (t~_{w[:-1]^-1} t~_x), so its t~-coordinates
-    come from those of the prefix by one left multiplication table.
+    For w = s u, t~_{w^-1} t~_x = t~_{u^-1} (t~_s t~_x), so the row of w is
+    the row of u combined with the rows of t~_s's transposed left
+    multiplication table: one row step per basis word.  A suffix of a normal
+    word is normal and shorter, so u's row is built before w's.
     """
-    words = [e.word for e in alg.fc_elements()]
-    left_mult = alg.ttilde_left_table()
-    entries = {}
-    for x in words:
-        prefix_coords: Dict[Word, Dict[Word, LaurentPoly]] = {(): {x: ONE}}
-        for w in words:
-            k = len(w)
-            while w[:k] not in prefix_coords:
-                k -= 1
-            coords = prefix_coords[w[:k]]
-            for j in range(k, len(w)):
-                table, acc = left_mult[w[j]], {}
-                for y, c in coords.items():
-                    _merge(acc, table[y], c)
-                coords = prefix_coords[w[:j + 1]] = _settle(acc)
-            entries[(w, x)] = coords.get((), ZERO)
+    words = alg.fc_words()
+    right = {s: _transpose(table) for s, table in alg.ttilde_left_table().items()}
+    rows: Dict[Word, Coords] = {(): {(): ONE}}
+    for w in words[1:]:
+        rows[w] = _combine(rows[w[1:]], right[w[0]])
+    entries = {(w, x): rows[w].get(x, ZERO) for w in words for x in words}
     return GramCandidate(alg.graph, entries)
+
+
+def _transpose(table: Dict[Word, Coords]) -> Dict[Word, Coords]:
+    """{y: {w: c}} from {w: {y: c}}, with a row for every word of the table."""
+    out: Dict[Word, Coords] = {w: {} for w in table}
+    for w, row in table.items():
+        for y, c in row.items():
+            out[y][w] = c
+    return out
 
 
 def _rank(rows: List[Row]) -> int:
@@ -111,28 +112,14 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     A form unitriangular mod v^-1 has determinant 1 + v^-1·(…), so it is
     nondegenerate without elimination; any other form is eliminated.
     """
-    words = [e.word for e in alg.fc_elements()]
+    words = alg.fc_words()
     symmetric = all(cand.entry(w, x) == cand.entry(x, w)
                     for w in words for x in words)
-
-    left_mult = alg.ttilde_left_table()
-
-    def pair(coords: Dict[Word, LaurentPoly], x: Word) -> LaurentPoly:
-        acc = ZERO
-        for y, c in coords.items():
-            acc = acc + c * cand.entry(y, x)
-        return acc
-
-    anti = True
-    for s in alg.graph.generators:
-        for w in words:
-            for x in words:
-                lhs = pair(left_mult[s][w], x)
-                rhs = ZERO
-                for y, c in left_mult[s][x].items():
-                    rhs = rhs + c * cand.entry(w, y)
-                if lhs != rhs:
-                    anti = False
+    # B(t_s t_w, .) against B(t_w, t_s .), both as rows over the basis
+    gram = {w: {x: c for x in words if (c := cand.entry(w, x))} for w in words}
+    tables = [(t, _transpose(t)) for t in alg.ttilde_left_table().values()]
+    anti = all(_combine(left[w], gram) == _combine(gram[w], right)
+               for left, right in tables for w in words)
     # G - I has every entry in v^-1 Z[v^-1]
     unitri = all((cand.entry(w, x) - (ONE if w == x else ZERO)).degree <= -1
                  for w in words for x in words)

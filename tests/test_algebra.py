@@ -451,6 +451,14 @@ def test_basis_constructors_reject_words_that_index_nothing():
     assert B2.canonical_element(e) == B2.canonical_element(e.word)
 
 
+def test_to_monomial_rejects_a_coordinate_with_no_row():
+    # the conversion combines the table's rows and must not drop a word
+    # that has none
+    elem = AlgebraElement.make(B2.graph, "canonical", {(1, 1): ONE})
+    with pytest.raises(KeyError):
+        B2.to_monomial(elem)
+
+
 def test_multiply_graph_mismatch_raises():
     import pytest as _pytest
     a = H3.monomial((1,))

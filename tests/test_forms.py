@@ -4,11 +4,13 @@ against the paths they replaced.
 The references below are the replaced code, kept here: the bitmask
 expansion of the exact determinant, the sympy rank over Q(v) of the
 solution space of symmetric anti-associative forms, the trace form by
-one full product per pair of basis elements, and the t~ left-multiplication
-tables by one full product per generator and basis element.
+one full product per pair of basis elements, the anti-associativity check
+one term at a time, and the t~ left-multiplication tables by one full
+product per generator and basis element.
 """
 
 import itertools
+import os
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from tlbases.forms import (
     GramCandidate,
     _bareiss,
     _rank,
+    _transpose,
     gram_check,
     natural_gram_candidate,
     solution_space_dimension,
@@ -57,14 +60,88 @@ def _ref_natural_gram_entries(alg):
     return entries
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3"])
-def test_natural_gram_candidate_matches_pairwise_products(name):
+def _check_natural_gram_entries(name):
     alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
     entries = natural_gram_candidate(alg).entries
     want = _ref_natural_gram_entries(alg)
     # every pair is stored, zeros included
     assert entries == want and len(entries) == len(alg.fc_elements()) ** 2
     assert any(not c for c in entries.values())
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3", "H3"])
+def test_natural_gram_candidate_matches_pairwise_products(name):
+    _check_natural_gram_entries(name)
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the B4 trace-form cross-check")
+def test_natural_gram_candidate_matches_pairwise_products_slow():
+    _check_natural_gram_entries("B4")
+
+
+def test_transpose_keeps_a_row_for_every_word():
+    # a word that no row reaches still gets an (empty) row to combine
+    assert _transpose({(): {(1,): V}, (1,): {}}) == {(): {}, (1,): {(): V}}
+
+
+def _ref_anti_associative(alg, cand):
+    """B(t_s t_w, t_x) = B(t_w, t_s t_x) for every s, w and x, summed one
+    term at a time."""
+    words = [e.word for e in alg.fc_elements()]
+    left_mult = alg.ttilde_left_table()
+
+    def pair(coords, x):
+        acc = ZERO
+        for y, c in coords.items():
+            acc = acc + c * cand.entry(y, x)
+        return acc
+
+    anti = True
+    for s in alg.graph.generators:
+        for w in words:
+            for x in words:
+                lhs = pair(left_mult[s][w], x)
+                rhs = ZERO
+                for y, c in left_mult[s][x].items():
+                    rhs = rhs + c * cand.entry(w, y)
+                if lhs != rhs:
+                    anti = False
+    return anti
+
+
+def _one_entry_perturbations(alg, cand, rng):
+    """The candidate with one entry changed, alone and with its mirror.
+
+    Each change is a term of negative degree, so a unitriangular candidate
+    stays unitriangular and ``gram_check`` decides nondegeneracy without
+    the elimination, which is slow on these forms from rank 3 on.
+    """
+    words = alg.fc_words()
+    out = []
+    for mirrored in (False, True, False, True):
+        entries = dict(cand.entries)
+        w, x = rng.choice(words), rng.choice(words)
+        delta = LaurentPoly({-rng.randint(1, 3): rng.choice((-2, -1, 1, 2))})
+        entries[(w, x)] = cand.entry(w, x) + delta
+        if mirrored and w != x:
+            entries[(x, w)] = cand.entry(x, w) + delta
+        out.append(GramCandidate(alg.graph, entries))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3", "H3"])
+def test_anti_associativity_matches_the_per_term_loop(name):
+    alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
+    natural = natural_gram_candidate(alg)
+    rng = random.Random(sum(map(ord, name)) + 2)
+    verdicts = []
+    for cand in [natural] + _one_entry_perturbations(alg, natural, rng):
+        checks = gram_check(alg, cand)
+        assert checks["unitriangular_mod_vinv"], name
+        assert checks["anti_associative"] == _ref_anti_associative(alg, cand), name
+        verdicts.append(checks["anti_associative"])
+    assert verdicts[0] and set(verdicts) == {True, False}, verdicts
 
 
 def _ref_exact_det(rows):

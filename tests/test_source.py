@@ -222,3 +222,21 @@ def test_canonical_basis_reads_the_truncated_walk():
     assert full and "_canonical_table" not in {owner for _, owner, _ in full}, full
     walk = _calls_by_owner({"_ttilde_walk"})
     assert sorted(owner for _, owner, _ in walk) == ["_canonical_table", "ttilde_table"], walk
+
+
+def test_forms_accumulate_through_the_algebras_helper():
+    # the trace form and the anti-associativity check combine rows through
+    # algebra._combine; neither a second accumulation loop nor a per-term
+    # closure in gram_check may come back
+    tree = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "_combine" in names and not names & {"_merge", "_settle"}
+    check = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "gram_check")
+    nested = [node.lineno for node in ast.walk(check) if node is not check and
+              isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert not nested, nested
+    assert not hasattr(tlbases.TLAlgebra, "_convert_to_monomial")
