@@ -48,6 +48,9 @@ EXIT_CONFIG = 4
 
 COMMANDS = ("enumerate", "basis", "verify", "calibrate", "render", "gram-check")
 FORMATS = ("json", "csv", "svg", "text", "ascii")
+#: The formats besides JSON, which every command writes, that each command
+#: has a writer for in ``_format_report``.
+_WRITERS = {"enumerate": ("csv", "text"), "basis": ("csv",), "render": ("text", "ascii", "svg")}
 BASES = ("monomial", "ttilde", "f", "canonical", "diagram")
 
 
@@ -77,6 +80,8 @@ class JobConfig:
             raise ConfigError("rank must be at least 2")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
+        if self.format != "json" and self.format not in _WRITERS.get(self.command, ()):
+            raise ConfigError(f"--format {self.format} does not apply to {self.command}")
         if self.basis not in BASES:
             raise ConfigError(f"unknown basis {self.basis!r}")
         if self.ruleset_path and (self.command, self.basis) != ("basis", "diagram"):
@@ -244,7 +249,7 @@ def _json_report(body: dict) -> str:
 
 
 def _format_report(body: dict, cfg: JobConfig) -> str:
-    if "error" in body["results"]:
+    if cfg.format == "json" or "error" in body["results"]:
         return _json_report(body)  # a failed computation has only the JSON form
     if cfg.format == "csv" and cfg.command == "enumerate":
         buf = io.StringIO()
@@ -272,9 +277,7 @@ def _format_report(body: dict, cfg: JobConfig) -> str:
             lines.append(f"{e['word']:<24}{e['length']:<8}"
                          f"{' '.join(map(str, e['content']))}")
         return "\n".join(lines) + "\n"
-    if cfg.command == "render" and cfg.format in ("ascii", "svg", "text"):
-        return body["results"]["output"]
-    return _json_report(body)
+    return body["results"]["output"]  # render, the one command left
 
 
 def run(cfg: JobConfig) -> int:

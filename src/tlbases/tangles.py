@@ -141,8 +141,9 @@ class Tangle:
             raise ValueError(f"south index {idx} out of range")
         return self.n_north + (self.n_south - idx + 1)
 
-    def _validate(self):
-        """One sweep over the boundary order.
+    def _exposure(self) -> List[bool]:
+        """One sweep over the boundary order: per edge of ``edges``, whether
+        it is exposed to the west wall.
 
         A partner array finds nodes used twice and gaps in the matching; a
         stack of open positions finds crossings, and its depth at an edge's
@@ -172,26 +173,23 @@ class Tangle:
                 stack.append(p)
             elif stack.pop() != q:
                 raise ValueError("matching is not crossing-free")
-        for edge, lo in zip(self.edges, opens):
-            if edge[2] and shielded[lo]:
+        return [not shielded[lo] for lo in opens]
+
+    def _validate(self):
+        for edge, exposed in zip(self.edges, self._exposure()):
+            if edge[2] and not exposed:
                 raise ReductionError(
                     f"decorated edge {edge} is not exposed to the west face")
 
     def west_exposed(self, edge: Edge) -> bool:
-        """True when no other edge separates this one from the west wall.
+        """True when no other edge separates ``edge``, one of ``edges``, from
+        the west wall.
 
         In the linear boundary order the west wall sits after the last
         position, so an edge is shielded exactly when it nests strictly
         inside another edge.
         """
-        lo, hi = sorted((self.pos(edge[0]), self.pos(edge[1])))
-        for other in self.edges:
-            if other is edge:
-                continue
-            olo, ohi = sorted((self.pos(other[0]), self.pos(other[1])))
-            if olo < lo and hi < ohi:
-                return False
-        return True
+        return self._exposure()[self.edges.index(edge)]
 
     def is_propagating(self, edge: Edge) -> bool:
         return edge[0][0] != edge[1][0]
@@ -677,10 +675,15 @@ def loop_count(n: int, word: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class DiagramInfo:
+    """``classify_diagram``'s reading of a tangle.
+
+    ``H_admissible``: the tangle is one of family H's admissible diagrams.
+    ``edge_types``: parallel to the tangle's edges, "p1" for the edge N1-S1,
+    "p2" for another edge at N1 or S1, "p3" for the rest.
+    """
+
     H_admissible: bool
-    B_admissible: bool
-    B_canonical_class: str  # "C1" | "C1'" | "C2" | "none"
-    edge_types: Tuple[str, ...]  # parallel to tangle.edges: "p1" | "p2" | "p3"
+    edge_types: Tuple[str, ...]
 
 
 def _edge_type(t: Tangle, edge: Edge) -> str:
@@ -717,36 +720,7 @@ def classify_diagram(t: Tangle) -> DiagramInfo:
         (all_prop and n_decs == 0)
         or (not all_prop and face_condition("N") and face_condition("S"))
     )
-
-    p1_edges = [e for e, ty in zip(t.edges, types) if ty == "p1"]
-    p2_edges = [e for e, ty in zip(t.edges, types) if ty == "p2"]
-    has_nonprop = not all_prop
-
-    b_adm = False
-    if not squares and single:
-        if p1_edges and not p1_edges[0][2] and n_decs == 0:
-            b_adm = True
-        elif p1_edges and len(p1_edges[0][2]) == 1 and has_nonprop:
-            b_adm = True
-        elif len(p2_edges) == 2 and all(len(e[2]) == 1 for e in p2_edges):
-            b_adm = True
-
-    b_class = "none"
-    if single:
-        if p1_edges:
-            p1 = p1_edges[0]
-            if n_decs == 0:
-                b_class = "C1"
-            elif p1[2] == ("s",) and n_decs == 1 and has_nonprop:
-                b_class = "C1'"
-        elif len(p2_edges) == 2 and all(e[2] == ("c",) for e in p2_edges):
-            others_ok = all(
-                e[2] in ((), ("s",))
-                for e, ty in zip(t.edges, types) if ty != "p2"
-            )
-            if others_ok:
-                b_class = "C2"
-    return DiagramInfo(h_adm, b_adm, b_class, types)
+    return DiagramInfo(h_adm, types)
 
 
 def _noncrossing_matchings(total: int):
@@ -787,7 +761,7 @@ def all_matchings(n: int) -> List[Tangle]:
 def enumerate_h_admissible(n: int) -> List[Tangle]:
     out = []
     for t in all_matchings(n):
-        exposed = [i for i, e in enumerate(t.edges) if t.west_exposed(e)]
+        exposed = [i for i, flag in enumerate(t._exposure()) if flag]
         for r in range(len(exposed) + 1):
             for combo in itertools.combinations(exposed, r):
                 # circling west-exposed edges keeps the tangle canonical and valid
@@ -803,21 +777,29 @@ def enumerate_h_admissible(n: int) -> List[Tangle]:
 
 
 def enumerate_b_canonical(n: int) -> List[Tuple[Tangle, int]]:
-    """All canonical diagrams with their normalization factor (2 on class C2)."""
+    """All canonical diagrams with their normalization factor; the package's
+    one encoding of family B's canonical classes.
+
+    A matching with the edge N1-S1 gives class C1, itself, and when some edge
+    does not propagate class C1', a square on N1-S1 (factor 1).  Any other
+    matching gives class C2: a circle on each edge at N1 or S1 and a square
+    on each of any subset of the other west-exposed edges (factor 2).
+    """
     out: List[Tuple[Tangle, int]] = []
     for t in all_matchings(n):
         info = classify_diagram(t)
         p1 = [i for i, ty in enumerate(info.edge_types) if ty == "p1"]
         p2 = [i for i, ty in enumerate(info.edge_types) if ty == "p2"]
+        # decorating west-exposed edges keeps the tangle canonical and valid,
+        # and the edges at N1 or S1 are always exposed
         if p1:
             out.append((t, 1))  # C1: undecorated
             if any(not t.is_propagating(e) for e in t.edges):
                 edges = [(a, b, ("s",) if i in p1 else ())
                          for i, (a, b, _) in enumerate(t.edges)]
-                out.append((Tangle(n, n, edges), 1))  # C1'
+                out.append((Tangle._from_edges(n, n, edges), 1))  # C1'
         else:
-            free = [i for i, e in enumerate(t.edges)
-                    if i not in p2 and t.west_exposed(e)]
+            free = [i for i, flag in enumerate(t._exposure()) if flag and i not in p2]
             for r in range(len(free) + 1):
                 for combo in itertools.combinations(free, r):
                     edges = []
@@ -828,7 +810,7 @@ def enumerate_b_canonical(n: int) -> List[Tuple[Tangle, int]]:
                             edges.append((a, b, ("s",)))
                         else:
                             edges.append((a, b, ()))
-                    out.append((Tangle(n, n, edges), 2))  # C2
+                    out.append((Tangle._from_edges(n, n, edges), 2))  # C2
     out.sort(key=lambda tc: tc[0].sort_key())
     return out
 

@@ -79,13 +79,13 @@ def _rules(family: str) -> RuleSet:
 # transport of the canonical basis to diagrams
 
 
-#: Per family: the suite, its recognition check, that check's failure and
-#: pass details, and the enumeration the image set is compared with.
+#: Per family: the recognition check, its failure and pass details, and the
+#: enumeration the image set is compared with.
 _TRANSPORT = {
-    "H": ("thm-2.1.3", "single-diagram",
+    "H": ("single-diagram",
           "canonical element at {} is not a single admissible diagram with coefficient 1",
           "all {} canonical elements map to single diagrams", "admissible"),
-    "B": ("thm-2.2.5", "canonical-form",
+    "B": ("canonical-form",
           "image of {} is not a normalized canonical diagram",
           "all {} canonical elements recognized with integer coefficients after "
           "normalization", "canonical"),
@@ -93,7 +93,7 @@ _TRANSPORT = {
 
 
 def _transport(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
-    _, check, failed, passed, enumeration = _TRANSPORT[rules.family]
+    check, failed, passed, enumeration = _TRANSPORT[rules.family]
     calc = DiagramCalculus(rules)
     strands = alg.graph.rank + 1
     index = _canonical_index(rules, strands)
@@ -121,13 +121,11 @@ def _transport(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
         None if same else {"missing": sorted(map(format_tangle, expected - images))}))
 
 
-def suite_transport(family: str, rank: Optional[int]) -> SuiteResult:
-    res = SuiteResult(_TRANSPORT[family][0], family)
+def suite_transport(res: SuiteResult, rank: Optional[int]):
     strands_list = (3, 4) if rank is None else (rank + 1,)
-    rules = _rules(family)
+    rules = _rules(res.family)
     for strands in strands_list:
-        _transport(res, TLAlgebra(CoxeterGraph(family, strands - 1)), rules)
-    return res
+        _transport(res, TLAlgebra(CoxeterGraph(res.family, strands - 1)), rules)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +145,10 @@ def _f_equals_canonical(res: SuiteResult, alg: TLAlgebra):
         None if not bad else {"words": [word_str(w) for w in bad]}))
 
 
-def suite_f_canonical(family, rank) -> SuiteResult:
-    res = SuiteResult({"H": "thm-3.4.3", "B": "thm-5.2.1"}[family], family)
+def suite_f_canonical(res: SuiteResult, rank: Optional[int]):
     ranks = (2, 3) if rank is None else (rank,)
     for r in ranks:
-        _f_equals_canonical(res, TLAlgebra(CoxeterGraph(family, r)))
-    return res
+        _f_equals_canonical(res, TLAlgebra(CoxeterGraph(res.family, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +209,16 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
             {"w": word_str(a), "i": i} for a, i in equiv_bad[:5]]}))
 
 
-def suite_positivity(family, rank) -> SuiteResult:
-    res = SuiteResult({"H": "prop-4.1.9", "B": "prop-5.2.2"}[family], family)
-    _positivity(res, TLAlgebra(CoxeterGraph(family, rank or 3)))
-    return res
+def suite_positivity(res: SuiteResult, rank: Optional[int]):
+    _positivity(res, TLAlgebra(CoxeterGraph(res.family, rank or 3)))
 
 
 # ---------------------------------------------------------------------------
 # the generator identities relating block substitutions to mixed products
 
 
-def suite_block_identities(family, rank) -> SuiteResult:
-    res = SuiteResult("lemma-3.3.6", "H")
-    alg = TLAlgebra(CoxeterGraph("H", rank or 3))
+def suite_block_identities(res: SuiteResult, rank: Optional[int]):
+    alg = TLAlgebra(CoxeterGraph(res.family, rank or 3))
 
     def t(i):
         return alg.ttilde_element((i,))
@@ -256,17 +249,15 @@ def suite_block_identities(family, rank) -> SuiteResult:
         res.checks.append(CheckResult(
             f"identity-ii-{a}{b}", lhs2 == rhs2,
             f"four-letter product in generators {a},{b}"))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # deletion laws: loop counts, lattice degree, letter classification
 
 
-def suite_deletion(family, rank) -> SuiteResult:
-    fam = family or "H"
+def suite_deletion(res: SuiteResult, rank: Optional[int]):
+    fam = res.family
     r = rank or 3
-    res = SuiteResult("prop-3.1.9", fam)
     alg = TLAlgebra(CoxeterGraph(fam, r))
     strands = r + 1
     loopy = []
@@ -304,16 +295,14 @@ def suite_deletion(family, rank) -> SuiteResult:
             {"word": word_str(w), "position": l, "degree": d,
              "loops": lo, "marked": m}
             for w, l, d, lo, m in agree_bad[:5]]}))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # rewriting confluence
 
 
-def suite_confluence(family, rank) -> SuiteResult:
-    fam = family or "H"
-    res = SuiteResult("confluence", fam)
+def suite_confluence(res: SuiteResult, rank: Optional[int]):
+    fam = res.family
     rng = random.Random(20_000 + {"A": 0, "B": 1, "H": 2}[fam])
     ranks = (3, 4) if rank is None else (rank,)
     # exactly ``CONFLUENCE_COUNT`` words, the remainder going to the first ranks
@@ -332,30 +321,28 @@ def suite_confluence(family, rank) -> SuiteResult:
         f"{len(STRATEGIES)} strategies",
         None if not mismatches else {"cases": [
             {"rank": r, "word": word_str(w)} for r, w in mismatches[:5]]}))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # calibration as a suite
 
 
-def suite_calibration(family, rank) -> SuiteResult:
-    fam = family or "H"
-    res = SuiteResult("calibration", fam)
+def suite_calibration(res: SuiteResult, rank: Optional[int]):
     try:
-        rules = calibrate_ruleset(fam)
+        rules = calibrate_ruleset(res.family)
     except CalibrationError as exc:
         res.checks.append(CheckResult("solve", False, str(exc)))
-        return res
+        return
     res.checks.append(CheckResult("solve", True, str(rules.to_json())))
     for strands in CALIBRATION_STRANDS:
         bad = verify_relations(rules, strands)
         res.checks.append(CheckResult(
             f"residual-strands-{strands}", not bad,
             "all defining relations hold" if not bad else "; ".join(bad)))
-    return res
 
 
+#: Each suite's family, or None for one that runs in any family (H when none
+#: is given), and its body, which fills the ``SuiteResult`` it is given.
 SUITES = {
     "thm-2.1.3": ("H", suite_transport),
     "thm-2.2.5": ("B", suite_transport),
@@ -381,4 +368,6 @@ def run_suite(name: str, family: Optional[str] = None,
     fixed_family, fn = SUITES[name]
     if fixed_family is not None and family is not None and family != fixed_family:
         raise ValueError(f"suite {name} is specific to family {fixed_family}")
-    return fn(family or fixed_family, rank)
+    res = SuiteResult(name, family or fixed_family or "H")
+    fn(res, rank)
+    return res

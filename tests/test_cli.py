@@ -12,10 +12,12 @@ import tlbases
 
 from tlbases.algebra import TLAlgebra
 from tlbases.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_PASS,
     EXIT_RESOURCE,
     EXIT_VERIFY_FAIL,
+    FORMATS,
     JobConfig,
     config_from_args,
     main,
@@ -75,14 +77,12 @@ def test_verify_pass_and_report(tmp_path):
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
     import tlbases.verify as verify_mod
-    from tlbases.verify import CheckResult, SuiteResult
+    from tlbases.verify import CheckResult
 
-    def failing(family, rank):
-        res = SuiteResult("always-red", family or "H")
+    def failing(res, rank):
         res.checks.append(CheckResult(
             "sentinel", False, "injected failure",
             {"word": "1,2", "poly": "v + v^-1"}))
-        return res
 
     monkeypatch.setitem(verify_mod.SUITES, "always-red", (None, failing))
     code, out = run_args(
@@ -218,6 +218,25 @@ def test_config_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--command", "bogus"])
     assert exc.value.code == EXIT_CONFIG
+
+
+_WRITTEN = {("enumerate", "csv"), ("enumerate", "text"), ("basis", "csv"),
+            ("render", "text"), ("render", "ascii"), ("render", "svg")}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_format_without_a_writer_is_config_error(tmp_path, capsys, command, fmt):
+    # a format the command has no writer for is bad input: no report, not
+    # JSON under the format's suffix
+    cfg = JobConfig(command=command, format=fmt, rank=2, suites=("calibration",),
+                    tangle="n=2; N1-N2[c]; S1-S2[c]", report_dir=str(tmp_path))
+    if fmt == "json" or (command, fmt) in _WRITTEN:
+        cfg.validate()
+        return
+    assert run(cfg) == EXIT_CONFIG
+    assert f"--format {fmt} does not apply to {command}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_reports_deterministic(tmp_path):

@@ -191,6 +191,22 @@ def test_one_canonical_diagram_recognizer():
         {"enumerate_b_canonical", "enumerate_h_admissible"}, classify
 
 
+def test_one_west_exposure_rule():
+    # the boundary sweep is the only west-exposure rule: validation, the
+    # public per-edge query and the enumerations read it, and the package
+    # itself never asks edge by edge; the B-canonical classes live only in
+    # enumerate_b_canonical, so the classifier carries no copy of them
+    per_edge = _calls_by_owner({"west_exposed"})
+    assert not per_edge, per_edge
+    sweep = _calls_by_owner({"_exposure"})
+    assert {owner for _, owner, _ in sweep} == \
+        {"_validate", "west_exposed", "enumerate_h_admissible", "enumerate_b_canonical"}, sweep
+    named = [path.name for path in sorted(SRC.rglob("*.py"))
+             for field in ("B_admissible", "B_canonical_class")
+             if field in path.read_text(encoding="utf-8")]
+    assert not named, named
+
+
 def _non_f_structure_constant_calls(source: str):
     """Line numbers of ``structure_constants`` calls whose basis is not the
     literal ``"f"``."""

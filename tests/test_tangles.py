@@ -88,9 +88,23 @@ def _ref_validate(t):
         if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
             raise ValueError("matching is not crossing-free")
     for edge in t.edges:
-        if edge[2] and not t.west_exposed(edge):
+        if edge[2] and not _ref_west_exposed(t, edge):
             raise ReductionError(
                 f"decorated edge {edge} is not exposed to the west face")
+
+
+def _ref_west_exposed(t, edge):
+    """The pairwise nesting scan that the boundary sweep ``Tangle._exposure``
+    replaced: an edge is shielded from the west wall, which sits after the
+    last boundary position, exactly when it nests strictly inside another."""
+    lo, hi = sorted((t.pos(edge[0]), t.pos(edge[1])))
+    for other in t.edges:
+        if other is edge:
+            continue
+        olo, ohi = sorted((t.pos(other[0]), t.pos(other[1])))
+        if olo < lo and hi < ohi:
+            return False
+    return True
 
 
 def _unvalidated(n_north, n_south, edges):
@@ -216,8 +230,7 @@ def test_generator_examples():
     for n in (3, 4, 5):
         for i in range(1, n):
             u = generator_U("B", n, i)
-            info = classify_diagram(u)
-            assert info.H_admissible and info.B_admissible
+            assert classify_diagram(u).H_admissible
     with pytest.raises(ValueError):
         generator_U("H", 3, 3)
 
@@ -664,13 +677,10 @@ def test_loop_count_changes_by_at_most_one_under_deletion():
 
 def test_classify_diagram_examples():
     ident = identity_tangle(3)
-    info = classify_diagram(ident)
-    assert info.H_admissible and info.B_canonical_class == "C1"
+    assert classify_diagram(ident).H_admissible and _ref_b_canonical_class(ident) == "C1"
 
     u1 = generator_U("B", 3, 1)
-    info = classify_diagram(u1)
-    assert info.H_admissible and info.B_canonical_class == "C2"
-    assert info.B_admissible
+    assert classify_diagram(u1).H_admissible and _ref_b_canonical_class(u1) == "C2"
 
     # a decorated edge with every edge propagating is inadmissible
     bad = Tangle(2, 2, [(("N", 1), ("S", 1), ("c",)), (("N", 2), ("S", 2), ())])
@@ -678,7 +688,7 @@ def test_classify_diagram_examples():
 
     sq = tangle_of("n=3; N1-S1[s]; N2-N3; S2-S3")
     info = classify_diagram(sq)
-    assert info.B_canonical_class == "C1'"
+    assert _ref_b_canonical_class(sq) == "C1'"
     assert not info.H_admissible
     assert info.edge_types == ("p3", "p3", "p1")
 
@@ -989,6 +999,27 @@ def test_transport_fails_with_a_counterexample_when_the_enumeration_drops_a_diag
 # references for the canonical-diagram index: the recognizers it replaced
 
 
+def _ref_b_canonical_class(t):
+    """The class rules that ``classify_diagram`` applied before
+    ``enumerate_b_canonical`` became their one encoding: "C1", "C1'", "C2"
+    or "none"."""
+    if any(len(e[2]) > 1 for e in t.edges):
+        return "none"
+    types = classify_diagram(t).edge_types
+    p1 = [e for e, ty in zip(t.edges, types) if ty == "p1"]
+    p2 = [e for e, ty in zip(t.edges, types) if ty == "p2"]
+    n_decs = t.decoration_count()
+    if p1:
+        if n_decs == 0:
+            return "C1"
+        has_nonprop = any(not t.is_propagating(e) for e in t.edges)
+        return "C1'" if p1[0][2] == ("s",) and n_decs == 1 and has_nonprop else "none"
+    if len(p2) == 2 and all(e[2] == ("c",) for e in p2) and all(
+            e[2] in ((), ("s",)) for e, ty in zip(t.edges, types) if ty != "p2"):
+        return "C2"
+    return "none"
+
+
 def _ref_b_canonical_candidate(shadow, rules):
     """The canonical diagram whose expansion leads with ``shadow``.
 
@@ -1004,7 +1035,7 @@ def _ref_b_canonical_candidate(shadow, rules):
             return None
         edges.append((a, b, decs and (("c",) if ty == "p2" else ("s",))))
     candidate = Tangle(shadow.n_north, shadow.n_south, edges)
-    cls = classify_diagram(candidate).B_canonical_class
+    cls = _ref_b_canonical_class(candidate)
     if cls == "none":
         return None
     lam = 2 if cls == "C2" else 1
@@ -1105,18 +1136,18 @@ def test_index_rejects_sums_and_rescalings(n):
 
 
 def test_b_enumeration_equals_the_classifier_filter():
-    # the constructive enumeration against classify_diagram over every
+    # the constructive enumeration against the class rules over every
     # matching with each west-exposed edge bare, circled or squared
     for n in range(2, 7):
         ref = []
         for t in tangles_mod.all_matchings(n):
-            exposed = [i for i, e in enumerate(t.edges) if t.west_exposed(e)]
+            exposed = [i for i, e in enumerate(t.edges) if _ref_west_exposed(t, e)]
             for decs in itertools.product(((), ("c",), ("s",)), repeat=len(exposed)):
                 edges = list(t.edges)
                 for i, d in zip(exposed, decs):
                     edges[i] = edges[i][:2] + (d,)
                 cand = Tangle(n, n, edges)
-                cls = classify_diagram(cand).B_canonical_class
+                cls = _ref_b_canonical_class(cand)
                 if cls != "none":
                     ref.append((cand, 2 if cls == "C2" else 1))
         ref.sort(key=lambda tc: tc[0].sort_key())
@@ -1124,10 +1155,22 @@ def test_b_enumeration_equals_the_classifier_filter():
 
 
 def test_h_enumeration_builds_valid_canonical_tangles():
-    # the enumeration builds its candidates with the trusted constructor
+    # the enumerations build their candidates with the trusted constructor
     for n in range(2, 7):
-        for t in enumerate_h_admissible(n):
+        for t in enumerate_h_admissible(n) + [t for t, _ in enumerate_b_canonical(n)]:
             assert Tangle(n, n, t.edges) == t, t
+
+
+def test_west_exposed_matches_the_pairwise_scan():
+    tangles = [t for a in range(5) for b in range(5) if (a + b) % 2 == 0
+               for t in _decorated_tangles(a, b)]
+    tangles += [t for n in range(7) for t in tangles_mod.all_matchings(n)]
+    edges = 0
+    for t in tangles:
+        for edge in t.edges:
+            assert t.west_exposed(edge) == _ref_west_exposed(t, edge), (t, edge)
+            edges += 1
+    assert edges == 7_658
 
 
 def test_rule_set_family_must_match():
