@@ -48,9 +48,6 @@ EXIT_CONFIG = 4
 
 COMMANDS = ("enumerate", "basis", "verify", "calibrate", "render", "gram-check")
 FORMATS = ("json", "csv", "svg", "text", "ascii")
-#: The formats besides JSON, which every command writes, that each command
-#: has a writer for in ``_format_report``.
-_WRITERS = {"enumerate": ("csv", "text"), "basis": ("csv",), "render": ("text", "ascii", "svg")}
 BASES = ("monomial", "ttilde", "f", "canonical", "diagram")
 
 
@@ -80,7 +77,7 @@ class JobConfig:
             raise ConfigError("rank must be at least 2")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
-        if self.format != "json" and self.format not in _WRITERS.get(self.command, ()):
+        if self.format != "json" and (self.command, self.format) not in _WRITERS:
             raise ConfigError(f"--format {self.format} does not apply to {self.command}")
         if self.basis not in BASES:
             raise ConfigError(f"unknown basis {self.basis!r}")
@@ -176,8 +173,7 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
             raise ConfigError("diagram dumps apply to families B and H")
         calc = DiagramCalculus(_rules_for(cfg))
         strands = _effective_rank(cfg) + 1
-        for w, coords in sorted(alg.canonical_table().items(),
-                                key=lambda t: (len(t[0]), t[0])):
+        for w, coords in alg.canonical_table().items():
             elem = calc.image(strands, coords)
             entries.append({
                 "index_word": word_str(w),
@@ -248,36 +244,48 @@ def _json_report(body: dict) -> str:
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _enumerate_csv(results: dict, cfg: JobConfig) -> str:
+    def cell(letters):
+        return " ".join(map(str, letters))
+    return _csv([["word", "length", "content", "left_descents", "right_descents"]] + [
+        [e["word"], e["length"], cell(e["content"]),
+         cell(e["descents"]["left"]), cell(e["descents"]["right"])]
+        for e in results["elements"]])
+
+
+def _basis_csv(results: dict, cfg: JobConfig) -> str:
+    key = "tangle" if cfg.basis == "diagram" else "word"
+    return _csv([["index_word", key, "poly"]] + [
+        [entry["index_word"], co[key], co["poly"]]
+        for entry in results["entries"] for co in entry["coords"]])
+
+
+def _enumerate_text(results: dict, cfg: JobConfig) -> str:
+    return "".join([f"{'word':<24}{'length':<8}content\n"] + [
+        f"{e['word']:<24}{e['length']:<8}{' '.join(map(str, e['content']))}\n"
+        for e in results["elements"]])
+
+
+#: The writer of each (command, format) pair besides JSON, which every
+#: command writes; ``JobConfig.validate`` rejects any other pair.
+_WRITERS = {
+    ("enumerate", "csv"): _enumerate_csv,
+    ("enumerate", "text"): _enumerate_text,
+    ("basis", "csv"): _basis_csv,
+    **{("render", fmt): lambda results, cfg: results["output"] for fmt in ("text", "ascii", "svg")},
+}
+
+
 def _format_report(body: dict, cfg: JobConfig) -> str:
     if cfg.format == "json" or "error" in body["results"]:
         return _json_report(body)  # a failed computation has only the JSON form
-    if cfg.format == "csv" and cfg.command == "enumerate":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["word", "length", "content", "left_descents", "right_descents"])
-        for e in body["results"]["elements"]:
-            writer.writerow([
-                e["word"], e["length"],
-                " ".join(map(str, e["content"])),
-                " ".join(map(str, e["descents"]["left"])),
-                " ".join(map(str, e["descents"]["right"]))])
-        return buf.getvalue()
-    if cfg.format == "csv" and cfg.command == "basis":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        key = "tangle" if cfg.basis == "diagram" else "word"
-        writer.writerow(["index_word", key, "poly"])
-        for entry in body["results"]["entries"]:
-            for co in entry["coords"]:
-                writer.writerow([entry["index_word"], co[key], co["poly"]])
-        return buf.getvalue()
-    if cfg.format == "text" and cfg.command == "enumerate":
-        lines = [f"{'word':<24}{'length':<8}content"]
-        for e in body["results"]["elements"]:
-            lines.append(f"{e['word']:<24}{e['length']:<8}"
-                         f"{' '.join(map(str, e['content']))}")
-        return "\n".join(lines) + "\n"
-    return body["results"]["output"]  # render, the one command left
+    return _WRITERS[cfg.command, cfg.format](body["results"], cfg)
 
 
 def run(cfg: JobConfig) -> int:

@@ -25,15 +25,16 @@ lazily in lexicographic (or reverse lexicographic) order as position orders
 of one word: two occurrences of the same generator can never cross, so a
 position names the same occurrence in every member of the class.  The
 lexicographic rewriting strategies stop at the first member with a
-reducible factor, and right-justification at the first member that parses
-into blocks.
+reducible factor.  Right-justification cuts each branch at the first piece
+that breaks a block rule, so the first member its walk yields is the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CoxeterGraph",
@@ -51,7 +52,6 @@ __all__ = [
     "right_justify",
     "bruhat_leq",
     "bruhat_leq_word",
-    "is_subword",
     "word_str",
 ]
 
@@ -237,14 +237,17 @@ class _Heap:
                  *(j for j in positions if not (down | chain) >> j & 1))
         return order, down.bit_count()
 
-    def extensions(self, descending: bool = False) -> Iterator[Tuple[int, ...]]:
+    def extensions(self, descending: bool = False, admit: Optional[Callable] = None
+                   ) -> Iterator[Tuple[int, ...]]:
         """The linear extensions as position orders of ``word``, lazily and in
         (reverse, if descending) lexicographic order of their letter words;
         ``ClassSizeError`` past ``CLASS_CAP`` of them.
 
         Depth first over the minimal unplaced pieces, smallest (largest) letter
         first: minimal pieces have distinct labels, and only the first unplaced
-        occurrence of a letter can be minimal.
+        occurrence of a letter can be minimal.  A piece j that ``admit(order, j)``
+        rejects after the placed pieces cuts its branch, which holds at least
+        one extension and counts as one against the cap, as each yield does.
         """
         below, word = self.below, self.word
         pending = self._queues()
@@ -257,15 +260,18 @@ class _Heap:
         while True:
             if not rest:
                 count += 1
-                if count > CLASS_CAP:
-                    raise ClassSizeError(
-                        f"commutation class of {word} exceeded cap {CLASS_CAP}")
+            if count > CLASS_CAP:
+                raise ClassSizeError(
+                    f"commutation class of {word} exceeded cap {CLASS_CAP}")
+            if not rest:
                 yield tuple(order)
             else:
                 while i < k:
                     q = pending[letters[i]]
                     if q and not below[q[-1]] & rest:
-                        break
+                        if admit is None or admit(order, q[-1]):
+                            break
+                        count += 1
                     i += 1
                 if i < k:
                     j = pending[letters[i]].pop()
@@ -616,72 +622,55 @@ _SHAPES = {
     ((2, False), (1, True), (2, True)): 5,
     ((2, False), (1, True), (2, True), (1, False)): 6,
 }
+_PREFIXES = frozenset(key[:i] for key in _SHAPES for i in range(1, len(key) + 1))
 
 
 def right_justify(graph: CoxeterGraph, word: Sequence[int]) -> RightJustified:
     """A right-justified reduced expression with its block decomposition.
 
-    Reads the taxonomy off the heap, then walks the commutation class lazily
-    in lexicographic order, so only the members walked count against
-    ``CLASS_CAP``, and returns the first in which (a) every internal letter
-    has the required lateral or internal neighbours (one-sided for letters
-    whose flanking pattern ends in a bilateral letter, two-sided otherwise),
-    (b) the maximal runs of internal and lateral letters parse into the six
-    admissible block shapes and (c) every bilateral letter starts its block.
+    Reads the taxonomy off the heap and calls a maximal run of non-plain
+    letters a run; the answer is the lexicographically first class member in
+    which every run is one of the six block shapes, every bilateral letter
+    opens its run and every run ending on an internal letter ends on an
+    r-set letter.  (So an internal letter never opens a run, and one outside
+    the r-set has non-plain neighbours on both sides.)  Each rule is decided
+    on a prefix, so the class walk cuts a branch at its first violation and
+    the first member it yields is the answer.
     """
     heap = _fc_heap(graph, word)
     cls, rset = _taxonomy(heap)
     w, n = heap.word, len(heap.word)
-    for perm in heap.extensions():
-        lr = tuple(cls.category[pid] for pid in perm)
-        # an internal letter needs a non-plain left neighbour, and a non-plain
-        # right one too unless it is in the r-set
-        if any(role == "internal" and (
-                idx == 0 or lr[idx - 1] == "plain"
-                or perm[idx] not in rset and (idx + 1 == n or lr[idx + 1] == "plain"))
-               for idx, role in enumerate(lr)):
-            continue
-        letters = _letters(w, perm)
-        blocks = _parse_blocks(letters, lr)
-        if blocks is not None:
-            return RightJustified(letters, blocks)
-    raise AssertionError(f"no right-justified expression found for {w}")
+    tags = tuple(None if role == "plain" else (s, role == "internal")
+                 for s, role in zip(w, cls.category))
 
+    def admit(order: List[int], j: int) -> bool:
+        """Whether piece j may follow ``order``: a plain j or the last piece
+        closes the open run."""
+        t = len(order)
+        while t and tags[order[t - 1]]:
+            t -= 1
+        run = order[t:] + [j] if tags[j] else order[t:]
+        key = tuple(tags[p] for p in run)
+        if tags[j] and len(run) > 1 and cls.is_bilateral(j):
+            return False
+        if tags[j] and len(order) + 1 < n:
+            return key in _PREFIXES
+        return not run or key in _SHAPES and (not key[-1][1] or run[-1] in rset)
 
-def _parse_blocks(letters, lr) -> Optional[Tuple[Block, ...]]:
-    blocks: List[Block] = []
-    i = 0
-    n = len(letters)
-    while i < n:
-        if lr[i] == "plain":
-            i += 1
-            continue
-        j = i
-        while j < n and lr[j] != "plain":
-            j += 1
-        key = tuple((letters[k], lr[k] == "internal") for k in range(i, j))
-        shape = _SHAPES.get(key)
-        if shape is None:
-            return None
-        # every bilateral letter must begin its block
-        for k in range(i, j):
-            if lr[k] == "bilateral" and k != i:
-                return None
-        blocks.append(Block(i, j, shape, lr[i] == "bilateral"))
-        i = j
-    return tuple(blocks)
+    order = next(heap.extensions(admit=admit), None)
+    if order is None:
+        raise AssertionError(f"no right-justified expression found for {w}")
+    blocks, i = [], 0
+    for plain, run in groupby((tags[p] for p in order), key=lambda tag: tag is None):
+        key = tuple(run)
+        if not plain:
+            blocks.append(Block(i, i + len(key), _SHAPES[key], cls.is_bilateral(order[i])))
+        i += len(key)
+    return RightJustified(_letters(w, order), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
 # Bruhat order via the subword property
-
-
-def is_subword(sub: Word, word: Word) -> bool:
-    i = 0
-    for c in word:
-        if i < len(sub) and sub[i] == c:
-            i += 1
-    return i == len(sub)
 
 
 def bruhat_leq_word(graph: CoxeterGraph, x: FcElement, word: Sequence[int]) -> bool:

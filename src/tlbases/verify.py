@@ -98,7 +98,7 @@ def _transport(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
     strands = alg.graph.rank + 1
     index = _canonical_index(rules, strands)
     recognized = {}
-    for w, coords in sorted(alg.canonical_table().items(), key=lambda t: (len(t[0]), t[0])):
+    for w, coords in alg.canonical_table().items():
         elem = calc.image(strands, coords)
         hit = _match_canonical(index, elem)
         if hit is None:

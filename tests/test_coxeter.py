@@ -22,7 +22,6 @@ from tlbases.coxeter import (
     commutation_class,
     enumerate_fc,
     is_fc_reduced,
-    is_subword,
     normal_form,
     right_justify,
 )
@@ -317,8 +316,16 @@ def _ref_descents(graph, word):
     return ({u[0] for u in members if u}, {u[-1] for u in members if u})
 
 
+def _is_subword(sub, word):
+    i = 0
+    for c in word:
+        if i < len(sub) and sub[i] == c:
+            i += 1
+    return i == len(sub)
+
+
 def _ref_bruhat_leq_word(graph, x, word):
-    return any(is_subword(u, tuple(word)) for u in _ref_class(graph, x.word))
+    return any(_is_subword(u, tuple(word)) for u in _ref_class(graph, x.word))
 
 
 def _ref_enumerate_fc(graph):
@@ -791,10 +798,74 @@ def _check_taxonomy_against_class_scan(graph):
 
 
 def _right_justify_on(graph, word, cls, rset, orders):
-    """``right_justify`` run on the given taxonomy, r-set and member orders."""
+    """``_ref_right_justify`` run on the given taxonomy, r-set and member orders."""
     with mock.patch.object(_Heap, "extensions", lambda self, descending=False: iter(orders)), \
             mock.patch.object(coxeter, "_taxonomy", lambda heap: (cls, rset)):
-        return right_justify(graph, word)
+        return _ref_right_justify(graph, word)
+
+
+def _ref_right_justify(graph, word):
+    """The lazy walk: every class member in lexicographic order, each given
+    the neighbour scan and parsed into blocks, up to the first that passes."""
+    heap = coxeter._fc_heap(graph, word)
+    cls, rset = coxeter._taxonomy(heap)
+    w, n = heap.word, len(heap.word)
+
+    def parse_blocks(letters, lr):
+        blocks = []
+        i = 0
+        n = len(letters)
+        while i < n:
+            if lr[i] == "plain":
+                i += 1
+                continue
+            j = i
+            while j < n and lr[j] != "plain":
+                j += 1
+            key = tuple((letters[k], lr[k] == "internal") for k in range(i, j))
+            shape = coxeter._SHAPES.get(key)
+            if shape is None:
+                return None
+            # every bilateral letter must begin its block
+            for k in range(i, j):
+                if lr[k] == "bilateral" and k != i:
+                    return None
+            blocks.append(coxeter.Block(i, j, shape, lr[i] == "bilateral"))
+            i = j
+        return tuple(blocks)
+
+    for perm in heap.extensions():
+        lr = tuple(cls.category[pid] for pid in perm)
+        # an internal letter needs a non-plain left neighbour, and a non-plain
+        # right one too unless it is in the r-set
+        if any(role == "internal" and (
+                idx == 0 or lr[idx - 1] == "plain"
+                or perm[idx] not in rset and (idx + 1 == n or lr[idx + 1] == "plain"))
+               for idx, role in enumerate(lr)):
+            continue
+        letters = coxeter._letters(w, perm)
+        blocks = parse_blocks(letters, lr)
+        if blocks is not None:
+            return coxeter.RightJustified(letters, blocks)
+    raise AssertionError(f"no right-justified expression found for {w}")
+
+
+def _check_right_justify_against_the_lazy_walk(graph):
+    for e in enumerate_fc(graph):
+        assert right_justify(graph, e.word) == _ref_right_justify(graph, e.word), e.word
+
+
+@pytest.mark.parametrize("family", "ABH")
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_right_justify_agrees_with_the_lazy_walk(family, rank):
+    _check_right_justify_against_the_lazy_walk(CoxeterGraph(family, rank))
+
+
+@SLOW
+@pytest.mark.parametrize("family, rank", [("H", 5), ("B", 6), ("H", 6)])
+def test_right_justify_agrees_with_the_lazy_walk_at_large_ranks(family, rank):
+    # the lazy walk visits 2,219,830 class members over the FC elements of H6
+    _check_right_justify_against_the_lazy_walk(CoxeterGraph(family, rank))
 
 
 @pytest.mark.parametrize("family", "ABH")
@@ -868,18 +939,35 @@ def test_classify_letters_builds_no_class(monkeypatch):
 
 
 def test_right_justify_cap_bounds_the_members_walked(monkeypatch):
-    # the search stops at the first right-justified member, the k-th in
-    # lexicographic order: it passes under a cap of k and trips below it
+    # the search counts the member it stops at and each branch it cuts; a cut
+    # branch holds members before that one, the k-th in lexicographic order,
+    # so the count k' is at most k: it passes under a cap of k' and trips below
     h4 = CoxeterGraph("H", 4)
-    deep = 0
+    walk = _Heap.extensions
+    cuts = []
+
+    def counting(self, descending=False, admit=None):
+        def counted(order, j):
+            ok = admit(order, j)
+            cuts[-1] += not ok
+            return ok
+        return walk(self, descending, counted)
+
+    deep = pruned = 0
     for e in enumerate_fc(h4):
-        rj = right_justify(h4, e.word)
-        k = sorted(commutation_class(h4, e.word)).index(rj.word) + 1
-        deep += k > 1
+        cuts.append(0)
         with monkeypatch.context() as m:
-            m.setattr(coxeter, "CLASS_CAP", k)
+            m.setattr(_Heap, "extensions", counting)
+            rj = right_justify(h4, e.word)
+        k = sorted(commutation_class(h4, e.word)).index(rj.word) + 1
+        k_cut = cuts[-1] + 1
+        assert k_cut <= k, e.word
+        deep += k_cut > 1
+        pruned += k_cut < k
+        with monkeypatch.context() as m:
+            m.setattr(coxeter, "CLASS_CAP", k_cut)
             assert right_justify(h4, e.word) == rj
-            m.setattr(coxeter, "CLASS_CAP", k - 1)
+            m.setattr(coxeter, "CLASS_CAP", k_cut - 1)
             with pytest.raises(ClassSizeError):
                 right_justify(h4, e.word)
-    assert deep
+    assert deep and pruned, (deep, pruned)

@@ -207,6 +207,18 @@ def test_one_west_exposure_rule():
     assert not named, named
 
 
+def test_one_right_justification_walk():
+    # the block rules are tested on prefixes inside the one class walk, whose
+    # first member is the answer: no member is parsed into blocks afterwards
+    defined = [(path.name, node.lineno) for path in sorted(SRC.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "_parse_blocks"]
+    assert not defined, defined
+    walks = [found for found in _calls_by_owner({"extensions"}) if found[1] == "right_justify"]
+    assert len(walks) == 1, walks
+
+
 def _non_f_structure_constant_calls(source: str):
     """Line numbers of ``structure_constants`` calls whose basis is not the
     literal ``"f"``."""
