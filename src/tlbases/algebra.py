@@ -379,8 +379,7 @@ class TLAlgebra:
 
     def ttilde_table(self) -> Dict[Word, Coords]:
         if self._ttilde is None:
-            rows = {w: dict(sorted(row.items(), key=lambda t: (len(t[0]), t[0])))
-                    for w, row in self._ttilde_walk(truncated=False)}
+            rows = dict(self._ttilde_walk(truncated=False))
             self._ttilde = {w: rows[w] for w in self.fc_words()}
         return self._ttilde
 

@@ -339,7 +339,7 @@ def run(cfg: JobConfig) -> int:
         fh.write(text)
     # renders and tabular formats keep the JSON report alongside
     if cfg.format != "json":
-        json_path = out_path.rsplit(".", 1)[0] + ".report.json"
+        json_path = os.path.splitext(out_path)[0] + ".report.json"
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(_json_report(body))
     return code

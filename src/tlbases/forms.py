@@ -64,11 +64,6 @@ def _transpose(table: Dict[Word, Coords]) -> Dict[Word, Coords]:
     return out
 
 
-def _rank(rows: List[Row]) -> int:
-    """Rank over Q(v) of rows {column: entry}."""
-    return _bareiss(rows)[0]
-
-
 def _bareiss(rows: List[Row]) -> Tuple[int, LaurentPoly]:
     """(rank over Q(v), last pivot) of rows {column: entry}, by Bareiss
     elimination.
@@ -123,8 +118,8 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     # G - I has every entry in v^-1 Z[v^-1]
     unitri = all((cand.entry(w, x) - (ONE if w == x else ZERO)).degree <= -1
                  for w in words for x in words)
-    nondeg = unitri or _rank([{j: cand.entry(w, x) for j, x in enumerate(words)}
-                              for w in words]) == len(words)
+    nondeg = unitri or _bareiss([{j: cand.entry(w, x) for j, x in enumerate(words)}
+                                 for w in words])[0] == len(words)
     return {
         "symmetric": symmetric,
         "anti_associative": anti,
@@ -160,4 +155,4 @@ def solution_space_dimension(alg: TLAlgebra) -> int:
                     k = unknown(w, y)
                     row[k] = row.get(k, ZERO) - c
                 rows.append(row)
-    return n * (n + 1) // 2 - _rank(rows)
+    return n * (n + 1) // 2 - _bareiss(rows)[0]

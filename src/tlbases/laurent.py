@@ -216,6 +216,12 @@ class _Laurent:
         if type(other) is not type(self):
             return self._scale(other) if isinstance(other, self._scalars) else NotImplemented
         a, b = self.terms, other.terms
+        # the unit (its terms, in either type, equal ((0, 1),)) takes the
+        # other factor, not a product
+        if a == ((0, 1),):
+            return other
+        if b == ((0, 1),):
+            return self
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:  # a monomial factor keeps the other's order
@@ -230,6 +236,8 @@ class _Laurent:
     __rmul__ = __mul__
 
     def _scale(self, k):
+        if k == 1:
+            return self
         if not k:
             return self._from_terms(())
         return self._from_terms(tuple((e, c * k) for e, c in self.terms))

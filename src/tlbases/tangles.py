@@ -59,7 +59,6 @@ __all__ = [
 End = Tuple[str, int]  # ("N", i) or ("S", j), 1-based
 Decor = str            # "c" (circle) or "s" (square)
 Edge = Tuple[End, End, Tuple[Decor, ...]]
-_UNITS = {LaurentPoly: ONE, RationalLaurent: RationalLaurent.const(1)}  # by coefficient type
 
 
 class ReductionError(ValueError):
@@ -239,8 +238,11 @@ def parse_tangle(text: str) -> Tangle:
     head = chunks[0]
     if "," in head:
         npart, mpart = head.split(",")
+        mpart = mpart.strip()
+        if not mpart.startswith("m="):
+            raise ValueError(f"second header field of {text!r} is not m=")
         n_north = int(npart[2:])
-        n_south = int(mpart.strip()[2:])
+        n_south = int(mpart[2:])
     else:
         n_north = n_south = int(head[2:])
     edges = []
@@ -403,14 +405,11 @@ class RuleSet:
         else:
             x, y = self.alpha, self.beta
             (p1, c1), (p2, c2) = self.fold(decs[:-1]), self.fold(decs[:-2])
-        one = self._one
-        return (_times(one, x, p1) + _times(one, y, p2),
-                _times(one, x, c1) + _times(one, y, c2))
+        return x * p1 + y * p2, x * c1 + y * c2
 
     def loop_value(self, decs: Tuple[Decor, ...]):
         plain, circle = self.fold(decs)
-        one = self._one
-        return _times(one, plain, self.plain_loop) + _times(one, circle, self.circle_loop)
+        return plain * self.plain_loop + circle * self.circle_loop
 
     def to_json(self) -> dict:
         out = {"family": self.family}
@@ -485,28 +484,24 @@ class DiagramElement:
     def support(self):
         return tuple(t for t, _ in self.coeffs)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other; the constructor drops the terms that cancel."""
         if not isinstance(other, DiagramElement):
             return NotImplemented
         if (self.family, self.n) != (other.family, other.n):
             raise ValueError("family or strand-count mismatch")
         acc = self.as_dict()
-        for t, c in other.coeffs:
-            s = acc.get(t)
-            s = c if s is None else s + c
-            if s:
-                acc[t] = s
-            elif t in acc:
-                del acc[t]
+        _add_scaled(acc, other.coeffs, sign)
         return DiagramElement(self.family, self.n, acc)
 
-    def scale(self, c):
-        one = _UNITS.get(type(c))  # a unit coefficient (most are) takes c, not a product
-        return DiagramElement(self.family, self.n,
-                              {t: c if cc == one else cc * c for t, cc in self.coeffs})
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + DiagramElement(other.family, other.n, {t: -c for t, c in other.coeffs})
+        return self._plus(other, -1)
+
+    def scale(self, c):
+        return DiagramElement(self.family, self.n, {t: cc * c for t, cc in self.coeffs})
 
     def __eq__(self, other):
         if not isinstance(other, DiagramElement):
@@ -532,7 +527,7 @@ def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
     out: Dict[Tangle, object] = {}
     # one reduced tangle per choice of (plain | one circle) on each folded edge
     for choice in itertools.product(*[((p, ()), (c, ("c",))) for _, (p, c) in folds]):
-        coeff = _times(rules.one(), *(x for x, _ in choice))
+        coeff = math.prod((x for x, _ in choice), start=rules.one())
         if coeff:
             edges = list(t.edges)
             for (k, _), (_, decs) in zip(folds, choice):
@@ -544,11 +539,10 @@ def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
 def _reduce(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
             rules: RuleSet) -> Dict[Tangle, object]:
     """Value the loops and fold the edges: {reduced tangle: coefficient}."""
-    one = rules.one()
-    scalar = _times(one, *(rules.loop_value(loop) for loop in loops))
+    scalar = math.prod((rules.loop_value(loop) for loop in loops), start=rules.one())
     if not scalar:
         return {}
-    return {t: _times(one, c, scalar) for t, c in _expand_edges(tangle, rules).items()}
+    return {t: c * scalar for t, c in _expand_edges(tangle, rules).items()}
 
 
 def reduce_composition(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
@@ -557,20 +551,10 @@ def reduce_composition(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
     return DiagramElement(rules.family, tangle.n_north, _reduce(tangle, loops, rules))
 
 
-def _times(one, *factors):
-    """The product of ``factors``; a factor equal to the unit ``one`` is
-    skipped, not multiplied (most coefficients of the calculus are 1)."""
-    out = one
-    for x in factors:
-        if x != one:
-            out = x if out is one else out * x
-    return out
-
-
-def _add_scaled(acc: Dict[Tangle, object], terms, scale, one) -> None:
+def _add_scaled(acc: Dict[Tangle, object], terms, scale) -> None:
     """acc += scale * terms, for (tangle, coefficient) pairs."""
     for t, c in terms:
-        c = _times(one, c, scale)
+        c = c * scale
         s = acc.get(t)
         acc[t] = c if s is None else s + c
 
@@ -620,19 +604,16 @@ class DiagramCalculus:
         or (word, coefficient) pairs), as the algebra's basis tables do.
         """
         acc: Dict[Tangle, object] = {}
-        one = self.rules.one()
         for x, c in dict(coords).items():
-            _add_scaled(acc, self.evaluate_word(n, x).coeffs, self.rules.lift(c), one)
+            _add_scaled(acc, self.evaluate_word(n, x).coeffs, self.rules.lift(c))
         return DiagramElement(self.family, n, acc)
 
     def multiply(self, a: DiagramElement, b: DiagramElement) -> DiagramElement:
         """The one compose -> reduce -> accumulate loop of the calculus."""
         acc: Dict[Tangle, object] = {}
-        one = self.rules.one()
         for t1, c1 in a.coeffs:
             for t2, c2 in b.coeffs:
-                _add_scaled(acc, _reduce(*compose_raw(t1, t2), self.rules).items(),
-                            _times(one, c1, c2), one)
+                _add_scaled(acc, _reduce(*compose_raw(t1, t2), self.rules).items(), c1 * c2)
         return DiagramElement(self.family, a.n, acc)
 
 
@@ -902,12 +883,7 @@ def iota(elem: DiagramElement, rules_b: RuleSet) -> DiagramElement:
         rem = rem - expansion.scale(mu)
         image = Tangle(candidate.n_north, candidate.n_south,
                        [(a, b, ("c",) * len(d)) for a, b, d in candidate.edges])
-        mu_int = mu.to_integral()
-        cur = out.get(image, ZERO) + mu_int
-        if cur:
-            out[image] = cur
-        elif image in out:
-            del out[image]
+        out[image] = out.get(image, ZERO) + mu.to_integral()
     return DiagramElement("H", elem.n, out)
 
 
@@ -972,6 +948,7 @@ class _SymPoly:
     """
 
     __slots__ = ("terms",)
+    _UNIT = {(0, 0, 0): ONE}  # the unit's terms
 
     def __init__(self, terms: Dict[Tuple[int, int, int], LaurentPoly] = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v}
@@ -1001,6 +978,10 @@ class _SymPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return _SymPoly({k: v * other for k, v in self.terms.items()})
+        if self.terms == self._UNIT:  # the unit takes the other factor, not a product
+            return other
+        if other.terms == self._UNIT:
+            return self
         out: Dict[Tuple[int, int, int], LaurentPoly] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():

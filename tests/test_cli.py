@@ -276,6 +276,22 @@ def test_csv_and_text_formats(tmp_path):
     assert "length" in out.read_text()
 
 
+def test_sidecar_stays_beside_the_report(tmp_path, monkeypatch):
+    # only the report's own extension is replaced: a dot in a directory name
+    # or a report without an extension keeps the sidecar beside the report
+    argv = ["--command", "enumerate", "--family", "B", "--rank", "2", "--format", "csv"]
+    (tmp_path / "a.b").mkdir()
+    code, out = run_args(argv, tmp_path / "a.b", "report")
+    assert code == EXIT_PASS and out.exists()
+    assert (tmp_path / "a.b" / "report.report.json").exists()
+    assert not (tmp_path / "a.report.json").exists()
+    monkeypatch.chdir(tmp_path)
+    code = run(config_from_args(argv + ["--out", "./table"]))
+    assert code == EXIT_PASS
+    assert (tmp_path / "table.report.json").exists()
+    assert not (tmp_path / ".report.json").exists()
+
+
 def test_render_command(tmp_path):
     code, out = run_args(
         ["--command", "render", "--family", "H",

@@ -56,6 +56,23 @@ def test_mul_matches_naive_convolution_oracle():
     assert d2 - 2 - LaurentPoly({2: 1, -2: 1}) == ZERO
 
 
+def test_unit_factor_returns_the_other_operand():
+    # multiplying by the unit shares the other factor instead of building a copy
+    p = LaurentPoly({3: 2, -1: -5})
+    assert ONE * p is p
+    assert p * ONE is p
+    assert p * 1 is p
+    assert 1 * p is p
+    assert ONE * ZERO == ZERO
+    q = RationalLaurent({2: Fraction(1, 2), 0: 3})
+    assert RationalLaurent.const(1) * q is q
+    assert q * RationalLaurent.const(1) is q
+    assert q * 1 is q
+    # the rule never crosses the two types
+    with pytest.raises(TypeError):
+        RationalLaurent.const(1) * p  # type: ignore[operator]
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(3)
     for _ in range(100):

@@ -207,6 +207,18 @@ def test_one_west_exposure_rule():
     assert not named, named
 
 
+def test_unit_rule_lives_in_the_scalar_rings():
+    # "a factor equal to 1 is not multiplied" is the rings' own multiplication:
+    # the calculus keeps no unit helper, no unit table and threads no unit
+    tree = ast.parse((SRC / "tangles.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "name", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert not names & {"_times", "_UNITS"}
+    threaded = [(node.lineno, node.name) for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and "one" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]]
+    assert not threaded, threaded
+
+
 def test_one_right_justification_walk():
     # the block rules are tested on prefixes inside the one class walk, whose
     # first member is the answer: no member is parsed into blocks afterwards

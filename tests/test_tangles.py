@@ -217,9 +217,12 @@ def test_serialization_round_trip():
 
 def test_parse_tangle_rejects_malformed_ends():
     for text in ("n=2; N1-", "n=2; N1-S; N2-S2", "n=2; 1-S1; N2-S2", "n=2; N1-Sx; N2-S2",
-                 "n=1; N1-X1"):
+                 "n=1; N1-X1", "n=3,q=1; N1-N2; N3-S1"):
         with pytest.raises(ValueError):
             parse_tangle(text)
+    # the header's second field names the south nodes
+    text = "n=3,m=1; N1-N2; N3-S1"
+    assert format_tangle(parse_tangle(text)) == text
 
 
 def test_generator_examples():
@@ -547,6 +550,13 @@ def test_two_nonnegative_solutions_are_reported():
     system = PINNED[::2] + _system({(0, 2, 0): 1, (0, 0, 0): -1})
     one = LaurentPoly.const(1)
     assert _calibrated_scalars(system, "H") == (one, one, one)
+
+
+def test_symbolic_unit_returns_the_other_operand():
+    unit, alpha = _SymPoly.const(1), _SymPoly.var("alpha")
+    assert unit * alpha is alpha
+    assert alpha * unit is alpha
+    assert (unit * unit).terms == unit.terms
 
 
 def test_symbolic_scalars_reproduce_numeric_calculus():
