@@ -632,19 +632,6 @@ class TLAlgebra:
         prod = self._mul_coords(dict(table[xw]), dict(table[yw]))
         return self._convert_from_monomial(prod, table)
 
-    def structure_constants_csv(self, basis: str) -> str:
-        """The full multiplication table as CSV rows keyed by (x, y, z); the
-        canonical table comes a row at a time (``canonical_products``)."""
-        lines = ["x;y;z;coeff"]
-        words = self.fc_words()
-        for x in words:
-            row = self.canonical_products(x) if basis == "canonical" else None
-            for y in words:
-                sc = row[y] if row is not None else self.structure_constants(basis, x, y)
-                for z, c in sorted(sc.items(), key=lambda t: (len(t[0]), t[0])):
-                    lines.append(f"{word_str(x)};{word_str(y)};{word_str(z)};{c}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # mixed products in the generators b_i and their t-tilde counterparts

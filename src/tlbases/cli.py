@@ -229,9 +229,8 @@ def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
         "candidate": "trace-form",
         "checks": checks,
         "witness_found": all(checks.values()),
+        "solution_space_dimension": solution_space_dimension(alg),
     }
-    if alg.graph.rank <= 2:
-        body["solution_space_dimension"] = solution_space_dimension(alg)
     # exploratory: the command reports outcomes and never fails the build
     return body, EXIT_PASS
 

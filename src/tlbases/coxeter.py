@@ -474,9 +474,6 @@ class LetterClassification:
     def is_bilateral(self, i: int) -> bool:
         return self.category[i] == "bilateral"
 
-    def is_external(self, i: int) -> bool:
-        return not self.is_internal(i)
-
 
 _BAD_PATTERNS = (((3, 1, 2, 1, 2, 3), 4), ((3, 2, 1, 2, 1, 3), 1))
 

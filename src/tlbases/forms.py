@@ -2,26 +2,24 @@
 
 A candidate form is checked exactly for symmetry, anti-associativity
 (B(t_s x, y) = B(x, t_s y) for every generator s), nondegeneracy and
-unitriangularity mod v^-1.  Nondegeneracy and the dimension of the space of
-symmetric anti-associative forms are both ranks, read off one fraction-free
-elimination (Bareiss, Math. Comp. 22, 1968) over Z[v, v^-1].  That ring is an
-integral domain, so every division the elimination makes is exact and it
-runs on the Laurent entries directly.
+unitriangularity mod v^-1.  A form that is not unitriangular is decided
+nondegenerate by the rank of its gram matrix over Z[v, v^-1], from the
+kernel's fraction-free elimination (``laurent._bareiss``).  The dimension of
+the space of symmetric anti-associative forms needs no elimination: it is
+the number of orbits of w -> w^-1 on the basis (``solution_space_dimension``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .algebra import Coords, TLAlgebra, _combine
-from .coxeter import CoxeterGraph, Word
-from .laurent import ONE, ZERO, LaurentPoly
+from .coxeter import CoxeterGraph, Word, normal_form
+from .laurent import ONE, ZERO, LaurentPoly, _bareiss
 
 __all__ = ["GramCandidate", "natural_gram_candidate", "gram_check",
            "solution_space_dimension"]
-
-Row = Dict[int, LaurentPoly]
 
 
 @dataclass
@@ -64,43 +62,6 @@ def _transpose(table: Dict[Word, Coords]) -> Dict[Word, Coords]:
     return out
 
 
-def _bareiss(rows: List[Row]) -> Tuple[int, LaurentPoly]:
-    """(rank over Q(v), last pivot) of rows {column: entry}, by Bareiss
-    elimination.
-
-    Each step takes a pivot from a remaining row and replaces every other
-    remaining row r by (pivot * r - r[col] * pivot row) / previous pivot.
-    The entries stay minors of the input, so the division is exact, and the
-    last pivot is a maximal nonzero minor: of a square matrix of full rank,
-    its determinant up to sign.  The pivot is the entry with fewest terms in
-    a shortest row, which keeps the fill-in and the minors small.
-    """
-    rows = [r for r in ({c: x for c, x in row.items() if x} for row in rows) if r]
-    prev = ONE
-    rank = 0
-    while rows:
-        prow = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
-        col = min(prow, key=lambda c: (len(prow[c].terms), c))
-        piv = prow[col]
-        nxt = []
-        for r in rows:
-            f = r.get(col)
-            if f is None and piv == prev:
-                nxt.append(r)  # (piv * r) / prev is r itself
-                continue
-            out = {c: piv * x for c, x in r.items() if c != col}
-            if f is not None:
-                for c, y in prow.items():
-                    if c != col:
-                        out[c] = out.get(c, ZERO) - f * y
-            out = {c: x._exact_div(prev) for c, x in out.items() if x}
-            if out:
-                nxt.append(out)
-        rows, prev = nxt, piv
-        rank += 1
-    return rank, prev
-
-
 def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     """Exact checks of the four bilinear-form conditions, each True or False.
 
@@ -129,30 +90,23 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
 
 
 def solution_space_dimension(alg: TLAlgebra) -> int:
-    """Dimension over Q(v) of the space of symmetric anti-associative forms.
+    """Dimension over Q(v) of the space of symmetric anti-associative forms:
+    the number of orbits of w -> w^-1 on the FC elements.
 
-    One unknown per pair w <= x of basis words carries the symmetry, and
-    B(t_s t_w, t_x) = B(t_w, t_s t_x) gives one row per generator s and pair
-    w < x (the row of x, w is its negative and that of w, w is zero).
+    Reversing words preserves the defining relations (b_s b_s = delta b_s,
+    and a half-braid relation read backwards is the one of the reversed
+    pair), so it is an anti-automorphism iota fixing each b_s, hence each
+    t~_s = b_s - v^-1.  Anti-associativity carries a product across one
+    letter at a time, B(a x, y) = B(x, iota(a) y), so B(a, b) = phi(iota(a) b)
+    for the functional phi = B(1, .); conversely every phi gives such a form,
+    as phi(iota(t_s x) y) = phi(iota(x) t_s y).  Since B(b, a) =
+    (phi o iota)(iota(a) b), B is symmetric iff phi o iota = phi (take a = 1).
+    And iota maps the monomial b_w to b_{w^-1} (the reversed word is a
+    reduced, fully commutative word of w^-1), so it permutes the monomial
+    basis in orbits {w, w^-1}, and an iota-invariant functional has one free
+    value per orbit.  An orbit of one element is an involution: an FC element
+    whose reversed word has its own normal form.
     """
-    words = [e.word for e in alg.fc_elements()]
-    index = {w: i for i, w in enumerate(words)}
-    n = len(words)
-
-    def unknown(y: Word, x: Word) -> int:
-        i, j = sorted((index[y], index[x]))
-        return i * n + j
-
-    rows = []
-    for table in alg.ttilde_left_table().values():
-        for i, w in enumerate(words):
-            for x in words[i + 1:]:
-                row: Row = {}
-                for y, c in table[w].items():
-                    k = unknown(y, x)
-                    row[k] = row.get(k, ZERO) + c
-                for y, c in table[x].items():
-                    k = unknown(w, y)
-                    row[k] = row.get(k, ZERO) - c
-                rows.append(row)
-    return n * (n + 1) // 2 - _bareiss(rows)[0]
+    words = alg.fc_words()
+    involutions = sum(normal_form(alg.graph, w[::-1]) == w for w in words)
+    return (len(words) + involutions) // 2

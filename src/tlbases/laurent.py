@@ -13,12 +13,17 @@ normalizes it; ring operations build their already-normalized terms directly
 and skip that work.  Sums and products of dyadic polynomials are dyadic, so
 the dyadic check only runs at the public constructor and on multiplication
 by an arbitrary ``Fraction``.
+
+Z[v, v^-1] is an integral domain, so a fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968) divides exactly at every step and runs on the Laurent
+entries directly: ``_bareiss`` gives the rank and last pivot of a matrix over
+the ring, for the forms' nondegeneracy and the calibration resultant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
     "LaurentPoly",
@@ -376,6 +381,43 @@ def invariant_completion(p: LaurentPoly) -> LaurentPoly:
     head = [(e, c) for e, c in p.terms if e >= 0]
     mirror = [(-e, c) for e, c in reversed(head) if e > 0]
     return p._from_terms(tuple(head + mirror))
+
+
+def _bareiss(rows: List[Dict[int, LaurentPoly]]) -> Tuple[int, LaurentPoly]:
+    """(rank over Q(v), last pivot) of rows {column: entry}, by Bareiss
+    elimination.
+
+    Each step takes a pivot from a remaining row and replaces every other
+    remaining row r by (pivot * r - r[col] * pivot row) / previous pivot.
+    The entries stay minors of the input, so the division is exact, and the
+    last pivot is a maximal nonzero minor: of a square matrix of full rank,
+    its determinant up to sign.  The pivot is the entry with fewest terms in
+    a shortest row, which keeps the fill-in and the minors small.
+    """
+    rows = [r for r in ({c: x for c, x in row.items() if x} for row in rows) if r]
+    prev = ONE
+    rank = 0
+    while rows:
+        prow = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        col = min(prow, key=lambda c: (len(prow[c].terms), c))
+        piv = prow[col]
+        nxt = []
+        for r in rows:
+            f = r.get(col)
+            if f is None and piv == prev:
+                nxt.append(r)  # (piv * r) / prev is r itself
+                continue
+            out = {c: piv * x for c, x in r.items() if c != col}
+            if f is not None:
+                for c, y in prow.items():
+                    if c != col:
+                        out[c] = out.get(c, ZERO) - f * y
+            out = {c: x._exact_div(prev) for c, x in out.items() if x}
+            if out:
+                nxt.append(out)
+        rows, prev = nxt, piv
+        rank += 1
+    return rank, prev
 
 
 def _is_dyadic(fr: Fraction) -> bool:

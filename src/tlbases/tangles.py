@@ -28,8 +28,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import TLAlgebra
 from .coxeter import CoxeterGraph
-from .forms import _bareiss
-from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent
+from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent, _bareiss
 
 __all__ = [
     "Tangle",

@@ -411,36 +411,6 @@ def test_mixed_word_evaluation_matches_ttilde():
     assert evaluate_mixed(B2, mixed) == B2.ttilde_element((1, 2))
 
 
-def test_structure_constants_csv_table():
-    text = B2.structure_constants_csv("canonical")
-    lines = text.strip().splitlines()
-    assert lines[0] == "x;y;z;coeff"
-    assert "e;e;e;1" in lines[1:]
-    assert "1;1;1;v + v^-1" in lines[1:]
-    # every row parses back to the exact polynomial
-    from tlbases.laurent import LaurentPoly as LP
-    for row in lines[1:]:
-        _, _, _, poly = row.split(";")
-        LP.parse(poly)
-
-
-def _ref_structure_constants_csv(alg, basis):
-    """The multiplication table one product at a time."""
-    lines = ["x;y;z;coeff"]
-    for x in alg.fc_elements():
-        for y in alg.fc_elements():
-            sc = alg.structure_constants(basis, x, y)
-            for z, c in sorted(sc.items(), key=lambda t: (len(t[0]), t[0])):
-                lines.append(f"{word_str(x.word)};{word_str(y.word)};{word_str(z)};{c}")
-    return "\n".join(lines) + "\n"
-
-
-def test_structure_constants_csv_matches_the_per_pair_route():
-    for alg in (A3, B3, H3):
-        assert alg.structure_constants_csv("canonical") == \
-            _ref_structure_constants_csv(alg, "canonical")
-
-
 def test_basis_constructors_reject_words_that_index_nothing():
     # (1, 1) is not reduced, so no basis element carries it
     for make in (B2.monomial, B2.ttilde_element, B2.canonical_element, B2.f_element,

@@ -510,7 +510,16 @@ def test_gram_check_command_reports(tmp_path):
     assert code == EXIT_PASS
     body = json.loads(out.read_text())["results"]
     assert body["witness_found"] is True
-    assert body["solution_space_dimension"] >= 1
+    assert body["solution_space_dimension"] == 6
+
+
+@pytest.mark.parametrize("family, dimension", [("B", 17), ("H", 28)])
+def test_gram_check_reports_the_dimension_past_rank_2(tmp_path, family, dimension):
+    # the dimension is an orbit count, so the report carries it at every rank
+    code, out = run_args(
+        ["--command", "gram-check", "--family", family, "--rank", "3"], tmp_path)
+    assert code == EXIT_PASS
+    assert json.loads(out.read_text())["results"]["solution_space_dimension"] == dimension
 
 
 def test_gram_check_default_rank_names_report(tmp_path, monkeypatch):

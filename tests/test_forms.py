@@ -1,12 +1,12 @@
-"""Bilinear forms: Bareiss elimination and the table-driven trace form
-against the paths they replaced.
+"""Bilinear forms: Bareiss elimination, the table-driven trace form and the
+orbit count of the form space against the paths they replaced.
 
 The references below are the replaced code, kept here: the bitmask
-expansion of the exact determinant, the sympy rank over Q(v) of the
-solution space of symmetric anti-associative forms, the trace form by
-one full product per pair of basis elements, the anti-associativity check
-one term at a time, and the t~ left-multiplication tables by one full
-product per generator and basis element.
+expansion of the exact determinant, the solver system of the symmetric
+anti-associative forms eliminated by Bareiss and its sympy rank over Q(v),
+the trace form by one full product per pair of basis elements, the
+anti-associativity check one term at a time, and the t~ left-multiplication
+tables by one full product per generator and basis element.
 """
 
 import itertools
@@ -16,16 +16,15 @@ import random
 import pytest
 
 from tlbases.algebra import TLAlgebra
-from tlbases.coxeter import CoxeterGraph
+from tlbases.coxeter import CoxeterGraph, normal_form
 from tlbases.forms import (
     GramCandidate,
-    _bareiss,
     _transpose,
     gram_check,
     natural_gram_candidate,
     solution_space_dimension,
 )
-from tlbases.laurent import ONE, V, ZERO, LaurentPoly
+from tlbases.laurent import ONE, V, ZERO, LaurentPoly, _bareiss
 
 ALGEBRAS = {name: TLAlgebra(CoxeterGraph(name[0], int(name[1])))
             for name in ("A2", "B2", "H2", "A3")}
@@ -287,6 +286,61 @@ def test_rank_of_products_of_thin_matrices():
 def test_solution_space_dimension_matches_sympy_rank(name, dimension):
     alg = ALGEBRAS[name]
     assert solution_space_dimension(alg) == _ref_solver_dimension(alg) == dimension
+
+
+def _ref_solution_space_dimension(alg):
+    """Dimension over Q(v) of the space of symmetric anti-associative forms.
+
+    One unknown per pair w <= x of basis words carries the symmetry, and
+    B(t_s t_w, t_x) = B(t_w, t_s t_x) gives one row per generator s and pair
+    w < x (the row of x, w is its negative and that of w, w is zero).
+    """
+    words = [e.word for e in alg.fc_elements()]
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+
+    def unknown(y, x):
+        i, j = sorted((index[y], index[x]))
+        return i * n + j
+
+    rows = []
+    for table in alg.ttilde_left_table().values():
+        for i, w in enumerate(words):
+            for x in words[i + 1:]:
+                row = {}
+                for y, c in table[w].items():
+                    k = unknown(y, x)
+                    row[k] = row.get(k, ZERO) + c
+                for y, c in table[x].items():
+                    k = unknown(w, y)
+                    row[k] = row.get(k, ZERO) - c
+                rows.append(row)
+    return n * (n + 1) // 2 - _bareiss(rows)[0]
+
+
+@pytest.mark.parametrize("name, dimension",
+                         [("A1", 2), ("A2", 4), ("B2", 6), ("H2", 7), ("A3", 10)])
+def test_solution_space_dimension_matches_the_solver_system(name, dimension):
+    alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
+    assert solution_space_dimension(alg) == _ref_solution_space_dimension(alg) == dimension
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the B3 solver-system cross-check")
+def test_solution_space_dimension_matches_the_solver_system_slow():
+    alg = TLAlgebra(CoxeterGraph("B", 3))
+    assert solution_space_dimension(alg) == _ref_solution_space_dimension(alg) == 17
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "B4", "H4"])
+def test_reversal_maps_each_ttilde_element_to_its_inverse(name):
+    # the orbit count's premise: the anti-automorphism fixing each generator
+    # sends t~_w to t~_{w^-1}, reversing every monomial of its expansion
+    graph = CoxeterGraph(name[0], int(name[1]))
+    table = TLAlgebra(graph).ttilde_table()
+    for w, row in table.items():
+        reversed_row = {normal_form(graph, y[::-1]): c for y, c in row.items()}
+        assert reversed_row == table[normal_form(graph, w[::-1])], w
 
 
 def test_gram_check_decides_nondegeneracy_of_small_forms():

@@ -280,3 +280,19 @@ def test_forms_accumulate_through_the_algebras_helper():
               isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert not nested, nested
     assert not hasattr(tlbases.TLAlgebra, "_convert_to_monomial")
+
+
+def test_form_space_dimension_is_an_orbit_count():
+    # the elimination lives in the Laurent kernel: the calibration resultant
+    # takes it from there, not from the gram checker, and the dimension of
+    # the form space is counted, not eliminated
+    tangles = ast.parse((SRC / "tangles.py").read_text(encoding="utf-8"))
+    from_forms = [node.lineno for node in ast.walk(tangles)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "forms"]
+    assert not from_forms, from_forms
+    forms = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
+    dimension = next(node for node in forms.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "solution_space_dimension")
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(dimension)}
+    assert "_bareiss" not in names
