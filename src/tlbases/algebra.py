@@ -34,7 +34,7 @@ from .coxeter import (
     right_justify,
     word_str,
 )
-from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, invariant_completion
+from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, _add_scaled, invariant_completion
 
 __all__ = [
     "AlgebraElement",
@@ -538,18 +538,22 @@ class TLAlgebra:
         sum_z mu_z c_x c_z.  The prefix y' and every z are shorter than y, so
         their entries come earlier in the row.  Each entry lists its words in
         the order ``structure_constants`` gives them.
+
+        Entries accumulate as polynomials under the rings' unit rule: the
+        right table's coefficients are 1 or delta, so an entry with one
+        contribution of coefficient 1 is that c itself, no new polynomial.
         """
         rows: Dict[Word, Coords] = {(): {self._index_word(x): ONE}}
         right = self._canonical_right_table()  # builds the table and its steps
         steps = self._canonical_steps
         for y in self.fc_words()[1:]:
-            acc: Raw = {}
+            acc: Coords = {}
             right_s = right[y[-1]]
             for u, c in rows[y[:-1]].items():
-                _merge(acc, right_s[u], c)
+                _add_scaled(acc, right_s[u].items(), c)
             for z, mu in steps[y].items():
-                _merge(acc, rows[z], -mu)
-            rows[y] = dict(sorted(_settle(acc).items(),
+                _add_scaled(acc, rows[z].items(), -mu)
+            rows[y] = dict(sorted(((w, p) for w, p in acc.items() if p),
                                   key=lambda t: (len(t[0]), t[0]), reverse=True))
         return rows
 

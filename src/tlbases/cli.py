@@ -239,8 +239,11 @@ def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
 # report writing and entry point
 
 
-def _json_report(body: dict) -> str:
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+def _write_json_report(body: dict, path: str) -> None:
+    # streamed: the indenting encoder's chunks are never joined in memory
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _csv(rows) -> str:
@@ -281,12 +284,6 @@ _WRITERS = {
 }
 
 
-def _format_report(body: dict, cfg: JobConfig) -> str:
-    if cfg.format == "json" or "error" in body["results"]:
-        return _json_report(body)  # a failed computation has only the JSON form
-    return _WRITERS[cfg.command, cfg.format](body["results"], cfg)
-
-
 def run(cfg: JobConfig) -> int:
     """Execute one job; writes a report unless the configuration is bad (exit 4)."""
     try:
@@ -325,7 +322,6 @@ def run(cfg: JobConfig) -> int:
         "status": "pass" if code == EXIT_PASS else "fail",
         "results": results,
     }
-    text = _format_report(body, cfg)
     out_path = cfg.out
     if out_path is None:
         os.makedirs(cfg.report_dir, exist_ok=True)
@@ -334,13 +330,15 @@ def run(cfg: JobConfig) -> int:
         out_path = os.path.join(
             cfg.report_dir,
             f"{cfg.command}-{cfg.family}{_effective_rank(cfg)}.{suffix}")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if cfg.format == "json" or "error" in results:
+        _write_json_report(body, out_path)  # a failed computation has only the JSON form
+    else:
+        text = _WRITERS[cfg.command, cfg.format](results, cfg)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     # renders and tabular formats keep the JSON report alongside
     if cfg.format != "json":
-        json_path = os.path.splitext(out_path)[0] + ".report.json"
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(_json_report(body))
+        _write_json_report(body, os.path.splitext(out_path)[0] + ".report.json")
     return code
 
 

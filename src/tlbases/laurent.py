@@ -18,6 +18,8 @@ Z[v, v^-1] is an integral domain, so a fraction-free elimination (Bareiss,
 Math. Comp. 22, 1968) divides exactly at every step and runs on the Laurent
 entries directly: ``_bareiss`` gives the rank and last pivot of a matrix over
 the ring, for the forms' nondegeneracy and the calibration resultant.
+``_add_scaled`` accumulates scaled coefficients by key, for the diagram
+calculus and the canonical rows alike.
 """
 
 from __future__ import annotations
@@ -381,6 +383,16 @@ def invariant_completion(p: LaurentPoly) -> LaurentPoly:
     head = [(e, c) for e, c in p.terms if e >= 0]
     mirror = [(-e, c) for e, c in reversed(head) if e > 0]
     return p._from_terms(tuple(head + mirror))
+
+
+def _add_scaled(acc: dict, terms, scale) -> None:
+    """acc += scale * terms, for (key, coefficient) pairs over any ring whose
+    ``*`` takes the unit rule: a term times a unit scale, or a unit term
+    times the scale, adds the other factor itself."""
+    for k, c in terms:
+        c = c * scale
+        s = acc.get(k)
+        acc[k] = c if s is None else s + c
 
 
 def _bareiss(rows: List[Dict[int, LaurentPoly]]) -> Tuple[int, LaurentPoly]:

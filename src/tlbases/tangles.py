@@ -6,9 +6,11 @@ ordered sequence of decorations (circles and, in family B, squares).
 Composition concatenates rectangles and extracts the closed curves; a
 calibrated ``RuleSet`` then reduces them with one ``fold`` of decoration
 words, which values each closed loop and rewrites each edge carrying a
-square or more than one decoration.  ``DiagramCalculus.multiply`` is the one
-compose -> reduce -> accumulate loop behind generator actions, word
-evaluation and products.
+square or more than one decoration.  A generator touches only two arcs of
+the tangle it acts on, so ``DiagramCalculus.apply_gen`` rewrites those two
+and reduces: it is the one loop behind generator actions and, letter by
+letter, word evaluation.  ``DiagramCalculus.multiply`` composes whole
+tangles and is the general product.
 
 The scalar parameters of the reduction system are never hard-coded: they
 are solved exactly at three strands from the defining relations, each word
@@ -28,7 +30,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import TLAlgebra
 from .coxeter import CoxeterGraph
-from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent, _bareiss
+from .laurent import DELTA, ONE, ZERO, LaurentPoly, RationalLaurent, _add_scaled, _bareiss
 
 __all__ = [
     "Tangle",
@@ -72,6 +74,13 @@ def _end_sort_key(end: End):
     return (0 if end[0] == "N" else 1, end[1])
 
 
+def _edge_order(edge: Edge):
+    """The stored order of canonical edges: north-north, south-south, then
+    propagating, each kind by its first end (distinct within a kind)."""
+    a, b, _ = edge
+    return (0 if b[0] == "N" else 1 if a[0] == "S" else 2), a[1]
+
+
 class Tangle:
     """A crossing-free perfect matching with decorated west-exposed edges.
 
@@ -96,7 +105,7 @@ class Tangle:
                 a, b = b, a
                 decs = tuple(reversed(decs))
             canon.append((a, b, decs))
-        canon.sort(key=lambda e: (self._edge_kind(e), _end_sort_key(e[0]), _end_sort_key(e[1])))
+        canon.sort(key=_edge_order)
         self._store(n_north, n_south, tuple(canon))
         self._validate()
 
@@ -113,15 +122,6 @@ class Tangle:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_hash", hash((n_north, n_south, edges)))
         object.__setattr__(self, "_key", None)
-
-    @staticmethod
-    def _edge_kind(edge) -> int:
-        a, b = edge[0], edge[1]
-        if a[0] == "N" and b[0] == "N":
-            return 0
-        if a[0] == "S" and b[0] == "S":
-            return 1
-        return 2
 
     def __setattr__(self, name, value):
         raise AttributeError("Tangle is immutable")
@@ -266,11 +266,16 @@ def identity_tangle(n: int) -> Tangle:
     return Tangle(n, n, [(("N", i), ("S", i), ()) for i in range(1, n + 1)])
 
 
+def _cup(i: int) -> Tuple[Decor, ...]:
+    """The decorations of each arc of the generator at i, i+1."""
+    return ("c",) if i == 1 else ()
+
+
 def generator_U(family: str, n: int, i: int) -> Tangle:
     """Cup-cap generator: non-propagating pair at i, i+1, decorated iff i = 1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for {n} strands")
-    decs = ("c",) if i == 1 else ()
+    decs = _cup(i)
     edges: List[Edge] = [
         (("N", i), ("N", i + 1), decs),
         (("S", i), ("S", i + 1), decs),
@@ -334,6 +339,42 @@ def compose_raw(top: Tangle, bottom: Tangle) -> Tuple[Tangle, Tuple[Tuple[Decor,
     loops = sorted(_canonical_cycle(walk(p, 0)[1])
                    for p in range(n + 1, n + g + 1) if not seen[p])
     return Tangle._from_edges(n, m, kinds[0] + kinds[1] + kinds[2]), tuple(loops)
+
+
+def _act(t: Tangle, i: int, side: str) -> Tuple[Tangle, Tuple[Tuple[Decor, ...], ...]]:
+    """``compose_raw(t, U_i)`` for side "right", else ``compose_raw(U_i, t)``.
+
+    The generator's cup-cap touches only nodes i and i + 1 of the glued face
+    (t's south face on the right, its north face on the left).  If t joins
+    them to each other, the cup closes one loop; otherwise their partners p
+    and q are joined through the cup, decorations read p -> i -> cup -> i + 1
+    -> q.  The generator's other arc then joins i and i + 1 on that face of
+    the result.  Every other edge of t is kept as stored.
+    """
+    face = "S" if side == "right" else "N"
+    x, y = (face, i), (face, i + 1)
+    cup = _cup(i)
+    edges: List[Edge] = []
+    away = {}  # x and y: (partner, decorations read from the node)
+    for e in t.edges:
+        a, b, decs = e
+        if a == x or a == y:
+            away[a] = (b, decs)
+        elif b == x or b == y:
+            away[b] = (a, decs[::-1])
+        else:
+            edges.append(e)
+    (p, dp), loops = away[x], ()
+    if p == y:
+        loops = (_canonical_cycle(dp + cup),)
+    else:
+        q, dq = away[y]
+        joined = dp[::-1] + cup + dq
+        edges.append((p, q, joined) if _end_sort_key(p) < _end_sort_key(q)
+                     else (q, p, joined[::-1]))
+    edges.append((x, y, cup))
+    edges.sort(key=_edge_order)
+    return Tangle._from_edges(t.n_north, t.n_south, edges), loops
 
 
 def _canonical_cycle(decs: Tuple[Decor, ...]) -> Tuple[Decor, ...]:
@@ -550,14 +591,6 @@ def reduce_composition(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
     return DiagramElement(rules.family, tangle.n_north, _reduce(tangle, loops, rules))
 
 
-def _add_scaled(acc: Dict[Tangle, object], terms, scale) -> None:
-    """acc += scale * terms, for (tangle, coefficient) pairs."""
-    for t, c in terms:
-        c = c * scale
-        s = acc.get(t)
-        acc[t] = c if s is None else s + c
-
-
 # ---------------------------------------------------------------------------
 # evaluation of words
 
@@ -574,12 +607,20 @@ class DiagramCalculus:
         return DiagramElement(self.family, n, {identity_tangle(n): self.rules.one()})
 
     def gen_element(self, n: int, i: int) -> DiagramElement:
-        scale = self.rules.const(2) if (self.family == "B" and i == 1) else self.rules.one()
-        return DiagramElement(self.family, n, {generator_U(self.family, n, i): scale})
+        return self.evaluate_word(n, (i,))
 
     def apply_gen(self, elem: DiagramElement, i: int, side: str = "right") -> DiagramElement:
-        gen = self.evaluate_word(elem.n, (i,))
-        return self.multiply(elem, gen) if side == "right" else self.multiply(gen, elem)
+        """elem * b_i (side "right"), else b_i * elem: the calculus's one loop
+        of generator actions.  Each term's tangle is rewritten at the two
+        arcs the generator touches (``_act``), then reduced."""
+        if not 1 <= i <= elem.n - 1:
+            raise ValueError(f"generator index {i} out of range for {elem.n} strands")
+        # the image of b_i is 2 U_1 at i = 1 in family B, else U_i
+        scale = self.rules.const(2) if (self.family == "B" and i == 1) else self.rules.one()
+        acc: Dict[Tangle, object] = {}
+        for t, c in elem.coeffs:
+            _add_scaled(acc, _reduce(*_act(t, i, side), self.rules).items(), c * scale)
+        return DiagramElement(self.family, elem.n, acc)
 
     def evaluate_word(self, n: int, word: Sequence[int]) -> DiagramElement:
         w = tuple(word)
@@ -587,12 +628,10 @@ class DiagramCalculus:
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        if not w:
-            out = self.one(n)
-        elif len(w) == 1:
-            out = self.gen_element(n, w[0])
+        if w:
+            out = self.apply_gen(self.evaluate_word(n, w[:-1]), w[-1], "right")
         else:
-            out = self.multiply(self.evaluate_word(n, w[:-1]), self.evaluate_word(n, w[-1:]))
+            out = self.one(n)
         self._eval_cache[key] = out
         return out
 
@@ -608,7 +647,8 @@ class DiagramCalculus:
         return DiagramElement(self.family, n, acc)
 
     def multiply(self, a: DiagramElement, b: DiagramElement) -> DiagramElement:
-        """The one compose -> reduce -> accumulate loop of the calculus."""
+        """The general product: every pair of terms composed whole
+        (``compose_raw``), reduced and accumulated."""
         acc: Dict[Tangle, object] = {}
         for t1, c1 in a.coeffs:
             for t2, c2 in b.coeffs:

@@ -55,6 +55,19 @@ def test_basis_b2_canonical_dump(tmp_path):
         {"word": "1", "poly": "-1"}, {"word": "1,2,1", "poly": "1"}]
 
 
+def test_json_reports_are_indented_dumps_of_their_body(tmp_path):
+    # reports are streamed to the file; the bytes, sidecar included, are
+    # those of json.dumps of the body with a final newline
+    argv = ["--command", "basis", "--family", "H", "--rank", "4", "--basis", "ttilde"]
+    assert run_args(argv, tmp_path, "out.json")[0] == EXIT_PASS
+    assert run_args(argv + ["--format", "csv"], tmp_path, "out.csv")[0] == EXIT_PASS
+    report, sidecar = ((tmp_path / name).read_text(encoding="utf-8")
+                       for name in ("out.json", "out.report.json"))
+    assert len(report) > 900_000
+    for text in (report, sidecar):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_basis_diagram_dump(tmp_path):
     code, out = run_args(
         ["--command", "basis", "--family", "H", "--rank", "2", "--basis", "diagram"],

@@ -296,3 +296,15 @@ def test_form_space_dimension_is_an_orbit_count():
                      and node.name == "solution_space_dimension")
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(dimension)}
     assert "_bareiss" not in names
+
+
+def test_generator_actions_compose_no_whole_tangles():
+    # a generator rewrites only the two arcs it touches: generator actions
+    # and word evaluation go through the action, never the general product
+    callees = {}
+    for module, owner, callee in _calls_by_owner({"compose_raw", "multiply", "_act",
+                                                  "apply_gen"}):
+        if module == "tangles.py":
+            callees.setdefault(owner, set()).add(callee)
+    assert callees["apply_gen"] == {"_act"}, callees
+    assert callees["evaluate_word"] == {"apply_gen"}, callees

@@ -360,19 +360,49 @@ def test_compose_matches_incidence_reference_on_four_strand_sample():
         _check_compose(rng.choice(shapes[(a, b)]), rng.choice(shapes[(b, c)]))
 
 
+def _check_act(n):
+    """``_act`` against ``compose_raw`` with the generator, on every tangle of
+    ``_decorated_tangles(n, n)``, every generator and both sides: the same
+    tangle, stored edge tuple and loops.  Returns the triples checked."""
+    triples, tangles = 0, _decorated_tangles(n, n)
+    for i in range(1, n):
+        u = generator_U("H", n, i)
+        for t in tangles:
+            for side, want in (("right", compose_raw(t, u)), ("left", compose_raw(u, t))):
+                got = tangles_mod._act(t, i, side)
+                assert got == want, (t, i, side)
+                assert got[0].edges == want[0].edges and hash(got[0]) == hash(want[0])
+                triples += 1
+    return triples
+
+
+def test_generator_action_matches_compose_up_to_five_strands():
+    # words that are not their own reversal on both edges at the glued
+    # nodes catch a partner edge read from the wrong end; reduced tangles
+    # carry one decoration per edge and cannot
+    assert sum(_check_act(n) for n in range(2, 6)) == 65_060
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the six-strand generator action check")
+def test_generator_action_matches_compose_at_six_strands():
+    assert _check_act(6) == 447_600
+
+
 @pytest.mark.parametrize("family", ["H", "B"])
 def test_trusted_tangles_revalidate_at_five_strands(family, monkeypatch):
-    # compose_raw and edge folding skip validation; every tangle they build
-    # on the way to the FC words' images must pass the public constructor
-    import tlbases.tangles as tangles_mod
+    # the generator action and edge folding skip validation; every tangle
+    # they build on the way to the FC words' images must pass the public
+    # constructor
     built = []
+    act = tangles_mod._act
 
-    def recording(top, bottom):
-        out = compose_raw(top, bottom)
+    def recording(t, i, side):
+        out = act(t, i, side)
         built.append(out[0])
         return out
 
-    monkeypatch.setattr(tangles_mod, "compose_raw", recording)
+    monkeypatch.setattr(tangles_mod, "_act", recording)
     rules = RULES_H if family == "H" else RULES_B
     calc = DiagramCalculus(rules)
     words = TLAlgebra(CoxeterGraph(family, 4)).fc_words()
@@ -1334,15 +1364,21 @@ def test_reduce_composition_matches_references(name, rules):
             assert _elem_terms(got) == _elem_terms(_ref_reduce(t, loops, rules)), (t, loops)
 
 
-@pytest.mark.parametrize("family", ["H", "B"])
-def test_apply_gen_matches_per_term_compose_loop(family):
-    rules, calc = (RULES_H, CALC_H) if family == "H" else (RULES_B, CALC_B)
-    for w in TLAlgebra(CoxeterGraph(family, 3)).fc_words():
-        elem = DiagramElement(family, 4, {identity_tangle(4): rules.one()})
-        for s in w:
-            elem = _ref_apply_gen(rules, elem, s, "right")
-        assert calc.evaluate_word(4, w) == elem, w
-        for i in range(1, 4):
-            for side in ("left", "right"):
-                assert calc.apply_gen(elem, i, side) == \
-                    _ref_apply_gen(rules, elem, i, side), (w, i, side)
+@pytest.mark.parametrize("name,rules", RULE_SETS, ids=[n for n, _ in RULE_SETS])
+def test_apply_gen_matches_per_term_compose_loop(name, rules):
+    # the generator action against whole-tangle composition on the images of
+    # every FC word of ranks 3 and 4, with calibrated and symbolic scalars
+    def key(elem):  # symbolic scalars compare by their terms
+        return elem.family, elem.n, _elem_terms(elem)
+
+    calc = DiagramCalculus(rules)
+    for n in (4, 5):
+        for w in TLAlgebra(CoxeterGraph(rules.family, n - 1)).fc_words():
+            elem = DiagramElement(rules.family, n, {identity_tangle(n): rules.one()})
+            for s in w:
+                elem = _ref_apply_gen(rules, elem, s, "right")
+            assert key(calc.evaluate_word(n, w)) == key(elem), w
+            for i in range(1, n):
+                for side in ("left", "right"):
+                    assert key(calc.apply_gen(elem, i, side)) == \
+                        key(_ref_apply_gen(rules, elem, i, side)), (w, i, side)
