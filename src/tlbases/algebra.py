@@ -469,14 +469,6 @@ class TLAlgebra:
             return float("-inf")
         return max(c.degree for _, c in coords)
 
-    def pi_equal(self, a: AlgebraElement, b: AlgebraElement) -> bool:
-        """Equality of degree-0 lattice parts: a - b lands in v^-1 * L."""
-        if self.lattice_degree(a) > 0 or self.lattice_degree(b) > 0:
-            raise ValueError("projection is only defined on lattice elements")
-        am, bm = self.to_monomial(a), self.to_monomial(b)
-        diff = _settle(_merge(_merge({}, dict(am.coords), ONE), dict(bm.coords), -ONE))
-        return all(c.degree <= -1 for c in diff.values())
-
     # -- canonical basis -----------------------------------------------------
 
     def canonical_table(self) -> Dict[Word, Coords]:

@@ -542,18 +542,17 @@ def _fc_heap(graph: CoxeterGraph, word: Sequence[int]) -> _Heap:
 
 
 def classify_letters(graph: CoxeterGraph, word: Sequence[int]) -> LetterClassification:
-    return _taxonomy(_fc_heap(graph, word))[0]
+    return _taxonomy(_fc_heap(graph, word))
 
 
-def _taxonomy(heap: _Heap) -> Tuple[LetterClassification, FrozenSet[int]]:
-    """The taxonomy and the r-set of the heap's word, read off the heap.
+def _taxonomy(heap: _Heap) -> LetterClassification:
+    """The taxonomy of the heap's word, read off the heap.
 
     The flanks q p q with m(p, q) >= 3, as (left, middle, right) positions,
     are the consecutive occurrences of q with one piece p between them; bad
     and critical letters are read off the runs of their patterns (a position
     keeps the first critical label found).  Internal letters are the middles;
-    an external side is lateral, and bilateral when it flanks two middles;
-    the r-set holds the middles whose right side is bilateral.
+    an external side is lateral, and bilateral when it flanks two middles.
     """
     graph, w, n = heap.graph, heap.word, len(heap.word)
     flanks, last = [], {}
@@ -588,8 +587,7 @@ def _taxonomy(heap: _Heap) -> Tuple[LetterClassification, FrozenSet[int]]:
             raise AssertionError(f"bilateral letter at {i} is not generator 1 in {w}")
         if cls.bad[i] and not (w[i] == 2 and cls.is_lateral(i)):
             raise AssertionError(f"bad letter at {i} is not a lateral 2 in {w}")
-    rset = frozenset(mid for _, mid, right in flanks if category[right] == "bilateral")
-    return cls, rset
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +625,19 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int]) -> RightJustified:
 
     Reads the taxonomy off the heap and calls a maximal run of non-plain
     letters a run; the answer is the lexicographically first class member in
-    which every run is one of the six block shapes, every bilateral letter
-    opens its run and every run ending on an internal letter ends on an
-    r-set letter.  (So an internal letter never opens a run, and one outside
-    the r-set has non-plain neighbours on both sides.)  Each rule is decided
-    on a prefix, so the class walk cuts a branch at its first violation and
-    the first member it yields is the answer.
+    which every run is one of the six block shapes and every bilateral letter
+    opens its run.  Each rule is decided on a prefix, so the class walk cuts
+    a branch at its first violation, and its first member is the answer.
+
+    The shapes imply that a run ending on an internal p has p's right flank
+    j (of q p q) bilateral.  In an FC heap m(p, q) >= 4, so {p, q} = {1, 2},
+    and j is non-plain and above p.  Shapes alternate labels, so were j not
+    first in its run, the letter before it would be the last p below j, p,
+    which closed an earlier run.  So j opens a run, as an external letter,
+    and also flanks the internal letter after it.
     """
     heap = _fc_heap(graph, word)
-    cls, rset = _taxonomy(heap)
+    cls = _taxonomy(heap)
     w, n = heap.word, len(heap.word)
     tags = tuple(None if role == "plain" else (s, role == "internal")
                  for s, role in zip(w, cls.category))
@@ -652,7 +654,7 @@ def right_justify(graph: CoxeterGraph, word: Sequence[int]) -> RightJustified:
             return False
         if tags[j] and len(order) + 1 < n:
             return key in _PREFIXES
-        return not run or key in _SHAPES and (not key[-1][1] or run[-1] in rset)
+        return not run or key in _SHAPES
 
     order = next(heap.extensions(admit=admit), None)
     if order is None:

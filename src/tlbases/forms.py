@@ -12,7 +12,7 @@ the number of orbits of w -> w^-1 on the basis (``solution_space_dimension``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from .algebra import Coords, TLAlgebra, _combine
 from .coxeter import CoxeterGraph, Word, normal_form
@@ -24,33 +24,32 @@ __all__ = ["GramCandidate", "natural_gram_candidate", "gram_check",
 
 @dataclass
 class GramCandidate:
-    """A symmetric-by-construction bilinear form on the t-basis."""
+    """A bilinear form on the t-basis: rows[w][x] = B(t~_w, t~_x), missing entries 0."""
 
     graph: CoxeterGraph
-    entries: Dict[Tuple[Word, Word], LaurentPoly]
+    rows: Dict[Word, Coords]
 
     def entry(self, w: Word, x: Word) -> LaurentPoly:
-        return self.entries.get((w, x), ZERO)
+        return self.rows.get(w, {}).get(x, ZERO)
+
+
+def _row_steps(alg: TLAlgebra) -> Dict[int, Dict[Word, Coords]]:
+    """The row step B(t~_{s u}, .) = B(t~_u, t~_s .): L_s^T by generator s."""
+    return {s: _transpose(table) for s, table in alg.ttilde_left_table().items()}
 
 
 def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
     """The trace form: pair two basis elements through the identity coefficient.
 
     The first argument is reversed (an anti-automorphism fixes each
-    generator), which makes anti-associativity hold by construction; whether
-    the form is nondegenerate and unitriangular is then checked, not assumed.
-    For w = s u, t~_{w^-1} t~_x = t~_{u^-1} (t~_s t~_x), so the row of w is
-    the row of u combined with the rows of t~_s's transposed left
-    multiplication table: one row step per basis word.  A suffix of a normal
-    word is normal and shorter, so u's row is built before w's.
+    generator), so the row step (``gram_check``) builds the form from its
+    first row; nondegeneracy and unitriangularity are checked, not assumed.
     """
-    words = alg.fc_words()
-    right = {s: _transpose(table) for s, table in alg.ttilde_left_table().items()}
+    steps = _row_steps(alg)
     rows: Dict[Word, Coords] = {(): {(): ONE}}
-    for w in words[1:]:
-        rows[w] = _combine(rows[w[1:]], right[w[0]])
-    entries = {(w, x): rows[w].get(x, ZERO) for w in words for x in words}
-    return GramCandidate(alg.graph, entries)
+    for w in alg.fc_words()[1:]:
+        rows[w] = _combine(rows[w[1:]], steps[w[0]])
+    return GramCandidate(alg.graph, rows)
 
 
 def _transpose(table: Dict[Word, Coords]) -> Dict[Word, Coords]:
@@ -63,23 +62,29 @@ def _transpose(table: Dict[Word, Coords]) -> Dict[Word, Coords]:
 
 
 def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
-    """Exact checks of the four bilinear-form conditions, each True or False.
+    """Exact checks of the four bilinear-form conditions, each True or False;
+    a key that is not the normal word of an FC element is a ValueError.
 
-    A form unitriangular mod v^-1 has determinant 1 + v^-1·(…), so it is
-    nondegenerate without elimination; any other form is eliminated.
+    Gram rows G are anti-associative iff G[s u] = _combine(G[u], L_s^T) for
+    every nonempty normal word s u (``_row_steps``).  =>: t~_{s u} = t~_s t~_u,
+    so G[s u][x] = B(t~_u, t~_s t~_x) = sum_y G[u][y] L_s[x][y].  <=: the
+    recursion fixes G from its first row phi, and the anti-associative form
+    phi(iota(a) b) of ``solution_space_dimension`` obeys it with that first
+    row, as iota(t~_s t~_u) = iota(t~_u) t~_s.  A form unitriangular mod v^-1
+    has determinant 1 + v^-1·(…), so it is nondegenerate without elimination;
+    any other form is eliminated.
     """
     words = alg.fc_words()
-    symmetric = all(cand.entry(w, x) == cand.entry(x, w)
-                    for w in words for x in words)
-    # B(t_s t_w, .) against B(t_w, t_s .), both as rows over the basis
-    gram = {w: {x: c for x in words if (c := cand.entry(w, x))} for w in words}
-    tables = [(t, _transpose(t)) for t in alg.ttilde_left_table().values()]
-    anti = all(_combine(left[w], gram) == _combine(gram[w], right)
-               for left, right in tables for w in words)
+    if stray := {k for w, row in cand.rows.items() for k in (w, *row)} - set(words):
+        raise ValueError(f"not normal words of FC elements: {sorted(stray)}")
+    gram = {w: {x: c for x, c in cand.rows.get(w, {}).items() if c} for w in words}
+    symmetric = gram == _transpose(gram)
+    steps = _row_steps(alg)
+    anti = all(gram[w] == _combine(gram[w[1:]], steps[w[0]]) for w in words[1:])
     # G - I has every entry in v^-1 Z[v^-1]
-    unitri = all((cand.entry(w, x) - (ONE if w == x else ZERO)).degree <= -1
-                 for w in words for x in words)
-    nondeg = unitri or _bareiss([{j: cand.entry(w, x) for j, x in enumerate(words)}
+    unitri = all(w in row and all((c - ONE if x == w else c).degree <= -1 for x, c in row.items())
+                 for w, row in gram.items())
+    nondeg = unitri or _bareiss([{j: gram[w].get(x, ZERO) for j, x in enumerate(words)}
                                  for w in words])[0] == len(words)
     return {
         "symmetric": symmetric,

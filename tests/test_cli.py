@@ -413,8 +413,8 @@ def test_calibration_suite_rejects_family_a(tmp_path):
 def test_gram_check_identity_candidate():
     alg = TLAlgebra(CoxeterGraph("B", 2))
     words = [e.word for e in alg.fc_elements()]
-    ident = GramCandidate(alg.graph, {(w, x): ONE if w == x else ZERO
-                                      for w in words for x in words})
+    ident = GramCandidate(alg.graph, {w: {x: ONE if w == x else ZERO for x in words}
+                                      for w in words})
     res = gram_check(alg, ident)
     assert res["symmetric"] is True
     assert res["unitriangular_mod_vinv"] is True
@@ -425,9 +425,9 @@ def test_gram_check_identity_candidate():
 def test_gram_check_zero_row_degenerate():
     alg = TLAlgebra(CoxeterGraph("B", 2))
     words = [e.word for e in alg.fc_elements()]
-    cand = GramCandidate(alg.graph, {(w, x): ZERO if w == words[0] else
-                                     (ONE if w == x else ZERO)
-                                     for w in words for x in words})
+    cand = GramCandidate(alg.graph, {w: {x: ZERO if w == words[0] else
+                                         (ONE if w == x else ZERO) for x in words}
+                                     for w in words})
     assert gram_check(alg, cand)["nondegenerate"] is False
 
 
@@ -494,7 +494,7 @@ def _gram_check_report(tmp_path, monkeypatch, candidate):
 def test_gram_check_decides_scaled_identity_at_b3(tmp_path, monkeypatch):
     # v*I at B3: not unitriangular mod v^-1, and 24 x 24 is eliminated exactly
     def scaled_identity(alg):
-        return GramCandidate(alg.graph, {(e.word, e.word): V for e in alg.fc_elements()})
+        return GramCandidate(alg.graph, {e.word: {e.word: V} for e in alg.fc_elements()})
     body = _gram_check_report(tmp_path, monkeypatch, scaled_identity)
     assert body["checks"]["nondegenerate"] is True
     assert body["checks"]["unitriangular_mod_vinv"] is False
@@ -504,7 +504,7 @@ def test_gram_check_decides_scaled_identity_at_b3(tmp_path, monkeypatch):
 def test_gram_check_zero_row_at_b3_is_degenerate(tmp_path, monkeypatch):
     def identity_with_zero_row(alg):
         words = [e.word for e in alg.fc_elements()]
-        return GramCandidate(alg.graph, {(w, w): ONE for w in words[1:]})
+        return GramCandidate(alg.graph, {w: {w: ONE} for w in words[1:]})
     body = _gram_check_report(tmp_path, monkeypatch, identity_with_zero_row)
     assert body["checks"]["nondegenerate"] is False
     assert body["witness_found"] is False

@@ -786,7 +786,7 @@ def _check_taxonomy_against_class_scan(graph):
             ref_cls = _ref_classify(graph, w, bfs)
             ref_rset = _ref_r_set(graph, w, lex, ref_cls.category)
             assert classify_letters(graph, w) == ref_cls, w
-            assert coxeter._taxonomy(_Heap(graph, w)) == (ref_cls, ref_rset), w
+            assert coxeter._taxonomy(_Heap(graph, w)) == ref_cls, w
             assert _ref_one_pass_taxonomy(graph, w, lex) == (ref_cls, ref_rset), w
             assert right_justify(graph, w) == \
                 _right_justify_on(graph, w, ref_cls, ref_rset, lex), w
@@ -800,15 +800,33 @@ def _check_taxonomy_against_class_scan(graph):
 def _right_justify_on(graph, word, cls, rset, orders):
     """``_ref_right_justify`` run on the given taxonomy, r-set and member orders."""
     with mock.patch.object(_Heap, "extensions", lambda self, descending=False: iter(orders)), \
-            mock.patch.object(coxeter, "_taxonomy", lambda heap: (cls, rset)):
-        return _ref_right_justify(graph, word)
+            mock.patch.object(coxeter, "_taxonomy", lambda heap: cls):
+        return _ref_right_justify(graph, word, rset)
 
 
-def _ref_right_justify(graph, word):
+def _ref_heap_r_set(heap, category):
+    """The internal letters p of the flanks q p q of the heap whose right q is
+    bilateral: the r-set as the search read it off its flanks."""
+    w, out, last = heap.word, set(), {}
+    for j, q in enumerate(w):
+        i, last[q] = last.get(q, j), j
+        between = heap.above[i] & heap.below[j]
+        p = between.bit_length() - 1
+        if between.bit_count() == 1 and heap.graph.bonds[q][w[p]] >= 3 \
+                and category[j] == "bilateral":
+            out.add(p)
+    return frozenset(out)
+
+
+def _ref_right_justify(graph, word, rset=None):
     """The lazy walk: every class member in lexicographic order, each given
-    the neighbour scan and parsed into blocks, up to the first that passes."""
+    the neighbour scan, which keeps the r-set rule, and parsed into blocks,
+    up to the first that passes.  The r-set is read off the heap's flanks
+    unless given."""
     heap = coxeter._fc_heap(graph, word)
-    cls, rset = coxeter._taxonomy(heap)
+    cls = coxeter._taxonomy(heap)
+    if rset is None:
+        rset = _ref_heap_r_set(heap, cls.category)
     w, n = heap.word, len(heap.word)
 
     def parse_blocks(letters, lr):
@@ -887,7 +905,7 @@ def test_taxonomy_agrees_with_the_one_pass_reading_b6():
     for e in enumerate_fc(b6):
         lex = _ref_orders(b6, e.word)
         ref_cls, ref_rset = _ref_one_pass_taxonomy(b6, e.word, lex)
-        assert coxeter._taxonomy(_Heap(b6, e.word)) == (ref_cls, ref_rset), e.word
+        assert coxeter._taxonomy(_Heap(b6, e.word)) == ref_cls, e.word
         assert right_justify(b6, e.word) == \
             _right_justify_on(b6, e.word, ref_cls, ref_rset, lex), e.word
 
@@ -907,8 +925,7 @@ def test_taxonomy_agrees_with_class_scan_on_words_that_are_not_fc(family):
                 coxeter._taxonomy(_Heap(g, w))
             assert str(got.value) == str(exc), w
             continue
-        ref_rset = _ref_r_set(g, w, orders, ref_cls.category)
-        assert coxeter._taxonomy(_Heap(g, w)) == (ref_cls, ref_rset), w
+        assert coxeter._taxonomy(_Heap(g, w)) == ref_cls, w
 
 
 @pytest.mark.parametrize("word", [(1, 3, 2, 1, 5, 4, 3, 2, 1, 2, 3, 4, 5),
@@ -920,8 +937,7 @@ def test_critical_search_crosses_letters_commuting_with_h(word):
     lex = _ref_orders(h5, word)
     ref_cls = _ref_classify(h5, word, lex)
     assert {"ii", "iii"} & set(ref_cls.critical)
-    assert coxeter._taxonomy(_Heap(h5, word)) == \
-        (ref_cls, _ref_r_set(h5, word, lex, ref_cls.category))
+    assert coxeter._taxonomy(_Heap(h5, word)) == ref_cls
 
 
 def test_classify_letters_builds_no_class(monkeypatch):

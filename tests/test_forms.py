@@ -5,17 +5,19 @@ The references below are the replaced code, kept here: the bitmask
 expansion of the exact determinant, the solver system of the symmetric
 anti-associative forms eliminated by Bareiss and its sympy rank over Q(v),
 the trace form by one full product per pair of basis elements, the
-anti-associativity check one term at a time, and the t~ left-multiplication
-tables by one full product per generator and basis element.
+anti-associativity check one term at a time and as the two-sided comparison
+of row combinations, and the t~ left-multiplication tables by one full
+product per generator and basis element.
 """
 
+import functools
 import itertools
 import os
 import random
 
 import pytest
 
-from tlbases.algebra import TLAlgebra
+from tlbases.algebra import TLAlgebra, _combine
 from tlbases.coxeter import CoxeterGraph, normal_form
 from tlbases.forms import (
     GramCandidate,
@@ -46,25 +48,33 @@ def test_ttilde_left_table_matches_products(name):
     assert alg.ttilde_left_table() == _ref_left_mult_tables(alg, alg.fc_words())
 
 
-def _ref_natural_gram_entries(alg):
-    """The trace form by one product and one t~-conversion per pair."""
+@functools.lru_cache(maxsize=None)
+def _ref_pair_products(name):
+    """t~_{w^-1} t~_x in t~-coordinates for every pair of basis words, by one
+    product and one t~-conversion per pair."""
+    alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
     words = [e.word for e in alg.fc_elements()]
-    entries = {}
-    for w in words:
-        for x in words:
-            prod = alg.multiply(alg.ttilde_element(tuple(reversed(w))),
-                                alg.ttilde_element(x))
-            entries[(w, x)] = alg.to_basis(prod, "ttilde").coeff(())
-    return entries
+    return {(w, x): alg.to_basis(alg.multiply(alg.ttilde_element(tuple(reversed(w))),
+                                              alg.ttilde_element(x)), "ttilde").as_dict()
+            for w in words for x in words}
+
+
+def _ref_form_from_functional(name, phi):
+    """The gram rows of B(a, b) = phi(iota(a) b), phi given on the t~-basis:
+    B(t~_w, t~_x) = phi(t~_{w^-1} t~_x), zeros included."""
+    rows = {}
+    for (w, x), prod in _ref_pair_products(name).items():
+        rows.setdefault(w, {})[x] = sum((c * phi[y] for y, c in prod.items() if y in phi), ZERO)
+    return rows
 
 
 def _check_natural_gram_entries(name):
     alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
-    entries = natural_gram_candidate(alg).entries
-    want = _ref_natural_gram_entries(alg)
-    # every pair is stored, zeros included
-    assert entries == want and len(entries) == len(alg.fc_elements()) ** 2
-    assert any(not c for c in entries.values())
+    cand = natural_gram_candidate(alg)
+    want = _ref_form_from_functional(name, {(): ONE})
+    # the rows hold the nonzero entries only, one row per basis word
+    assert cand.rows == {w: {x: c for x, c in row.items() if c} for w, row in want.items()}
+    assert any(not c for row in want.values() for c in row.values())
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3", "H3"])
@@ -108,6 +118,16 @@ def _ref_anti_associative(alg, cand):
     return anti
 
 
+def _ref_two_sided_anti_associative(alg, cand):
+    """B(t_s t_w, .) against B(t_w, t_s .), both as row combinations, for
+    every generator s and word w: two row products per pair."""
+    words = alg.fc_words()
+    gram = {w: {x: c for x in words if (c := cand.entry(w, x))} for w in words}
+    tables = [(t, _transpose(t)) for t in alg.ttilde_left_table().values()]
+    return all(_combine(left[w], gram) == _combine(gram[w], right)
+               for left, right in tables for w in words)
+
+
 def _one_entry_perturbations(alg, cand, rng):
     """The candidate with one entry changed, alone and with its mirror.
 
@@ -118,14 +138,25 @@ def _one_entry_perturbations(alg, cand, rng):
     words = alg.fc_words()
     out = []
     for mirrored in (False, True, False, True):
-        entries = dict(cand.entries)
+        rows = {w: dict(row) for w, row in cand.rows.items()}
         w, x = rng.choice(words), rng.choice(words)
         delta = LaurentPoly({-rng.randint(1, 3): rng.choice((-2, -1, 1, 2))})
-        entries[(w, x)] = cand.entry(w, x) + delta
+        rows.setdefault(w, {})[x] = cand.entry(w, x) + delta
         if mirrored and w != x:
-            entries[(x, w)] = cand.entry(x, w) + delta
-        out.append(GramCandidate(alg.graph, entries))
+            rows.setdefault(x, {})[w] = cand.entry(x, w) + delta
+        out.append(GramCandidate(alg.graph, rows))
     return out
+
+
+def _check_anti_associativity(alg, candidates):
+    """Each candidate's verdict against both references; the verdicts."""
+    verdicts = []
+    for cand in candidates:
+        anti = gram_check(alg, cand)["anti_associative"]
+        assert anti == _ref_anti_associative(alg, cand) == \
+            _ref_two_sided_anti_associative(alg, cand)
+        verdicts.append(anti)
+    return verdicts
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3", "H3"])
@@ -133,13 +164,48 @@ def test_anti_associativity_matches_the_per_term_loop(name):
     alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
     natural = natural_gram_candidate(alg)
     rng = random.Random(sum(map(ord, name)) + 2)
-    verdicts = []
-    for cand in [natural] + _one_entry_perturbations(alg, natural, rng):
-        checks = gram_check(alg, cand)
-        assert checks["unitriangular_mod_vinv"], name
-        assert checks["anti_associative"] == _ref_anti_associative(alg, cand), name
-        verdicts.append(checks["anti_associative"])
+    candidates = [natural] + _one_entry_perturbations(alg, natural, rng)
+    assert all(gram_check(alg, cand)["unitriangular_mod_vinv"] for cand in candidates)
+    verdicts = _check_anti_associativity(alg, candidates)
     assert verdicts[0] and set(verdicts) == {True, False}, verdicts
+
+
+def _random_functionals(alg, rng):
+    """Functionals phi on the t~-basis: arbitrary at rank <= 2; at rank 3 the
+    identity coefficient plus terms of degree below -2 * (longest length),
+    which keep phi(t~_{w^-1} t~_x) unitriangular mod v^-1, so the forms skip
+    the elimination."""
+    words = alg.fc_words()
+    out = []
+    for _ in range(3):
+        if alg.graph.rank <= 2:
+            phi = {y: _random_poly(rng) for y in words}
+        else:
+            low = -2 * len(words[-1]) - 1
+            phi = {(): ONE}
+            for y in rng.sample(words, 4):
+                phi[y] = phi.get(y, ZERO) + LaurentPoly({low - rng.randint(0, 2): rng.choice((-1, 1))})
+        out.append(phi)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3", "H3"])
+def test_anti_associativity_of_forms_from_a_first_row(name):
+    # B(a, b) = phi(iota(a) b) is anti-associative for every phi, and not
+    # symmetric unless phi is iota-invariant: the rows from a random first row
+    # are anti-associative, and each one-entry change of them is not
+    alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
+    rng = random.Random(sum(map(ord, name)) + 3)
+    verdicts, symmetric = [], []
+    for phi in _random_functionals(alg, rng):
+        form = GramCandidate(alg.graph, _ref_form_from_functional(name, phi))
+        checks = gram_check(alg, form)
+        assert checks["unitriangular_mod_vinv"] == (alg.graph.rank > 2)
+        symmetric.append(checks["symmetric"])
+        verdicts += _check_anti_associativity(
+            alg, [form] + _one_entry_perturbations(alg, form, rng))
+    assert verdicts[::5] == [True] * 3 and set(verdicts) == {True, False}, verdicts
+    assert not any(symmetric), symmetric
 
 
 def _ref_exact_det(rows):
@@ -347,10 +413,33 @@ def test_gram_check_decides_nondegeneracy_of_small_forms():
     alg = ALGEBRAS["B2"]
     words = [e.word for e in alg.fc_elements()]
     # v*I is not unitriangular mod v^-1 but nonsingular
-    cand = GramCandidate(alg.graph, {(w, w): V for w in words})
+    cand = GramCandidate(alg.graph, {w: {w: V} for w in words})
     res = gram_check(alg, cand)
     assert res["unitriangular_mod_vinv"] is False
     assert res["nondegenerate"] is True
     # the all-ones form has rank 1
-    ones = GramCandidate(alg.graph, {(w, x): ONE for w in words for x in words})
+    ones = GramCandidate(alg.graph, {w: {x: ONE for x in words} for w in words})
     assert gram_check(alg, ones)["nondegenerate"] is False
+    # a zero stored in a row is a zero entry, and a missing row a zero row
+    identity = gram_check(alg, GramCandidate(alg.graph, {w: {w: ONE} for w in words}))
+    stored = GramCandidate(alg.graph, {w: {(): ZERO, w: ONE} for w in words})
+    assert gram_check(alg, stored) == identity and identity["symmetric"]
+    assert gram_check(alg, GramCandidate(alg.graph, {}))["nondegenerate"] is False
+
+
+def test_gram_check_rejects_keys_that_are_not_normal_words():
+    # at A3, (3, 1) is a reduced word of the FC element whose normal word is
+    # (1, 3); read as a key it used to be an ignored entry, so the verdict
+    # was computed on zeros
+    alg = ALGEBRAS["A3"]
+    assert normal_form(alg.graph, (3, 1)) == (1, 3)
+    rows = natural_gram_candidate(alg).rows
+
+    def renamed(key):
+        return (3, 1) if key == (1, 3) else key
+
+    as_row = {renamed(w): row for w, row in rows.items()}
+    as_column = {w: {renamed(x): c for x, c in row.items()} for w, row in rows.items()}
+    for bad in (as_row, as_column, {(4,): {}}, {(): {(1, 1): ONE}}):
+        with pytest.raises(ValueError, match="not normal words of FC elements"):
+            gram_check(alg, GramCandidate(alg.graph, bad))

@@ -308,3 +308,18 @@ def test_generator_actions_compose_no_whole_tangles():
             callees.setdefault(owner, set()).add(callee)
     assert callees["apply_gen"] == {"_act"}, callees
     assert callees["evaluate_word"] == {"apply_gen"}, callees
+
+
+def test_gram_check_steps_rows_like_the_trace_form():
+    # one row step builds the trace form and decides anti-associativity: the
+    # checker reads the left tables only through the helper the trace form
+    # uses, a form is its rows, and right-justification keeps no r-set
+    callees = {}
+    for module, owner, callee in _calls_by_owner({"_row_steps", "ttilde_left_table"}):
+        if module == "forms.py":
+            callees.setdefault(owner, set()).add(callee)
+    assert callees == {"_row_steps": {"ttilde_left_table"}, "gram_check": {"_row_steps"},
+                       "natural_gram_candidate": {"_row_steps"}}, callees
+    assert "entries" not in tlbases.GramCandidate.__dataclass_fields__
+    assert "rset" not in (SRC / "coxeter.py").read_text(encoding="utf-8")
+    assert not hasattr(tlbases.TLAlgebra, "pi_equal")
