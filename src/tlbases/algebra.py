@@ -34,7 +34,7 @@ from .coxeter import (
     right_justify,
     word_str,
 )
-from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, _add_scaled, invariant_completion
+from .laurent import DELTA, ONE, ZERO, LaurentPoly, _add_scaled, invariant_completion
 
 __all__ = [
     "AlgebraElement",
@@ -166,10 +166,9 @@ class TLAlgebra:
         self._w2b: Dict[Tuple[str, Word], Coords] = {}
         self._fc: Optional[Tuple[FcElement, ...]] = None
         self._ttilde: Optional[Dict[Word, Coords]] = None
-        self._ttilde_left: Optional[Dict[int, Dict[Word, Coords]]] = None
         self._canonical: Optional[Dict[Word, Coords]] = None
         self._canonical_steps: Optional[Dict[Word, Coords]] = None
-        self._canonical_right: Optional[Dict[int, Dict[Word, Coords]]] = None
+        self._right: Dict[str, Dict[int, Dict[Word, Coords]]] = {}
         self._f_table: Optional[Dict[Word, Coords]] = None
         self._f_factors: Dict[Word, Tuple[Tuple[Coords, bool], ...]] = {}
         self._descending: Optional[Tuple[Word, ...]] = None
@@ -273,13 +272,8 @@ class TLAlgebra:
         return _settle(out)
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        if (a.family, a.rank) != (b.family, b.rank) or \
-           (a.family, a.rank) != (self.graph.family, self.graph.rank):
-            raise ValueError("graph mismatch in multiplication")
-        am = self.to_monomial(a)
-        bm = self.to_monomial(b)
-        return AlgebraElement.make(self.graph, "monomial",
-                                   self._mul_coords(am.as_dict(), bm.as_dict()))
+        return AlgebraElement.make(self.graph, "monomial", self._mul_coords(
+            self.to_monomial(a).as_dict(), self.to_monomial(b).as_dict()))
 
     def one(self) -> AlgebraElement:
         return AlgebraElement.make(self.graph, "monomial", {(): ONE})
@@ -383,21 +377,6 @@ class TLAlgebra:
             self._ttilde = {w: rows[w] for w in self.fc_words()}
         return self._ttilde
 
-    def ttilde_left_table(self) -> Dict[int, Dict[Word, Coords]]:
-        """t~_s * t~_w in t-tilde coordinates, by generator s and basis word w."""
-        if self._ttilde_left is None:
-            ttable = self.ttilde_table()
-            self._ttilde_left = {}
-            for s in self.graph.generators:
-                rows = self._ttilde_left[s] = {}
-                for w, row in ttable.items():
-                    # (b_s - v^-1) t~_w, with b_s b_u read off the rewriting
-                    acc = _merge({}, row, -V_INV)
-                    for u, c in row.items():
-                        _merge(acc, self._w2b_coords((s,) + u, "heap-witness"), c)
-                    rows[w] = self._convert_from_monomial(_settle(acc), ttable)
-        return self._ttilde_left
-
     def _convert_from_monomial(self, coords: Coords, table: Dict[Word, Coords]) -> Coords:
         """Triangular solve against a unitriangular table, largest word first.
 
@@ -433,14 +412,27 @@ class TLAlgebra:
             return self.f_table()
         raise ValueError(f"no conversion table for basis {basis!r}")
 
+    def right_table(self, basis: str) -> Dict[int, Dict[Word, Coords]]:
+        """(basis element u) * b_s in ``basis`` coordinates, by generator s and word
+        u; left products read it through the reversal (``forms._row_steps``)."""
+        if basis not in self._right:
+            table = self._table_for(basis)
+            self._right[basis] = {
+                s: {u: self._convert_from_monomial(self._times_gen(row, s), table)
+                    for u, row in table.items()}
+                for s in self.graph.generators}
+        return self._right[basis]
+
     def to_monomial(self, a: AlgebraElement) -> AlgebraElement:
+        if a.graph() != self.graph:
+            raise ValueError(f"graph mismatch: an element of {a.graph()} in {self.graph}")
         if a.basis == "monomial":
             return a
         coords = _combine(a.as_dict(), self._table_for(a.basis))
         return AlgebraElement.make(self.graph, "monomial", coords)
 
     def to_basis(self, a: AlgebraElement, basis: str) -> AlgebraElement:
-        if basis == a.basis:
+        if basis == a.basis and a.graph() == self.graph:  # else to_monomial raises
             return a
         mono = self.to_monomial(a)
         if basis == "monomial":
@@ -511,16 +503,6 @@ class TLAlgebra:
             out[w] = _settle(mono)
         return out, steps
 
-    def _canonical_right_table(self) -> Dict[int, Dict[Word, Coords]]:
-        """c_u * b_s in canonical coordinates, by generator s and basis word u."""
-        if self._canonical_right is None:
-            canon = self.canonical_table()
-            self._canonical_right = {
-                s: {u: self._convert_from_monomial(self._times_gen(row, s), canon)
-                    for u, row in canon.items()}
-                for s in self.graph.generators}
-        return self._canonical_right
-
     def canonical_products(self, x) -> Dict[Word, Coords]:
         """Row x of the canonical multiplication table: for every basis word y,
         in ``fc_words`` order, c_x * c_y in canonical coordinates.
@@ -536,7 +518,7 @@ class TLAlgebra:
         contribution of coefficient 1 is that c itself, no new polynomial.
         """
         rows: Dict[Word, Coords] = {(): {self._index_word(x): ONE}}
-        right = self._canonical_right_table()  # builds the table and its steps
+        right = self.right_table("canonical")  # builds the table and its steps
         steps = self._canonical_steps
         for y in self.fc_words()[1:]:
             acc: Coords = {}
@@ -620,10 +602,7 @@ class TLAlgebra:
         """Exact expansion of (basis element x) * (basis element y) in ``basis``."""
         xw, yw = self._index_word(x), self._index_word(y)
         if basis == "monomial":
-            xm: Coords = {xw: ONE}
-            ym: Coords = {yw: ONE}
-            prod = self._mul_coords(xm, ym)
-            return prod
+            return self._mul_coords({xw: ONE}, {yw: ONE})
         table = self._table_for(basis)
         prod = self._mul_coords(dict(table[xw]), dict(table[yw]))
         return self._convert_from_monomial(prod, table)

@@ -16,7 +16,7 @@ from typing import Dict
 
 from .algebra import Coords, TLAlgebra, _combine
 from .coxeter import CoxeterGraph, Word, normal_form
-from .laurent import ONE, ZERO, LaurentPoly, _bareiss
+from .laurent import ONE, V_INV, ZERO, LaurentPoly, _bareiss
 
 __all__ = ["GramCandidate", "natural_gram_candidate", "gram_check",
            "solution_space_dimension"]
@@ -33,9 +33,25 @@ class GramCandidate:
         return self.rows.get(w, {}).get(x, ZERO)
 
 
+def _inverses(alg: TLAlgebra) -> Dict[Word, Word]:
+    """Each basis word's inverse: the normal word of its reversal."""
+    return {w: normal_form(alg.graph, w[::-1]) for w in alg.fc_words()}
+
+
 def _row_steps(alg: TLAlgebra) -> Dict[int, Dict[Word, Coords]]:
-    """The row step B(t~_{s u}, .) = B(t~_u, t~_s .): L_s^T by generator s."""
-    return {s: _transpose(table) for s, table in alg.ttilde_left_table().items()}
+    """The row step B(t~_{s u}, .) = B(t~_u, t~_s .): L_s^T by generator s.
+    The reversal iota maps t~_w to t~_{w^-1} (``solution_space_dimension``), so
+    t~_s t~_x = iota(t~_{x^-1} b_s) - v^-1 t~_x: L_s^T[y][x] is the right table's
+    R_s[x^-1][y^-1], less v^-1 where y = x."""
+    inverse = _inverses(alg)
+    steps = {}
+    for s, right in alg.right_table("ttilde").items():
+        step = {x: {x: -V_INV} for x in inverse}
+        for u, row in right.items():
+            for z, c in row.items():
+                step[inverse[z]][inverse[u]] = c - V_INV if z == u else c
+        steps[s] = {y: {x: c for x, c in row.items() if c} for y, row in step.items()}
+    return steps
 
 
 def natural_gram_candidate(alg: TLAlgebra) -> GramCandidate:
@@ -63,7 +79,7 @@ def _transpose(table: Dict[Word, Coords]) -> Dict[Word, Coords]:
 
 def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     """Exact checks of the four bilinear-form conditions, each True or False;
-    a key that is not the normal word of an FC element is a ValueError.
+    a form on another graph, or a key not an FC element's normal word, is a ValueError.
 
     Gram rows G are anti-associative iff G[s u] = _combine(G[u], L_s^T) for
     every nonempty normal word s u (``_row_steps``).  =>: t~_{s u} = t~_s t~_u,
@@ -74,6 +90,8 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     has determinant 1 + v^-1·(…), so it is nondegenerate without elimination;
     any other form is eliminated.
     """
+    if cand.graph != alg.graph:
+        raise ValueError(f"graph mismatch: a form on {cand.graph} in {alg.graph}")
     words = alg.fc_words()
     if stray := {k for w, row in cand.rows.items() for k in (w, *row)} - set(words):
         raise ValueError(f"not normal words of FC elements: {sorted(stray)}")
@@ -112,6 +130,5 @@ def solution_space_dimension(alg: TLAlgebra) -> int:
     value per orbit.  An orbit of one element is an involution: an FC element
     whose reversed word has its own normal form.
     """
-    words = alg.fc_words()
-    involutions = sum(normal_form(alg.graph, w[::-1]) == w for w in words)
-    return (len(words) + involutions) // 2
+    inverse = _inverses(alg)
+    return (len(inverse) + sum(x == w for w, x in inverse.items())) // 2

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -246,12 +247,12 @@ def parse_tangle(text: str) -> Tangle:
         n_north = n_south = int(head[2:])
     edges = []
     for chunk in chunks[1:]:
-        decs: Tuple[Decor, ...] = ()
-        if "[" in chunk:
-            chunk, _, rest = chunk.partition("[")
-            decs = tuple(rest.rstrip("]"))
-        a_txt, _, b_txt = chunk.partition("-")
-        edges.append((_parse_end(a_txt), _parse_end(b_txt), decs))
+        # one nonempty bracket of decorations, closed once, ends an edge
+        edge = re.fullmatch(r"([^\[]*)(?:\[([^\[\]]+)\])?", chunk)
+        if edge is None:
+            raise ValueError(f"malformed decorations in {chunk!r}")
+        a_txt, _, b_txt = edge[1].partition("-")
+        edges.append((_parse_end(a_txt), _parse_end(b_txt), tuple(edge[2] or "")))
     return Tangle(n_north, n_south, edges)
 
 
@@ -615,6 +616,8 @@ class DiagramCalculus:
         arcs the generator touches (``_act``), then reduced."""
         if not 1 <= i <= elem.n - 1:
             raise ValueError(f"generator index {i} out of range for {elem.n} strands")
+        if side not in ("left", "right"):
+            raise ValueError(f"side {side!r} is neither 'left' nor 'right'")
         # the image of b_i is 2 U_1 at i = 1 in family B, else U_i
         scale = self.rules.const(2) if (self.family == "B" and i == 1) else self.rules.one()
         acc: Dict[Tangle, object] = {}

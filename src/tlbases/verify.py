@@ -173,11 +173,12 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
 
     graph = alg.graph
     by_word = {e.word: e for e in elements}
+    right = alg.right_table("f")
     side_bad = []
     equiv_bad = []
     for w in elements:
         for i in graph.generators:
-            sc = alg.structure_constants("f", w, (i,))
+            sc = right[i][w.word]
             descent = i in w.right_descents
             scaled = sc == {w.word: DELTA}
             if scaled != descent:

@@ -445,6 +445,19 @@ def test_multiply_graph_mismatch_raises():
         H3.multiply(a, b)
 
 
+def test_conversions_reject_an_element_of_another_algebra():
+    # an element of B3 read by H3 used to be converted with H3's tables, or
+    # returned as it was when its basis tag matched; the check comes first
+    elem = B3.ttilde_element((1, 2, 1))
+    for target in (elem, B3.to_basis(elem, "ttilde")):
+        for basis in ("monomial", "ttilde", "canonical", "f"):
+            with pytest.raises(ValueError, match="graph mismatch"):
+                H3.to_basis(target, basis)
+        for convert in (H3.to_monomial, H3.bar_element, H3.lattice_degree):
+            with pytest.raises(ValueError, match="graph mismatch"):
+                convert(target)
+
+
 def test_canonical_bar_fixed_h3():
     for w, co in H3.canonical_table().items():
         elem = AlgebraElement.make(H3.graph, "monomial", co)

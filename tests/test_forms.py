@@ -21,6 +21,7 @@ from tlbases.algebra import TLAlgebra, _combine
 from tlbases.coxeter import CoxeterGraph, normal_form
 from tlbases.forms import (
     GramCandidate,
+    _row_steps,
     _transpose,
     gram_check,
     natural_gram_candidate,
@@ -32,20 +33,32 @@ ALGEBRAS = {name: TLAlgebra(CoxeterGraph(name[0], int(name[1])))
             for name in ("A2", "B2", "H2", "A3")}
 
 
-def _ref_left_mult_tables(alg, words):
+@functools.lru_cache(maxsize=None)
+def _ref_left_mult_tables(alg):
     """t~_s * t~_w in t~-coordinates, by one product and one solve each."""
     tables = {}
     for s in alg.graph.generators:
         ts = alg.ttilde_element((s,))
         tables[s] = {w: dict(alg.to_basis(alg.multiply(ts, alg.ttilde_element(w)),
-                                          "ttilde").coords) for w in words}
+                                          "ttilde").coords) for w in alg.fc_words()}
     return tables
+
+
+_ELEMENT = {"ttilde": "ttilde_element", "canonical": "canonical_element", "f": "f_element"}
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "H2", "A3", "B3", "H3"])
 def test_ttilde_left_table_matches_products(name):
+    # the one table of generator products, in each basis it serves, and the
+    # t~ left tables the row step reads off it through the reversal
     alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
-    assert alg.ttilde_left_table() == _ref_left_mult_tables(alg, alg.fc_words())
+    for basis, element in _ELEMENT.items():
+        want = {s: {u: alg.to_basis(alg.multiply(getattr(alg, element)(u), alg.monomial((s,))),
+                                    basis).as_dict() for u in alg.fc_words()}
+                for s in alg.graph.generators}
+        assert alg.right_table(basis) == want, basis
+    assert _row_steps(alg) == {s: _transpose(table)
+                               for s, table in _ref_left_mult_tables(alg).items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,7 +110,7 @@ def _ref_anti_associative(alg, cand):
     """B(t_s t_w, t_x) = B(t_w, t_s t_x) for every s, w and x, summed one
     term at a time."""
     words = [e.word for e in alg.fc_elements()]
-    left_mult = alg.ttilde_left_table()
+    left_mult = _ref_left_mult_tables(alg)
 
     def pair(coords, x):
         acc = ZERO
@@ -123,7 +136,7 @@ def _ref_two_sided_anti_associative(alg, cand):
     every generator s and word w: two row products per pair."""
     words = alg.fc_words()
     gram = {w: {x: c for x in words if (c := cand.entry(w, x))} for w in words}
-    tables = [(t, _transpose(t)) for t in alg.ttilde_left_table().values()]
+    tables = [(t, _transpose(t)) for t in _ref_left_mult_tables(alg).values()]
     return all(_combine(left[w], gram) == _combine(gram[w], right)
                for left, right in tables for w in words)
 
@@ -247,7 +260,7 @@ def _ref_solver_dimension(alg):
                 row[index[w] * n + index[x]] = 1
                 row[index[x] * n + index[w]] = -1
                 rows.append(row)
-    for table in _ref_left_mult_tables(alg, words).values():
+    for table in _ref_left_mult_tables(alg).values():
         for w in words:
             for x in words:
                 row = [sympy.Integer(0)] * nvars
@@ -370,7 +383,7 @@ def _ref_solution_space_dimension(alg):
         return i * n + j
 
     rows = []
-    for table in alg.ttilde_left_table().values():
+    for table in _ref_left_mult_tables(alg).values():
         for i, w in enumerate(words):
             for x in words[i + 1:]:
                 row = {}
@@ -443,3 +456,11 @@ def test_gram_check_rejects_keys_that_are_not_normal_words():
     for bad in (as_row, as_column, {(4,): {}}, {(): {(1, 1): ONE}}):
         with pytest.raises(ValueError, match="not normal words of FC elements"):
             gram_check(alg, GramCandidate(alg.graph, bad))
+
+
+def test_gram_check_rejects_a_form_on_another_graph():
+    # every key of these forms is a normal word of the larger algebra, so the
+    # check used to decide them on its tables: False for all but symmetry
+    for graph, other in (("H2", "B2"), ("A3", "A2")):
+        with pytest.raises(ValueError, match="graph mismatch"):
+            gram_check(ALGEBRAS[graph], natural_gram_candidate(ALGEBRAS[other]))

@@ -250,7 +250,7 @@ def test_suites_expand_canonical_products_by_rows():
                 "        sc = alg.structure_constants(\"canonical\", x, y)\n")
     assert _non_f_structure_constant_calls(per_pair) == [3]
     source = (SRC / "verify.py").read_text(encoding="utf-8")
-    assert "structure_constants(\"f\"" in source
+    assert "right_table(\"f\")" in source
     assert _non_f_structure_constant_calls(source) == []
 
 
@@ -312,14 +312,29 @@ def test_generator_actions_compose_no_whole_tangles():
 
 def test_gram_check_steps_rows_like_the_trace_form():
     # one row step builds the trace form and decides anti-associativity: the
-    # checker reads the left tables only through the helper the trace form
+    # checker reads the t~ right table only through the helper the trace form
     # uses, a form is its rows, and right-justification keeps no r-set
     callees = {}
-    for module, owner, callee in _calls_by_owner({"_row_steps", "ttilde_left_table"}):
+    for module, owner, callee in _calls_by_owner({"_row_steps", "right_table"}):
         if module == "forms.py":
             callees.setdefault(owner, set()).add(callee)
-    assert callees == {"_row_steps": {"ttilde_left_table"}, "gram_check": {"_row_steps"},
+    assert callees == {"_row_steps": {"right_table"}, "gram_check": {"_row_steps"},
                        "natural_gram_candidate": {"_row_steps"}}, callees
     assert "entries" not in tlbases.GramCandidate.__dataclass_fields__
     assert "rset" not in (SRC / "coxeter.py").read_text(encoding="utf-8")
     assert not hasattr(tlbases.TLAlgebra, "pi_equal")
+
+
+def test_one_table_of_generator_products():
+    # right_table is the one table of products by a generator: the canonical
+    # rows, the descent checks and the row step read it, and the rewriting
+    # appends every generator on the right, so no word starts with a literal
+    readers = {(module, owner) for module, owner, _ in _calls_by_owner({"right_table"})}
+    assert readers == {("algebra.py", "canonical_products"), ("verify.py", "_positivity"),
+                       ("forms.py", "_row_steps")}, readers
+    for name in ("ttilde_left_table", "_canonical_right_table"):
+        assert not hasattr(tlbases.TLAlgebra, name), name
+    algebra = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
+    prepended = [node.lineno for node in ast.walk(algebra) if isinstance(node, ast.BinOp)
+                 and isinstance(node.op, ast.Add) and isinstance(node.left, ast.Tuple)]
+    assert not prepended, prepended

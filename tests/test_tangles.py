@@ -217,12 +217,23 @@ def test_serialization_round_trip():
 
 def test_parse_tangle_rejects_malformed_ends():
     for text in ("n=2; N1-", "n=2; N1-S; N2-S2", "n=2; 1-S1; N2-S2", "n=2; N1-Sx; N2-S2",
-                 "n=1; N1-X1", "n=3,q=1; N1-N2; N3-S1"):
+                 "n=1; N1-X1", "n=3,q=1; N1-N2; N3-S1",
+                 # one nonempty decoration bracket, closed once, ends an edge
+                 "n=2; N1-N2[c; S1-S2", "n=2; N1-N2[c]]; S1-S2", "n=2; N1-N2[]; S1-S2",
+                 "n=2; N1-N2[c]c; S1-S2", "n=2; N1-N2[c][c]; S1-S2"):
         with pytest.raises(ValueError):
             parse_tangle(text)
     # the header's second field names the south nodes
     text = "n=3,m=1; N1-N2; N3-S1"
     assert format_tangle(parse_tangle(text)) == text
+
+
+def test_apply_gen_rejects_an_unknown_side():
+    # any side but "right" used to act on the left
+    elem = CALC_B.evaluate_word(3, (1,))
+    assert CALC_B.apply_gen(elem, 2, "left") != CALC_B.apply_gen(elem, 2, "right")
+    with pytest.raises(ValueError, match="side"):
+        CALC_B.apply_gen(elem, 2, "up")
 
 
 def test_generator_examples():
