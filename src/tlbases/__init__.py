@@ -45,7 +45,6 @@ from .tangles import (
     compose_raw,
     enumerate_b_canonical,
     enumerate_h_admissible,
-    evaluate_word,
     format_tangle,
     generate_by_procedures,
     generator_U,
@@ -81,7 +80,7 @@ __all__ = [
     "aux_elements", "bruhat_leq", "calibrate_ruleset",
     "classify_diagram", "classify_letters", "commutation_class", "compose_raw",
     "enumerate_b_canonical", "enumerate_fc", "enumerate_h_admissible",
-    "evaluate_mixed", "evaluate_word", "format_tangle", "generate_by_procedures",
+    "evaluate_mixed", "format_tangle", "generate_by_procedures",
     "generator_U", "gram_check", "identity_tangle", "invariant_completion",
     "iota", "is_fc_reduced", "loop_count", "natural_gram_candidate",
     "normal_form", "parse_tangle", "recognize_b_canonical",

@@ -20,6 +20,7 @@ Canonical structure constants come a row at a time, by the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coxeter import (
@@ -131,15 +132,16 @@ class AlgebraElement:
         if (self.family, self.rank, self.basis) != (other.family, other.rank, other.basis):
             raise ValueError("elements live in different bases or algebras")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def _plus(self, other: "AlgebraElement", sign: LaurentPoly) -> "AlgebraElement":
         self._check_compatible(other)
-        acc = _merge(_merge({}, self.as_dict(), ONE), other.as_dict(), ONE)
+        acc = _merge(_merge({}, self.as_dict(), ONE), other.as_dict(), sign)
         return AlgebraElement.make(self.graph(), self.basis, _settle(acc))
 
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._plus(other, ONE)
+
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_compatible(other)
-        acc = _merge(_merge({}, self.as_dict(), ONE), other.as_dict(), -ONE)
-        return AlgebraElement.make(self.graph(), self.basis, _settle(acc))
+        return self._plus(other, -ONE)
 
     def scale(self, c) -> "AlgebraElement":
         poly = LaurentPoly.const(c) if isinstance(c, int) else c
@@ -271,6 +273,10 @@ class TLAlgebra:
             _merge(out, cur, cw)
         return _settle(out)
 
+    def _product(self, factors: List[Coords]) -> Coords:
+        """The product of the factors, left to right."""
+        return reduce(self._mul_coords, factors, {(): ONE})
+
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         return AlgebraElement.make(self.graph, "monomial", self._mul_coords(
             self.to_monomial(a).as_dict(), self.to_monomial(b).as_dict()))
@@ -279,9 +285,11 @@ class TLAlgebra:
         return AlgebraElement.make(self.graph, "monomial", {(): ONE})
 
     def _index_word(self, w) -> Word:
-        """The normal word of the basis index w: an ``FcElement`` or a fully
-        commutative reduced word; any other word indexes nothing."""
+        """The normal word of the basis index w: an ``FcElement`` of this graph
+        or a fully commutative reduced word; any other word indexes nothing."""
         if isinstance(w, FcElement):
+            if (w.family, w.rank) != (self.graph.family, self.graph.rank):
+                raise ValueError(f"graph mismatch: {w!r} in {self.graph}")
             return w.word
         heap = _Heap(self.graph, self.graph.check_word(w))
         if not heap.fc_reduced():
@@ -299,10 +307,7 @@ class TLAlgebra:
         Expands the product of (b_s - v^-1) over the letters of the normal
         word; the result is unitriangular with top coefficient 1.
         """
-        coords: Coords = {(): ONE}
-        for s in self._index_word(w):
-            coords = self._ttilde_step(coords, s)
-        return AlgebraElement.make(self.graph, "monomial", coords)
+        return evaluate_mixed(self, tuple(("t", s) for s in self._index_word(w)))
 
     def _ttilde_step(self, coords: Coords, s: int, floor: float = float("-inf")) -> Coords:
         """coords * (b_s - v^-1), less every term of degree below ``floor``.
@@ -583,9 +588,7 @@ class TLAlgebra:
 
     def f_element(self, w) -> AlgebraElement:
         word = self._index_word(w)
-        coords: Coords = {(): ONE}
-        for factor, _ in self._f_factorization(word):
-            coords = self._mul_coords(coords, factor)
+        coords = self._product([factor for factor, _ in self._f_factorization(word)])
         elem = AlgebraElement.make(self.graph, "monomial", coords)
         if elem.coeff(word) != ONE:
             raise AssertionError(f"f-element at {word} lost its leading coefficient")
@@ -637,9 +640,10 @@ class AuxElements:
     f_prime: AlgebraElement
 
 
-def evaluate_mixed(alg: TLAlgebra, mixed: MixedWord, prescale: Optional[LaurentPoly] = None) -> AlgebraElement:
-    """Multiply out a mixed word; the t-symbol expands as b_i - v^-1."""
-    coords: Coords = {(): prescale if prescale is not None else ONE}
+def evaluate_mixed(alg: TLAlgebra, mixed: MixedWord) -> AlgebraElement:
+    """Multiply out a mixed word, the algebra's one fold over a word of
+    generator symbols; the t-symbol expands as b_i - v^-1."""
+    coords: Coords = {(): ONE}
     for kind, i in mixed:
         if kind == "t":
             coords = alg._ttilde_step(coords, i)
@@ -653,7 +657,7 @@ def evaluate_mixed(alg: TLAlgebra, mixed: MixedWord, prescale: Optional[LaurentP
 def aux_elements(alg: TLAlgebra, w) -> AuxElements:
     # the mixed products depend on the chosen reduced expression, so the word
     # is used exactly as given (their lattice projections do not depend on it)
-    word = w.word if isinstance(w, FcElement) else alg.graph.check_word(tuple(w))
+    word = alg._index_word(w) if isinstance(w, FcElement) else alg.graph.check_word(tuple(w))
     cls = classify_letters(alg.graph, word)
     kappa = sum(1 for i in range(len(word)) if cls.is_bilateral(i))
 
@@ -675,13 +679,12 @@ def aux_elements(alg: TLAlgebra, w) -> AuxElements:
         tilde_t = hat_t or cls.critical[i] in ("i", "ii", "iii")
         f_tilde.append(("t", s) if tilde_t else ("b", s))
 
-    factors = alg._f_factorization(word)
-    coords: Coords = {(): ONE}
-    for factor, distinguished in factors:
+    factors: List[Coords] = []
+    for factor, distinguished in alg._f_factorization(word):
         if distinguished:
-            coords = alg._times_gen(coords, 1)
-        coords = alg._mul_coords(coords, factor)
-    f_prime = AlgebraElement.make(alg.graph, "monomial", coords)
+            factors.append({(1,): ONE})
+        factors.append(factor)
+    f_prime = AlgebraElement.make(alg.graph, "monomial", alg._product(factors))
 
     return AuxElements(
         word=word,

@@ -73,8 +73,8 @@ class JobConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.family not in ("A", "B", "H"):
             raise ConfigError(f"unknown family {self.family!r}")
-        if self.rank is not None and self.rank < 2:
-            raise ConfigError("rank must be at least 2")
+        if self.rank is not None and (not isinstance(self.rank, int) or self.rank < 2):
+            raise ConfigError(f"rank must be an integer of at least 2, not {self.rank!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.format != "json" and (self.command, self.format) not in _WRITERS:

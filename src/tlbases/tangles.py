@@ -46,7 +46,6 @@ __all__ = [
     "reduce_composition",
     "calibrate_ruleset",
     "classify_diagram",
-    "evaluate_word",
     "loop_count",
     "iota",
     "generate_by_procedures",
@@ -607,9 +606,6 @@ class DiagramCalculus:
     def one(self, n: int) -> DiagramElement:
         return DiagramElement(self.family, n, {identity_tangle(n): self.rules.one()})
 
-    def gen_element(self, n: int, i: int) -> DiagramElement:
-        return self.evaluate_word(n, (i,))
-
     def apply_gen(self, elem: DiagramElement, i: int, side: str = "right") -> DiagramElement:
         """elem * b_i (side "right"), else b_i * elem: the calculus's one loop
         of generator actions.  Each term's tangle is rewritten at the two
@@ -657,12 +653,6 @@ class DiagramCalculus:
             for t2, c2 in b.coeffs:
                 _add_scaled(acc, _reduce(*compose_raw(t1, t2), self.rules).items(), c1 * c2)
         return DiagramElement(self.family, a.n, acc)
-
-
-def evaluate_word(family: str, n: int, word: Sequence[int], rules: RuleSet) -> DiagramElement:
-    if rules.family != family:
-        raise ValueError("rule set family does not match")
-    return DiagramCalculus(rules).evaluate_word(n, word)
 
 
 def loop_count(n: int, word: Sequence[int]) -> int:
@@ -1371,8 +1361,8 @@ def _render_ascii(t: Tangle) -> str:
             deco_marks.append((e, height // 2, xn + 1))
         else:
             vline(xn, 0, lane_row)
-            hline(lane_row, min(xn, xs), max(xn, xs))
             vline(xs, lane_row, height - 1)
+            hline(lane_row, min(xn, xs), max(xn, xs))
             deco_marks.append((e, lane_row, min(xn, xs) + 1))
             lane_row += 1
     for e, r, x in deco_marks:

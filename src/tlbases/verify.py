@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import STRATEGIES, TLAlgebra
+from .algebra import STRATEGIES, TLAlgebra, evaluate_mixed
 from .coxeter import CoxeterGraph, bruhat_leq_word, classify_letters, word_str
 from .laurent import DELTA, LaurentPoly
 from .tangles import (
@@ -221,32 +221,24 @@ def suite_positivity(res: SuiteResult, rank: Optional[int]):
 def suite_block_identities(res: SuiteResult, rank: Optional[int]):
     alg = TLAlgebra(CoxeterGraph(res.family, rank or 3))
 
-    def t(i):
-        return alg.ttilde_element((i,))
-
-    def prod(*factors):
-        acc = alg.one()
-        for f in factors:
-            acc = alg.multiply(acc, f)
-        return acc
+    def t(*letters):
+        return evaluate_mixed(alg, tuple(("t", i) for i in letters))
 
     def scaled(elem, k):
         return elem.scale(LaurentPoly.monomial(-k))
 
     for a, b in ((1, 2), (2, 1)):
         lhs1 = alg.word_to_basis((a, b, a)) - alg.word_to_basis((a,))
-        rhs1 = prod(t(a), t(b), t(a)) + scaled(prod(t(b), t(a)), 1) \
-            + scaled(t(a), 2) + scaled(prod(t(a), t(b)), 1) \
-            + scaled(t(b), 2) + alg.one().scale(LaurentPoly.monomial(-3))
+        rhs1 = t(a, b, a) + scaled(t(b, a), 1) + scaled(t(a), 2) + scaled(t(a, b), 1) \
+            + scaled(t(b), 2) + scaled(t(), 3)
         res.checks.append(CheckResult(
             f"identity-i-{a}{b}", lhs1 == rhs1,
             f"three-letter product in generators {a},{b}"))
 
         lhs2 = alg.word_to_basis((a, b, a, b)) - alg.word_to_basis((a, b)).scale(2)
-        rhs2 = prod(t(a), t(b), t(a), t(b)) + scaled(prod(t(a), t(b), t(a)), 1) \
-            + scaled(prod(t(b), t(a), t(b)), 1) + scaled(prod(t(a), t(b)), 2) \
-            + scaled(t(b), 3) + scaled(prod(t(b), t(a)), 2) \
-            + scaled(t(a), 3) + alg.one().scale(LaurentPoly.monomial(-4))
+        rhs2 = t(a, b, a, b) + scaled(t(a, b, a), 1) + scaled(t(b, a, b), 1) \
+            + scaled(t(a, b), 2) + scaled(t(b), 3) + scaled(t(b, a), 2) \
+            + scaled(t(a), 3) + scaled(t(), 4)
         res.checks.append(CheckResult(
             f"identity-ii-{a}{b}", lhs2 == rhs2,
             f"four-letter product in generators {a},{b}"))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tlbases.algebra import STRATEGIES, AlgebraElement, TLAlgebra, aux_elements, evaluate_mixed
-from tlbases.coxeter import CoxeterGraph, word_str
+from tlbases.coxeter import CoxeterGraph, FcElement, word_str
 from tlbases.laurent import (
     DELTA, ONE, V, V_INV, ZERO, LaurentPoly, invariant_completion,
 )
@@ -385,7 +385,7 @@ def test_aux_projection_contracts_h3():
         scale = vk(aux.kappa)
         f_prime = AlgebraElement.make(
             H3.graph, "monomial", {w: scale * c for w, c in aux.f_prime.coords})
-        f_hat_prime = evaluate_mixed(H3, aux.f_hat_prime, prescale=scale)
+        f_hat_prime = evaluate_mixed(H3, aux.f_hat_prime).scale(scale)
         assert _pi_equal(H3, f_prime, f_hat_prime), e
         f_hat = evaluate_mixed(H3, aux.f_hat)
         assert _pi_equal(H3, H3.f_element(e), f_hat), e
@@ -413,8 +413,13 @@ def test_descent_scaling_equivalence():
 
 
 def test_mixed_word_evaluation_matches_ttilde():
+    # ttilde_element is evaluate_mixed of its t-symbol word, so the rows of
+    # the table, which the walk builds from their prefixes, are the reference
     mixed = (("t", 1), ("t", 2))
-    assert evaluate_mixed(B2, mixed) == B2.ttilde_element((1, 2))
+    assert evaluate_mixed(B2, mixed).as_dict() == B2.ttilde_table()[(1, 2)]
+    for alg in (B2, H3):
+        for w, row in alg.ttilde_table().items():
+            assert evaluate_mixed(alg, tuple(("t", s) for s in w)).as_dict() == row, w
 
 
 def test_basis_constructors_reject_words_that_index_nothing():
@@ -427,6 +432,22 @@ def test_basis_constructors_reject_words_that_index_nothing():
             make((1, 1))
     e = B2.fc_elements()[3]
     assert B2.canonical_element(e) == B2.canonical_element(e.word)
+
+
+def test_basis_constructors_reject_an_index_from_another_graph():
+    # an FcElement indexes only its own graph's basis: B4's generator 4, H3's
+    # word 1,2,1,2 (not fully commutative in B3) and A5's generator 5
+    others = [FcElement(CoxeterGraph(family, rank), word)
+              for family, rank, word in (("B", 4, (4,)), ("H", 3, (1, 2, 1, 2)), ("A", 5, (5,)))]
+    for make in (B3.monomial, B3.ttilde_element, B3.canonical_element, B3.f_element,
+                 B3.canonical_products,
+                 lambda w: B3.structure_constants("canonical", w, ()),
+                 lambda w: B3.structure_constants("f", (), w)):
+        for w in others:
+            with pytest.raises(ValueError, match="graph mismatch"):
+                make(w)
+    with pytest.raises(ValueError, match="graph mismatch"):
+        aux_elements(B3, others[0])
 
 
 def test_to_monomial_rejects_a_coordinate_with_no_row():

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, reports, determinism, gram checks."""
 
+import ast
 import json
 import os
 import subprocess
@@ -233,6 +234,15 @@ def test_config_errors(tmp_path):
     assert exc.value.code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("rank", ["3", 2.5, 3.0, True, False])
+def test_rank_that_is_not_an_integer_is_config_error(tmp_path, capsys, rank):
+    # a bool is an int below 2; anything else that is not an int is bad input,
+    # not a failed computation: exit 4 and no report
+    assert run(JobConfig(command="enumerate", rank=rank, report_dir=str(tmp_path))) == EXIT_CONFIG
+    assert "configuration error: rank must be an integer of at least 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 _WRITTEN = {("enumerate", "csv"), ("enumerate", "text"), ("basis", "csv"),
             ("render", "text"), ("render", "ascii"), ("render", "svg")}
 
@@ -408,6 +418,22 @@ def test_calibration_suite_rejects_family_a(tmp_path):
     code, out = run_args(["--command", "verify", "--suite", "calibration", "--family", "A"],
                          tmp_path)
     assert code == EXIT_CONFIG and not out.exists()
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_calibration_suite_passes_with_the_calibrated_rule_set(tmp_path, family):
+    code, out = run_args(["--command", "verify", "--suite", "calibration", "--family", family],
+                         tmp_path)
+    assert code == EXIT_PASS
+    checks = json.loads(out.read_text())["results"]["suites"][0]["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [
+        ("solve", True), ("residual-strands-3", True), ("residual-strands-4", True)]
+    code, report = run_args(["--command", "calibrate", "--family", family], tmp_path,
+                            "calibrate.json")
+    assert code == EXIT_PASS
+    # the solve check prints the rule set that calibrate reports
+    assert ast.literal_eval(checks[0]["detail"]) == \
+        json.loads(report.read_text())["results"]["ruleset"]
 
 
 def test_gram_check_identity_candidate():

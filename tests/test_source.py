@@ -338,3 +338,27 @@ def test_one_table_of_generator_products():
     prepended = [node.lineno for node in ast.walk(algebra) if isinstance(node, ast.BinOp)
                  and isinstance(node.op, ast.Add) and isinstance(node.left, ast.Tuple)]
     assert not prepended, prepended
+
+
+def test_one_evaluator_per_calculus():
+    # evaluate_mixed is the algebra's one fold over a word of generator
+    # symbols, so the t~ step serves only it and the walk, and the suites
+    # build their products through it; on diagrams DiagramCalculus.evaluate_word
+    # is the one entry point
+    step = _calls_by_owner({"_ttilde_step"})
+    assert {(module, owner) for module, owner, _ in step} == \
+        {("algebra.py", "_ttilde_walk"), ("algebra.py", "evaluate_mixed")}, step
+    folds = [found for found in _calls_by_owner({"multiply", "ttilde_element"})
+             if found[0] == "verify.py"]
+    assert not folds, folds
+    knobs = [f"{path.name}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.arg) and node.arg == "prescale"]
+    assert not knobs, knobs
+    tangles = ast.parse((SRC / "tangles.py").read_text(encoding="utf-8"))
+    module_level = {node.name for node in tangles.body if isinstance(node, ast.FunctionDef)}
+    assert "evaluate_word" not in module_level
+    calculus = next(node for node in tangles.body
+                    if isinstance(node, ast.ClassDef) and node.name == "DiagramCalculus")
+    methods = {node.name for node in calculus.body if isinstance(node, ast.FunctionDef)}
+    assert "evaluate_word" in methods and "gen_element" not in methods

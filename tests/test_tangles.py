@@ -789,7 +789,7 @@ def test_recognize_b_canonical_round_trip():
 
 def test_iota_examples():
     assert iota(CALC_B.one(3), RULES_B) == CALC_H.one(3)
-    img = iota(CALC_B.gen_element(3, 1), RULES_B)
+    img = iota(CALC_B.evaluate_word(3, (1,)), RULES_B)
     assert img == DiagramElement("H", 3, {generator_U("H", 3, 1): ONE})
 
 
@@ -950,7 +950,7 @@ def test_generate_by_procedures():
     ids = CALC_H.one(3)
     for i in (1, 2):
         e = CALC_H.apply_gen(ids, i, side="right")
-        assert e == CALC_H.gen_element(3, i)
+        assert e == CALC_H.evaluate_word(3, (i,))
 
 
 def test_canonical_structure_constants_positive_in_diagram_form():
@@ -982,6 +982,15 @@ def test_render_goldens():
     assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="160" height="200">')
     assert '<circle cx="60.0" cy="40.0" r="5"' in svg
     assert svg.endswith("</svg>\n")
+
+
+def test_render_bent_propagating_edges_turn_at_corners():
+    # a bent edge runs down from its north end, along its lane and down to
+    # its south end; both ends of the lane are corners
+    assert render(parse_tangle("n=3; N1-N2; N3-S1; S2-S3")) == \
+        " +---+   |\n +-------+\n |   +---+\n"
+    assert render(parse_tangle("n=4; N1-N2[c]; N3-S1; N4-S2; S3-S4")) == \
+        " +o--+   |   |\n +-------+   |\n |   +-------+\n |   |   +---+\n"
 
 
 def test_render_round_trip_byte_identical():
