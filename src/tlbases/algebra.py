@@ -30,6 +30,7 @@ from .coxeter import (
     _first_factor,
     _Heap,
     _letters,
+    _own_word,
     enumerate_fc,
     classify_letters,
     right_justify,
@@ -288,9 +289,7 @@ class TLAlgebra:
         """The normal word of the basis index w: an ``FcElement`` of this graph
         or a fully commutative reduced word; any other word indexes nothing."""
         if isinstance(w, FcElement):
-            if (w.family, w.rank) != (self.graph.family, self.graph.rank):
-                raise ValueError(f"graph mismatch: {w!r} in {self.graph}")
-            return w.word
+            return _own_word(self.graph, w)
         heap = _Heap(self.graph, self.graph.check_word(w))
         if not heap.fc_reduced():
             raise ValueError(f"{heap.word} does not index a basis element")
@@ -643,6 +642,7 @@ class AuxElements:
 def evaluate_mixed(alg: TLAlgebra, mixed: MixedWord) -> AlgebraElement:
     """Multiply out a mixed word, the algebra's one fold over a word of
     generator symbols; the t-symbol expands as b_i - v^-1."""
+    alg.graph.check_word(i for _, i in mixed)
     coords: Coords = {(): ONE}
     for kind, i in mixed:
         if kind == "t":

@@ -146,6 +146,19 @@ class CoxeterGraph:
 # per letter on these line graphs.
 
 
+def _under(linked: Sequence[int], last: List[int], below: List[int]) -> int:
+    """The below mask of a piece put on top of a heap: the latest pieces of
+    the ``linked`` letters (``last[t]``, -1 for none) and all below them.
+    Upside down, with the earliest pieces and the above masks, it is the
+    above mask of a piece put under the heap."""
+    m = 0
+    for t in linked:
+        i = last[t]
+        if i >= 0:
+            m |= below[i] | 1 << i
+    return m
+
+
 class _Heap:
     """The heap of a word: its letter occurrences, partially ordered."""
 
@@ -157,28 +170,25 @@ class _Heap:
         below = [0] * n
         last = [-1] * (graph.rank + 1)
         for j, s in enumerate(word):
-            m = 0
-            for t in links[s]:
-                i = last[t]
-                if i >= 0:
-                    m |= below[i] | 1 << i
-            below[j] = m
+            below[j] = _under(links[s], last, below)
             last[s] = j
         above = [0] * n
         nxt = [-1] * (graph.rank + 1)
         for i in range(n - 1, -1, -1):
-            s = word[i]
-            m = 0
-            for t in links[s]:
-                k = nxt[t]
-                if k >= 0:
-                    m |= above[k] | 1 << k
-            above[i] = m
-            nxt[s] = i
+            above[i] = _under(links[word[i]], nxt, above)
+            nxt[word[i]] = i
         self.graph = graph
         self.word = word
         self.below = below
         self.above = above
+
+    @classmethod
+    def _of_masks(cls, graph: CoxeterGraph, word: Word, below: List[int],
+                  above: List[int]) -> _Heap:
+        """The heap of ``word`` whose masks were computed elsewhere."""
+        heap = cls.__new__(cls)
+        heap.graph, heap.word, heap.below, heap.above = graph, word, below, above
+        return heap
 
     def _queues(self) -> Dict[int, List[int]]:
         """Each letter's positions, latest first, so ``pop()`` gives the earliest."""
@@ -192,30 +202,52 @@ class _Heap:
         covering pair with equal labels, or a convex chain of m(s, t) pieces
         alternating between s and t.  None when the word is FC-reduced.
 
-        All occurrences of s and t are comparable, so such a chain is a run
-        of m consecutive s/t occurrences; it is convex when exactly its m - 2
-        inner pieces lie between its ends.
+        Each piece is tested as the top of a witness, on the pieces before it.
         """
-        word, below, above = self.word, self.below, self.above
-        rank, bonds = self.graph.rank, self.graph.bonds
-        last = [-1] * (rank + 1)
-        # runs[lo]: the alternating run of lo/lo+1 occurrences ending at the latest one
-        runs: List[List[int]] = [[] for _ in range(rank + 1)]
-        for j, s in enumerate(word):
-            i = last[s]
-            if i >= 0 and not above[i] & below[j]:
-                return (i, j)
+        last = [-1] * (self.graph.rank + 1)
+        prev: List[int] = []
+        for j, s in enumerate(self.word):
+            hit = self._top_witness(j, s, self.below[j], last, prev)
+            if hit:
+                return hit
+            prev.append(last[s])
             last[s] = j
-            for lo in (s - 1, s):
-                if lo < 1 or lo >= rank:
-                    continue
-                run = runs[lo]
-                if run and word[run[-1]] == s:
-                    run.clear()
-                run.append(j)
-                m = bonds[lo][lo + 1]
-                if len(run) >= m and (above[run[-m]] & below[j]).bit_count() == m - 2:
-                    return tuple(run[-m:])
+        return None
+
+    def _top_witness(self, j: int, s: int, under: int, last: List[int],
+                     prev: List[int]) -> Optional[Tuple[int, ...]]:
+        """The Stembridge witness whose top is a piece j labelled s, with
+        ``under`` the mask of the pieces below it, as positions in word order;
+        None if there is none.
+
+        Only the pieces before j are read: their letters and ``above`` masks,
+        ``last[t]``, the latest position of each letter t, and ``prev[p]``,
+        the previous occurrence of p's letter.  So j may also be a piece put
+        on top of the whole heap.  Both kinds of witness hold the latest s,
+        i, and no piece between i and j but the chain's: none for the
+        covering pair, one p for a chain, whose letter t is then a neighbour
+        of s.  All occurrences of s and t are comparable, so the chain goes
+        on down the previous occurrences of t and s while they alternate,
+        and it is convex when exactly its m(s, t) - 2 inner pieces lie
+        between its ends.
+        """
+        above = self.above
+        i = last[s]
+        if i < 0:
+            return None
+        inner = above[i] & under
+        if not inner:
+            return (i, j)
+        if inner & (inner - 1):
+            return None
+        p = inner.bit_length() - 1
+        m = self.graph.bonds[s][self.word[p]]
+        chain, a, b = [j, p, i], prev[p], prev[i]
+        while len(chain) < m and 0 <= a < chain[-1]:
+            chain.append(a)
+            a, b = b, prev[a]
+        if len(chain) == m and (above[chain[-1]] & under).bit_count() == m - 2:
+            return tuple(reversed(chain))
         return None
 
     def fc_reduced(self) -> bool:
@@ -377,11 +409,20 @@ class FcElement:
     __slots__ = ("family", "rank", "word", "length", "content",
                  "left_descents", "right_descents", "_hash")
 
-    def __init__(self, graph: CoxeterGraph, word: Sequence[int], _trusted: bool = False):
-        heap = _Heap(graph, graph.check_word(word)) if _trusted else _fc_heap(graph, word)
-        w = heap.word if _trusted else heap.normal_form()
-        object.__setattr__(self, "family", graph.family)
-        object.__setattr__(self, "rank", graph.rank)
+    def __init__(self, graph: CoxeterGraph, word: Sequence[int]):
+        heap = _fc_heap(graph, word)
+        self._fill(heap, heap.normal_form())
+
+    @classmethod
+    def _of_normal_heap(cls, heap: _Heap) -> FcElement:
+        """The element whose normal word is ``heap.word``, taken as given."""
+        element = cls.__new__(cls)
+        element._fill(heap, heap.word)
+        return element
+
+    def _fill(self, heap: _Heap, w: Word):
+        object.__setattr__(self, "family", heap.graph.family)
+        object.__setattr__(self, "rank", heap.graph.rank)
         object.__setattr__(self, "word", w)
         object.__setattr__(self, "length", len(w))
         object.__setattr__(self, "content", frozenset(w))
@@ -412,6 +453,13 @@ class FcElement:
         return CoxeterGraph(self.family, self.rank)
 
 
+def _own_word(graph: CoxeterGraph, x: FcElement) -> Word:
+    """The normal word of x, which must be an element of ``graph``."""
+    if (x.family, x.rank) != (graph.family, graph.rank):
+        raise ValueError(f"graph mismatch: {x!r} in {graph}")
+    return x.word
+
+
 def enumerate_fc(graph: CoxeterGraph) -> Tuple[FcElement, ...]:
     """All fully commutative elements, sorted by (length, word).
 
@@ -422,25 +470,62 @@ def enumerate_fc(graph: CoxeterGraph) -> Tuple[FcElement, ...]:
     is FC, so the length-k stratum of A_r has at least C(r, k) elements.
     ``GrowthCapError`` is raised when a stratum exceeds ``STRATUM_CAP``.
 
-    Candidates are tested and normalized on their heaps, so no commutation
-    class is built and ``CLASS_CAP`` does not apply.
+    Each element of a stratum carries the heap of its normal word w, the
+    latest position of each letter and each piece's previous occurrence of
+    its letter.  A candidate w·s grows that heap by one piece on top, below
+    the latest s and neighbours of s and all that lies below them, so its
+    ``under`` mask is their union; no heap is built from a candidate word.
+
+    - FC-reducedness: a witness of w·s that missed the new piece would be
+      one of w, which is FC-reduced; the new piece is maximal, so it is the
+      witness's top, and one ``_Heap._top_witness`` test decides w·s.
+    - Normal word: the lex-least linear extension is read greedily, each
+      step taking the least letter among the minimal unplaced pieces.  Until
+      w's pieces below the new one are placed, that reading follows w's
+      normal word; from then on the new piece is minimal and is taken at
+      the first step whose letter in w exceeds s (w has no s there, as
+      every s lies below the new piece), and as it lies below nothing, the
+      rest follows w again.  So the normal word is w's with s inserted at the
+      first index r >= ``under.bit_length()`` whose letter exceeds s.
+    - The child's masks are the parent's with positions r and up moved up
+      by one, and the new piece at r.
+
+    No commutation class is built, so ``CLASS_CAP`` does not apply.
     """
-    current: Dict[Word, None] = {(): None}
-    out: List[Word] = [()]
-    while current:
-        nxt: Dict[Word, None] = {}
-        for w in current:
+    empty = _Heap._of_masks(graph, (), [], [])
+    elements = [FcElement._of_normal_heap(empty)]
+    stratum: Dict[Word, Tuple[_Heap, List[int], List[int]]] = {
+        (): (empty, [-1] * (graph.rank + 1), [])}
+    links = graph.links
+    while stratum:
+        nxt: Dict[Word, Tuple[_Heap, List[int], List[int]]] = {}
+        for w, (heap, last, prev) in stratum.items():
+            below, above, n = heap.below, heap.above, len(w)
             for s in graph.generators:
-                heap = _Heap(graph, w + (s,))
-                if not heap.fc_reduced():
+                under = _under(links[s], last, below)
+                if heap._top_witness(n, s, under, last, prev):
                     continue
-                nxt[heap.normal_form()] = None
+                r = under.bit_length()
+                while r < n and w[r] < s:
+                    r += 1
+                child = w[:r] + (s,) + w[r:]
+                if child in nxt:
+                    continue
+                # positions from r on move up by one: x + (x >> r << r)
+                grown = _Heap._of_masks(
+                    graph, child,
+                    below[:r] + [under] + [b + (b >> r << r) for b in below[r:]],
+                    [a + (a >> r << r) | (under >> p & 1) << r for p, a in enumerate(above[:r])]
+                    + [0] + [a << 1 for a in above[r:]])
+                child_last = [q + (q >= r) for q in last]
+                child_last[s] = r
+                nxt[child] = (grown, child_last,
+                              prev[:r] + [last[s]] + [q + (q >= r) for q in prev[r:]])
+                elements.append(FcElement._of_normal_heap(grown))
         if len(nxt) > STRATUM_CAP:
             raise GrowthCapError(
                 f"length stratum exceeded {STRATUM_CAP} elements; aborting")
-        out.extend(nxt)
-        current = nxt
-    elements = [FcElement(graph, w, _trusted=True) for w in out]
+        stratum = nxt
     elements.sort(key=FcElement.sort_key)
     return tuple(elements)
 
@@ -679,11 +764,11 @@ def bruhat_leq_word(graph: CoxeterGraph, x: FcElement, word: Sequence[int]) -> b
     commutation class, the linear extensions of its heap, so it suffices to
     embed the heap in the word.
     """
-    w = tuple(word)
-    if x.length > len(w):
+    w, xw = tuple(word), _own_word(graph, x)
+    if len(xw) > len(w):
         return False
-    return _Heap(graph, x.word).embeds_in(w)
+    return _Heap(graph, xw).embeds_in(w)
 
 
 def bruhat_leq(graph: CoxeterGraph, x: FcElement, y: FcElement) -> bool:
-    return bruhat_leq_word(graph, x, y.word)
+    return bruhat_leq_word(graph, x, _own_word(graph, y))

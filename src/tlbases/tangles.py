@@ -499,8 +499,9 @@ class DiagramElement:
     __slots__ = ("family", "n", "coeffs", "_hash")
 
     def __init__(self, family: str, n: int, coeffs: Dict[Tangle, object]):
-        items = tuple(sorted(((t, c) for t, c in coeffs.items() if c),
-                             key=lambda tc: tc[0].sort_key()))
+        items = tuple((t, c) for t, c in coeffs.items() if c)
+        if len(items) > 1:
+            items = tuple(sorted(items, key=lambda tc: tc[0].sort_key()))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", items)

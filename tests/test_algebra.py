@@ -422,6 +422,15 @@ def test_mixed_word_evaluation_matches_ttilde():
             assert evaluate_mixed(alg, tuple(("t", s) for s in w)).as_dict() == row, w
 
 
+@pytest.mark.parametrize("kind", "bt")
+@pytest.mark.parametrize("letter", [0, -1, 4])
+def test_mixed_word_evaluation_rejects_a_letter_outside_the_rank(kind, letter):
+    # H3 has generators 1..3; the bad letter may follow good ones
+    for mixed in (((kind, letter),), (("t", 1), ("b", 2), (kind, letter))):
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_mixed(H3, mixed)
+
+
 def test_basis_constructors_reject_words_that_index_nothing():
     # (1, 1) is not reduced, so no basis element carries it
     for make in (B2.monomial, B2.ttilde_element, B2.canonical_element, B2.f_element,

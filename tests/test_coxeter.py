@@ -233,6 +233,17 @@ def test_bruhat_examples():
     assert not bruhat_leq(B2, elems[(2, 1)], elems[(1, 2)])
 
 
+@pytest.mark.parametrize("family, rank, letter", [("B", 3, 3), ("B", 4, 4), ("H", 4, 4)])
+def test_bruhat_rejects_an_element_of_another_graph(family, rank, letter):
+    # B3's (3,) was read as H3's and found below 1,2,3; a letter past H3's
+    # rank raised IndexError
+    x, y = FcElement(CoxeterGraph(family, rank), (letter,)), FcElement(H3, (1, 2, 3))
+    for leq in (lambda: bruhat_leq(H3, x, y), lambda: bruhat_leq(H3, y, x),
+                lambda: bruhat_leq_word(H3, x, (1, 2, 3))):
+        with pytest.raises(ValueError, match="graph mismatch"):
+            leq()
+
+
 def test_bruhat_against_lifting_oracle():
     for family, rank in [("A", 3), ("B", 2), ("B", 3), ("H", 2), ("H", 3)]:
         g = CoxeterGraph(family, rank)
@@ -328,7 +339,7 @@ def _ref_bruhat_leq_word(graph, x, word):
     return any(_is_subword(u, tuple(word)) for u in _ref_class(graph, x.word))
 
 
-def _ref_enumerate_fc(graph):
+def _ref_class_enumerate_fc(graph):
     """Length by length, testing and normalizing candidates on their classes."""
     current, out = [()], [()]
     while current:
@@ -377,6 +388,124 @@ def test_enumerate_fc_builds_no_class(monkeypatch):
     assert len(enumerate_fc(a4)) == catalan(5)
 
 
+def _ref_enumerate_fc(graph):
+    """Length by length, building each candidate's heap from its word, then
+    its witness scan and its normal form."""
+    current, out = [()], [()]
+    while current:
+        nxt = {}
+        for w in current:
+            for s in graph.generators:
+                heap = _Heap(graph, w + (s,))
+                if heap.witness() is None:
+                    nxt[heap.normal_form()] = None
+        out.extend(nxt)
+        current = list(nxt)
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+def _fields(elements):
+    return [(e.word, e.length, e.content, e.left_descents, e.right_descents)
+            for e in elements]
+
+
+def _check_enumeration_against_the_candidate_loop(graph):
+    assert _fields(enumerate_fc(graph)) == \
+        _fields(FcElement(graph, w) for w in _ref_enumerate_fc(graph))
+
+
+@pytest.mark.parametrize("family, rank", [
+    *(("A", r) for r in range(1, 8)), *(("B", r) for r in range(2, 7)),
+    *(("H", r) for r in range(2, 6))])
+def test_enumerate_fc_matches_the_candidate_loop(family, rank):
+    _check_enumeration_against_the_candidate_loop(CoxeterGraph(family, rank))
+
+
+@SLOW
+@pytest.mark.parametrize("family, rank", [("A", 8), ("B", 7), ("H", 6)])
+def test_enumerate_fc_matches_the_candidate_loop_at_large_ranks(family, rank):
+    _check_enumeration_against_the_candidate_loop(CoxeterGraph(family, rank))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 5), ("B", 5), ("H", 4)])
+def test_enumerate_fc_carries_the_heaps_of_its_words(family, rank, monkeypatch):
+    """Every carried heap has the masks of a fresh one, and every candidate
+    test reads the latest and previous occurrences of the parent's word."""
+    g = CoxeterGraph(family, rank)
+    heaps, tests = [], []
+    of_heap, top_witness = FcElement._of_normal_heap, _Heap._top_witness
+
+    def record_heap(heap):
+        heaps.append(heap)
+        return of_heap(heap)
+
+    def record_test(heap, j, s, under, last, prev):
+        assert j == len(heap.word)
+        tests.append((heap.word, s, under, list(heap.above), list(last), list(prev)))
+        return top_witness(heap, j, s, under, last, prev)
+
+    monkeypatch.setattr(FcElement, "_of_normal_heap", staticmethod(record_heap))
+    monkeypatch.setattr(_Heap, "_top_witness", record_test)
+    fc = enumerate_fc(g)
+    assert sorted(h.word for h in heaps) == sorted(e.word for e in fc)
+    for heap in heaps:
+        fresh = _Heap(g, heap.word)
+        assert (heap.below, heap.above) == (fresh.below, fresh.above), heap.word
+    assert len(tests) == len(fc) * rank
+    for w, s, under, above, last, prev in tests:
+        assert under == _Heap(g, w + (s,)).below[len(w)], (w, s)
+        assert above == _Heap(g, w).above, w
+        assert last == [max((j for j, t in enumerate(w) if t == u), default=-1)
+                        for u in range(rank + 1)], w
+        assert prev == [max((i for i in range(j) if w[i] == t), default=-1)
+                        for j, t in enumerate(w)], w
+
+
+def test_enumerate_fc_builds_no_heap_from_a_word(monkeypatch):
+    def refuse(self, graph, word):
+        raise AssertionError(f"heap built from {word}")
+
+    monkeypatch.setattr(_Heap, "__init__", refuse)
+    assert len(enumerate_fc(CoxeterGraph("H", 4))) == 195
+
+
+def _ref_run_witness(heap):
+    """The witness scan that keeps, per bond, the alternating run of its two
+    letters ending at the latest occurrence."""
+    word, below, above = heap.word, heap.below, heap.above
+    rank, bonds = heap.graph.rank, heap.graph.bonds
+    last = [-1] * (rank + 1)
+    runs = [[] for _ in range(rank + 1)]
+    for j, s in enumerate(word):
+        i = last[s]
+        if i >= 0 and not above[i] & below[j]:
+            return (i, j)
+        last[s] = j
+        for lo in (s - 1, s):
+            if lo < 1 or lo >= rank:
+                continue
+            run = runs[lo]
+            if run and word[run[-1]] == s:
+                run.clear()
+            run.append(j)
+            m = bonds[lo][lo + 1]
+            if len(run) >= m and (above[run[-m]] & below[j]).bit_count() == m - 2:
+                return tuple(run[-m:])
+    return None
+
+
+@pytest.mark.parametrize("family", "ABH")
+def test_witness_matches_the_run_scan(family):
+    g4 = CoxeterGraph(family, 4)
+    cases = [(g4, w) for w in _words(4, 6)]
+    for rank in (5, 6):
+        g = CoxeterGraph(family, rank)
+        cases += [(g, e.word + (s,)) for e in enumerate_fc(g) for s in g.generators]
+    for g, w in cases:
+        heap = _Heap(g, w)
+        assert heap.witness() == _ref_run_witness(heap), w
+
+
 def _check_bruhat_against_class_members(graph):
     # the (x, w) pairs of the descent-support check: w is an FC normal word,
     # possibly followed by one more generator
@@ -403,7 +532,7 @@ def test_heap_agrees_with_class_scan_rank_4_length_8(family):
 @pytest.mark.parametrize("family, rank", [("A", 6), ("B", 5), ("H", 5)])
 def test_enumerate_fc_agrees_with_class_scan_enumeration(family, rank):
     g = CoxeterGraph(family, rank)
-    assert [e.word for e in enumerate_fc(g)] == _ref_enumerate_fc(g)
+    assert [e.word for e in enumerate_fc(g)] == _ref_class_enumerate_fc(g)
 
 
 @SLOW

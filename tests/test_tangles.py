@@ -647,6 +647,19 @@ def test_reduce_b_braid_relation_diagrams():
     assert e == short
 
 
+def test_diagram_element_orders_only_two_or_more_terms(monkeypatch):
+    u1, u2 = generator_U("H", 3, 1), generator_U("H", 3, 2)
+    ordered = DiagramElement("H", 3, {u2: ONE, u1: ONE}).coeffs
+    keyed = []
+    sort_key = Tangle.sort_key
+    monkeypatch.setattr(Tangle, "sort_key", lambda t: keyed.append(t) or sort_key(t))
+    for coeffs in ({}, {u1: ONE}, {u1: ONE, u2: LaurentPoly.const(0)}):
+        DiagramElement("H", 3, coeffs)
+    assert keyed == []
+    assert DiagramElement("H", 3, {u2: ONE, u1: ONE}).coeffs == ordered
+    assert keyed
+
+
 def test_evaluate_h_canonical_image_is_single_diagram():
     e = CALC_H.evaluate_word(3, (1, 2, 1)) - CALC_H.evaluate_word(3, (1,))
     assert len(e.coeffs) == 1 and e.coeffs[0][1] == ONE
