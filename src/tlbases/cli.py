@@ -1,7 +1,8 @@
 """Command-line orchestration: enumeration, bases, verification, calibration.
 
 One flat flag surface drives every job: ``--command`` picks the action and
-the rest of the flags parameterize it.  Reports are deterministic JSON,
+the rest of the flags parameterize it.  Reports are deterministic JSON, the
+bytes of ``json.dump(report, indent=2, sort_keys=True)`` and a newline,
 written to ``--out`` or to the directory named by ``TLBASES_REPORT_DIR``.
 Exit codes: 0 pass, 2 verification or computation failure, 3 resource cap
 exceeded, 4 configuration error.  A computation that fails inside the
@@ -182,14 +183,22 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
             })
     else:
         table = None if cfg.basis == "monomial" else alg._table_for(cfg.basis)
-        for e in alg.fc_elements():
-            coords = {e.word: ONE} if table is None else table[e.word]
-            entries.append({
-                "index_word": word_str(e.word),
-                "coords": [{"word": word_str(w), "poly": str(c)}
-                           for w, c in sorted(coords.items(),
-                                              key=lambda t: (len(t[0]), t[0]))],
-            })
+        # rows are ordered by position in the (length, word) order of the FC
+        # words; each word's and each distinct coefficient's text is made once
+        words = alg.fc_words()
+        index = {w: k for k, w in enumerate(words)}
+        names = [word_str(w) for w in words]
+        polys: dict = {}
+        for w, name in zip(words, names):
+            coords = {w: ONE} if table is None else table[w]
+            row = []
+            for k in sorted(map(index.__getitem__, coords)):
+                c = coords[words[k]]
+                text = polys.get(c.terms)
+                if text is None:
+                    text = polys[c.terms] = str(c)
+                row.append({"word": names[k], "poly": text})
+            entries.append({"index_word": name, "coords": row})
     body["entries"] = entries
     return body, EXIT_PASS
 
@@ -239,11 +248,54 @@ def _cmd_gram_check(cfg: JobConfig) -> Tuple[dict, int]:
 # report writing and entry point
 
 
+_FLUSH_CHUNKS = 4096
+
+
 def _write_json_report(body: dict, path: str) -> None:
-    # streamed: the indenting encoder's chunks are never joined in memory
+    """Write the bytes of ``json.dump(body, fh, indent=2, sort_keys=True)``
+    and a newline.  A report holds dicts with str keys, lists, str, int, bool
+    and None; anything else is a TypeError.  The chunks are written out every
+    few thousand, so the report is never joined whole in memory."""
+    quote = json.encoder.encode_basestring_ascii
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        chunks: list = []
+
+        def emit(o, pad: str) -> None:
+            t = type(o)
+            if t is str:
+                chunks.append(quote(o))
+            elif t is dict or t is list:
+                if not o:
+                    chunks.append("{}" if t is dict else "[]")
+                    return
+                inner = pad + "  "
+                sep = ("{\n" if t is dict else "[\n") + inner
+                for k in (sorted(o) if t is dict else o):
+                    if t is list:
+                        chunks.append(sep)
+                        emit(k, inner)
+                    elif type(k) is str:
+                        chunks.append(sep + quote(k) + ": ")
+                        emit(o[k], inner)
+                    else:
+                        raise TypeError(f"report keys are str, not {type(k).__name__}")
+                    sep = ",\n" + inner
+                    if len(chunks) > _FLUSH_CHUNKS:
+                        fh.write("".join(chunks))
+                        chunks.clear()
+                chunks.append("\n" + pad + ("}" if t is dict else "]"))
+            elif o is None:
+                chunks.append("null")
+            elif t is bool:
+                chunks.append("true" if o else "false")
+            elif t is int:
+                chunks.append(int.__repr__(o))
+            else:
+                raise TypeError(f"{t.__name__} is not a report value")
+
+        emit(body, "")
+        chunks.append("\n")
+        fh.write("".join(chunks))
 
 
 def _csv(rows) -> str:
@@ -292,6 +344,24 @@ def run(cfg: JobConfig) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    out_path = cfg.out
+    if out_path is None:
+        suffix = {"json": "json", "csv": "csv", "svg": "svg",
+                  "text": "txt", "ascii": "txt"}[cfg.format]
+        out_path = os.path.join(
+            cfg.report_dir,
+            f"{cfg.command}-{cfg.family}{_effective_rank(cfg)}.{suffix}")
+    out_dir = os.path.dirname(out_path)
+    try:
+        # makedirs on an existing directory raises and catches an OSError,
+        # whose first raise in a process adds about 0.5 MB to its peak RSS
+        if out_dir and not os.path.isdir(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: cannot make the report directory: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+
     bodies = {
         "enumerate": _cmd_enumerate,
         "basis": _cmd_basis,
@@ -322,14 +392,6 @@ def run(cfg: JobConfig) -> int:
         "status": "pass" if code == EXIT_PASS else "fail",
         "results": results,
     }
-    out_path = cfg.out
-    if out_path is None:
-        os.makedirs(cfg.report_dir, exist_ok=True)
-        suffix = {"json": "json", "csv": "csv", "svg": "svg",
-                  "text": "txt", "ascii": "txt"}[cfg.format]
-        out_path = os.path.join(
-            cfg.report_dir,
-            f"{cfg.command}-{cfg.family}{_effective_rank(cfg)}.{suffix}")
     if cfg.format == "json" or "error" in results:
         _write_json_report(body, out_path)  # a failed computation has only the JSON form
     else:

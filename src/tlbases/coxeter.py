@@ -131,6 +131,8 @@ class CoxeterGraph:
     def check_word(self, word: Sequence[int]) -> Word:
         w = tuple(word)
         for s in w:
+            if type(s) is not int:  # a bool is not a letter either
+                raise ValueError(f"letter {s!r} is not an integer")
             if not (1 <= s <= self.rank):
                 raise ValueError(f"letter {s} out of range 1..{self.rank}")
         return w
@@ -764,11 +766,16 @@ def bruhat_leq_word(graph: CoxeterGraph, x: FcElement, word: Sequence[int]) -> b
     commutation class, the linear extensions of its heap, so it suffices to
     embed the heap in the word.
     """
-    w, xw = tuple(word), _own_word(graph, x)
+    return _bruhat_leq_word(graph, x, graph.check_word(word))
+
+
+def _bruhat_leq_word(graph: CoxeterGraph, x: FcElement, w: Word) -> bool:
+    """``bruhat_leq_word`` on a word whose letters are already checked."""
+    xw = _own_word(graph, x)
     if len(xw) > len(w):
         return False
     return _Heap(graph, xw).embeds_in(w)
 
 
 def bruhat_leq(graph: CoxeterGraph, x: FcElement, y: FcElement) -> bool:
-    return bruhat_leq_word(graph, x, _own_word(graph, y))
+    return _bruhat_leq_word(graph, x, _own_word(graph, y))

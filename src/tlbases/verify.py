@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra, evaluate_mixed
-from .coxeter import CoxeterGraph, bruhat_leq_word, classify_letters, word_str
+from .coxeter import CoxeterGraph, _bruhat_leq_word, classify_letters, word_str
 from .laurent import DELTA, LaurentPoly
 from .tangles import (
     _canonical_index,
@@ -191,9 +191,9 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
                 if i not in xe.right_descents:
                     side_bad.append((w.word, i, x, "no descent"))
                 if descent:
-                    ok = bruhat_leq_word(graph, xe, w.word)
+                    ok = _bruhat_leq_word(graph, xe, w.word)
                 else:
-                    ok = bruhat_leq_word(graph, xe, w.word + (i,))
+                    ok = _bruhat_leq_word(graph, xe, w.word + (i,))
                 if not ok:
                     side_bad.append((w.word, i, x, "not below the product bound"))
     res.checks.append(CheckResult(

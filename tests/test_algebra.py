@@ -431,6 +431,12 @@ def test_mixed_word_evaluation_rejects_a_letter_outside_the_rank(kind, letter):
             evaluate_mixed(H3, mixed)
 
 
+def test_mixed_word_evaluation_rejects_a_letter_that_is_not_an_integer():
+    # the text "1" raised TypeError from the range comparison
+    with pytest.raises(ValueError, match="not an integer"):
+        evaluate_mixed(H3, (("b", "1"),))
+
+
 def test_basis_constructors_reject_words_that_index_nothing():
     # (1, 1) is not reduced, so no basis element carries it
     for make in (B2.monomial, B2.ttilde_element, B2.canonical_element, B2.f_element,

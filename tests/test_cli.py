@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, reports, determinism, gram checks."""
 
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -24,8 +26,9 @@ from tlbases.cli import (
     main,
     run,
 )
+from tlbases import cli as cli_mod
 from tlbases import coxeter as coxeter_mod
-from tlbases.coxeter import CoxeterGraph
+from tlbases.coxeter import CoxeterGraph, word_str
 from tlbases.forms import GramCandidate, gram_check, natural_gram_candidate
 from tlbases.laurent import ONE, V, ZERO
 
@@ -56,17 +59,130 @@ def test_basis_b2_canonical_dump(tmp_path):
         {"word": "1", "poly": "-1"}, {"word": "1,2,1", "poly": "1"}]
 
 
-def test_json_reports_are_indented_dumps_of_their_body(tmp_path):
-    # reports are streamed to the file; the bytes, sidecar included, are
-    # those of json.dumps of the body with a final newline
-    argv = ["--command", "basis", "--family", "H", "--rank", "4", "--basis", "ttilde"]
-    assert run_args(argv, tmp_path, "out.json")[0] == EXIT_PASS
-    assert run_args(argv + ["--format", "csv"], tmp_path, "out.csv")[0] == EXIT_PASS
-    report, sidecar = ((tmp_path / name).read_text(encoding="utf-8")
-                       for name in ("out.json", "out.report.json"))
-    assert len(report) > 900_000
-    for text in (report, sidecar):
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+def _json_dump_reference(body) -> str:
+    # the writer's contract: what json.dump writes, and a final newline
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+_REPORT_JOBS = [
+    ["--command", "basis", "--family", "H", "--rank", "4", "--basis", "ttilde"],
+    ["--command", "enumerate", "--family", "B", "--rank", "3"],
+    *(["--command", "basis", "--family", "B", "--rank", "3", "--basis", basis]
+      for basis in ("monomial", "ttilde", "f", "canonical", "diagram")),
+    ["--command", "verify", "--family", "H", "--suite", "lemma-3.3.6,prop-3.1.9"],
+    ["--command", "calibrate", "--family", "B"],
+    ["--command", "render", "--family", "H", "--tangle", "n=3; N1-N2[c]; S1-S2[c]; N3-S3"],
+    ["--command", "gram-check", "--family", "B", "--rank", "2"],
+]
+# every non-JSON format: the report goes to a JSON sidecar
+_SIDECAR_JOBS = [
+    ["--command", "enumerate", "--family", "A", "--rank", "3", "--format", "csv"],
+    ["--command", "enumerate", "--family", "A", "--rank", "3", "--format", "text"],
+    ["--command", "basis", "--family", "H", "--rank", "3", "--basis", "canonical",
+     "--format", "csv"],
+    *(["--command", "render", "--family", "B", "--tangle", "n=2; N1-N2[c]; S1-S2[c]",
+       "--format", fmt] for fmt in ("text", "ascii", "svg")),
+]
+
+
+def test_json_reports_are_indented_dumps_of_their_body(tmp_path, monkeypatch):
+    # every report, sidecars and failure reports included, is the bytes of
+    # json.dump(body, indent=2, sort_keys=True) and a final newline
+    written = []
+    writer = cli_mod._write_json_report
+
+    def spy(body, path):
+        writer(body, path)
+        written.append((body, path))
+
+    monkeypatch.setattr(cli_mod, "_write_json_report", spy)
+    for k, argv in enumerate(_REPORT_JOBS + _SIDECAR_JOBS):
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        assert run_args(argv, tmp_path, f"r{k}.{fmt}")[0] == EXIT_PASS, argv
+    # a failed computation, in JSON and under a tabular format
+    monkeypatch.setattr(coxeter_mod, "CLASS_CAP", 1)
+    for fmt in ("json", "csv"):
+        argv = ["--command", "basis", "--family", "H", "--rank", "3", "--basis", "f",
+                "--format", fmt]
+        assert run_args(argv, tmp_path, f"cap.{fmt}")[0] == EXIT_RESOURCE
+    assert len(written) == len(_REPORT_JOBS) + len(_SIDECAR_JOBS) + 3
+    assert written[0][1].endswith("r0.json") and os.path.getsize(written[0][1]) > 900_000
+    assert [p for _, p in written[-3:]] == [
+        str(tmp_path / name) for name in ("cap.json", "cap.csv", "cap.report.json")]
+    for body, path in written:
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == _json_dump_reference(body), path
+
+
+def _ref_basis_rows(family, rank, basis):
+    # the reference rows: each coordinate sorted by (length, word), each
+    # string made where it is used
+    alg = TLAlgebra(CoxeterGraph(family, rank))
+    table = None if basis == "monomial" else alg._table_for(basis)
+    for e in alg.fc_elements():
+        coords = {e.word: ONE} if table is None else table[e.word]
+        for w, c in sorted(coords.items(), key=lambda t: (len(t[0]), t[0])):
+            yield [word_str(e.word), word_str(w), str(c)]
+
+
+@pytest.mark.parametrize("family, rank, basis", [
+    ("H", 4, "ttilde"), ("H", 3, "canonical"), ("B", 4, "f"), ("A", 4, "monomial")])
+def test_basis_rows_match_the_sorted_reference(tmp_path, family, rank, basis):
+    argv = ["--command", "basis", "--family", family, "--rank", str(rank),
+            "--basis", basis, "--format", "csv"]
+    code, out = run_args(argv, tmp_path, "table.csv")
+    assert code == EXIT_PASS
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["index_word", "word", "poly"],
+                               *_ref_basis_rows(family, rank, basis)])
+    assert out.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+_AWKWARD_BODY = {
+    "empty": {}, "nothing": [], "deep": {"a": [[], {}, [{}], {"b": [[[]]]}]},
+    "ints": [0, -1, 7, -(10 ** 40), 10 ** 60, True, False, None],
+    "naïve ключ \u2603\t\x00": "tab\tnul\x00 bell\x07 quote\" slash\\ é 𝔖 \u2028",
+    "\x1f": [[1, [2, {"z": "", "a": "", "": []}]], "\ud800"],
+    "": {"": {"": None}},
+}
+
+
+def test_report_writer_matches_json_dump_on_every_value_shape(tmp_path):
+    path = tmp_path / "body.json"
+    cli_mod._write_json_report(_AWKWARD_BODY, str(path))
+    assert path.read_bytes() == _json_dump_reference(_AWKWARD_BODY).encode("ascii")
+    for body in ({}, [], {"a": {}}, [[]], {"x": [{}]}):
+        cli_mod._write_json_report(body, str(path))
+        assert path.read_text(encoding="utf-8") == _json_dump_reference(body)
+
+
+def test_report_writer_streams_a_large_report(tmp_path, monkeypatch):
+    # the report is written in pieces as it is encoded, never joined whole
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+        def close(self):
+            self.seen = self.getvalue()
+            super().close()
+
+    fh = Recorder()
+    monkeypatch.setattr(cli_mod, "open", lambda *args, **kwargs: fh, raising=False)
+    body = {"rows": [{"word": str(k), "poly": "v + v^-1"} for k in range(20_000)]}
+    cli_mod._write_json_report(body, str(tmp_path / "big.json"))
+    assert fh.seen == _json_dump_reference(body)
+    assert len(writes) > 10 and max(writes) < len(fh.seen) / 10
+
+
+@pytest.mark.parametrize("value", [1.5, 0.0, (1, 2), {1: "a"}, b"x", {"a": {3}}],
+                         ids=["float", "zero", "tuple", "int-key", "bytes", "set"])
+def test_report_writer_rejects_what_a_report_never_holds(tmp_path, value):
+    # json.dump would take a float, a tuple or an int key; a report holds none
+    with pytest.raises(TypeError):
+        cli_mod._write_json_report({"results": [value]}, str(tmp_path / "r.json"))
 
 
 def test_basis_diagram_dump(tmp_path):
@@ -274,6 +390,30 @@ def test_report_dir_env(tmp_path, monkeypatch):
     code = run(config_from_args(["--command", "enumerate", "--family", "A", "--rank", "2"]))
     assert code == EXIT_PASS
     assert (tmp_path / "enumerate-A2.json").exists()
+
+
+def test_out_in_a_missing_directory_makes_it(tmp_path):
+    # the report's directory is made before the job, as the report dir is
+    code, out = run_args(["--command", "enumerate", "--family", "A", "--rank", "3",
+                          "--format", "csv"], tmp_path, "no/such/dir/enum.csv")
+    assert code == EXIT_PASS
+    assert out.read_text().startswith("word,length")
+    assert (out.parent / "enum.report.json").exists()
+
+
+@pytest.mark.parametrize("where", ["out", "out-below", "report-dir"])
+def test_report_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch,
+                                                              where):
+    # a path component that is a file: exit 4 before any computation, no report
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli_mod, "_cmd_enumerate", _raiser(AssertionError("computed")))
+    cfg = {"out": JobConfig(command="enumerate", out=str(blocker / "x.json")),
+           "out-below": JobConfig(command="enumerate", out=str(blocker / "a" / "x.json")),
+           "report-dir": JobConfig(command="enumerate", report_dir=str(blocker))}[where]
+    assert run(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_csv_and_text_formats(tmp_path):
@@ -508,8 +648,6 @@ def test_rewrite_coefficient_above_degree_one_fails_with_report(tmp_path, monkey
 
 
 def _gram_check_report(tmp_path, monkeypatch, candidate):
-    import tlbases.cli as cli_mod
-
     monkeypatch.setattr(cli_mod, "natural_gram_candidate", candidate)
     code, out = run_args(
         ["--command", "gram-check", "--family", "B", "--rank", "3"], tmp_path)
@@ -579,7 +717,6 @@ def _raiser(exc):
 
 def _internal_failure(path):
     """(object to patch, attribute, exception raised, argv) for one failure path."""
-    import tlbases.cli as cli_mod
     import tlbases.verify as verify_mod
     from tlbases.laurent import NarrowingError
     from tlbases.tangles import CalibrationError, DiagramCalculus, ReductionError

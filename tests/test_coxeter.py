@@ -244,6 +244,27 @@ def test_bruhat_rejects_an_element_of_another_graph(family, rank, letter):
             leq()
 
 
+def test_bruhat_leq_word_checks_the_word():
+    # a letter past the rank was skipped by the embedding and read as true
+    x = FcElement(H3, (1,))
+    with pytest.raises(ValueError, match="out of range"):
+        bruhat_leq_word(H3, x, (7, 1))
+    with pytest.raises(ValueError, match="not an integer"):
+        bruhat_leq_word(H3, x, (1.0,))
+
+
+def test_fc_element_rejects_a_bool_letter():
+    # True == 1 passed the range check and printed as FcElement(H3, True)
+    with pytest.raises(ValueError, match="not an integer"):
+        FcElement(H3, (True,))
+
+
+def test_is_fc_reduced_rejects_a_float_letter():
+    # 1.5 passed the range check and raised TypeError in the heap
+    with pytest.raises(ValueError, match="not an integer"):
+        is_fc_reduced(H3, (1.5,))
+
+
 def test_bruhat_against_lifting_oracle():
     for family, rank in [("A", 3), ("B", 2), ("B", 3), ("H", 2), ("H", 3)]:
         g = CoxeterGraph(family, rank)

@@ -42,6 +42,25 @@ def test_no_module_imports_sympy():
     assert not found, f"sympy imported by the package: {found}"
 
 
+def test_reports_have_one_encoder():
+    # cli._write_json_report writes every report; json.dump and json.dumps
+    # would be a second encoder (json.load, for --ruleset, reads only)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                hit = (isinstance(node.value, ast.Name) and node.value.id == "json"
+                       and node.attr in ("dump", "dumps"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                hit = any(alias.name in ("dump", "dumps") for alias in node.names)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"json encoders outside cli._write_json_report: {found}"
+
+
 def _run_python(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
