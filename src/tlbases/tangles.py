@@ -7,10 +7,11 @@ Composition concatenates rectangles and extracts the closed curves; a
 calibrated ``RuleSet`` then reduces them with one ``fold`` of decoration
 words, which values each closed loop and rewrites each edge carrying a
 square or more than one decoration.  A generator touches only two arcs of
-the tangle it acts on, so ``DiagramCalculus.apply_gen`` rewrites those two
-and reduces: it is the one loop behind generator actions and, letter by
-letter, word evaluation.  ``DiagramCalculus.multiply`` composes whole
-tangles and is the general product.
+the tangle it acts on, so ``DiagramCalculus.apply_gen`` rewrites those two,
+values the loop the cup may close and folds only the arc it joined: it is
+the one loop behind generator actions and, letter by letter, word
+evaluation.  ``DiagramCalculus.multiply`` composes whole tangles, reduces
+every edge and is the general product.
 
 The scalar parameters of the reduction system are never hard-coded: they
 are solved exactly at three strands from the defining relations, each word
@@ -21,6 +22,7 @@ diagrams), and re-verified against the full relation set at four strands.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -262,7 +264,26 @@ def _parse_end(text: str) -> End:
     return face, int(idx)
 
 
+def _check_strands(n: int) -> None:
+    if type(n) is not int or n < 1:  # a bool is not a count either
+        raise ValueError(f"strand count {n!r} is not an integer of at least 1")
+
+
+def _check_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
+    """``word`` as a tuple of generator indices at ``n`` strands, its letters
+    checked as ``CoxeterGraph.check_word`` does."""
+    _check_strands(n)
+    w = tuple(word)
+    for s in w:
+        if type(s) is not int:
+            raise ValueError(f"generator index {s!r} is not an integer")
+        if not 1 <= s <= n - 1:
+            raise ValueError(f"generator index {s} out of range for {n} strands")
+    return w
+
+
 def identity_tangle(n: int) -> Tangle:
+    _check_strands(n)
     return Tangle(n, n, [(("N", i), ("S", i), ()) for i in range(1, n + 1)])
 
 
@@ -273,8 +294,7 @@ def _cup(i: int) -> Tuple[Decor, ...]:
 
 def generator_U(family: str, n: int, i: int) -> Tangle:
     """Cup-cap generator: non-propagating pair at i, i+1, decorated iff i = 1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
+    _check_word(n, (i,))
     decs = _cup(i)
     edges: List[Edge] = [
         (("N", i), ("N", i + 1), decs),
@@ -341,40 +361,77 @@ def compose_raw(top: Tangle, bottom: Tangle) -> Tuple[Tangle, Tuple[Tuple[Decor,
     return Tangle._from_edges(n, m, kinds[0] + kinds[1] + kinds[2]), tuple(loops)
 
 
-def _act(t: Tangle, i: int, side: str) -> Tuple[Tangle, Tuple[Tuple[Decor, ...], ...]]:
-    """``compose_raw(t, U_i)`` for side "right", else ``compose_raw(U_i, t)``.
+def _act(t: Tangle, i: int, side: str) -> Tuple[Tangle, Tuple[Tuple[Decor, ...], ...],
+                                                Tuple[int, ...]]:
+    """``compose_raw(t, U_i)`` for side "right", else ``compose_raw(U_i, t)``,
+    and the positions of the result's edges that may need a fold.
 
     The generator's cup-cap touches only nodes i and i + 1 of the glued face
     (t's south face on the right, its north face on the left).  If t joins
-    them to each other, the cup closes one loop; otherwise their partners p
-    and q are joined through the cup, decorations read p -> i -> cup -> i + 1
-    -> q.  The generator's other arc then joins i and i + 1 on that face of
-    the result.  Every other edge of t is kept as stored.
+    them to each other, the cup closes one loop and the generator's other arc
+    takes that edge's place (t itself when their decorations agree).
+    Otherwise their partners p and q are joined through the cup, decorations
+    read p -> i -> cup -> i + 1 -> q, and that arc and the joined edge are
+    inserted among t's other edges, which are kept as stored.  So only the
+    joined edge can need a fold, unless t has an edge with a square or
+    several decorations.
     """
     face = "S" if side == "right" else "N"
     x, y = (face, i), (face, i + 1)
     cup = _cup(i)
-    edges: List[Edge] = []
-    away = {}  # x and y: (partner, decorations read from the node)
+    edges: List[Edge] = []  # t's other edges, in stored order
+    away = {}  # x and y: (partner, decorations read from the node, position in edges)
+    nn = ss = 0  # how many of edges are N-N, and S-S
+    loose = False  # some edge of edges is not reduced
     for e in t.edges:
         a, b, decs = e
         if a == x or a == y:
-            away[a] = (b, decs)
+            away[a] = (b, decs, len(edges))
         elif b == x or b == y:
-            away[b] = (a, decs[::-1])
+            away[b] = (a, decs[::-1], len(edges))
         else:
             edges.append(e)
-    (p, dp), loops = away[x], ()
+            if b[0] == "N":
+                nn += 1
+            elif a[0] == "S":
+                ss += 1
+            if decs and (len(decs) > 1 or decs[0] == "s"):
+                loose = True
+    (p, dp, k), cap = away[x], (x, y, cup)
     if p == y:
-        loops = (_canonical_cycle(dp + cup),)
+        loops, fold = (_canonical_cycle(dp + cup),), ()
+        if dp == cup:
+            out = t
+        else:
+            edges.insert(k, cap)
+            out = Tangle._from_edges(t.n_north, t.n_south, edges)
     else:
-        q, dq = away[y]
+        q, dq, _ = away[y]
+        _insert_edge(edges, cap, nn, ss)
+        if face == "N":
+            nn += 1
+        else:
+            ss += 1
         joined = dp[::-1] + cup + dq
-        edges.append((p, q, joined) if _end_sort_key(p) < _end_sort_key(q)
-                     else (q, p, joined[::-1]))
-    edges.append((x, y, cup))
-    edges.sort(key=_edge_order)
-    return Tangle._from_edges(t.n_north, t.n_south, edges), loops
+        # ends compare as tuples in canonical order ("N" < "S")
+        k = _insert_edge(edges, (p, q, joined) if p < q else (q, p, joined[::-1]), nn, ss)
+        loops, fold = (), ((k,) if len(joined) > 1 or "s" in joined else ())
+        out = Tangle._from_edges(t.n_north, t.n_south, edges)
+    if loose:
+        fold = tuple(k for k, (_, _, d) in enumerate(out.edges) if len(d) > 1 or "s" in d)
+    return out, loops, fold
+
+
+def _insert_edge(edges: List[Edge], e: Edge, nn: int, ss: int) -> int:
+    """Insert ``e`` into stored-order ``edges`` whose first ``nn`` edges are
+    N-N and next ``ss`` are S-S; return its position.  Within a kind the
+    stored order is that of the edge tuples themselves."""
+    a, b, _ = e
+    lo, hi = ((0, nn) if b[0] == "N" else (nn, nn + ss) if a[0] == "S"
+              else (nn + ss, len(edges)))
+    k = bisect.bisect(edges, e, lo, hi)
+    edges.insert(k, e)
+    return k
 
 
 def _canonical_cycle(decs: Tuple[Decor, ...]) -> Tuple[Decor, ...]:
@@ -559,10 +616,12 @@ class DiagramElement:
         return f"DiagramElement({self.family}, n={self.n}, {body})"
 
 
-def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
-    """Fold every edge with a square or several decorations to reduced form."""
-    folds = [(k, rules.fold(decs)) for k, (_, _, decs) in enumerate(t.edges)
-             if "s" in decs or len(decs) >= 2]
+def _expand_edges(t: Tangle, rules: RuleSet, at: Iterable[int]) -> Dict[Tangle, object]:
+    """Fold each edge at the positions ``at`` that carries a square or several
+    decorations: {reduced tangle: coefficient}."""
+    edges = t.edges
+    folds = [(k, rules.fold(edges[k][2])) for k in at
+             if "s" in edges[k][2] or len(edges[k][2]) >= 2]
     if not folds:
         return {t: rules.one()}
     out: Dict[Tangle, object] = {}
@@ -570,20 +629,21 @@ def _expand_edges(t: Tangle, rules: RuleSet) -> Dict[Tangle, object]:
     for choice in itertools.product(*[((p, ()), (c, ("c",))) for _, (p, c) in folds]):
         coeff = math.prod((x for x, _ in choice), start=rules.one())
         if coeff:
-            edges = list(t.edges)
+            new = list(edges)
             for (k, _), (_, decs) in zip(folds, choice):
-                edges[k] = edges[k][:2] + (decs,)
-            out[Tangle._from_edges(t.n_north, t.n_south, edges)] = coeff
+                new[k] = new[k][:2] + (decs,)
+            out[Tangle._from_edges(t.n_north, t.n_south, new)] = coeff
     return out
 
 
 def _reduce(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
             rules: RuleSet) -> Dict[Tangle, object]:
-    """Value the loops and fold the edges: {reduced tangle: coefficient}."""
+    """Value the loops and fold every edge: {reduced tangle: coefficient}."""
     scalar = math.prod((rules.loop_value(loop) for loop in loops), start=rules.one())
     if not scalar:
         return {}
-    return {t: c * scalar for t, c in _expand_edges(tangle, rules).items()}
+    return {t: c * scalar
+            for t, c in _expand_edges(tangle, rules, range(len(tangle.edges))).items()}
 
 
 def reduce_composition(tangle: Tangle, loops: Sequence[Tuple[Decor, ...]],
@@ -610,29 +670,35 @@ class DiagramCalculus:
     def apply_gen(self, elem: DiagramElement, i: int, side: str = "right") -> DiagramElement:
         """elem * b_i (side "right"), else b_i * elem: the calculus's one loop
         of generator actions.  Each term's tangle is rewritten at the two
-        arcs the generator touches (``_act``), then reduced."""
-        if not 1 <= i <= elem.n - 1:
-            raise ValueError(f"generator index {i} out of range for {elem.n} strands")
+        arcs the generator touches (``_act``); the loop it closes is valued
+        and only the edges it names are folded."""
+        if type(i) is not int or not 1 <= i <= elem.n - 1:
+            _check_word(elem.n, (i,))  # raises, naming the fault
         if side not in ("left", "right"):
             raise ValueError(f"side {side!r} is neither 'left' nor 'right'")
+        rules = self.rules
         # the image of b_i is 2 U_1 at i = 1 in family B, else U_i
-        scale = self.rules.const(2) if (self.family == "B" and i == 1) else self.rules.one()
+        scale = rules.const(2) if (self.family == "B" and i == 1) else rules.one()
         acc: Dict[Tangle, object] = {}
         for t, c in elem.coeffs:
-            _add_scaled(acc, _reduce(*_act(t, i, side), self.rules).items(), c * scale)
+            tangle, loops, fold = _act(t, i, side)
+            if loops:  # the cup closes one loop at most
+                c = c * rules.loop_value(loops[0])
+                if not c:
+                    continue
+            if fold:
+                _add_scaled(acc, _expand_edges(tangle, rules, fold).items(), c * scale)
+            else:
+                _add_scaled(acc, ((tangle, c),), scale)
         return DiagramElement(self.family, elem.n, acc)
 
     def evaluate_word(self, n: int, word: Sequence[int]) -> DiagramElement:
-        w = tuple(word)
-        key = (n, w)
-        hit = self._eval_cache.get(key)
-        if hit is not None:
-            return hit
-        if w:
-            out = self.apply_gen(self.evaluate_word(n, w[:-1]), w[-1], "right")
-        else:
-            out = self.one(n)
-        self._eval_cache[key] = out
+        w = _check_word(n, word)  # before the lookup: 1.0 and True hash like 1
+        out = self._eval_cache.get((n, w))
+        if out is None:
+            out = self.apply_gen(self.evaluate_word(n, w[:-1]), w[-1], "right") if w \
+                else self.one(n)
+            self._eval_cache[(n, w)] = out
         return out
 
     def image(self, n: int, coords) -> DiagramElement:
@@ -641,6 +707,7 @@ class DiagramCalculus:
         ``coords`` maps reduced words to ``LaurentPoly`` coefficients (a dict
         or (word, coefficient) pairs), as the algebra's basis tables do.
         """
+        _check_strands(n)
         acc: Dict[Tangle, object] = {}
         for x, c in dict(coords).items():
             _add_scaled(acc, self.evaluate_word(n, x).coeffs, self.rules.lift(c))
@@ -666,11 +733,10 @@ def loop_count(n: int, word: Sequence[int]) -> int:
     way s and s + 1 then form a cap.  This is the deletion oracle for letter
     classification.
     """
+    word = _check_word(n, word)
     south = [0] * (n + 1)
     total = 0
     for s in word:
-        if not 1 <= s <= n - 1:
-            raise ValueError(f"generator index {s} out of range for {n} strands")
         a, b = south[s], south[s + 1]
         if a == s + 1:
             total += 1
@@ -773,6 +839,7 @@ def all_matchings(n: int) -> List[Tangle]:
 
 
 def enumerate_h_admissible(n: int) -> List[Tangle]:
+    _check_strands(n)
     out = []
     for t in all_matchings(n):
         exposed = [i for i, flag in enumerate(t._exposure()) if flag]
@@ -799,6 +866,7 @@ def enumerate_b_canonical(n: int) -> List[Tuple[Tangle, int]]:
     matching gives class C2: a circle on each edge at N1 or S1 and a square
     on each of any subset of the other west-exposed edges (factor 2).
     """
+    _check_strands(n)
     out: List[Tuple[Tangle, int]] = []
     for t in all_matchings(n):
         info = classify_diagram(t)
@@ -931,16 +999,20 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet) -> List[DiagramE
     diagram of the family (in H, an admissible diagram with coefficient 1)."""
     if rules.family != family:
         raise ValueError("rule set family does not match")
+    _check_strands(n)
     if n < 3:
         raise ValueError(f"the gated moves use generators 1 and 2; {n} strands have fewer")
     calc = DiagramCalculus(rules)
     vpv = rules.lift(DELTA)
-    index = _canonical_index(rules, n)
+    by_lead, sizes = _canonical_index(rules, n)
     start = calc.one(n)
-    hit = _match_canonical(index, start)
-    if hit is None:
+    if _match_canonical((by_lead, sizes), start) is None:
         raise RuntimeError("identity element rejected by the closure acceptor")
-    closure: Dict[Tangle, DiagramElement] = {hit[0]: start}
+    # the canonical diagrams not yet reached, by leading tangle: a candidate
+    # naming one already in the closure misses before its image is compared
+    pending = dict(by_lead)
+    del pending[_leading_tangle(start)]
+    closure = [start]
     frontier = [start]
     gens = range(1, n)
     while frontier:
@@ -961,12 +1033,12 @@ def generate_by_procedures(family: str, n: int, rules: RuleSet) -> List[DiagramE
                     if family == "H":
                         candidates.append(calc.apply_gen(bsp, s, side) - bs.scale(rules.const(2)))
             for cand in candidates:
-                hit = _match_canonical(index, cand)
-                if hit is not None and hit[0] not in closure:
-                    closure[hit[0]] = cand
+                if _match_canonical((pending, sizes), cand) is not None:
+                    del pending[_leading_tangle(cand)]
                     new.append(cand)
         frontier = new
-    return sorted(closure.values(), key=lambda e: e.coeffs[0][0].sort_key())
+        closure.extend(new)
+    return sorted(closure, key=lambda e: e.coeffs[0][0].sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -1287,6 +1359,7 @@ def calibrate_ruleset(family: str) -> RuleSet:
 
 def verify_relations(rules: RuleSet, n: int) -> List[str]:
     """Evaluate every defining relation at n strands; return violations."""
+    _check_strands(n)
     return [f"{lhs} != {rhs}" for lhs, rhs, residual in _relation_residuals(rules, n)
             if not residual.is_zero()]
 

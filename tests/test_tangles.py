@@ -236,6 +236,43 @@ def test_apply_gen_rejects_an_unknown_side():
         CALC_B.apply_gen(elem, 2, "up")
 
 
+@pytest.mark.parametrize("bad", [1.0, True, 1.5, "1", None])
+def test_letters_that_are_not_integers_are_rejected(bad):
+    # 1.0 and True hash like 1, so they used to read and write the cached
+    # image of the word (1,): after evaluate_word(4, (1.0,)) the image of
+    # (1, 2) printed N3-S1.0[c]
+    calc = DiagramCalculus(RULES_H)
+    elem = calc.evaluate_word(4, (1,))
+    for call in (lambda: calc.evaluate_word(4, (bad,)), lambda: calc.evaluate_word(4, (2, bad)),
+                 lambda: calc.apply_gen(elem, bad), lambda: calc.apply_gen(elem, bad, "left"),
+                 lambda: generator_U("H", 3, bad), lambda: loop_count(3, (1, bad))):
+        with pytest.raises(ValueError, match=f"generator index {bad!r} is not an integer"):
+            call()
+    fresh = DiagramCalculus(RULES_H)
+    for w in ((1,), (1, 2), (2, 1)):
+        assert calc.evaluate_word(4, w) == fresh.evaluate_word(4, w)
+    assert all(type(s) is int for n, w in calc._eval_cache for s in (n,) + w)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, -1, 0, True, "2", None])
+def test_strand_counts_that_are_not_positive_integers_are_rejected(bad):
+    # 2.5 used to raise TypeError, -1 "edges do not form a perfect matching",
+    # and 2.0 read the cached images of two strands
+    calc = DiagramCalculus(RULES_B)
+    calc.evaluate_word(2, (1,))
+    for call in (lambda: identity_tangle(bad), lambda: calc.one(bad),
+                 lambda: calc.evaluate_word(bad, ()), lambda: calc.evaluate_word(bad, (1,)),
+                 lambda: calc.image(bad, {(): ONE}), lambda: calc.image(bad, {}),
+                 lambda: generator_U("B", bad, 1), lambda: loop_count(bad, ()),
+                 lambda: enumerate_h_admissible(bad), lambda: enumerate_b_canonical(bad),
+                 lambda: generate_by_procedures("B", bad, RULES_B),
+                 lambda: verify_relations(RULES_B, bad)):
+        with pytest.raises(ValueError, match=f"strand count {bad!r} is not an integer"):
+            call()
+    assert identity_tangle(1) == Tangle(1, 1, [(("N", 1), ("S", 1), ())])
+    assert loop_count(1, ()) == 0
+
+
 def test_generator_examples():
     u1 = generator_U("H", 3, 1)
     assert format_tangle(u1) == "n=3; N1-N2[c]; S1-S2[c]; N3-S3"
@@ -371,18 +408,25 @@ def test_compose_matches_incidence_reference_on_four_strand_sample():
         _check_compose(rng.choice(shapes[(a, b)]), rng.choice(shapes[(b, c)]))
 
 
+def _unreduced_positions(t):
+    return tuple(k for k, (_, _, d) in enumerate(t.edges) if len(d) > 1 or "s" in d)
+
+
 def _check_act(n):
     """``_act`` against ``compose_raw`` with the generator, on every tangle of
     ``_decorated_tangles(n, n)``, every generator and both sides: the same
-    tangle, stored edge tuple and loops.  Returns the triples checked."""
+    tangle, stored edge tuple and loops, and the positions to fold are those
+    of the edges with a square or several decorations.  Returns the triples
+    checked."""
     triples, tangles = 0, _decorated_tangles(n, n)
     for i in range(1, n):
         u = generator_U("H", n, i)
         for t in tangles:
             for side, want in (("right", compose_raw(t, u)), ("left", compose_raw(u, t))):
-                got = tangles_mod._act(t, i, side)
-                assert got == want, (t, i, side)
-                assert got[0].edges == want[0].edges and hash(got[0]) == hash(want[0])
+                got, loops, fold = tangles_mod._act(t, i, side)
+                assert (got, loops) == want, (t, i, side)
+                assert got.edges == want[0].edges and hash(got) == hash(want[0])
+                assert fold == _unreduced_positions(got), (t, i, side)
                 triples += 1
     return triples
 
@@ -398,6 +442,95 @@ def test_generator_action_matches_compose_up_to_five_strands():
                     reason="set TLBASES_SLOW=1 for the six-strand generator action check")
 def test_generator_action_matches_compose_at_six_strands():
     assert _check_act(6) == 447_600
+
+
+def _ref_act_reduced(rules, t, i, side):
+    """The generator action composed whole: ``compose_raw`` with U_i, the
+    whole-tangle ``_reduce``, times 2 at B, i = 1."""
+    u = generator_U(rules.family, t.n_north, i)
+    raw, loops = compose_raw(*((t, u) if side == "right" else (u, t)))
+    scale = rules.const(2) if (rules.family == "B" and i == 1) else rules.one()
+    return DiagramElement(rules.family, t.n_north,
+                          {k: c * scale for k, c in tangles_mod._reduce(raw, loops, rules).items()})
+
+
+def _check_apply_gen(rules, tangles):
+    """``apply_gen`` against ``_ref_act_reduced`` on single tangles, every
+    generator and both sides; a square in family H raises in both.  Returns
+    the triples checked."""
+    calc, triples = DiagramCalculus(rules), 0
+    for t in tangles:
+        n = t.n_north
+        elem = DiagramElement(rules.family, n, {t: rules.one()})
+        for i in range(1, n):
+            for side in ("left", "right"):
+                try:
+                    want = _ref_act_reduced(rules, t, i, side)
+                except ReductionError:
+                    with pytest.raises(ReductionError, match="only occur in family B"):
+                        calc.apply_gen(elem, i, side)
+                else:
+                    assert calc.apply_gen(elem, i, side) == want, (t, i, side)
+                triples += 1
+    return triples
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_generator_action_matches_whole_reduction_up_to_five_strands(family):
+    # every decorated tangle, reduced or not: the action folds only the edges
+    # _act names, and must still equal folding every edge
+    rules = RULES_H if family == "H" else RULES_B
+    tangles = [t for n in range(2, 6) for t in _decorated_tangles(n, n)]
+    assert _check_apply_gen(rules, tangles) == 65_060
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the six-strand generator action check")
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_generator_action_matches_whole_reduction_at_six_strands(family):
+    rules = RULES_H if family == "H" else RULES_B
+    assert _check_apply_gen(rules, _decorated_tangles(6, 6)) == 447_600
+
+
+@pytest.mark.parametrize("family, far", [("H", ("c", "c")), ("B", ("c", "c")), ("B", ("s",)),
+                                         ("B", ("c", "s", "c"))])
+def test_generator_action_folds_an_unreduced_edge_away_from_it(family, far):
+    # N1-S1 carries the unreduced word and no generator at 2, 3 or 4 touches
+    # it; at i = 2 the cup closes a loop on either side, at 3 and 4 it joins
+    # two arcs
+    rules = RULES_H if family == "H" else RULES_B
+    t = parse_tangle(f"n=5; N2-N3; S2-S3; N1-S1[{''.join(far)}]; N4-S4; N5-S5")
+    for i, side in ((2, "right"), (2, "left"), (3, "right"), (3, "left"), (4, "right"),
+                    (4, "left")):
+        got, _, fold = tangles_mod._act(t, i, side)
+        assert [got.edges[k][:2] for k in fold] == [(("N", 1), ("S", 1))], (i, side)
+    assert _check_apply_gen(rules, [t]) == 8
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_word_images_fold_only_the_edges_the_action_names(family, monkeypatch):
+    # with the whole-tangle reduction patched out, every FC word at five
+    # strands still evaluates, and each fold names at most the joined edge
+    rules = RULES_H if family == "H" else RULES_B
+    words = TLAlgebra(CoxeterGraph(family, 4)).fc_words()
+    want = [DiagramCalculus(rules).evaluate_word(5, w) for w in words]
+    expand, named = tangles_mod._expand_edges, []
+
+    def whole(*args):
+        raise AssertionError("the generator action reduced a whole tangle")
+
+    def named_only(t, rules, at):
+        at = tuple(at)
+        if len(at) > 1:
+            raise AssertionError(f"the generator action folds {at} of {t}")
+        named.append(at)
+        return expand(t, rules, at)
+
+    monkeypatch.setattr(tangles_mod, "_reduce", whole)
+    monkeypatch.setattr(tangles_mod, "_expand_edges", named_only)
+    calc = DiagramCalculus(rules)
+    assert [calc.evaluate_word(5, w) for w in words] == want
+    assert named
 
 
 @pytest.mark.parametrize("family", ["H", "B"])
