@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coxeter import (
     CoxeterGraph,
@@ -36,7 +36,8 @@ from .coxeter import (
     right_justify,
     word_str,
 )
-from .laurent import DELTA, ONE, ZERO, LaurentPoly, _add_scaled, invariant_completion
+from .laurent import (DELTA, ONE, V_INV, ZERO, LaurentPoly, _add_scaled, _digit, _pack,
+                      _unpack, invariant_completion)
 
 __all__ = [
     "AlgebraElement",
@@ -54,6 +55,9 @@ Raw = Dict[Word, Dict[int, int]]
 STRATEGIES = ("lex-least-leftmost", "lex-greatest-rightmost", "heap-witness")
 
 BASIS_TAGS = ("monomial", "ttilde", "f", "canonical")
+
+#: The digit width the packed t-tilde walk starts at (``_ttilde_walk``).
+_START_WIDTH = 32
 
 
 def _merge(acc: Raw, coords: Coords, scale: LaurentPoly) -> Raw:
@@ -227,6 +231,8 @@ class TLAlgebra:
 
     def word_to_basis(self, word: Sequence[int], strategy: str = "heap-witness") -> AlgebraElement:
         """Expand a product of generators in the monomial basis."""
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
         w = self.graph.check_word(word)
         return AlgebraElement.make(self.graph, "monomial", self._w2b_coords(w, strategy))
 
@@ -308,77 +314,131 @@ class TLAlgebra:
         """
         return evaluate_mixed(self, tuple(("t", s) for s in self._index_word(w)))
 
-    def _ttilde_step(self, coords: Coords, s: int, floor: float = float("-inf")) -> Coords:
-        """coords * (b_s - v^-1), less every term of degree below ``floor``.
-
-        Raises if some b_u b_s has a coefficient of degree above 1: only then
-        does each term of the result come from terms of coords of degree at
-        most one lower, which makes the truncated walk exact.
-        """
-        acc: Raw = {}
+    def _ttilde_step(self, coords: Coords, s: int) -> Coords:
+        """coords * (b_s - v^-1)."""
+        acc = _merge({}, coords, -V_INV)
         for u, c in coords.items():
-            us = u + (s,)
-            top = c.degree
-            for x, r in self._w2b_coords(us, "heap-witness").items():
-                rd = r.degree
-                if rd > 1:
-                    raise AssertionError(f"the rewriting of {word_str(us)} has the "
-                                         f"coefficient {r} of degree above 1")
-                if top + rd < floor:
-                    continue
-                d = acc.setdefault(x, {})
-                # terms run by descending degree, so each scan stops at the floor
-                for e1, c1 in c.terms:
-                    for e2, c2 in r.terms:
-                        e = e1 + e2
-                        if e < floor:
-                            break
-                        d[e] = d.get(e, 0) + c1 * c2
-        for u, c in coords.items():
-            if c.degree > floor:
-                d = acc.setdefault(u, {})
-                for e, k in c.terms:
-                    if e <= floor:
-                        break
-                    d[e - 1] = d.get(e - 1, 0) - k
+            _merge(acc, self._w2b_coords(u + (s,), "heap-witness"), c)
         return _settle(acc)
 
-    def _ttilde_walk(self, truncated: bool) -> Iterator[Tuple[Word, Coords]]:
-        """Every t-tilde element in monomial coordinates, depth first over the
-        prefix tree of normal words: t~_{w's} = t~_{w'} (b_s - v^-1).
+    def _ttilde_walk(self, truncated: bool) -> List[Dict[int, object]]:
+        """Every t-tilde element in monomial coordinates: rows[i] maps the
+        position x in ``fc_words`` of each word in t~_{w_i}'s support to its
+        coefficient, a ``LaurentPoly``, or ``truncated``, to its constant
+        term where that is not 0.
 
-        A prefix of a normal word is normal (a smaller member of its class
-        would extend to a smaller member of w's class), so each row is one
-        step from its parent, and a row is dropped once its children are built.
-        A step lowers the degrees by at most one (``_ttilde_step``), so a row
-        whose subtree has height h fixes its descendants' constant terms
-        through its coefficients of degree >= -h; ``truncated`` rows keep only
-        those, and the others keep every term.
+        Depth first over the prefix tree of normal words: t~_{w's} = t~_{w'}
+        (b_s - v^-1).  A prefix of a normal word is normal (a smaller member
+        of its class would extend to a smaller member of w's class), so each
+        row is one step from its parent.  The walk runs on packed integers
+        (``laurent._pack``): each product b_u b_s = sum_x r_x b_x is packed
+        once, r_x at off 1 as R_x, and the step from a row entry P at u is
+        acc[x] += (P R_x) >> width and acc[u] -= P >> width.  Each distinct
+        coefficient is decoded once, and its polynomial shared.
+
+        The rewriting's coefficients r_x have valuation >= -1, so a row at
+        depth d has no exponent below -d >= -off and every shift is exact;
+        they have degree <= 1, so a row whose subtree has height h fixes its
+        descendants' constant terms through its coefficients of degree >= -h,
+        and ``truncated`` rows keep only those (their balanced digits from
+        position off - h up).  Both bounds are checked.  The l1 norm of a row
+        is at most its parent's times 1 + the largest l1 norm of a product the
+        step reads; while that bound is below 2^(width-1), every coefficient
+        reads back exactly, else the walk starts again at twice the width.
         """
+        off = max(map(len, self.fc_words()))
+        width = _START_WIDTH
+        while (rows := self._packed_walk(truncated, width, off)) is None:
+            width *= 2
+        return rows
+
+    def _packed_walk(self, truncated: bool, width: int,
+                     off: int) -> Optional[List[Dict[int, object]]]:
+        """One run of ``_ttilde_walk`` at a digit width; None once the
+        coefficient bound reaches 2^(width-1)."""
         words = self.fc_words()
-        children: Dict[Word, List[Word]] = {w: [] for w in words}
-        height = dict.fromkeys(words, 0)
-        for w in reversed(words[1:]):
-            children[w[:-1]].append(w)
-            height[w[:-1]] = max(height[w[:-1]], height[w] + 1)
-        stack: List[Tuple[Word, Coords]] = [((), {})]
+        index = {w: i for i, w in enumerate(words)}
+        children: List[List[int]] = [[] for _ in words]
+        height = [0] * len(words)
+        for i in range(len(words) - 1, 0, -1):
+            parent = index[words[i][:-1]]
+            children[parent].append(i)
+            height[parent] = max(height[parent], height[i] + 1)
+        one = 1 << (width * off)
+        unit = 1 << width  # the coefficient 1 at off 1
+        top = 1 << (width * (off + 1) - 1)  # |P| < top iff P has no positive degree
+        limit = 1 << (width - 1)
+        polys: Dict[int, LaurentPoly] = {}
+        # b_u b_s by generator s and position u: ((x, R_x), ...) and its l1 norm
+        products: List[Dict[int, Tuple[Tuple[Tuple[int, int], ...], int]]] = [
+            {} for _ in range(self.graph.rank + 1)]
+        rows: list = [None] * len(words)
+        stack: List[Tuple[int, Dict[int, int], int]] = [(0, {}, 1)]
         while stack:
-            w, parent = stack.pop()
-            floor = -height[w] if truncated else float("-inf")
-            row = self._ttilde_step(parent, w[-1], floor) if w else {(): ONE}
-            if row.get(w) != ONE:
-                raise AssertionError(f"t-basis element at {w} is not unitriangular")
+            i, parent, bound = stack.pop()
+            if i:
+                s = words[i][-1]
+                acc: Dict[int, int] = {}
+                widest = 0
+                by_u = products[s]
+                for u, p in parent.items():
+                    prod = by_u.get(u)
+                    if prod is None:
+                        prod = by_u[u] = self._packed_product(words[u] + (s,), index, width)
+                    terms, norm = prod
+                    if norm > widest:
+                        widest = norm
+                    for x, r in terms:
+                        acc[x] = acc.get(x, 0) + (p if r == unit else p * r >> width)
+                    acc[u] = acc.get(u, 0) - (p >> width)
+                bound *= 1 + widest
+                if bound >= limit:
+                    return None
+                if truncated:
+                    # drop the balanced digits below the floor -height[i]
+                    shift = width * (off - height[i])
+                    half = 1 << shift >> 1
+                    row = {x: p for x, p in ((x, (p + half) >> shift << shift)
+                                             for x, p in acc.items()) if p}
+                else:
+                    row = {x: p for x, p in acc.items() if p}
+            else:
+                row = {0: one}
+            if row.get(i) != one:
+                raise AssertionError(f"t-basis element at {words[i]} is not unitriangular")
             # the canonical correction and the one lattice L rest on this
-            if any(c.degree > 0 for c in row.values()):
-                raise AssertionError(f"t-basis element at {w} has a coefficient "
+            if any(not -top < p < top for p in row.values()):
+                raise AssertionError(f"t-basis element at {words[i]} has a coefficient "
                                      f"outside Z[v^-1]")
-            yield w, row
-            stack.extend((child, row) for child in children[w])
+            if truncated:
+                rows[i] = {x: c for x, p in row.items() if (c := _digit(p, width, off))}
+            else:
+                rows[i] = {x: polys.get(p) or polys.setdefault(p, _unpack(p, width, off))
+                           for x, p in row.items()}
+            stack.extend((child, row, bound) for child in children[i])
+        return rows
+
+    def _packed_product(self, us: Word, index: Dict[Word, int],
+                        width: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+        """b_u b_s as ((x, R_x), ...), each r_x packed at off 1, and its l1 norm."""
+        out = []
+        norm = 0
+        for x, r in self._w2b_coords(us, "heap-witness").items():
+            if r.degree > 1:
+                raise AssertionError(f"the rewriting of {word_str(us)} has the "
+                                     f"coefficient {r} of degree above 1")
+            if r.valuation < -1:
+                raise AssertionError(f"the rewriting of {word_str(us)} has the "
+                                     f"coefficient {r} of valuation below -1")
+            out.append((index[x], _pack(r, width, 1)))
+            norm += sum(abs(c) for _, c in r.terms)
+        return tuple(out), norm
 
     def ttilde_table(self) -> Dict[Word, Coords]:
         if self._ttilde is None:
-            rows = dict(self._ttilde_walk(truncated=False))
-            self._ttilde = {w: rows[w] for w in self.fc_words()}
+            words = self.fc_words()
+            self._ttilde = {w: {words[x]: c for x, c in row.items()}
+                            for w, row in zip(words, self._ttilde_walk(truncated=False))}
         return self._ttilde
 
     def _convert_from_monomial(self, coords: Coords, table: Dict[Word, Coords]) -> Coords:
@@ -489,8 +549,9 @@ class TLAlgebra:
         Returns the table and, per w, the step's {x: mu_x}:
         c_w = c_{w'} b_s - sum_x mu_x c_x.
         """
-        targets = {w: {x: k for x, c in row.items() if (k := c.coeff(0))}
-                   for w, row in self._ttilde_walk(truncated=True)}
+        words = self.fc_words()
+        targets = {w: {words[x]: k for x, k in row.items()}
+                   for w, row in zip(words, self._ttilde_walk(truncated=True))}
         out: Dict[Word, Coords] = {}
         steps: Dict[Word, Coords] = {}
         for w in self.fc_words():

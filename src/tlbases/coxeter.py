@@ -85,6 +85,8 @@ class CoxeterGraph:
     def __post_init__(self):
         if self.family not in FIRST_BOND:
             raise ValueError(f"unknown family {self.family!r}")
+        if type(self.rank) is not int:  # a bool or a float is not a rank either
+            raise ValueError(f"rank {self.rank!r} is not an integer")
         if self.rank < 1:
             raise ValueError("rank must be positive")
 

@@ -20,6 +20,13 @@ entries directly: ``_bareiss`` gives the rank and last pivot of a matrix over
 the ring, for the forms' nondegeneracy and the calibration resultant.
 ``_add_scaled`` accumulates scaled coefficients by key, for the diagram
 calculus and the canonical rows alike.
+
+A polynomial whose exponents are bounded below packs into one integer, its
+value at v = 2^K scaled to clear the negative powers (Kronecker
+substitution; Harvey, J. Symb. Comp. 44, 2009): ``_pack``, ``_unpack`` and
+``_digit`` read and write it in balanced base-2^K digits, exactly while
+every coefficient stays below 2^(K-1) in absolute value.  The t-tilde walk
+runs on these integers.
 """
 
 from __future__ import annotations
@@ -48,8 +55,14 @@ def _normalized(acc) -> tuple:
     """The normalized term tuple of an {exponent: coefficient} accumulator:
     (exponent, coefficient) pairs in strictly descending exponent order with
     no zero coefficient."""
+    if len(acc) == 1:
+        term, = acc.items()
+        return (term,) if term[1] else ()
     # exponents are distinct, so the pairs sort by exponent alone
-    return tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+    terms = sorted(acc.items(), reverse=True)
+    if 0 in acc.values():
+        return tuple(t for t in terms if t[1])
+    return tuple(terms)
 
 
 def _gather(data, coerce):
@@ -393,6 +406,43 @@ def _add_scaled(acc: dict, terms, scale) -> None:
         c = c * scale
         s = acc.get(k)
         acc[k] = c if s is None else s + c
+
+
+def _pack(p: LaurentPoly, width: int, off: int) -> int:
+    """The Kronecker image of p: sum c_e 2^(width*(e + off)), that is p at
+    v = 2^width times 2^(width*off).  Every exponent of p must be >= -off.
+
+    The map is a ring homomorphism up to the scaling, so sums, products and
+    shifts (multiplication by v^k as a shift by width*k) are exact integer
+    arithmetic; ``_unpack`` and ``_digit`` read the coefficients back.
+    """
+    return sum(c << (width * (e + off)) for e, c in p.terms)
+
+
+def _digit(packed: int, width: int, pos: int) -> int:
+    """The balanced digit of ``packed`` at position pos: the coefficient of
+    v^(pos - off) of the polynomial ``_pack`` gave with that off, provided
+    every coefficient is below 2^(width-1) in absolute value."""
+    shift = width * pos
+    half = 1 << (width - 1)
+    high = (packed + (1 << shift >> 1)) >> shift  # the digits from pos up
+    return ((high + half) & ((1 << width) - 1)) - half
+
+
+def _unpack(packed: int, width: int, off: int) -> LaurentPoly:
+    """The inverse of ``_pack`` in balanced digits, exact while every
+    coefficient is below 2^(width-1) in absolute value."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    terms = []
+    e = -off
+    while packed:
+        d = ((packed + half) & mask) - half
+        if d:
+            terms.append((e, d))
+        packed = (packed - d) >> width
+        e += 1
+    return LaurentPoly._from_terms(tuple(reversed(terms)))
 
 
 def _bareiss(rows: List[Dict[int, LaurentPoly]]) -> Tuple[int, LaurentPoly]:

@@ -474,6 +474,8 @@ class RuleSet:
         # the unit is read on every composition; build it once per rule set
         object.__setattr__(self, "_one", self.const(1))
         object.__setattr__(self, "_zero", self.const(0))
+        # fold's values by decoration word: each word is folded once
+        object.__setattr__(self, "_folds", {})
 
     def one(self):
         return self._one
@@ -488,8 +490,14 @@ class RuleSet:
         """(plain, circle): decs reduces to plain*(none) + circle*(one circle).
 
         The first square is replaced first; a word of circles only folds its
-        last two.
+        last two.  The words a fold recurses on are folded once per rule set.
         """
+        out = self._folds.get(decs)
+        if out is None:
+            out = self._folds[decs] = self._fold(decs)
+        return out
+
+    def _fold(self, decs: Tuple[Decor, ...]):
         if "s" in decs:
             if self.family != "B":
                 raise ReductionError("square decorations only occur in family B")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tlbases import algebra as algebra_mod
 from tlbases.algebra import STRATEGIES, AlgebraElement, TLAlgebra, aux_elements, evaluate_mixed
 from tlbases.coxeter import CoxeterGraph, FcElement, word_str
 from tlbases.laurent import (
@@ -77,6 +78,16 @@ def test_confluence_three_strategies_smoke():
             word = tuple(rng.randint(1, alg.graph.rank) for _ in range(rng.randint(0, 10)))
             results = [coords(alg.word_to_basis(word, s)) for s in STRATEGIES]
             assert results[0] == results[1] == results[2], word
+
+
+def test_word_to_basis_checks_the_strategy_at_entry():
+    # an unknown strategy on an FC word returned a value and was cached
+    # under it; on another word it raised only deep in the factor search
+    alg = TLAlgebra(CoxeterGraph("H", 3))
+    for word in ((1, 2), (1, 1), (1, 2, 1)):
+        with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+            alg.word_to_basis(word, "nope")
+    assert not alg._w2b
 
 
 def test_ttilde_examples():
@@ -283,14 +294,135 @@ def test_canonical_table_matches_reference_at_rank_5(family):
     assert alg.canonical_table() == canon
 
 
+def _ref_ttilde_step(alg, coords, s, floor=float("-inf")):
+    """coords * (b_s - v^-1), less every term of degree below ``floor``."""
+    acc = {}
+    for u, c in coords.items():
+        for x, r in alg._w2b_coords(u + (s,), "heap-witness").items():
+            assert r.degree <= 1
+            d = acc.setdefault(x, {})
+            for e1, c1 in c.terms:
+                for e2, c2 in r.terms:
+                    if e1 + e2 >= floor:
+                        d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+        d = acc.setdefault(u, {})
+        for e, k in c.terms:
+            if e - 1 >= floor:
+                d[e - 1] = d.get(e - 1, 0) - k
+    return {x: p for x, d in acc.items() if (p := LaurentPoly(d))}
+
+
+def _ref_ttilde_walk(alg, truncated):
+    """The word-keyed walk the packed one replaced: {w: t~_w}, every row
+    truncated at minus its subtree's height when ``truncated``."""
+    words = alg.fc_words()
+    children = {w: [] for w in words}
+    height = dict.fromkeys(words, 0)
+    for w in reversed(words[1:]):
+        children[w[:-1]].append(w)
+        height[w[:-1]] = max(height[w[:-1]], height[w] + 1)
+    rows = {}
+    stack = [((), {})]
+    while stack:
+        w, parent = stack.pop()
+        floor = -height[w] if truncated else float("-inf")
+        rows[w] = row = _ref_ttilde_step(alg, parent, w[-1], floor) if w else {(): ONE}
+        stack.extend((child, row) for child in children[w])
+    return rows
+
+
+def _walk(alg, truncated):
+    words = alg.fc_words()
+    return {w: {words[x]: c for x, c in row.items()}
+            for w, row in zip(words, alg._ttilde_walk(truncated))}
+
+
+def _constant_terms(row):
+    return {x: k for x, c in row.items() if (k := c.coeff(0))}
+
+
+def _check_walk_against_reference(alg):
+    full, truncated = _walk(alg, False), _walk(alg, True)
+    want_full, want_truncated = _ref_ttilde_walk(alg, False), _ref_ttilde_walk(alg, True)
+    assert sorted(full) == sorted(want_full) == sorted(truncated) == sorted(want_truncated)
+    for w, row in want_full.items():
+        assert full[w] == row, w
+        assert truncated[w] == _constant_terms(want_truncated[w]) == _constant_terms(row), w
+    assert alg.ttilde_table() == want_full
+
+
+@pytest.mark.parametrize("family, ranks", [("A", (2, 3, 4, 5)), ("B", (2, 3, 4, 5)),
+                                           ("H", (2, 3, 4))])
+def test_packed_walk_matches_the_word_keyed_reference(family, ranks):
+    for rank in ranks:
+        _check_walk_against_reference(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the H5 and B6 packed walk cross-check")
+@pytest.mark.parametrize("family, rank", [("H", 5), ("B", 6)])
+def test_packed_walk_matches_the_word_keyed_reference_slow(family, rank):
+    _check_walk_against_reference(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+def test_packed_walk_widens_a_start_width_too_narrow(monkeypatch):
+    # H4's t-tilde coefficients reach 7 in absolute value, which three-bit
+    # balanced digits cannot hold: the bound widens the digits, and the
+    # tables come out as the reference's
+    want, want_canonical = _ref_ttilde_walk(H4, False), H4.canonical_table()
+    assert max(abs(c) for row in want.values() for p in row.values() for _, c in p.terms) == 7
+    widths = []
+    run = TLAlgebra._packed_walk
+
+    def recorded(self, truncated, width, off):
+        widths.append(width)
+        return run(self, truncated, width, off)
+    monkeypatch.setattr(algebra_mod, "_START_WIDTH", 3)
+    monkeypatch.setattr(TLAlgebra, "_packed_walk", recorded)
+    alg = TLAlgebra(CoxeterGraph("H", 4))
+    assert alg.ttilde_table() == want
+    assert widths[0] == 3 and len(widths) > 1
+    assert alg.canonical_table() == want_canonical
+
+
+def test_rewrite_coefficient_below_valuation_minus_one_fails(monkeypatch):
+    # the packed walk's shifts are exact only while every b_u b_s has
+    # coefficients of valuation >= -1; b_1 b_1 = (v + v^-1) b_1 becomes (1 + v^-2) b_1
+    w2b = TLAlgebra._w2b_coords
+
+    def with_v_minus_2_term(self, word, strategy):
+        out = w2b(self, word, strategy)
+        return {x: c * V_INV for x, c in out.items()} if word == (1, 1) else out
+    monkeypatch.setattr(TLAlgebra, "_w2b_coords", with_v_minus_2_term)
+    message = "the rewriting of 1,1 has the coefficient 1 + v^-2 of valuation below -1"
+    for table in ("canonical_table", "ttilde_table"):
+        with pytest.raises(AssertionError) as raised:
+            getattr(TLAlgebra(CoxeterGraph("B", 3)), table)()
+        assert str(raised.value) == message
+
+
+def test_ttilde_diagonal_other_than_one_fails(monkeypatch):
+    # b_() b_1 = 2 b_1 gives t~_1 the diagonal coefficient 2, which both
+    # routes of the walk read off before any other row
+    w2b = TLAlgebra._w2b_coords
+
+    def doubled(self, word, strategy):
+        out = w2b(self, word, strategy)
+        return {x: c * 2 for x, c in out.items()} if word == (1,) else out
+    monkeypatch.setattr(TLAlgebra, "_w2b_coords", doubled)
+    for table in ("canonical_table", "ttilde_table"):
+        with pytest.raises(AssertionError) as raised:
+            getattr(TLAlgebra(CoxeterGraph("B", 3)), table)()
+        assert str(raised.value) == "t-basis element at (1,) is not unitriangular"
+
+
 def _check_walk_against_full_table(alg):
     # the truncated walk keeps each row's constant terms exact
     full = alg.ttilde_table()
-    walked = dict(alg._ttilde_walk(truncated=True))
+    walked = _walk(alg, truncated=True)
     assert sorted(walked) == sorted(full)
     for w, row in full.items():
-        assert {x: c.coeff(0) for x, c in walked[w].items() if c.coeff(0)} == \
-            {x: c.coeff(0) for x, c in row.items() if c.coeff(0)}, w
+        assert walked[w] == _constant_terms(row), w
 
 
 def test_truncated_walk_keeps_the_constant_terms():

@@ -617,14 +617,16 @@ def _assert_basis_canonical_fails_with(tmp_path, message):
 
 
 def test_ttilde_entry_outside_z_vinv_fails_with_report(tmp_path, monkeypatch):
-    # the injection sits in the step that both routes of the t-tilde walk share
-    step = TLAlgebra._ttilde_step
+    # the injection sits in the products that both routes of the packed
+    # t-tilde walk read: b_1 = b_() b_1 gains v b_(), so t~_1 = b_1 + (v - v^-1) b_()
+    w2b = TLAlgebra._w2b_coords
 
-    def with_v_term(self, coords, s, *floor):
-        out = dict(step(self, coords, s, *floor))
-        out[()] = out.get((), ZERO) + V
+    def with_v_term(self, word, strategy):
+        out = dict(w2b(self, word, strategy))
+        if word == (1,):
+            out[()] = out.get((), ZERO) + V
         return out
-    monkeypatch.setattr(TLAlgebra, "_ttilde_step", with_v_term)
+    monkeypatch.setattr(TLAlgebra, "_w2b_coords", with_v_term)
     for table in ("canonical_table", "ttilde_table"):
         with pytest.raises(AssertionError, match=r"outside Z\[v\^-1\]"):
             getattr(TLAlgebra(CoxeterGraph("B", 3)), table)()

@@ -265,6 +265,17 @@ def test_is_fc_reduced_rejects_a_float_letter():
         is_fc_reduced(H3, (1.5,))
 
 
+def test_graph_rejects_a_rank_that_is_not_an_int():
+    # 2.0 and 2.5 were accepted and raised TypeError in enumerate_fc (2.0
+    # also equalled the rank-2 graph), True was rank 1 and "3" a TypeError
+    for rank in (2.0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            CoxeterGraph("H", rank)
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            CoxeterGraph("H", rank)
+
+
 def test_bruhat_against_lifting_oracle():
     for family, rank in [("A", 3), ("B", 2), ("B", 3), ("H", 2), ("H", 3)]:
         g = CoxeterGraph(family, rank)

@@ -14,6 +14,10 @@ from tlbases.laurent import (
     LaurentPoly,
     NarrowingError,
     RationalLaurent,
+    _digit,
+    _normalized,
+    _pack,
+    _unpack,
     invariant_completion,
 )
 
@@ -292,3 +296,50 @@ def test_exact_div_raises_when_inexact():
         (V * V + 1)._exact_div(V + 1)
     with pytest.raises(ZeroDivisionError):
         ONE._exact_div(ZERO)
+
+
+def _ref_normalized(acc) -> tuple:
+    """The sort-and-filter normalization the fast path replaced."""
+    return tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+
+
+def test_normalized_matches_the_sort_and_filter_reference():
+    rng = random.Random(34)
+    for trial in range(3000):
+        size = rng.choice((0, 1, 1, 2, 3, 6))
+        acc = {}
+        for _ in range(size):
+            c = rng.choice((0, 0, rng.randint(-5, 5)))
+            if trial % 3 == 0:
+                c = Fraction(c, rng.choice((1, 2, 4)))
+            acc[rng.randint(-6, 6)] = c
+        got = _normalized(acc)
+        assert got == _ref_normalized(acc) and type(got) is tuple, acc
+        assert all(type(a) is type(b) for (_, a), (_, b) in zip(got, _ref_normalized(acc)))
+
+
+def test_pack_round_trips_in_balanced_digits():
+    rng = random.Random(35)
+    for width in (3, 8, 32):
+        bound = (1 << (width - 1)) - 1
+        for _ in range(300):
+            off = rng.randint(0, 6)
+            p = LaurentPoly({rng.randint(-off, 5): rng.randint(-bound, bound)
+                             for _ in range(rng.randint(0, 6))})
+            packed = _pack(p, width, off)
+            assert _unpack(packed, width, off) == p
+            for e in range(-off, 7):
+                assert _digit(packed, width, e + off) == p.coeff(e), (p, e)
+
+
+def test_packing_is_a_ring_homomorphism_up_to_scaling():
+    # sums add, products multiply at twice the offset, and v^k is a shift
+    rng = random.Random(36)
+    width, off = 16, 8
+    for _ in range(200):
+        a, b = random_poly(rng, span=4, bound=9), random_poly(rng, span=4, bound=9)
+        pa, pb = _pack(a, width, off), _pack(b, width, off)
+        assert pa + pb == _pack(a + b, width, off)
+        assert pa * pb == _pack(a * b, width, 2 * off)
+        assert pa << width == _pack(a.shift(1), width, off)
+        assert _unpack(pa * pb, width, 2 * off) == a * b

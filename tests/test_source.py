@@ -281,6 +281,10 @@ def test_canonical_basis_reads_the_truncated_walk():
     assert full and "_canonical_table" not in {owner for _, owner, _ in full}, full
     walk = _calls_by_owner({"_ttilde_walk"})
     assert sorted(owner for _, owner, _ in walk) == ["_canonical_table", "ttilde_table"], walk
+    # the walk runs on packed rows, which only the walk itself steps
+    packed = _calls_by_owner({"_packed_walk", "_packed_product"})
+    assert sorted((owner, name) for _, owner, name in packed) == \
+        [("_packed_walk", "_packed_product"), ("_ttilde_walk", "_packed_walk")], packed
 
 
 def test_forms_accumulate_through_the_algebras_helper():
@@ -361,12 +365,12 @@ def test_one_table_of_generator_products():
 
 def test_one_evaluator_per_calculus():
     # evaluate_mixed is the algebra's one fold over a word of generator
-    # symbols, so the t~ step serves only it and the walk, and the suites
-    # build their products through it; on diagrams DiagramCalculus.evaluate_word
-    # is the one entry point
+    # symbols, so the t~ step serves only it (the t~ walk steps packed rows),
+    # and the suites build their products through it; on diagrams
+    # DiagramCalculus.evaluate_word is the one entry point
     step = _calls_by_owner({"_ttilde_step"})
     assert {(module, owner) for module, owner, _ in step} == \
-        {("algebra.py", "_ttilde_walk"), ("algebra.py", "evaluate_mixed")}, step
+        {("algebra.py", "evaluate_mixed")}, step
     folds = [found for found in _calls_by_owner({"multiply", "ttilde_element"})
              if found[0] == "verify.py"]
     assert not folds, folds

@@ -1516,6 +1516,57 @@ def test_fold_matches_per_rule_references(name, rules):
         assert _terms(rules.loop_value(decs)) == _terms(_ref_loop_value(rules, decs)), decs
 
 
+def _ref_fold(rules, decs):
+    """The recursive fold the memo replaced: each call folds its words anew."""
+    if "s" in decs:
+        if rules.family != "B":
+            raise ReductionError("square decorations only occur in family B")
+        k = decs.index("s")
+        x, y = rules.sigma, rules.tau
+        (p1, c1), (p2, c2) = (_ref_fold(rules, decs[:k] + ("c",) + decs[k + 1:]),
+                              _ref_fold(rules, decs[:k] + decs[k + 1:]))
+    elif len(decs) <= 1:
+        return (rules.const(0), rules.one()) if decs else (rules.one(), rules.const(0))
+    else:
+        x, y = rules.alpha, rules.beta
+        (p1, c1), (p2, c2) = _ref_fold(rules, decs[:-1]), _ref_fold(rules, decs[:-2])
+    return x * p1 + y * p2, x * c1 + y * c2
+
+
+@pytest.mark.parametrize("name,rules", RULE_SETS, ids=[n for n, _ in RULE_SETS])
+def test_memoized_fold_matches_the_recursive_fold(name, rules):
+    # every word over {c, s} up to length 7 in B, circle words up to length
+    # 10 in H; a fresh rule set per family so no earlier fold is remembered
+    fresh = RuleSet(**{f: getattr(rules, f) for f in
+                       ("family", "plain_loop", "circle_loop", "alpha", "beta", "sigma", "tau")})
+    if rules.family == "B":
+        words = list(_decoration_words(7))
+    else:
+        words = [("c",) * k for k in range(11)]
+    for decs in reversed(words):
+        got, want = fresh.fold(decs), _ref_fold(rules, decs)
+        assert [_terms(x) for x in got] == [_terms(x) for x in want], decs
+
+
+def test_fold_folds_each_decoration_word_once(monkeypatch):
+    # the recursion reached c^k along every path down from c^10: 177 folds
+    # for 11 words
+    calls = Counter()
+    inner = RuleSet._fold
+
+    def counted(self, decs):
+        calls[decs] += 1
+        return inner(self, decs)
+    monkeypatch.setattr(RuleSet, "_fold", counted)
+    rules = RuleSet(**{f: getattr(RULES_B, f) for f in
+                       ("family", "plain_loop", "circle_loop", "alpha", "beta", "sigma", "tau")})
+    rules.fold(("c",) * 10)
+    assert set(calls) == {("c",) * k for k in range(11)} and set(calls.values()) == {1}
+    rules.fold(("s", "c", "s"))
+    rules.fold(("c",) * 10)
+    assert set(calls.values()) == {1}
+
+
 @pytest.mark.parametrize("name,rules", RULE_SETS, ids=[n for n, _ in RULE_SETS])
 def test_reduce_composition_matches_references(name, rules):
     words = [d for d in _decoration_words() if rules.family == "B" or "s" not in d]
