@@ -321,18 +321,19 @@ class TLAlgebra:
             _merge(acc, self._w2b_coords(u + (s,), "heap-witness"), c)
         return _settle(acc)
 
-    def _ttilde_walk(self, truncated: bool) -> List[Dict[int, object]]:
-        """Every t-tilde element in monomial coordinates: rows[i] maps the
-        position x in ``fc_words`` of each word in t~_{w_i}'s support to its
-        coefficient, a ``LaurentPoly``, or ``truncated``, to its constant
-        term where that is not 0.
+    def _ttilde_walk(self, truncated: bool) -> Dict[Word, Dict[Word, object]]:
+        """Every t-tilde element in monomial coordinates, in ``fc_words``
+        order: {w: {x: coefficient}} over the words x in t~_w's support, each
+        coefficient a ``LaurentPoly``, or ``truncated``, its constant term
+        where that is not 0.
 
         Depth first over the prefix tree of normal words: t~_{w's} = t~_{w'}
         (b_s - v^-1).  A prefix of a normal word is normal (a smaller member
         of its class would extend to a smaller member of w's class), so each
         row is one step from its parent.  The walk runs on packed integers
-        (``laurent._pack``): each product b_u b_s = sum_x r_x b_x is packed
-        once, r_x at off 1 as R_x, and the step from a row entry P at u is
+        (``laurent._pack``) keyed by position in ``fc_words``: each product
+        b_u b_s = sum_x r_x b_x is packed once, r_x at off 1 as R_x, and the
+        step from a row entry P at u is
         acc[x] += (P R_x) >> width and acc[u] -= P >> width.  Each distinct
         coefficient is decoded once, and its polynomial shared.
 
@@ -353,7 +354,7 @@ class TLAlgebra:
         return rows
 
     def _packed_walk(self, truncated: bool, width: int,
-                     off: int) -> Optional[List[Dict[int, object]]]:
+                     off: int) -> Optional[Dict[Word, Dict[Word, object]]]:
         """One run of ``_ttilde_walk`` at a digit width; None once the
         coefficient bound reaches 2^(width-1)."""
         words = self.fc_words()
@@ -372,7 +373,7 @@ class TLAlgebra:
         # b_u b_s by generator s and position u: ((x, R_x), ...) and its l1 norm
         products: List[Dict[int, Tuple[Tuple[Tuple[int, int], ...], int]]] = [
             {} for _ in range(self.graph.rank + 1)]
-        rows: list = [None] * len(words)
+        rows: dict = dict.fromkeys(words)
         stack: List[Tuple[int, Dict[int, int], int]] = [(0, {}, 1)]
         while stack:
             i, parent, bound = stack.pop()
@@ -411,10 +412,12 @@ class TLAlgebra:
                 raise AssertionError(f"t-basis element at {words[i]} has a coefficient "
                                      f"outside Z[v^-1]")
             if truncated:
-                rows[i] = {x: c for x, p in row.items() if (c := _digit(p, width, off))}
+                rows[words[i]] = {words[x]: c for x, p in row.items()
+                                  if (c := _digit(p, width, off))}
             else:
-                rows[i] = {x: polys.get(p) or polys.setdefault(p, _unpack(p, width, off))
-                           for x, p in row.items()}
+                rows[words[i]] = {words[x]: polys.get(p) or
+                                  polys.setdefault(p, _unpack(p, width, off))
+                                  for x, p in row.items()}
             stack.extend((child, row, bound) for child in children[i])
         return rows
 
@@ -436,9 +439,7 @@ class TLAlgebra:
 
     def ttilde_table(self) -> Dict[Word, Coords]:
         if self._ttilde is None:
-            words = self.fc_words()
-            self._ttilde = {w: {words[x]: c for x, c in row.items()}
-                            for w, row in zip(words, self._ttilde_walk(truncated=False))}
+            self._ttilde = self._ttilde_walk(truncated=False)
         return self._ttilde
 
     def _convert_from_monomial(self, coords: Coords, table: Dict[Word, Coords]) -> Coords:
@@ -549,9 +550,7 @@ class TLAlgebra:
         Returns the table and, per w, the step's {x: mu_x}:
         c_w = c_{w'} b_s - sum_x mu_x c_x.
         """
-        words = self.fc_words()
-        targets = {w: {words[x]: k for x, k in row.items()}
-                   for w, row in zip(words, self._ttilde_walk(truncated=True))}
+        targets = self._ttilde_walk(truncated=True)
         out: Dict[Word, Coords] = {}
         steps: Dict[Word, Coords] = {}
         for w in self.fc_words():

@@ -331,20 +331,16 @@ def _ref_ttilde_walk(alg, truncated):
     return rows
 
 
-def _walk(alg, truncated):
-    words = alg.fc_words()
-    return {w: {words[x]: c for x, c in row.items()}
-            for w, row in zip(words, alg._ttilde_walk(truncated))}
-
-
 def _constant_terms(row):
     return {x: k for x, c in row.items() if (k := c.coeff(0))}
 
 
 def _check_walk_against_reference(alg):
-    full, truncated = _walk(alg, False), _walk(alg, True)
+    full, truncated = alg._ttilde_walk(False), alg._ttilde_walk(True)
     want_full, want_truncated = _ref_ttilde_walk(alg, False), _ref_ttilde_walk(alg, True)
-    assert sorted(full) == sorted(want_full) == sorted(truncated) == sorted(want_truncated)
+    # both routes key their rows by word, in fc_words order
+    assert list(full) == list(truncated) == list(alg.fc_words())
+    assert sorted(full) == sorted(want_full) == sorted(want_truncated)
     for w, row in want_full.items():
         assert full[w] == row, w
         assert truncated[w] == _constant_terms(want_truncated[w]) == _constant_terms(row), w
@@ -419,7 +415,7 @@ def test_ttilde_diagonal_other_than_one_fails(monkeypatch):
 def _check_walk_against_full_table(alg):
     # the truncated walk keeps each row's constant terms exact
     full = alg.ttilde_table()
-    walked = _walk(alg, truncated=True)
+    walked = alg._ttilde_walk(truncated=True)
     assert sorted(walked) == sorted(full)
     for w, row in full.items():
         assert walked[w] == _constant_terms(row), w
