@@ -11,10 +11,11 @@ package rewrites at the factor that the word's Stembridge witness names
 the first factor of the lexicographically least and greatest class members.
 
 On top of multiplication sit the t-tilde basis, the bar involution, lattice
-degrees, the canonical basis by the Kazhdan-Lusztig step (c_{w's} is c_{w'} b_s
-less bar-invariant multiples of earlier c_y), the f-basis built from
-right-justified block decompositions, and the mixed products relating the two.
-Canonical structure constants come a row at a time, by the same step.
+degrees, the canonical basis (the constant terms of the t-tilde elements'
+monomial coordinates), the f-basis built from right-justified block
+decompositions, and the mixed products relating the two.  Canonical structure
+constants come a row at a time, by the Kazhdan-Lusztig step read off the
+canonical right table: c_{y's} is c_{y'} b_s less multiples of earlier c_z.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .coxeter import (
     right_justify,
     word_str,
 )
-from .laurent import (DELTA, ONE, V_INV, ZERO, LaurentPoly, _add_scaled, _digit, _pack,
-                      _unpack, invariant_completion)
+from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, _add_scaled, _digit, _pack, _unpack
 
 __all__ = [
     "AlgebraElement",
@@ -149,9 +149,13 @@ class AlgebraElement:
         return self._plus(other, -ONE)
 
     def scale(self, c) -> "AlgebraElement":
-        poly = LaurentPoly.const(c) if isinstance(c, int) else c
+        """This element times c, an ``int`` (not a bool) or a ``LaurentPoly``."""
+        if type(c) is int:
+            c = LaurentPoly.const(c)
+        elif not isinstance(c, LaurentPoly):
+            raise ValueError(f"scalar {c!r} is neither an integer nor a LaurentPoly")
         return AlgebraElement.make(self.graph(), self.basis,
-                                   {w: poly * p for w, p in self.coords})
+                                   {w: c * p for w, p in self.coords})
 
     def __repr__(self):
         if not self.coords:
@@ -174,7 +178,6 @@ class TLAlgebra:
         self._fc: Optional[Tuple[FcElement, ...]] = None
         self._ttilde: Optional[Dict[Word, Coords]] = None
         self._canonical: Optional[Dict[Word, Coords]] = None
-        self._canonical_steps: Optional[Dict[Word, Coords]] = None
         self._right: Dict[str, Dict[int, Dict[Word, Coords]]] = {}
         self._f_table: Optional[Dict[Word, Coords]] = None
         self._f_factors: Dict[Word, Tuple[Tuple[Coords, bool], ...]] = {}
@@ -407,7 +410,7 @@ class TLAlgebra:
                 row = {0: one}
             if row.get(i) != one:
                 raise AssertionError(f"t-basis element at {words[i]} is not unitriangular")
-            # the canonical correction and the one lattice L rest on this
+            # the canonical table and the one lattice L rest on this
             if any(not -top < p < top for p in row.values()):
                 raise AssertionError(f"t-basis element at {words[i]} has a coefficient "
                                      f"outside Z[v^-1]")
@@ -529,68 +532,52 @@ class TLAlgebra:
     # -- canonical basis -----------------------------------------------------
 
     def canonical_table(self) -> Dict[Word, Coords]:
-        if self._canonical is None:
-            self._canonical, self._canonical_steps = self._canonical_table()
-        return self._canonical
+        """Every canonical element c_w in monomial coordinates: the constant
+        terms of t~_w's, as the truncated walk gives them.
 
-    def _canonical_table(self) -> Tuple[Dict[Word, Coords], Dict[Word, Coords]]:
-        """Kazhdan-Lusztig step, then bar-invariant correction in monomial
-        coordinates.
-
-        For each index word w = w' s in increasing length order, start from
-        c_{w'} * b_s: bar-fixed, with top monomial b_w at coefficient 1
-        (every other term of c_{w'} is shorter than w').  The t-tilde elements
-        lie in Z[v^-1] (``_ttilde_walk`` checks it), so c_w - t~_w in
-        v^-1 L says that each monomial coordinate of c_w is the constant
-        term of t~_w's, mod v^-1 Z[v^-1]; the truncated walk gives exactly
-        those constant terms.  Subtracting a multiple of c_x moves
-        only x and shorter words, so one walk down the lengths below w, in
-        any order within a length, settles every coordinate.
-
-        Returns the table and, per w, the step's {x: mu_x}:
-        c_w = c_{w'} b_s - sum_x mu_x c_x.
+        Each monomial b_x is bar-invariant and t~_w lies in L (``_ttilde_walk``
+        checks it), so the coordinates of a bar-invariant c_w = t~_w mod v^-1 L
+        are bar-invariant and in Z[v^-1], that is integers: t~_w's constant
+        terms.  These define such a c_w, so it exists and is unique.  One
+        ``LaurentPoly`` is shared per distinct constant.
         """
-        targets = self._ttilde_walk(truncated=True)
-        out: Dict[Word, Coords] = {}
-        steps: Dict[Word, Coords] = {}
-        for w in self.fc_words():
-            mono = _merge({}, self._times_gen(out[w[:-1]], w[-1]) if w else {(): ONE}, ONE)
-            target = targets[w]
-            step = steps[w] = {}
-            for length in range(len(w) - 1, -1, -1):
-                for x in {x for x in (*mono, *target) if len(x) == length}:
-                    gap = LaurentPoly._from_dict(mono.get(x, {})) - target.get(x, 0)
-                    mu = invariant_completion(gap)
-                    if mu:
-                        _merge(mono, out[x], -mu)
-                        step[x] = mu
-            out[w] = _settle(mono)
-        return out, steps
+        if self._canonical is None:
+            consts = {1: ONE}
+            self._canonical = {
+                w: {x: consts.get(c) or consts.setdefault(c, LaurentPoly.const(c))
+                    for x, c in row.items()}
+                for w, row in self._ttilde_walk(truncated=True).items()}
+        return self._canonical
 
     def canonical_products(self, x) -> Dict[Word, Coords]:
         """Row x of the canonical multiplication table: for every basis word y,
         in ``fc_words`` order, c_x * c_y in canonical coordinates.
 
-        Read off the step the table was built with: c_y = c_{y'} b_s -
-        sum_z mu_z c_z for y = y' s, so c_x c_y = (c_x c_{y'}) b_s -
-        sum_z mu_z c_x c_z.  The prefix y' and every z are shorter than y, so
-        their entries come earlier in the row.  Each entry lists its words in
-        the order ``structure_constants`` gives them.
+        Each step is read off the canonical right table: for y = y' s its
+        entry at y' is c_{y'} b_s = c_y + sum_z mu_z c_z, so c_x c_y =
+        (c_x c_{y'}) b_s - sum_z mu_z c_x c_z.  The prefix y' and every z are
+        shorter than y, so their entries come earlier in the row.  Each entry
+        lists its words in the order ``structure_constants`` gives them.
 
         Entries accumulate as polynomials under the rings' unit rule: the
         right table's coefficients are 1 or delta, so an entry with one
         contribution of coefficient 1 is that c itself, no new polynomial.
         """
         rows: Dict[Word, Coords] = {(): {self._index_word(x): ONE}}
-        right = self.right_table("canonical")  # builds the table and its steps
-        steps = self._canonical_steps
+        right = self.right_table("canonical")
         for y in self.fc_words()[1:]:
+            prefix, s = y[:-1], y[-1]
+            right_s = right[s]
+            step = right_s[prefix]
+            if step.get(y) != ONE:
+                raise AssertionError(f"c_{word_str(prefix)} * b_{s} has the coefficient "
+                                     f"{step.get(y, ZERO)} at {word_str(y)}, not 1")
             acc: Coords = {}
-            right_s = right[y[-1]]
-            for u, c in rows[y[:-1]].items():
+            for u, c in rows[prefix].items():
                 _add_scaled(acc, right_s[u].items(), c)
-            for z, mu in steps[y].items():
-                _add_scaled(acc, rows[z].items(), -mu)
+            for z, mu in step.items():
+                if z != y:
+                    _add_scaled(acc, rows[z].items(), -mu)
             rows[y] = dict(sorted(((w, p) for w, p in acc.items() if p),
                                   key=lambda t: (len(t[0]), t[0]), reverse=True))
         return rows

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra, evaluate_mixed
-from .coxeter import CoxeterGraph, _bruhat_leq_word, classify_letters, word_str
+from .coxeter import FIRST_BOND, CoxeterGraph, _bruhat_leq_word, classify_letters, word_str
 from .laurent import DELTA, LaurentPoly
 from .tangles import (
     _canonical_index,
@@ -357,7 +357,12 @@ def suite_names() -> Tuple[str, ...]:
 def run_suite(name: str, family: Optional[str] = None,
               rank: Optional[int] = None) -> SuiteResult:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+    if family is not None and family not in FIRST_BOND:
+        raise ValueError(f"unknown family {family!r}")
+    # a bool or 0 is not a rank, and must not read as the default one
+    if rank is not None and (type(rank) is not int or rank < 1):
+        raise ValueError(f"rank {rank!r} is not a positive integer")
     fixed_family, fn = SUITES[name]
     if fixed_family is not None and family is not None and family != fixed_family:
         raise ValueError(f"suite {name} is specific to family {fixed_family}")

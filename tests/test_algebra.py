@@ -179,6 +179,16 @@ def test_lattice_degree_examples():
     assert H3.lattice_degree(zero) == float("-inf")
 
 
+def test_scale_takes_an_integer_or_a_laurent_polynomial():
+    b1 = H3.monomial((1,))
+    assert coords(b1.scale(2)) == coords(b1.scale(LaurentPoly.const(2))) == \
+        {(1,): LaurentPoly.const(2)}
+    assert b1.scale(0).is_zero()
+    for bad in (True, False, 1.5, "2", None):
+        with pytest.raises(ValueError, match="neither an integer nor a LaurentPoly"):
+            b1.scale(bad)
+
+
 def test_canonical_basis_b2_golden():
     table = B2.canonical_table()
     assert len(table) == 7
@@ -203,9 +213,11 @@ def test_canonical_basis_is_monomial_in_type_a():
 
 
 def test_canonical_properties():
-    for alg in (B2, H2):
+    for alg in (B2, H2, B3, H3, H4):
         table = alg.canonical_table()
         for w, co in table.items():
+            # bar-invariant coordinates in Z[v^-1] are integers
+            assert all(len(c.terms) == 1 and c.terms[0][0] == 0 for c in co.values()), w
             elem = AlgebraElement.make(alg.graph, "monomial", co)
             assert alg.bar_element(elem) == elem
             tco = dict(alg.to_basis(elem, "ttilde").coords)
@@ -273,9 +285,83 @@ def _reference_canonical_table(alg, pick=max):
     return ttable, table
 
 
+def _ref_kl_canonical_table(alg):
+    """The Kazhdan-Lusztig step, then a bar-invariant correction in monomial
+    coordinates.
+
+    For each index word w = w' s in increasing length order, start from
+    c_{w'} * b_s: bar-fixed, with top monomial b_w at coefficient 1.  Each
+    monomial coordinate of c_w is the constant term of t~_w's, which the
+    truncated walk gives; subtracting a multiple of c_x moves only x and
+    shorter words, so one walk down the lengths below w settles every
+    coordinate.  Returns the table and, per w, the step's {x: mu_x}:
+    c_w = c_{w'} b_s - sum_x mu_x c_x.
+    """
+    merge, settle = algebra_mod._merge, algebra_mod._settle
+    targets = alg._ttilde_walk(truncated=True)
+    out, steps = {}, {}
+    for w in alg.fc_words():
+        mono = merge({}, alg._times_gen(out[w[:-1]], w[-1]) if w else {(): ONE}, ONE)
+        target = targets[w]
+        step = steps[w] = {}
+        for length in range(len(w) - 1, -1, -1):
+            for x in {x for x in (*mono, *target) if len(x) == length}:
+                gap = LaurentPoly._from_dict(mono.get(x, {})) - target.get(x, 0)
+                mu = invariant_completion(gap)
+                if mu:
+                    merge(mono, out[x], -mu)
+                    step[x] = mu
+        out[w] = settle(mono)
+    return out, steps
+
+
+def _steps_from_right_table(alg):
+    """Per w = w' s, the {z: mu_z} with c_{w'} b_s = c_w + sum_z mu_z c_z, read
+    off the canonical right table."""
+    right = alg.right_table("canonical")
+    steps = {(): {}}
+    for w in alg.fc_words()[1:]:
+        steps[w] = {z: mu for z, mu in right[w[-1]][w[:-1]].items() if z != w}
+    return steps
+
+
+def _check_kl_reference(alg):
+    table, steps = _ref_kl_canonical_table(alg)
+    assert alg.canonical_table() == table
+    assert _steps_from_right_table(alg) == steps
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("B", 5),
+    ("H", 2), ("H", 3), ("H", 4)])
+def test_canonical_table_matches_the_kl_reference(family, rank):
+    _check_kl_reference(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the H5 and B6 KL cross-check")
+@pytest.mark.parametrize("family, rank", [("H", 5), ("B", 6)])
+def test_canonical_table_matches_the_kl_reference_slow(family, rank):
+    _check_kl_reference(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+def test_canonical_products_reject_a_step_whose_lead_is_not_1():
+    # c_{y'} b_s must be c_y plus earlier c_z; a lead coefficient of 2 at y
+    # would give every row a wrong entry, so it fails loudly
+    alg = TLAlgebra(CoxeterGraph("H", 3))
+    y = next(w for w in alg.fc_words() if len(w) == 2)
+    right = alg.right_table("canonical")
+    corrupt = {s: dict(by_u) for s, by_u in right.items()}
+    corrupt[y[-1]][y[:-1]] = {**right[y[-1]][y[:-1]], y: LaurentPoly.const(2)}
+    alg._right["canonical"] = corrupt
+    with pytest.raises(AssertionError,
+                       match=rf"c_{word_str(y[:-1])} \* b_{y[-1]} .* at {word_str(y)}, not 1"):
+        alg.canonical_products(())
+
+
 def test_ttilde_table_lies_in_z_vinv():
-    # the canonical correction in monomial coordinates and the one lattice
-    # L rest on it; off the diagonal only the constant terms are non-trivial
+    # the canonical table and the one lattice L rest on it; off the diagonal
+    # only the constant terms are non-trivial
     for family, rank in (("A", 5), ("B", 5), ("H", 4)):
         table = TLAlgebra(CoxeterGraph(family, rank)).ttilde_table()
         assert all(c.degree <= 0 for row in table.values() for c in row.values())
@@ -683,7 +769,7 @@ def test_recorded_steps_rebuild_the_canonical_table():
     for family, rank in (("A", 4), ("B", 4), ("H", 4)):
         alg = TLAlgebra(CoxeterGraph(family, rank))
         table = alg.canonical_table()
-        steps = alg._canonical_steps
+        steps = _steps_from_right_table(alg)
         assert list(steps) == list(table) and steps[()] == {}
         for w in alg.fc_words()[1:]:
             rebuilt = alg.multiply(alg.canonical_element(w[:-1]), alg.monomial(w[-1:]))

@@ -735,8 +735,8 @@ def _internal_failure(path):
             TLAlgebra, "fc_elements",
             ValueError("support is not a combination of canonical diagrams"),
             ["--command", "enumerate", "--family", "B", "--rank", "2", "--format", "csv"]),
-        "assertion": (TLAlgebra, "_canonical_table",
-                      AssertionError("correction recursion did not settle at (1, 2)"),
+        "assertion": (TLAlgebra, "canonical_table",
+                      AssertionError("t-basis element at (1, 2) is not unitriangular"),
                       ["--command", "basis", "--family", "H", "--rank", "2"]),
         "runtime": (cli_mod, "run_suite",
                     RuntimeError("identity element rejected by the closure acceptor"),
@@ -761,6 +761,20 @@ def test_internal_failure_exits_2_with_report(path, tmp_path, monkeypatch):
     data = json.loads(out.read_text())
     assert data["status"] == "fail"
     assert data["results"]["error"] == {"type": type(exc).__name__, "message": str(exc)}
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("prop-4.1.9", {"rank": 0}),
+    ("prop-4.1.9", {"rank": False}),
+    ("thm-2.1.3", {"rank": True}),
+    ("prop-3.1.9", {"rank": 3.0}),
+    ("confluence", {"family": "Z"}),
+    ("no-such-suite", {}),
+])
+def test_run_suite_rejects_malformed_input_at_entry(name, kwargs):
+    # a falsy rank must not read as the default one, nor True as rank 1
+    with pytest.raises(ValueError):
+        tlbases.run_suite(name, **kwargs)
 
 
 def test_duplicate_canonical_diagram_is_a_reported_assertion(tmp_path, monkeypatch):

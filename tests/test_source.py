@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import tlbases
+from tlbases.algebra import TLAlgebra
+from tlbases.coxeter import CoxeterGraph
 
 SRC = Path(tlbases.__file__).resolve().parent
 
@@ -278,9 +280,18 @@ def test_canonical_basis_reads_the_truncated_walk():
     # which the truncated walk gives; the full table serves t-tilde
     # coordinates only, and one walk builds both
     full = _calls_by_owner({"ttilde_table"})
-    assert full and "_canonical_table" not in {owner for _, owner, _ in full}, full
+    assert full and "canonical_table" not in {owner for _, owner, _ in full}, full
     walk = _calls_by_owner({"_ttilde_walk"})
-    assert sorted(owner for _, owner, _ in walk) == ["_canonical_table", "ttilde_table"], walk
+    assert sorted(owner for _, owner, _ in walk) == ["canonical_table", "ttilde_table"], walk
+    # the table is the walk's constants, with no correction on top, and the
+    # canonical rows read their steps off the canonical right table
+    source = (SRC / "algebra.py").read_text(encoding="utf-8")
+    assert "invariant_completion" not in {
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    alg = TLAlgebra(CoxeterGraph("H", 2))
+    alg.canonical_products(())
+    assert not hasattr(TLAlgebra, "_canonical_steps") and not hasattr(alg, "_canonical_steps")
     # the walk runs on packed rows, which only the walk itself steps
     packed = _calls_by_owner({"_packed_walk", "_packed_product"})
     assert sorted((owner, name) for _, owner, name in packed) == \
