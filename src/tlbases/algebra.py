@@ -59,6 +59,9 @@ BASIS_TAGS = ("monomial", "ttilde", "f", "canonical")
 #: The digit width the packed t-tilde walk starts at (``_ttilde_walk``).
 _START_WIDTH = 32
 
+#: Each basis element's letter in ``right_table``'s messages.
+_SYMBOLS = {"ttilde": "t~", "canonical": "c", "f": "f"}
+
 
 def _merge(acc: Raw, coords: Coords, scale: LaurentPoly) -> Raw:
     """acc += scale * coords, with no intermediate polynomial."""
@@ -176,12 +179,12 @@ class TLAlgebra:
         self.graph = graph
         self._w2b: Dict[Tuple[str, Word], Coords] = {}
         self._fc: Optional[Tuple[FcElement, ...]] = None
+        self._words: Optional[Tuple[Word, ...]] = None
+        self._index: Dict[Word, int] = {}
         self._ttilde: Optional[Dict[Word, Coords]] = None
         self._canonical: Optional[Dict[Word, Coords]] = None
         self._right: Dict[str, Dict[int, Dict[Word, Coords]]] = {}
         self._f_table: Optional[Dict[Word, Coords]] = None
-        self._f_factors: Dict[Word, Tuple[Tuple[Coords, bool], ...]] = {}
-        self._descending: Optional[Tuple[Word, ...]] = None
 
     # -- enumeration -------------------------------------------------------
 
@@ -191,7 +194,11 @@ class TLAlgebra:
         return self._fc
 
     def fc_words(self) -> Tuple[Word, ...]:
-        return tuple(e.word for e in self.fc_elements())
+        """The FC normal words in (length, word) order; ``_index`` numbers them."""
+        if self._words is None:
+            self._words = tuple(e.word for e in self.fc_elements())
+            self._index = {w: i for i, w in enumerate(self._words)}
+        return self._words
 
     # -- rewriting ---------------------------------------------------------
 
@@ -361,7 +368,7 @@ class TLAlgebra:
         """One run of ``_ttilde_walk`` at a digit width; None once the
         coefficient bound reaches 2^(width-1)."""
         words = self.fc_words()
-        index = {w: i for i, w in enumerate(words)}
+        index = self._index
         children: List[List[int]] = [[] for _ in words]
         height = [0] * len(words)
         for i in range(len(words) - 1, 0, -1):
@@ -388,7 +395,7 @@ class TLAlgebra:
                 for u, p in parent.items():
                     prod = by_u.get(u)
                     if prod is None:
-                        prod = by_u[u] = self._packed_product(words[u] + (s,), index, width)
+                        prod = by_u[u] = self._packed_product(words[u] + (s,), width)
                     terms, norm = prod
                     if norm > widest:
                         widest = norm
@@ -424,8 +431,7 @@ class TLAlgebra:
             stack.extend((child, row, bound) for child in children[i])
         return rows
 
-    def _packed_product(self, us: Word, index: Dict[Word, int],
-                        width: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    def _packed_product(self, us: Word, width: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
         """b_u b_s as ((x, R_x), ...), each r_x packed at off 1, and its l1 norm."""
         out = []
         norm = 0
@@ -436,7 +442,7 @@ class TLAlgebra:
             if r.valuation < -1:
                 raise AssertionError(f"the rewriting of {word_str(us)} has the "
                                      f"coefficient {r} of valuation below -1")
-            out.append((index[x], _pack(r, width, 1)))
+            out.append((self._index[x], _pack(r, width, 1)))
             norm += sum(abs(c) for _, c in r.terms)
         return tuple(out), norm
 
@@ -451,11 +457,9 @@ class TLAlgebra:
         Subtracting a row only touches smaller words, so one walk down the
         (length, word) order visits every word the solve needs.
         """
-        if self._descending is None:
-            self._descending = tuple(reversed(self.fc_words()))
         rem = _merge({}, coords, ONE)
         out: Coords = {}
-        for x in self._descending:
+        for x in reversed(self.fc_words()):
             if not rem:
                 break
             d = rem.pop(x, None)
@@ -482,13 +486,22 @@ class TLAlgebra:
 
     def right_table(self, basis: str) -> Dict[int, Dict[Word, Coords]]:
         """(basis element u) * b_s in ``basis`` coordinates, by generator s and word
-        u; left products read it through the reversal (``forms._row_steps``)."""
+        u; left products read it through the reversal (``forms._row_steps``).
+
+        Each basis is unitriangular along the prefix order: for every normal
+        y = y' s, (element y') * b_s has the coefficient 1 at y, checked here.
+        """
         if basis not in self._right:
             table = self._table_for(basis)
-            self._right[basis] = {
-                s: {u: self._convert_from_monomial(self._times_gen(row, s), table)
-                    for u, row in table.items()}
-                for s in self.graph.generators}
+            right = {s: {u: self._convert_from_monomial(self._times_gen(row, s), table)
+                         for u, row in table.items()}
+                     for s in self.graph.generators}
+            for y in self.fc_words()[1:]:
+                if (lead := right[y[-1]][y[:-1]].get(y, ZERO)) != ONE:
+                    raise AssertionError(
+                        f"{basis} basis: {_SYMBOLS[basis]}_{word_str(y[:-1])} * b_{y[-1]} "
+                        f"has the coefficient {lead} at {word_str(y)}, not 1")
+            self._right[basis] = right
         return self._right[basis]
 
     def to_monomial(self, a: AlgebraElement) -> AlgebraElement:
@@ -554,10 +567,11 @@ class TLAlgebra:
         in ``fc_words`` order, c_x * c_y in canonical coordinates.
 
         Each step is read off the canonical right table: for y = y' s its
-        entry at y' is c_{y'} b_s = c_y + sum_z mu_z c_z, so c_x c_y =
-        (c_x c_{y'}) b_s - sum_z mu_z c_x c_z.  The prefix y' and every z are
-        shorter than y, so their entries come earlier in the row.  Each entry
-        lists its words in the order ``structure_constants`` gives them.
+        entry at y' is c_{y'} b_s = c_y + sum_z mu_z c_z (``right_table``
+        checks the 1), so c_x c_y = (c_x c_{y'}) b_s - sum_z mu_z c_x c_z.  The
+        prefix y' and every z are shorter than y, so their entries come earlier
+        in the row.  Each entry lists its words by descending position, as
+        ``structure_constants`` does.
 
         Entries accumulate as polynomials under the rings' unit rule: the
         right table's coefficients are 1 or delta, so an entry with one
@@ -565,21 +579,17 @@ class TLAlgebra:
         """
         rows: Dict[Word, Coords] = {(): {self._index_word(x): ONE}}
         right = self.right_table("canonical")
-        for y in self.fc_words()[1:]:
-            prefix, s = y[:-1], y[-1]
-            right_s = right[s]
-            step = right_s[prefix]
-            if step.get(y) != ONE:
-                raise AssertionError(f"c_{word_str(prefix)} * b_{s} has the coefficient "
-                                     f"{step.get(y, ZERO)} at {word_str(y)}, not 1")
+        words, index = self.fc_words(), self._index
+        for y in words[1:]:
+            right_s = right[y[-1]]
             acc: Coords = {}
-            for u, c in rows[prefix].items():
+            for u, c in rows[y[:-1]].items():
                 _add_scaled(acc, right_s[u].items(), c)
-            for z, mu in step.items():
+            for z, mu in right_s[y[:-1]].items():
                 if z != y:
                     _add_scaled(acc, rows[z].items(), -mu)
-            rows[y] = dict(sorted(((w, p) for w, p in acc.items() if p),
-                                  key=lambda t: (len(t[0]), t[0]), reverse=True))
+            order = sorted(map(index.__getitem__, acc), reverse=True)
+            rows[y] = {w: p for w in map(words.__getitem__, order) if (p := acc[w])}
         return rows
 
     def canonical_basis(self) -> Dict[Word, AlgebraElement]:
@@ -609,8 +619,6 @@ class TLAlgebra:
         Each factor comes with its distinguished flag (blocks opening with a
         bilateral letter).
         """
-        if word in self._f_factors:
-            return self._f_factors[word]
         rj = right_justify(self.graph, word)
         factors: List[Tuple[Coords, bool]] = []
         covered = {}
@@ -628,9 +636,7 @@ class TLAlgebra:
             else:
                 factors.append((self.monomial_product((rj.word[i],)), False))
                 i += 1
-        result = tuple(factors)
-        self._f_factors[word] = result
-        return result
+        return tuple(factors)
 
     def f_element(self, w) -> AlgebraElement:
         word = self._index_word(w)

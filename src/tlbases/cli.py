@@ -185,8 +185,7 @@ def _cmd_basis(cfg: JobConfig) -> Tuple[dict, int]:
         table = None if cfg.basis == "monomial" else alg._table_for(cfg.basis)
         # rows are ordered by position in the (length, word) order of the FC
         # words; each word's and each distinct coefficient's text is made once
-        words = alg.fc_words()
-        index = {w: k for k, w in enumerate(words)}
+        words, index = alg.fc_words(), alg._index
         names = [word_str(w) for w in words]
         polys: dict = {}
         for w, name in zip(words, names):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra, evaluate_mixed
 from .coxeter import FIRST_BOND, CoxeterGraph, _bruhat_leq_word, classify_letters, word_str
@@ -66,15 +66,6 @@ class SuiteResult:
         }
 
 
-_RULES_CACHE: Dict[str, RuleSet] = {}
-
-
-def _rules(family: str) -> RuleSet:
-    if family not in _RULES_CACHE:
-        _RULES_CACHE[family] = calibrate_ruleset(family)
-    return _RULES_CACHE[family]
-
-
 # ---------------------------------------------------------------------------
 # transport of the canonical basis to diagrams
 
@@ -123,7 +114,7 @@ def _transport(res: SuiteResult, alg: TLAlgebra, rules: RuleSet):
 
 def suite_transport(res: SuiteResult, rank: Optional[int]):
     strands_list = (3, 4) if rank is None else (rank + 1,)
-    rules = _rules(res.family)
+    rules = calibrate_ruleset(res.family)
     for strands in strands_list:
         _transport(res, TLAlgebra(CoxeterGraph(res.family, strands - 1)), rules)
 
@@ -219,6 +210,8 @@ def suite_positivity(res: SuiteResult, rank: Optional[int]):
 
 
 def suite_block_identities(res: SuiteResult, rank: Optional[int]):
+    if rank == 1:
+        raise ValueError(f"suite {res.suite} needs generators 1 and 2, not rank {rank}")
     alg = TLAlgebra(CoxeterGraph(res.family, rank or 3))
 
     def t(*letters):

@@ -345,18 +345,46 @@ def test_canonical_table_matches_the_kl_reference_slow(family, rank):
     _check_kl_reference(TLAlgebra(CoxeterGraph(family, rank)))
 
 
+def _lead_2_at_first_length_2_word(alg):
+    """The first normal word y of length 2, with every right-table entry
+    that has the coefficient 1 at y given 2 there as the table is built."""
+    y = next(w for w in alg.fc_words() if len(w) == 2)
+    convert = alg._convert_from_monomial
+
+    def corrupted(coords, table):
+        out = convert(coords, table)
+        if out.get(y) == ONE:
+            out[y] = LaurentPoly.const(2)
+        return out
+
+    alg._convert_from_monomial = corrupted
+    return y
+
+
 def test_canonical_products_reject_a_step_whose_lead_is_not_1():
     # c_{y'} b_s must be c_y plus earlier c_z; a lead coefficient of 2 at y
-    # would give every row a wrong entry, so it fails loudly
+    # would give every row a wrong entry, so building the table fails loudly
     alg = TLAlgebra(CoxeterGraph("H", 3))
-    y = next(w for w in alg.fc_words() if len(w) == 2)
-    right = alg.right_table("canonical")
-    corrupt = {s: dict(by_u) for s, by_u in right.items()}
-    corrupt[y[-1]][y[:-1]] = {**right[y[-1]][y[:-1]], y: LaurentPoly.const(2)}
-    alg._right["canonical"] = corrupt
-    with pytest.raises(AssertionError,
-                       match=rf"c_{word_str(y[:-1])} \* b_{y[-1]} .* at {word_str(y)}, not 1"):
+    y = _lead_2_at_first_length_2_word(alg)
+    match = rf"c_{word_str(y[:-1])} \* b_{y[-1]} .* at {word_str(y)}, not 1"
+    with pytest.raises(AssertionError, match=match):
+        alg.right_table("canonical")
+    with pytest.raises(AssertionError, match=match):
         alg.canonical_products(())
+
+
+@pytest.mark.parametrize("basis, symbol", [("ttilde", "t~"), ("f", "f")])
+def test_right_table_rejects_a_step_whose_lead_is_not_1(basis, symbol):
+    # every basis is unitriangular along the prefix order, so each right
+    # table checks the coefficient 1 at y = y' s, not only the canonical one
+    for family in ("B", "H"):
+        alg = TLAlgebra(CoxeterGraph(family, 3))
+        y = _lead_2_at_first_length_2_word(alg)
+        with pytest.raises(AssertionError, match=rf"^{basis} basis: {symbol}_"
+                           rf"{word_str(y[:-1])} \* b_{y[-1]} has the coefficient 2 "
+                           rf"at {word_str(y)}, not 1$"):
+            alg.right_table(basis)
+        assert basis not in alg._right
 
 
 def test_ttilde_table_lies_in_z_vinv():

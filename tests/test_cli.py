@@ -777,6 +777,19 @@ def test_run_suite_rejects_malformed_input_at_entry(name, kwargs):
         tlbases.run_suite(name, **kwargs)
 
 
+@pytest.mark.parametrize("name", tlbases.suite_names())
+def test_every_suite_runs_or_rejects_rank_1(name):
+    # rank 1 has one generator: a suite either runs there or says, before
+    # any work, that it needs more, naming itself and the rank
+    try:
+        res = tlbases.run_suite(name, rank=1)
+    except ValueError as exc:
+        assert name in str(exc) and "rank 1" in str(exc), exc
+        assert name == "lemma-3.3.6"
+    else:
+        assert res.suite == name and res.checks
+
+
 def test_duplicate_canonical_diagram_is_a_reported_assertion(tmp_path, monkeypatch):
     # two enumerated diagrams whose images lead with one tangle break the
     # index's invariant: a failed computation, never a passing report

@@ -396,3 +396,39 @@ def test_one_evaluator_per_calculus():
                     if isinstance(node, ast.ClassDef) and node.name == "DiagramCalculus")
     methods = {node.name for node in calculus.body if isinstance(node, ast.FunctionDef)}
     assert "evaluate_word" in methods and "gen_element" not in methods
+
+
+def _numbers_a_sequence(node):
+    """The label "position-map" for a dict comprehension
+    {w: i for i, w in enumerate(...)}, which maps each element of a sequence
+    to its position; else None."""
+    if not (isinstance(node, ast.DictComp) and len(node.generators) == 1):
+        return None
+    gen = node.generators[0]
+    if not (isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "enumerate"
+            and isinstance(gen.target, ast.Tuple) and len(gen.target.elts) == 2):
+        return None
+    counter, element = (getattr(n, "id", None) for n in gen.target.elts)
+    key, value = getattr(node.key, "id", None), getattr(node.value, "id", None)
+    return "position-map" if (key, value) == (element, counter) else None
+
+
+def test_one_numbering_of_the_basis():
+    # fc_words numbers the FC elements once, and the t~ walk, the triangular
+    # solve, the canonical rows and the basis report read that numbering; no
+    # second index, descending copy or cache that nothing reads twice remains
+    found = [_numbers_a_sequence(node) for node in ast.walk(ast.parse(
+        "a = {w: i for i, w in enumerate(words)}\n"
+        "b = {w: k for k, w in enumerate(alg.fc_words())}\n"
+        "c = {i: w for i, w in enumerate(words)}\n"
+        "d = {j: f(x) for j, x in enumerate(words)}\n"))]
+    assert found.count("position-map") == 2
+    maps = _by_owner(_numbers_a_sequence)
+    assert maps == [("algebra.py", "fc_words", "position-map")], maps
+    alg = TLAlgebra(CoxeterGraph("H", 3))
+    alg.right_table("f")
+    for name in ("_descending", "_f_factors"):
+        assert not hasattr(TLAlgebra, name) and not hasattr(alg, name), name
+    verify = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "id", getattr(node, "name", None)) for node in ast.walk(verify)}
+    assert not names & {"_RULES_CACHE", "_rules"}, names & {"_RULES_CACHE", "_rules"}
