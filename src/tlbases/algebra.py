@@ -16,6 +16,8 @@ monomial coordinates), the f-basis built from right-justified block
 decompositions, and the mixed products relating the two.  Canonical structure
 constants come a row at a time, by the Kazhdan-Lusztig step read off the
 canonical right table: c_{y's} is c_{y'} b_s less multiples of earlier c_z.
+They lie in Z[delta], delta = v + v^-1, and the rows run on them packed as
+integers.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ from .coxeter import (
     right_justify,
     word_str,
 )
-from .laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, _add_scaled, _digit, _pack, _unpack
+from .laurent import (
+    DELTA, ONE, V_INV, ZERO, LaurentPoly, _delta_mask, _delta_unpack, _digit, _pack, _to_delta,
+    _unpack,
+)
 
 __all__ = [
     "AlgebraElement",
@@ -176,6 +181,8 @@ class TLAlgebra:
     """
 
     def __init__(self, graph: CoxeterGraph):
+        if not isinstance(graph, CoxeterGraph):
+            raise ValueError(f"TLAlgebra needs a CoxeterGraph, not {graph!r}")
         self.graph = graph
         self._w2b: Dict[Tuple[str, Word], Coords] = {}
         self._fc: Optional[Tuple[FcElement, ...]] = None
@@ -185,6 +192,7 @@ class TLAlgebra:
         self._canonical: Optional[Dict[Word, Coords]] = None
         self._right: Dict[str, Dict[int, Dict[Word, Coords]]] = {}
         self._f_table: Optional[Dict[Word, Coords]] = None
+        self._packed: Optional[tuple] = None
 
     # -- enumeration -------------------------------------------------------
 
@@ -562,35 +570,86 @@ class TLAlgebra:
                 for w, row in self._ttilde_walk(truncated=True).items()}
         return self._canonical
 
+    def _packed_canonical(self) -> tuple:
+        """The canonical right table over Z[delta] as (K, mask, steps).
+
+        Each coefficient is bar-invariant (c_u, b_s and every c_z are, and
+        coordinates are unique), so it lies in Z[v, v^-1]^bar = Z[delta],
+        delta = v + v^-1, and is stored as p(2^K) for its delta-polynomial p
+        (``laurent._to_delta``); one that is not bar-invariant is an
+        ``AssertionError``.  steps[i - 1] is the step to the i-th word
+        y = y's: the position of y', the entries ((w, R), ...) of c_u b_s by
+        position u, and ((z, -mu_z), ...).  The mask is ``laurent._delta_mask``.
+
+        An l1 norm in delta-coefficients bounds every row of every x:
+        L(y) <= L(y') max_u l1(c_u b_s) + sum_{z != y} l1(mu_z) L(z), L(e) = 1.
+        K starts at ``_START_WIDTH`` and doubles while a bound reaches
+        2^(K-1), so every entry reads back exactly.
+        """
+        if self._packed is None:
+            words, index = self.fc_words(), self._index
+            right = self.right_table("canonical")
+            deltas: Dict[LaurentPoly, LaurentPoly] = {}
+            for s, by_u in right.items():
+                for u, entry in by_u.items():
+                    for z, c in entry.items():
+                        if c not in deltas:
+                            if c.bar() != c:
+                                raise AssertionError(
+                                    f"canonical basis: c_{word_str(u)} * b_{s} has the "
+                                    f"coefficient {c} at {word_str(z)}, not bar-invariant")
+                            deltas[c] = _to_delta(c)
+            l1 = {c: sum(abs(d) for _, d in q.terms) for c, q in deltas.items()}
+            widest = {s: max(sum(map(l1.__getitem__, entry.values())) for entry in by_u.values())
+                      for s, by_u in right.items()}
+            bound = [1]
+            for y in words[1:]:
+                bound.append(bound[index[y[:-1]]] * widest[y[-1]] + sum(
+                    l1[mu] * bound[index[z]] for z, mu in right[y[-1]][y[:-1]].items() if z != y))
+            width = _START_WIDTH
+            while max(bound) >= 1 << (width - 1):
+                width *= 2
+            packed = {c: _pack(q, width, 0) for c, q in deltas.items()}
+            by_s = {s: [tuple((index[z], packed[c]) for z, c in by_u[u].items()) for u in words]
+                    for s, by_u in right.items()}
+            steps = tuple((index[y[:-1]], by_s[y[-1]], tuple(
+                (index[z], -packed[mu]) for z, mu in right[y[-1]][y[:-1]].items() if z != y))
+                for y in words[1:])
+            self._packed = width, _delta_mask(width, len(words[-1]) + 1), steps
+        return self._packed
+
+    def _packed_rows(self, x: Word) -> List[Dict[int, int]]:
+        """Row x of the canonical multiplication table, packed: c_x * c_y as
+        {position z: P} for every basis word y by position.
+
+        For y = y' s the right table's entry c_{y'} b_s = c_y + sum_z mu_z c_z
+        (``right_table`` checks the 1) gives
+        c_x c_y = (c_x c_{y'}) b_s - sum_z mu_z c_x c_z, where y' and every z
+        are shorter than y, so earlier in the row.
+        """
+        rows = [{self._index[x]: 1}]
+        for parent, right_s, mus in self._packed_canonical()[2]:
+            acc: Dict[int, int] = {}
+            for u, h in rows[parent].items():
+                for w, r in right_s[u]:
+                    acc[w] = acc.get(w, 0) + h * r
+            for z, m in mus:
+                for w, h in rows[z].items():
+                    acc[w] = acc.get(w, 0) + h * m
+            rows.append({w: p for w, p in acc.items() if p})
+        return rows
+
     def canonical_products(self, x) -> Dict[Word, Coords]:
         """Row x of the canonical multiplication table: for every basis word y,
-        in ``fc_words`` order, c_x * c_y in canonical coordinates.
-
-        Each step is read off the canonical right table: for y = y' s its
-        entry at y' is c_{y'} b_s = c_y + sum_z mu_z c_z (``right_table``
-        checks the 1), so c_x c_y = (c_x c_{y'}) b_s - sum_z mu_z c_x c_z.  The
-        prefix y' and every z are shorter than y, so their entries come earlier
-        in the row.  Each entry lists its words by descending position, as
-        ``structure_constants`` does.
-
-        Entries accumulate as polynomials under the rings' unit rule: the
-        right table's coefficients are 1 or delta, so an entry with one
-        contribution of coefficient 1 is that c itself, no new polynomial.
-        """
-        rows: Dict[Word, Coords] = {(): {self._index_word(x): ONE}}
-        right = self.right_table("canonical")
-        words, index = self.fc_words(), self._index
-        for y in words[1:]:
-            right_s = right[y[-1]]
-            acc: Coords = {}
-            for u, c in rows[y[:-1]].items():
-                _add_scaled(acc, right_s[u].items(), c)
-            for z, mu in right_s[y[:-1]].items():
-                if z != y:
-                    _add_scaled(acc, rows[z].items(), -mu)
-            order = sorted(map(index.__getitem__, acc), reverse=True)
-            rows[y] = {w: p for w in map(words.__getitem__, order) if (p := acc[w])}
-        return rows
+        in ``fc_words`` order, c_x * c_y in canonical coordinates, its words by
+        descending position as ``structure_constants`` lists them.  This is
+        ``_packed_rows`` decoded from Z[delta], each distinct coefficient once."""
+        words, width = self.fc_words(), self._packed_canonical()[0]
+        polys = {1: ONE}
+        return {words[i]: {words[z]: polys.get(row[z]) or
+                           polys.setdefault(row[z], _delta_unpack(row[z], width))
+                           for z in sorted(row, reverse=True)}
+                for i, row in enumerate(self._packed_rows(self._index_word(x)))}
 
     def canonical_basis(self) -> Dict[Word, AlgebraElement]:
         return {

@@ -19,14 +19,17 @@ Math. Comp. 22, 1968) divides exactly at every step and runs on the Laurent
 entries directly: ``_bareiss`` gives the rank and last pivot of a matrix over
 the ring, for the forms' nondegeneracy and the calibration resultant.
 ``_add_scaled`` accumulates scaled coefficients by key, for the diagram
-calculus and the canonical rows alike.
+calculus.
 
 A polynomial whose exponents are bounded below packs into one integer, its
 value at v = 2^K scaled to clear the negative powers (Kronecker
 substitution; Harvey, J. Symb. Comp. 44, 2009): ``_pack``, ``_unpack`` and
 ``_digit`` read and write it in balanced base-2^K digits, exactly while
 every coefficient stays below 2^(K-1) in absolute value.  The t-tilde walk
-runs on these integers.
+runs on these integers.  A bar-invariant polynomial is a polynomial in
+delta = v + v^-1 (``_to_delta``) and packs as its value at delta = 2^K;
+``_delta_unpack`` reads it back, and ``_delta_mask`` tests in one AND that
+every delta-coefficient is >= 0.  The canonical rows run on these.
 """
 
 from __future__ import annotations
@@ -445,6 +448,31 @@ def _unpack(packed: int, width: int, off: int) -> LaurentPoly:
         packed = (packed - d) >> width
         e += 1
     return LaurentPoly._from_terms(tuple(reversed(terms)))
+
+
+def _to_delta(p: LaurentPoly) -> LaurentPoly:
+    """The coefficients of a bar-invariant p in powers of delta, as q in Z[v]
+    with q(delta) = p: each step takes off the top term c v^e as c delta^e."""
+    terms = []
+    while p:
+        e, c = p.terms[0]
+        terms.append((e, c))
+        p = p - DELTA ** e * c
+    return LaurentPoly._from_terms(tuple(terms))
+
+
+def _delta_unpack(packed: int, width: int) -> LaurentPoly:
+    """The p whose ``_to_delta`` packed (``_pack`` at off 0) to ``packed``,
+    exact while every delta-coefficient is below 2^(width-1) in absolute value."""
+    return sum((DELTA ** e * c for e, c in _unpack(packed, width, 0).terms), ZERO)
+
+
+def _delta_mask(width: int, digits: int) -> int:
+    """M with P & M == 0 exactly when P packs (in balanced digits below
+    2^(width-1)) a combination of delta^0 .. delta^(digits-1) with every
+    coefficient >= 0: bit width-1 of each of those digits, and every bit above."""
+    top = 1 << (width * digits)
+    return -top | (top - 1) // ((1 << width) - 1) << (width - 1)
 
 
 def _bareiss(rows: List[Dict[int, LaurentPoly]]) -> Tuple[int, LaurentPoly]:

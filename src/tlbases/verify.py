@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import List, Optional, Tuple
 
 from .algebra import STRATEGIES, TLAlgebra, evaluate_mixed
 from .coxeter import FIRST_BOND, CoxeterGraph, _bruhat_leq_word, classify_letters, word_str
-from .laurent import DELTA, LaurentPoly
+from .laurent import DELTA, LaurentPoly, _delta_unpack
 from .tangles import (
     _canonical_index,
     _match_canonical,
@@ -148,13 +151,21 @@ def suite_f_canonical(res: SuiteResult, rank: Optional[int]):
 
 def _positivity(res: SuiteResult, alg: TLAlgebra):
     family, rank = alg.graph.family, alg.graph.rank
-    elements = alg.fc_elements()
+    elements, words = alg.fc_elements(), alg.fc_words()
+    # an entry whose delta-coefficients are all >= 0 passes the mask, and has
+    # coefficients >= 0 in v; any other is decoded (delta^2 - 1 is nonneg).
+    # A row set whose bitwise OR passes has every entry passing
+    width, mask, _ = alg._packed_canonical()
     negative = []
     for x in elements:
-        for y, sc in alg.canonical_products(x).items():
-            for z, c in sc.items():
+        rows = alg._packed_rows(x.word)
+        if not reduce(or_, chain.from_iterable(map(dict.values, rows))) & mask:
+            continue
+        for y, row in zip(words, rows):
+            for z in sorted((z for z, p in row.items() if p & mask), reverse=True):
+                c = _delta_unpack(row[z], width)
                 if not c.nonneg:
-                    negative.append((x.word, y, z, str(c)))
+                    negative.append((x.word, y, words[z], str(c)))
     res.checks.append(CheckResult(
         f"{family}{rank}-positivity", not negative,
         f"{len(elements) ** 2} canonical products expanded",

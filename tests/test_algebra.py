@@ -1,17 +1,20 @@
 """Algebra layer: rewriting, bases, bar involution, canonical and f bases."""
 
+import json
 import os
 import random
 
 import pytest
 
 from tlbases import algebra as algebra_mod
+from tlbases import laurent as laurent_mod
 from tlbases.algebra import STRATEGIES, AlgebraElement, TLAlgebra, aux_elements, evaluate_mixed
+from tlbases.cli import EXIT_VERIFY_FAIL, JobConfig, run
 from tlbases.coxeter import CoxeterGraph, FcElement, word_str
 from tlbases.laurent import (
-    DELTA, ONE, V, V_INV, ZERO, LaurentPoly, invariant_completion,
+    DELTA, ONE, V, V_INV, ZERO, LaurentPoly, _add_scaled, invariant_completion,
 )
-from tlbases.verify import run_suite
+from tlbases.verify import SuiteResult, _positivity, run_suite
 
 H3 = TLAlgebra(CoxeterGraph("H", 3))
 H4 = TLAlgebra(CoxeterGraph("H", 4))
@@ -769,6 +772,136 @@ def test_mul_coords_matches_per_word_reference():
             assert alg._mul_coords(a, b) == _ref_mul_coords(alg, a, b), (a, b)
 
 
+def _ref_canonical_products(alg, x):
+    """Row x of the canonical multiplication table by the word-keyed loop the
+    packed rows replaced: each entry a ``LaurentPoly``, stepped by
+    c_x c_y = (c_x c_{y'}) b_s - sum_z mu_z c_x c_z off the canonical right
+    table, its words by descending position."""
+    rows = {(): {alg._index_word(x): ONE}}
+    right = alg.right_table("canonical")
+    words, index = alg.fc_words(), alg._index
+    for y in words[1:]:
+        right_s = right[y[-1]]
+        acc = {}
+        for u, c in rows[y[:-1]].items():
+            _add_scaled(acc, right_s[u].items(), c)
+        for z, mu in right_s[y[:-1]].items():
+            if z != y:
+                _add_scaled(acc, rows[z].items(), -mu)
+        order = sorted(map(index.__getitem__, acc), reverse=True)
+        rows[y] = {w: p for w in map(words.__getitem__, order) if (p := acc[w])}
+    return rows
+
+
+def _ref_positivity_cases(alg):
+    """Every entry of every reference row that is not ``nonneg``, as the
+    positivity check's cases, in the order x, then y, then z."""
+    return [{"x": word_str(x), "y": word_str(y), "z": word_str(z), "coeff": str(c)}
+            for x in alg.fc_words()
+            for y, row in _ref_canonical_products(alg, x).items()
+            for z, c in row.items() if not c.nonneg]
+
+
+def _positivity_check(alg):
+    res = SuiteResult("positivity", alg.graph.family)
+    _positivity(res, alg)
+    return res.checks[0]
+
+
+def _check_rows_against_the_reference(alg):
+    cases = []
+    for x in alg.fc_words():
+        rows, want = alg.canonical_products(x), _ref_canonical_products(alg, x)
+        # the same words with the same values, listed in the same order
+        assert [(y, list(row.items())) for y, row in rows.items()] == \
+            [(y, list(row.items())) for y, row in want.items()], x
+        cases.extend({"x": word_str(x), "y": word_str(y), "z": word_str(z), "coeff": str(c)}
+                     for y, row in want.items() for z, c in row.items() if not c.nonneg)
+    check = _positivity_check(alg)
+    assert check.passed == (not cases)
+    assert check.counterexample == (None if not cases else {"cases": cases[:5]})
+
+
+@pytest.mark.parametrize("family, rank", [("A", 5), ("B", 5), ("H", 4)])
+def test_canonical_rows_match_the_word_keyed_reference(family, rank):
+    _check_rows_against_the_reference(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+@pytest.mark.skipif(not os.environ.get("TLBASES_SLOW"),
+                    reason="set TLBASES_SLOW=1 for the H5 and B6 packed row cross-check")
+@pytest.mark.parametrize("family, rank", [("H", 5), ("B", 6)])
+def test_canonical_rows_match_the_word_keyed_reference_slow(family, rank):
+    _check_rows_against_the_reference(TLAlgebra(CoxeterGraph(family, rank)))
+
+
+def test_packed_rows_widen_a_start_width_too_narrow(monkeypatch):
+    # H4's structure constants have delta-coefficients up to 3, which two-bit
+    # balanced digits cannot hold: the row bound doubles the width before
+    # any row is packed, and the rows come out as the reference's
+    want = {x: _ref_canonical_products(H4, x) for x in H4.fc_words()}
+    assert max(c for rows in want.values() for row in rows.values()
+               for p in row.values() for _, c in laurent_mod._to_delta(p).terms) == 3
+    monkeypatch.setattr(algebra_mod, "_START_WIDTH", 2)
+    alg = TLAlgebra(CoxeterGraph("H", 4))
+    width = alg._packed_canonical()[0]
+    assert width > 2 and width & (width - 1) == 0
+    assert {x: alg.canonical_products(x) for x in alg.fc_words()} == want
+    assert _positivity_check(alg).passed
+
+
+def _mu_at_the_first_length_2_step(monkeypatch, mu):
+    """In every algebra, give each entry of the canonical right table that has
+    the coefficient 1 at the first normal word of length 2 the coefficient mu
+    at the empty word, as the table is built."""
+    convert = TLAlgebra._convert_from_monomial
+
+    def corrupted(self, coords, table):
+        out = convert(self, coords, table)
+        y = next(w for w in self.fc_words() if len(w) == 2)
+        if table is self._canonical and out.get(y) == ONE:
+            out[()] = mu
+        return out
+    monkeypatch.setattr(TLAlgebra, "_convert_from_monomial", corrupted)
+
+
+def test_canonical_coefficient_that_is_not_bar_invariant_fails(monkeypatch, tmp_path, capsys):
+    # the rows run in Z[delta]; a coefficient v has no delta-digits, so it
+    # must stop the suite, never read as a verdict
+    _mu_at_the_first_length_2_step(monkeypatch, V)
+    y = next(w for w in H3.fc_words() if len(w) == 2)
+    message = (f"canonical basis: c_{word_str(y[:-1])} * b_{y[-1]} has the coefficient v "
+               f"at e, not bar-invariant")
+    with pytest.raises(AssertionError) as raised:
+        TLAlgebra(CoxeterGraph("H", 3)).canonical_products(())
+    assert str(raised.value) == message
+    out = tmp_path / "report.json"
+    code = run(JobConfig(command="verify", family="H", rank=3, suites=("prop-4.1.9",),
+                         out=str(out)))
+    body = json.loads(out.read_text())
+    assert code == EXIT_VERIFY_FAIL and body["status"] == "fail"
+    assert body["results"] == {"error": {"type": "AssertionError", "message": message}}
+    assert f"computation failed: AssertionError: {message}" in capsys.readouterr().err
+
+
+def test_negative_bar_invariant_mu_fails_positivity_like_the_reference(monkeypatch):
+    # c_{y'} b_s = c_y - delta c_e puts -delta into c_{y'} c_s; the packed
+    # rows and their mask report the reference loop's cases
+    _mu_at_the_first_length_2_step(monkeypatch, -DELTA)
+    check = next(c for c in run_suite("prop-4.1.9", rank=3).checks
+                 if c.name == "H3-positivity")
+    cases = _ref_positivity_cases(TLAlgebra(CoxeterGraph("H", 3)))
+    assert cases and not check.passed
+    assert check.counterexample == {"cases": cases[:5]}
+
+
+def test_algebra_rejects_a_graph_that_is_not_a_coxeter_graph():
+    # "H3" used to fail later, as an AttributeError from fc_words
+    for graph in ("H3", ("H", 3), None):
+        with pytest.raises(ValueError) as raised:
+            TLAlgebra(graph)
+        assert str(raised.value) == f"TLAlgebra needs a CoxeterGraph, not {graph!r}"
+
+
 def _check_rows_against_per_pair_route(alg):
     words = alg.fc_words()
     for x in words:
@@ -811,8 +944,16 @@ def test_recorded_steps_rebuild_the_canonical_table():
 @pytest.mark.parametrize("family", ["H", "B"])
 def test_positivity_failure_lists_the_per_pair_loop_cases(family, monkeypatch):
     # reject every coefficient with a positive-degree term; the report's
-    # cases are the first five of the per-pair loop over x, then y, then z
+    # cases are the first five of the per-pair loop over x, then y, then z.
+    # The mask passes only entries below 2^(K-1), the integers 0 .. 2^(K-1) - 1,
+    # so every other entry reaches nonneg
     monkeypatch.setattr(LaurentPoly, "nonneg", property(lambda p: p.degree <= 0))
+    packed = TLAlgebra._packed_canonical
+
+    def constants_only(self):
+        width, _, steps = packed(self)
+        return width, -(1 << (width - 1)), steps
+    monkeypatch.setattr(TLAlgebra, "_packed_canonical", constants_only)
     suite = {"H": "prop-4.1.9", "B": "prop-5.2.2"}[family]
     check = next(c for c in run_suite(suite, rank=3).checks
                  if c.name == f"{family}3-positivity")

@@ -14,9 +14,12 @@ from tlbases.laurent import (
     LaurentPoly,
     NarrowingError,
     RationalLaurent,
+    _delta_mask,
+    _delta_unpack,
     _digit,
     _normalized,
     _pack,
+    _to_delta,
     _unpack,
     invariant_completion,
 )
@@ -330,6 +333,46 @@ def test_pack_round_trips_in_balanced_digits():
             assert _unpack(packed, width, off) == p
             for e in range(-off, 7):
                 assert _digit(packed, width, e + off) == p.coeff(e), (p, e)
+
+
+def _in_delta(*coeffs):
+    """c_0 + c_1 delta + c_2 delta^2 + ..., in v."""
+    return sum((DELTA ** j * c for j, c in enumerate(coeffs)), ZERO)
+
+
+def _delta_values(width):
+    # 1, delta, 3 delta^3 + 2, delta^2 - 1, 1 - delta, -1 and the widest digits
+    top = (1 << (width - 1)) - 1
+    return [_in_delta(1), _in_delta(0, 1), _in_delta(2, 0, 0, 3), _in_delta(-1, 0, 1),
+            _in_delta(1, -1), _in_delta(-1), _in_delta(top, 0, top), _in_delta(-top, top),
+            _in_delta(0, -top)]
+
+
+def test_delta_digits_round_trip():
+    assert _to_delta(DELTA ** 2 - 1) == LaurentPoly({2: 1, 0: -1})
+    assert _to_delta(LaurentPoly({2: 1, 0: 1, -2: 1})) == LaurentPoly({2: 1, 0: -1})
+    for width in (3, 8, 32):
+        for p in _delta_values(width):
+            q = _to_delta(p)
+            assert p.bar() == p and q.valuation >= 0
+            assert sum((DELTA ** e * c for e, c in q.terms), ZERO) == p
+            assert _delta_unpack(_pack(q, width, 0), width) == p, (width, p)
+
+
+def test_delta_mask_accepts_exactly_nonnegative_delta_digits():
+    # the mask passes an entry iff its delta-coefficients are >= 0, and with
+    # the decode behind it gives nonneg's verdict: delta^2 - 1 = v^2 + 1 + v^-2
+    # fails the mask and passes nonneg
+    for width in (3, 8, 32):
+        mask = _delta_mask(width, 4)
+        for p in _delta_values(width):
+            packed = _pack(_to_delta(p), width, 0)
+            assert (not packed & mask) == _to_delta(p).nonneg, (width, p)
+            assert (not packed & mask or _delta_unpack(packed, width).nonneg) == p.nonneg
+        # delta^4 has a digit past the mask's four, so the decode decides it
+        assert _pack(_to_delta(DELTA ** 4), width, 0) & mask
+    assert [p.nonneg for p in _delta_values(8)] == [True, True, True, True, False, False,
+                                                    True, False, False]
 
 
 def test_packing_is_a_ring_homomorphism_up_to_scaling():

@@ -265,7 +265,7 @@ def _non_f_structure_constant_calls(source: str):
 
 
 def test_suites_expand_canonical_products_by_rows():
-    # the positivity suites read whole rows off canonical_products; a
+    # the positivity suites read whole canonical rows (``_packed_rows``); a
     # per-pair canonical loop must not come back, and the scan must see one
     per_pair = ("for x in elements:\n    for y in elements:\n"
                 "        sc = alg.structure_constants(\"canonical\", x, y)\n")
@@ -360,11 +360,12 @@ def test_gram_check_steps_rows_like_the_trace_form():
 
 
 def test_one_table_of_generator_products():
-    # right_table is the one table of products by a generator: the canonical
-    # rows, the descent checks and the row step read it, and the rewriting
-    # appends every generator on the right, so no word starts with a literal
+    # right_table is the one table of products by a generator: the packed
+    # canonical table, the descent checks and the row step read it, and the
+    # rewriting appends every generator on the right, so no word starts with
+    # a literal
     readers = {(module, owner) for module, owner, _ in _calls_by_owner({"right_table"})}
-    assert readers == {("algebra.py", "canonical_products"), ("verify.py", "_positivity"),
+    assert readers == {("algebra.py", "_packed_canonical"), ("verify.py", "_positivity"),
                        ("forms.py", "_row_steps")}, readers
     for name in ("ttilde_left_table", "_canonical_right_table"):
         assert not hasattr(tlbases.TLAlgebra, name), name
@@ -372,6 +373,35 @@ def test_one_table_of_generator_products():
     prepended = [node.lineno for node in ast.walk(algebra) if isinstance(node, ast.BinOp)
                  and isinstance(node.op, ast.Add) and isinstance(node.left, ast.Tuple)]
     assert not prepended, prepended
+
+
+def _right_table_bases(source: str):
+    """(line, basis) of each ``right_table`` call, the basis a literal or None."""
+    return [(node.lineno, getattr(node.args[0], "value", None) if node.args else None)
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "right_table"]
+
+
+def test_one_recursion_steps_the_canonical_rows():
+    # the canonical rows are stepped once, on packed integers, in
+    # _packed_rows: canonical_products decodes them and the positivity scan
+    # masks them, and no word-keyed row loop over the canonical right table
+    # remains beside it
+    assert _right_table_bases('a.right_table("f")\nb.right_table(basis)\n') == \
+        [(1, "f"), (2, None)]
+    assert not _calls_by_owner({"canonical_products"})
+    rows = {(module, owner) for module, owner, _ in _calls_by_owner({"_packed_rows"})}
+    assert rows == {("algebra.py", "canonical_products"), ("verify.py", "_positivity")}, rows
+    packed = {(module, owner) for module, owner, _ in _calls_by_owner({"_packed_canonical"})}
+    assert packed == {("algebra.py", "_packed_rows"), ("algebra.py", "canonical_products"),
+                      ("verify.py", "_positivity")}, packed
+    bases = {module: [basis for _, basis in _right_table_bases(
+        (SRC / module).read_text(encoding="utf-8"))] for module in ("algebra.py", "verify.py")}
+    assert bases == {"algebra.py": ["canonical"], "verify.py": ["f"]}, bases
+    algebra = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(algebra) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_add_scaled" not in imported
 
 
 def test_one_evaluator_per_calculus():
