@@ -83,22 +83,42 @@ def _edge_order(edge: Edge):
     return (0 if b[0] == "N" else 1 if a[0] == "S" else 2), a[1]
 
 
+def _check_end(end) -> None:
+    if not (isinstance(end, tuple) and len(end) == 2 and type(end[1]) is int):
+        raise ValueError(f"tangle end {end!r} is not a face and an integer index")
+
+
+#: Every tangle ``Tangle._from_edges`` has built, by (n_north, n_south, edges):
+#: equal trusted tangles are one object, built, hashed and serialized once and
+#: kept for the process's lifetime.
+_INTERNED: Dict[Tuple[int, int, Tuple[Edge, ...]], "Tangle"] = {}
+
+
 class Tangle:
     """A crossing-free perfect matching with decorated west-exposed edges.
 
     Edges are stored canonically: endpoints ordered north-before-south and
     by index, decoration sequences read from the first endpoint, and the
     edge list sorted north-north, south-south, then propagating.  Instances
-    are immutable and hashable.
+    are immutable and hashable; equality is structural, so compare them with
+    ``==``, never ``is``.
     """
 
     __slots__ = ("n_north", "n_south", "edges", "_hash", "_key")
 
     def __init__(self, n_north: int, n_south: int, edges: Iterable[Edge]):
+        for count in (n_north, n_south):
+            if type(count) is not int or count < 0:  # a bool is not a count either
+                raise ValueError(f"node count {count!r} is not a nonnegative integer")
         if (n_north + n_south) % 2 != 0:
             raise ValueError("total node count must be even")
         canon: List[Edge] = []
-        for a, b, *rest in edges:
+        for edge in edges:
+            a, b, *rest = edge
+            if len(rest) > 1:
+                raise ValueError(f"edge {edge!r} has more than two ends and a decoration word")
+            _check_end(a)
+            _check_end(b)
             decs = tuple(rest[0]) if rest else ()
             for d in decs:
                 if d not in ("c", "s"):
@@ -108,21 +128,26 @@ class Tangle:
                 decs = tuple(reversed(decs))
             canon.append((a, b, decs))
         canon.sort(key=_edge_order)
-        self._store(n_north, n_south, tuple(canon))
+        self._store((n_north, n_south, tuple(canon)))
         self._validate()
 
     @classmethod
     def _from_edges(cls, n_north: int, n_south: int, edges: Iterable[Edge]) -> "Tangle":
-        """Trusted constructor: ``edges`` must already be canonical and valid."""
-        t = object.__new__(cls)
-        t._store(n_north, n_south, tuple(edges))
+        """Trusted constructor: ``edges`` must already be canonical and valid.
+        Equal input returns the one tangle ``_INTERNED`` holds for it."""
+        key = (n_north, n_south, tuple(edges))
+        t = _INTERNED.get(key)
+        if t is None:
+            t = _INTERNED[key] = object.__new__(cls)
+            t._store(key)
         return t
 
-    def _store(self, n_north: int, n_south: int, edges: Tuple[Edge, ...]):
+    def _store(self, key: Tuple[int, int, Tuple[Edge, ...]]):
+        n_north, n_south, edges = key
         object.__setattr__(self, "n_north", n_north)
         object.__setattr__(self, "n_south", n_south)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_hash", hash((n_north, n_south, edges)))
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -284,7 +309,8 @@ def _check_word(n: int, word: Sequence[int]) -> Tuple[int, ...]:
 
 def identity_tangle(n: int) -> Tangle:
     _check_strands(n)
-    return Tangle(n, n, [(("N", i), ("S", i), ()) for i in range(1, n + 1)])
+    # propagating edges in index order: canonical and valid as built
+    return Tangle._from_edges(n, n, [(("N", i), ("S", i), ()) for i in range(1, n + 1)])
 
 
 def _cup(i: int) -> Tuple[Decor, ...]:
@@ -558,7 +584,8 @@ class DiagramElement:
 
     Coefficients come from the ring of the rule set that produced them:
     integer Laurent polynomials in family H, dyadic rational ones in family
-    B, and symbolic scalars during calibration.
+    B, and symbolic scalars during calibration.  The hash is computed on
+    first use and kept.
     """
 
     __slots__ = ("family", "n", "coeffs", "_hash")
@@ -570,7 +597,7 @@ class DiagramElement:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", items)
-        object.__setattr__(self, "_hash", hash((family, n, items)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiagramElement is immutable")
@@ -615,7 +642,11 @@ class DiagramElement:
         return (self.family, self.n, self.coeffs) == (other.family, other.n, other.coeffs)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.family, self.n, self.coeffs))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         if not self.coeffs:
@@ -684,6 +715,9 @@ class DiagramCalculus:
             _check_word(elem.n, (i,))  # raises, naming the fault
         if side not in ("left", "right"):
             raise ValueError(f"side {side!r} is neither 'left' nor 'right'")
+        if elem.family != self.family:
+            raise ValueError(f"a family {elem.family} element in the family "
+                             f"{self.family} calculus")
         rules = self.rules
         # the image of b_i is 2 U_1 at i = 1 in family B, else U_i
         scale = rules.const(2) if (self.family == "B" and i == 1) else rules.one()

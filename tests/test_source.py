@@ -117,6 +117,20 @@ def test_trusted_tangles_are_built_only_in_tangles():
     assert not found, f"Tangle._from_edges used outside tangles.py: {found}"
 
 
+def test_only_the_trusted_constructor_reads_the_intern_table():
+    # Tangle._from_edges is the one reader and writer of the table of shared
+    # tangles, which tangles.py defines once
+    def names_table(node):
+        if getattr(node, "id", getattr(node, "attr", None)) == "_INTERNED":
+            return "table"
+        return None
+
+    found = _by_owner(names_table)
+    assert {(module, owner) for module, owner, _ in found} == \
+        {("tangles.py", "<module>"), ("tangles.py", "_from_edges")}, found
+    assert [owner for _, owner, _ in found].count("<module>") == 1, found
+
+
 def test_no_function_takes_a_tuning_knob():
     # resource bounds are module constants (coxeter.CLASS_CAP, STRATUM_CAP,
     # verify.CONFLUENCE_COUNT), not parameters threaded through the calls

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -70,6 +71,23 @@ def test_tangle_validation():
         Tangle(2, 2, [(("N", 1), ("S", 1), ()), (("N", 2), ("S", 2), ("c",))])
     with pytest.raises(ValueError):
         Tangle(2, 1, [])
+
+
+@pytest.mark.parametrize("n_north, n_south, edges, message", [
+    # a bool formatted as n=True, and as a key would equal the count 1
+    (True, True, [(("N", 1), ("S", 1), ())], "node count True"),
+    (1, 1.0, [(("N", 1), ("S", 1), ())], "node count 1.0"),
+    (-1, 1, [], "node count -1"),
+    # a float index raised TypeError from a list index
+    (1, 1, [(("N", 1.0), ("S", 1), ())], "tangle end ('N', 1.0)"),
+    (1, 1, [(("N", 1), ("S", "1"), ())], "tangle end ('S', '1')"),
+    (1, 1, [(["N", 1], ("S", 1), ())], "tangle end ['N', 1]"),
+    # a fourth field was dropped
+    (2, 2, [(("N", 1), ("N", 2), ("c",), "x"), (("S", 1), ("S", 2))], "more than two ends"),
+])
+def test_tangle_constructor_rejects_malformed_input(n_north, n_south, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tangle(n_north, n_south, edges)
 
 
 def _ref_validate(t):
@@ -234,6 +252,17 @@ def test_apply_gen_rejects_an_unknown_side():
     assert CALC_B.apply_gen(elem, 2, "left") != CALC_B.apply_gen(elem, 2, "right")
     with pytest.raises(ValueError, match="side"):
         CALC_B.apply_gen(elem, 2, "up")
+
+
+def test_apply_gen_rejects_an_element_of_another_family():
+    # a B element in the H calculus raised TypeError from multiplying a
+    # dyadic coefficient by an integral scalar
+    for calc, other in ((CALC_H, CALC_B), (CALC_B, CALC_H)):
+        elem = other.evaluate_word(3, (1,))
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match=f"family {other.family} element in the "
+                                                 f"family {calc.family} calculus"):
+                calc.apply_gen(elem, 2, side)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, 1.5, "1", None])
@@ -557,6 +586,78 @@ def test_trusted_tangles_revalidate_at_five_strands(family, monkeypatch):
         fresh = Tangle(t.n_north, t.n_south, t.edges)
         assert fresh.edges == t.edges, t
         assert hash(fresh) == hash(t) and fresh.sort_key() == t.sort_key()
+
+
+def _ref_from_edges(cls, n_north, n_south, edges):
+    """The trusted constructor before interning: a new tangle on every call."""
+    t = object.__new__(cls)
+    t._store((n_north, n_south, tuple(edges)))
+    return t
+
+
+def _diagram_outputs():
+    """The closures at H5, B5 and H6 and the images of every FC word at
+    five strands in both families, each a list of elements."""
+    out = {}
+    for family, n in (("H", 5), ("B", 5), ("H", 6)):
+        out[family, n] = generate_by_procedures(family, n, RULES_H if family == "H" else RULES_B)
+    for family in ("H", "B"):
+        calc = DiagramCalculus(RULES_H if family == "H" else RULES_B)
+        out[family, "words"] = [calc.evaluate_word(5, w)
+                                for w in TLAlgebra(CoxeterGraph(family, 4)).fc_words()]
+    return out
+
+
+def test_interned_tangles_give_the_unshared_results(monkeypatch):
+    got = _diagram_outputs()
+    monkeypatch.setattr(Tangle, "_from_edges", classmethod(_ref_from_edges))
+    one = identity_tangle(3)
+    assert identity_tangle(3) is not one  # the reference builds anew
+    want = _diagram_outputs()
+    assert got.keys() == want.keys()
+    for key, elems in want.items():
+        # equal elements with their terms in equal order
+        assert [e.coeffs for e in got[key]] == [e.coeffs for e in elems], key
+
+
+def test_trusted_tangles_are_shared_and_equal_to_validated_ones():
+    cases = enumerate_h_admissible(4) + [t for t, _ in enumerate_b_canonical(4)]
+    for t in cases:
+        shared = Tangle._from_edges(t.n_north, t.n_south, list(t.edges))
+        assert Tangle._from_edges(t.n_north, t.n_south, t.edges) is shared
+        fresh = Tangle(t.n_north, t.n_south, t.edges)
+        assert fresh is not shared and fresh is not Tangle(t.n_north, t.n_south, t.edges)
+        assert fresh == shared and hash(fresh) == hash(shared)
+        assert fresh.sort_key() == shared.sort_key()
+
+
+def test_diagram_element_hashes_on_first_use():
+    for elem in (CALC_H.evaluate_word(4, (1, 2, 3, 2)), CALC_B.evaluate_word(4, (2, 1, 2)),
+                 CALC_H.one(3), DiagramElement("B", 2, {})):
+        fresh = DiagramElement(elem.family, elem.n, dict(elem.coeffs))
+        assert fresh._hash is None
+        assert hash(fresh) == hash((elem.family, elem.n, elem.coeffs)) == hash(elem)
+        assert fresh._hash == hash(fresh)
+
+
+def test_closure_formats_each_tangle_once(monkeypatch, fresh_index):
+    # every action used to build its own tangle: the H6 closure formatted
+    # 804 distinct tangles 6,588 times
+    formatted = Counter()
+    fmt = tangles_mod.format_tangle
+
+    def counting(t):
+        text = fmt(t)
+        formatted[text] += 1
+        return text
+
+    table = {}
+    monkeypatch.setattr(tangles_mod, "_INTERNED", table)
+    monkeypatch.setattr(tangles_mod, "format_tangle", counting)
+    closure = generate_by_procedures("H", 6, RULES_H)
+    assert len(closure) == 804 and formatted
+    assert max(formatted.values()) == 1, formatted.most_common(3)
+    assert set(formatted) <= {fmt(t) for t in table.values()}
 
 
 def test_calibrated_values():
