@@ -77,16 +77,29 @@ def _transpose(table: Dict[Word, Coords]) -> Dict[Word, Coords]:
     return out
 
 
+def _largest_left_steps(alg: TLAlgebra):
+    """(w, s, u) for each nonempty normal word w, s its largest left descent
+    and u the normal word of s w: w with its first s, a minimal heap piece, removed."""
+    for e in alg.fc_elements()[1:]:
+        s = max(e.left_descents)
+        i = e.word.index(s)
+        yield e.word, s, normal_form(alg.graph, e.word[:i] + e.word[i + 1:])
+
+
 def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     """Exact checks of the four bilinear-form conditions, each True or False;
     a form on another graph, or a key not an FC element's normal word, is a ValueError.
 
-    Gram rows G are anti-associative iff G[s u] = _combine(G[u], L_s^T) for
-    every nonempty normal word s u (``_row_steps``).  =>: t~_{s u} = t~_s t~_u,
-    so G[s u][x] = B(t~_u, t~_s t~_x) = sum_y G[u][y] L_s[x][y].  <=: the
+    Gram rows G are anti-associative iff G[w] = _combine(G[u], L_s^T) for
+    every nonempty FC element w and one left descent s of w, u the normal
+    word of s w (``_row_steps``).  =>: t~_w = t~_s t~_u whenever lengths add,
+    so G[w][x] = B(t~_u, t~_s t~_x) = sum_y G[u][y] L_s[x][y].  <=: the
     recursion fixes G from its first row phi, and the anti-associative form
     phi(iota(a) b) of ``solution_space_dimension`` obeys it with that first
-    row, as iota(t~_s t~_u) = iota(t~_u) t~_s.  A form unitriangular mod v^-1
+    row, as iota(t~_s t~_u) = iota(t~_u) t~_s.  The check steps by w's
+    largest left descent, the trace form by its smallest, the normal word's
+    first letter: each w with two left descents is an equation it did not use.
+    A form unitriangular mod v^-1
     has determinant 1 + v^-1·(…), so it is nondegenerate without elimination;
     any other form is eliminated.
     """
@@ -98,7 +111,7 @@ def gram_check(alg: TLAlgebra, cand: GramCandidate) -> Dict[str, bool]:
     gram = {w: {x: c for x, c in cand.rows.get(w, {}).items() if c} for w in words}
     symmetric = gram == _transpose(gram)
     steps = _row_steps(alg)
-    anti = all(gram[w] == _combine(gram[w[1:]], steps[w[0]]) for w in words[1:])
+    anti = all(gram[w] == _combine(gram[u], steps[s]) for w, s, u in _largest_left_steps(alg))
     # G - I has every entry in v^-1 Z[v^-1]
     unitri = all(w in row and all((c - ONE if x == w else c).degree <= -1 for x, c in row.items())
                  for w, row in gram.items())

@@ -114,12 +114,15 @@ class Tangle:
             raise ValueError("total node count must be even")
         canon: List[Edge] = []
         for edge in edges:
-            a, b, *rest = edge
-            if len(rest) > 1:
-                raise ValueError(f"edge {edge!r} has more than two ends and a decoration word")
+            try:
+                a, b, *rest = edge
+                if len(rest) > 1:
+                    raise ValueError(f"edge {edge!r} has more than two ends and a decoration word")
+                decs = tuple(rest[0]) if rest else ()
+            except TypeError:  # an edge or a decoration word that is not iterable
+                raise ValueError(f"edge {edge!r} is not two ends and a decoration word") from None
             _check_end(a)
             _check_end(b)
-            decs = tuple(rest[0]) if rest else ()
             for d in decs:
                 if d not in ("c", "s"):
                     raise ValueError(f"unknown decoration {d!r}")
@@ -706,6 +709,12 @@ class DiagramCalculus:
     def one(self, n: int) -> DiagramElement:
         return DiagramElement(self.family, n, {identity_tangle(n): self.rules.one()})
 
+    def _check_family(self, *elems: DiagramElement):
+        for elem in elems:
+            if elem.family != self.family:
+                raise ValueError(f"a family {elem.family} element in the family "
+                                 f"{self.family} calculus")
+
     def apply_gen(self, elem: DiagramElement, i: int, side: str = "right") -> DiagramElement:
         """elem * b_i (side "right"), else b_i * elem: the calculus's one loop
         of generator actions.  Each term's tangle is rewritten at the two
@@ -715,9 +724,7 @@ class DiagramCalculus:
             _check_word(elem.n, (i,))  # raises, naming the fault
         if side not in ("left", "right"):
             raise ValueError(f"side {side!r} is neither 'left' nor 'right'")
-        if elem.family != self.family:
-            raise ValueError(f"a family {elem.family} element in the family "
-                             f"{self.family} calculus")
+        self._check_family(elem)
         rules = self.rules
         # the image of b_i is 2 U_1 at i = 1 in family B, else U_i
         scale = rules.const(2) if (self.family == "B" and i == 1) else rules.one()
@@ -758,6 +765,7 @@ class DiagramCalculus:
     def multiply(self, a: DiagramElement, b: DiagramElement) -> DiagramElement:
         """The general product: every pair of terms composed whole
         (``compose_raw``), reduced and accumulated."""
+        self._check_family(a, b)
         acc: Dict[Tangle, object] = {}
         for t1, c1 in a.coeffs:
             for t2, c2 in b.coeffs:

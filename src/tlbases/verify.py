@@ -175,7 +175,7 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
 
     graph = alg.graph
     by_word = {e.word: e for e in elements}
-    right = alg.right_table("f")
+    right = alg.right_table("canonical")
     side_bad = []
     equiv_bad = []
     for w in elements:
@@ -200,7 +200,7 @@ def _positivity(res: SuiteResult, alg: TLAlgebra):
                     side_bad.append((w.word, i, x, "not below the product bound"))
     res.checks.append(CheckResult(
         f"{family}{rank}-descent-support", not side_bad,
-        "support of f-basis right multiplications satisfies the descent and "
+        "support of canonical-basis right multiplications satisfies the descent and "
         "order bounds",
         None if not side_bad else {"cases": [
             {"w": word_str(a), "i": i, "x": word_str(x), "why": why}

@@ -894,6 +894,31 @@ def test_negative_bar_invariant_mu_fails_positivity_like_the_reference(monkeypat
     assert check.counterexample == {"cases": cases[:5]}
 
 
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_positivity_reads_one_right_table(family):
+    # the descent laws are read off the canonical right table the rows are
+    # stepped on: the suites build neither the f table nor its right table
+    alg = TLAlgebra(CoxeterGraph(family, 3))
+    res = SuiteResult("positivity", family)
+    _positivity(res, alg)
+    assert res.passed and alg._f_table is None and "f" not in alg._right
+
+
+@pytest.mark.parametrize("family", ["H", "B"])
+def test_descent_equivalence_reads_the_canonical_right_table(family):
+    # c_1 b_1 = delta c_1 made 1 c_1 in the table the rows are stepped on:
+    # the descent check reads that table, so it sees the entry
+    alg = TLAlgebra(CoxeterGraph(family, 3))
+    right = alg.right_table("canonical")[1]
+    assert right[(1,)] == {(1,): DELTA}
+    right[(1,)] = {(1,): ONE}
+    res = SuiteResult("positivity", family)
+    _positivity(res, alg)
+    check = next(c for c in res.checks if c.name == f"{family}3-descent-equivalence")
+    assert not check.passed
+    assert check.counterexample == {"cases": [{"w": word_str((1,)), "i": 1}]}
+
+
 def test_algebra_rejects_a_graph_that_is_not_a_coxeter_graph():
     # "H3" used to fail later, as an AttributeError from fc_words
     for graph in ("H3", ("H", 3), None):

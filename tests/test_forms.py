@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from tlbases import forms
 from tlbases.algebra import TLAlgebra, _combine
 from tlbases.coxeter import CoxeterGraph, normal_form
 from tlbases.forms import (
@@ -181,6 +182,21 @@ def test_anti_associativity_matches_the_per_term_loop(name):
     assert all(gram_check(alg, cand)["unitriangular_mod_vinv"] for cand in candidates)
     verdicts = _check_anti_associativity(alg, candidates)
     assert verdicts[0] and set(verdicts) == {True, False}, verdicts
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_anti_associativity_reads_equations_the_trace_form_did_not_use(name, monkeypatch):
+    # one row-step entry raised by v^-2 both builds the trace form and checks
+    # it: stepping each row by its first letter, as the construction does,
+    # replays the corrupted step and passes; stepping t~_{1 3} = t~_3 t~_1
+    # by its largest left descent 3 meets an equation the rows were not built by
+    alg = ALGEBRAS.get(name) or TLAlgebra(CoxeterGraph(name[0], int(name[1])))
+    steps = _row_steps(alg)
+    steps[1][()][(1,)] += LaurentPoly({-2: 1})
+    monkeypatch.setattr(forms, "_row_steps", lambda _: steps)
+    cand = natural_gram_candidate(alg)
+    assert all(cand.rows[w] == _combine(cand.rows[w[1:]], steps[w[0]]) for w in alg.fc_words()[1:])
+    assert not gram_check(alg, cand)["anti_associative"]
 
 
 def _random_functionals(alg, rng):

@@ -279,13 +279,14 @@ def _non_f_structure_constant_calls(source: str):
 
 
 def test_suites_expand_canonical_products_by_rows():
-    # the positivity suites read whole canonical rows (``_packed_rows``); a
-    # per-pair canonical loop must not come back, and the scan must see one
+    # the positivity suites read whole canonical rows (``_packed_rows``) and
+    # their descent laws off the same canonical right table; a per-pair
+    # canonical loop must not come back, and the scan must see one
     per_pair = ("for x in elements:\n    for y in elements:\n"
                 "        sc = alg.structure_constants(\"canonical\", x, y)\n")
     assert _non_f_structure_constant_calls(per_pair) == [3]
     source = (SRC / "verify.py").read_text(encoding="utf-8")
-    assert "right_table(\"f\")" in source
+    assert "right_table(\"canonical\")" in source
     assert _non_f_structure_constant_calls(source) == []
 
 
@@ -411,7 +412,7 @@ def test_one_recursion_steps_the_canonical_rows():
                       ("verify.py", "_positivity")}, packed
     bases = {module: [basis for _, basis in _right_table_bases(
         (SRC / module).read_text(encoding="utf-8"))] for module in ("algebra.py", "verify.py")}
-    assert bases == {"algebra.py": ["canonical"], "verify.py": ["f"]}, bases
+    assert bases == {"algebra.py": ["canonical"], "verify.py": ["canonical"]}, bases
     algebra = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(algebra) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}

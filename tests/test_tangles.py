@@ -84,6 +84,9 @@ def test_tangle_validation():
     (1, 1, [(["N", 1], ("S", 1), ())], "tangle end ['N', 1]"),
     # a fourth field was dropped
     (2, 2, [(("N", 1), ("N", 2), ("c",), "x"), (("S", 1), ("S", 2))], "more than two ends"),
+    # an edge or a decoration word that is not iterable raised TypeError
+    (1, 1, [5], "edge 5 is not two ends and a decoration word"),
+    (1, 1, [(("N", 1), ("S", 1), None)], "is not two ends and a decoration word"),
 ])
 def test_tangle_constructor_rejects_malformed_input(n_north, n_south, edges, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -263,6 +266,17 @@ def test_apply_gen_rejects_an_element_of_another_family():
             with pytest.raises(ValueError, match=f"family {other.family} element in the "
                                                  f"family {calc.family} calculus"):
                 calc.apply_gen(elem, 2, side)
+
+
+def test_multiply_rejects_an_element_of_another_family():
+    # a product with an operand of the other family raised TypeError from
+    # multiplying an integral coefficient by a dyadic one, in either calculus
+    h, b = CALC_H.evaluate_word(3, (1, 2)), CALC_B.evaluate_word(3, (1, 2))
+    for calc, a, c, other in ((CALC_H, h, b, "B"), (CALC_B, h, b, "H")):
+        with pytest.raises(ValueError, match=f"family {other} element in the "
+                                             f"family {calc.family} calculus"):
+            calc.multiply(a, c)
+    assert CALC_H.multiply(h, h) == CALC_H.evaluate_word(3, (1, 2, 1, 2))
 
 
 @pytest.mark.parametrize("bad", [1.0, True, 1.5, "1", None])
